@@ -24,6 +24,7 @@ from .bootstrap import (
     mean_dyadic,
     summarize_uncertainty,
     wild_bootstrap,
+    wild_bootstrap_table,
 )
 from .calibration import (
     BinStats,
@@ -67,6 +68,7 @@ __all__ = [
     "TensorSampleSet",
     "UncertaintyBundle",
     "wild_bootstrap",
+    "wild_bootstrap_table",
     "mean_dyadic",
     "cone_angle_95",
     "summarize_uncertainty",

@@ -4,7 +4,9 @@ orientation statistics shared by every replicate-based method.
 Replicates from any source (wild bootstrap, dropout sampling, Monte-Carlo
 noise draws) are reduced the same way: population std of FA and MD, and a
 cone angle taken as the 95th percentile of angles between each replicate's
-principal direction and the mean dyadic axis.
+principal direction and the mean dyadic axis. The reductions work on groups
+of equally many replicates, so one voxel and a whole table share one
+implementation.
 """
 
 from __future__ import annotations
@@ -15,14 +17,18 @@ from typing import Optional
 import numpy as np
 
 from .tensor import (
-    DiffusionTensor,
     GradientScheme,
     eigh3_batch,
     elements_to_matrices,
     fa_md_from_eigenvalues,
 )
-from .fitting import SIGNAL_FLOOR, fit_cwlls, fit_cwlls_batch
+from .fitting import SIGNAL_FLOOR, as_signal_rows, fit_cwlls_batch
 from .rng import rng_from_key
+
+# Replicate rows refitted per fit_cwlls_batch call in wild_bootstrap_table;
+# a chunk always holds whole voxels (at least one). Results do not depend
+# on it: every kernel treats rows independently.
+CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -42,10 +48,6 @@ class TensorSampleSet:
     def __len__(self):
         return len(self.elements)
 
-    @classmethod
-    def from_tensors(cls, tensors: list[DiffusionTensor], source: str):
-        return cls(np.stack([t.elements for t in tensors]), source)
-
 
 @dataclass
 class UncertaintyBundle:
@@ -57,6 +59,117 @@ class UncertaintyBundle:
 
 class SaturatedLeverageError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# grouped replicate reductions: g groups of k replicates each
+# ---------------------------------------------------------------------------
+
+
+def _principal_axes(evecs: np.ndarray) -> np.ndarray:
+    """Contiguous principal axes (..., 3) of eigenvector rows (..., 3, 3).
+
+    Contiguous input keeps the reductions below bitwise the same whether
+    they see one group or many.
+    """
+    return np.ascontiguousarray(evecs[..., 0, :])
+
+
+def _mean_dyadic_axes(axes: np.ndarray) -> np.ndarray:
+    """(g, 3) principal axes of the mean dyads of (g, k, 3) directions."""
+    dyads = np.einsum("gki,gkj->gij", axes, axes) / axes.shape[1]
+    return eigh3_batch(dyads)[1][:, 0]
+
+
+def _cone_angles_95(axes: np.ndarray) -> np.ndarray:
+    """(g,) 95th percentiles of the angles (degrees) to each group's dyadic axis."""
+    mean_axes = _mean_dyadic_axes(axes)
+    cosines = np.clip(np.abs(np.einsum("gki,gi->gk", axes, mean_axes)), 0.0, 1.0)
+    return np.percentile(np.degrees(np.arccos(cosines)), 95, axis=1, method="linear")
+
+
+def _replicate_statistics(evals: np.ndarray, axes: np.ndarray):
+    """(theta95, sigma_fa, sigma_md), each (g,), of grouped replicates.
+
+    evals (g, k, 3) descending and axes (g, k, 3) principal eigenvectors:
+    each replicate's eigensystem, computed once by the caller.
+    """
+    fa, md = fa_md_from_eigenvalues(evals)
+    return _cone_angles_95(axes), np.std(fa, axis=1), np.std(md, axis=1)
+
+
+def _one_group(samples: TensorSampleSet):
+    """Eigenvalues (1, k, 3) and principal axes (1, k, 3) of one replicate set."""
+    evals, evecs = eigh3_batch(elements_to_matrices(samples.elements))
+    return evals[None], _principal_axes(evecs)[None]
+
+
+def mean_dyadic(samples: TensorSampleSet) -> np.ndarray:
+    """Principal axis of the mean outer product of replicate directions.
+
+    The dyad v v^T is blind to the sign of v, so per-replicate sign flips
+    cannot move the result.
+    """
+    return _mean_dyadic_axes(_one_group(samples)[1])[0]
+
+
+def cone_angle_95(samples: TensorSampleSet) -> float:
+    """95th percentile (linear interpolation) of angles to the mean dyadic axis.
+
+    Angles fold the eigenvector sign ambiguity via |dot|, so they live in
+    [0, 90] degrees. Meaningful for k >= 20 or so; smaller sets are allowed
+    (identical replicates give exactly 0).
+    """
+    return float(_cone_angles_95(_one_group(samples)[1])[0])
+
+
+def summarize_uncertainty(
+    samples: TensorSampleSet, aleatoric_u: Optional[float] = None
+) -> UncertaintyBundle:
+    """Population std of replicate FA/MD plus the 95% cone angle."""
+    if len(samples) < 2:
+        raise ValueError("need at least 2 replicates")
+    theta95, sigma_fa, sigma_md = _replicate_statistics(*_one_group(samples))
+    return UncertaintyBundle(
+        theta95=float(theta95[0]),
+        sigma_fa=float(sigma_fa[0]),
+        sigma_md=float(sigma_md[0]),
+        aleatoric_u=aleatoric_u,
+    )
+
+
+# ---------------------------------------------------------------------------
+# wild bootstrap
+# ---------------------------------------------------------------------------
+
+
+def _wild_base(signals: np.ndarray, scheme: GradientScheme):
+    """Base constrained WLLS fit of (n, m) signal rows.
+
+    Returns (fitted log-signals, leverage-scaled residuals, base eigensystem).
+    """
+    _, residuals, leverage, _, eig = fit_cwlls_batch(signals, scheme)
+    if np.any(leverage >= 1.0 - 1e-9):
+        raise SaturatedLeverageError("saturated leverage")
+    y_hat = np.log(np.maximum(signals, SIGNAL_FLOOR)) - residuals
+    return y_hat, residuals / np.sqrt(1.0 - leverage), eig
+
+
+def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientScheme):
+    """CWLLS refits of `iterations` sign-flipped residual sets per voxel.
+
+    Voxel v draws its Rademacher signs from rng_from_key(seeds[v]). Returns
+    the (len(seeds) * iterations, 6) replicate elements, voxel-major, and
+    their eigensystem.
+    """
+    signs = np.concatenate(
+        [rng_from_key(s).integers(0, 2, size=(iterations, y_hat.shape[1])) for s in seeds]
+    ) * 2 - 1
+    y_star = np.repeat(y_hat, iterations, axis=0) + signs * np.repeat(scaled, iterations, axis=0)
+    beta, _, _, _, eig = fit_cwlls_batch(np.exp(y_star), scheme)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("non-finite replicate tensors")
+    return beta[:, :6], eig
 
 
 def wild_bootstrap(
@@ -71,74 +184,45 @@ def wild_bootstrap(
     """
     if iterations < 2:
         raise ValueError("iterations must be >= 2")
-    signals = np.asarray(signals, dtype=np.float64)
-    base = fit_cwlls(signals, scheme)
-    h = base.leverage
-    if np.any(h >= 1.0 - 1e-9):
-        raise SaturatedLeverageError("saturated leverage")
-    y_obs = np.log(np.maximum(signals, SIGNAL_FLOOR))
-    y_hat = y_obs - base.residuals_log
-    scaled = base.residuals_log / np.sqrt(1.0 - h)
-    rng = rng_from_key(seed)
-    signs = rng.integers(0, 2, size=(iterations, len(signals))) * 2 - 1
-    y_star = y_hat[None, :] + signs * scaled[None, :]
-    beta, _, _, _ = fit_cwlls_batch(np.exp(y_star), scheme)
-    return TensorSampleSet(beta[:, :6], "wild_bootstrap")
+    y_hat, scaled, _ = _wild_base(as_signal_rows(signals, scheme), scheme)
+    elements, _ = _wild_replicates(y_hat, scaled, [seed], iterations, scheme)
+    return TensorSampleSet(elements, "wild_bootstrap")
 
 
-def principal_axes(samples: TensorSampleSet) -> np.ndarray:
-    """(k, 3) principal eigenvectors of the replicate tensors."""
-    _, evecs = eigh3_batch(elements_to_matrices(samples.elements))
-    return evecs[:, 0, :]
+def wild_bootstrap_table(
+    signals, scheme: GradientScheme, iterations: int, seeds
+) -> np.ndarray:
+    """Point estimates and wild-bootstrap uncertainty for (n, m) signals.
 
+    Voxel v is resampled from rng_from_key(seeds[v]), exactly as
+    ``wild_bootstrap(signals[v], scheme, iterations, seeds[v])``. Replicates
+    are refitted CHUNK_ROWS rows (whole voxels) at a time, and each
+    replicate's eigensystem is computed once.
 
-def mean_dyadic(samples: TensorSampleSet) -> np.ndarray:
-    """Principal axis of the mean outer product of replicate directions.
-
-    The dyad v v^T is blind to the sign of v, so per-replicate sign flips
-    cannot move the result.
+    Returns the (n, 9) prediction table: fa, md, v1 (3) of the base CWLLS
+    fit, then theta95, sigma_fa, sigma_md, and NaN for aleatoric u.
     """
-    axes = principal_axes(samples)
-    dyad = np.einsum("ki,kj->ij", axes, axes) / len(axes)
-    evals, evecs = eigh3_batch(dyad[None])
-    return evecs[0, 0]
-
-
-def cone_angle_95(samples: TensorSampleSet) -> float:
-    """95th percentile (linear interpolation) of angles to the mean dyadic axis.
-
-    Angles fold the eigenvector sign ambiguity via |dot|, so they live in
-    [0, 90] degrees. Meaningful for k >= 20 or so; smaller sets are allowed
-    (identical replicates give exactly 0).
-    """
-    axes = principal_axes(samples)
-    mean_axis = mean_dyadic(samples)
-    cosines = np.clip(np.abs(axes @ mean_axis), 0.0, 1.0)
-    angles = np.degrees(np.arccos(cosines))
-    return float(np.percentile(angles, 95, method="linear"))
-
-
-def summarize_uncertainty(
-    samples: TensorSampleSet, aleatoric_u: Optional[float] = None
-) -> UncertaintyBundle:
-    """Population std of replicate FA/MD plus the 95% cone angle."""
-    if len(samples) < 2:
-        raise ValueError("need at least 2 replicates")
-    evals, _ = eigh3_batch(elements_to_matrices(samples.elements))
-    fa, md = fa_md_from_eigenvalues(evals)
-    return UncertaintyBundle(
-        theta95=cone_angle_95(samples),
-        sigma_fa=float(np.std(fa)),
-        sigma_md=float(np.std(md)),
-        aleatoric_u=aleatoric_u,
-    )
-
-
-def sample_estimates(samples: TensorSampleSet):
-    """Mean tensor elements, FA and MD of the per-replicate scalars.
-
-    Returns (mean_elements (6,), mean_fa, mean_md).
-    """
-    evals, _ = eigh3_batch(elements_to_matrices(samples.elements))
-    fa, md = fa_md_from_eigenvalues(evals)
-    return samples.elements.mean(axis=0), float(fa.mean()), float(md.mean())
+    if iterations < 2:
+        raise ValueError("iterations must be >= 2")
+    signals = as_signal_rows(signals, scheme)
+    seeds = [int(s) for s in seeds]
+    if len(seeds) != len(signals):
+        raise ValueError("need one seed per voxel")
+    y_hat, scaled, (evals, evecs) = _wild_base(signals, scheme)
+    table = np.empty((len(signals), 9))
+    table[:, 0], table[:, 1] = fa_md_from_eigenvalues(evals)
+    table[:, 2:5] = evecs[:, 0]
+    table[:, 8] = np.nan
+    per_chunk = max(1, CHUNK_ROWS // iterations)
+    for start in range(0, len(signals), per_chunk):
+        voxels = slice(start, start + per_chunk)
+        _, (rep_evals, rep_evecs) = _wild_replicates(
+            y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme
+        )
+        shape = (len(rep_evals) // iterations, iterations, 3)
+        table[voxels, 5:8] = np.column_stack(
+            _replicate_statistics(
+                rep_evals.reshape(shape), _principal_axes(rep_evecs).reshape(shape)
+            )
+        )
+    return table

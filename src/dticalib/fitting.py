@@ -1,13 +1,16 @@
 """Least-squares tensor estimation on log-transformed signals.
 
-Three estimators share one QR-based solve path:
+Three estimators, each a per-voxel function over a batch kernel (one
+scheme, many signal rows):
 
-* ``fit_ols``   -- unweighted solve of ln S = X beta
-* ``fit_wlls``  -- two-pass: OLS, then weights exp(2 * predicted ln S)
+* ``fit_ols``   -- unweighted solve of ln S = X beta through one shared
+                   projection R^-1 Q^T of X
+* ``fit_wlls``  -- two-pass: OLS, then a batched QR solve with weights
+                   exp(2 * predicted ln S)
 * ``fit_cwlls`` -- WLLS followed by an eigenvalue floor (SPD projection)
 
-All three are pure per-voxel functions; batched variants (one scheme, many
-signal rows) back the bootstrap and Monte-Carlo machinery.
+The kernels treat rows independently, bit for bit, so a voxel's fit does
+not depend on which batch it is fitted in.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ class FitResult:
     residuals_log: np.ndarray  # observed ln S minus fitted ln S
     leverage: np.ndarray  # hat-matrix diagonal of the (weighted) design
     constrained: bool
+    # 2-norm condition number of the (weighted) design; for WLLS/CWLLS the
+    # upper bound cond(X) * max(sqrt w) / min(sqrt w), or the exact value
+    # where that bound exceeds CONDITION_LIMIT (see _weighted_conditions)
     condition_number: float
 
 
@@ -56,11 +62,23 @@ def _qr_solve_batch(design: np.ndarray, rhs: np.ndarray):
     return beta, leverage
 
 
-def _prepare(signals: np.ndarray, scheme: GradientScheme) -> np.ndarray:
+# Row-axis products use einsum, batched qr and single-rhs batched solve only:
+# each row's result is then bitwise independent of the batch it sits in
+# (BLAS matmul and multi-rhs solves are not), which the bootstrap's
+# chunk-size invariance relies on.
+
+
+def _predict_log(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fitted log-signals (k, m) of parameter rows beta (k, 7)."""
+    return np.einsum("kj,mj->km", beta, x)
+
+
+def as_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
+    """(k, m) float64 signal rows; one voxel's (m,) vector becomes (1, m)."""
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim == 1:
         signals = signals[None]
-    if signals.shape[1] != scheme.n_measurements:
+    if signals.ndim != 2 or signals.shape[1] != scheme.n_measurements:
         raise ValueError("signal count does not match scheme")
     if scheme.n_measurements < 7:
         raise ValueError("need at least 7 measurements for a full fit")
@@ -74,6 +92,29 @@ def _check_condition(design: np.ndarray) -> float:
     return cond
 
 
+def _weighted_conditions(cond_x: float, sqrt_w: np.ndarray, xw: np.ndarray) -> np.ndarray:
+    """Per-row condition numbers of the weighted designs xw = sqrt_w * X.
+
+    For positive weights cond(diag(s) X) <= cond(X) * max(s) / min(s), so a
+    row whose bound is within CONDITION_LIMIT passes without an SVD; the
+    remaining rows get the exact 2-norm condition number. A row is therefore
+    rejected exactly when its exact condition number is too large.
+    """
+    conds = cond_x * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
+    loose = ~(conds <= CONDITION_LIMIT)
+    if np.any(loose):
+        conds[loose] = np.linalg.cond(xw[loose])
+    if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
+        raise DegenerateSchemeError("degenerate gradient scheme")
+    return conds
+
+
+def _ols_projection(x: np.ndarray):
+    """Least-squares projection R^-1 Q^T (7, m) of X and its leverage (m,)."""
+    q, r = np.linalg.qr(x)
+    return np.linalg.solve(r, q.T), np.einsum("mj,mj->m", q, q)
+
+
 def fit_ols_batch(signals: np.ndarray, scheme: GradientScheme):
     """OLS on ln S for a (k, m) signal batch.
 
@@ -82,10 +123,9 @@ def fit_ols_batch(signals: np.ndarray, scheme: GradientScheme):
     x = design_matrix(scheme)
     cond = _check_condition(x)
     y = np.log(np.maximum(signals, SIGNAL_FLOOR))
-    k = signals.shape[0]
-    beta, leverage = _qr_solve_batch(np.broadcast_to(x, (k,) + x.shape), y)
-    residuals = y - beta @ x.T
-    return beta, residuals, leverage, cond
+    projection, leverage = _ols_projection(x)
+    beta = np.einsum("jm,km->kj", projection, y)
+    return beta, y - _predict_log(beta, x), np.broadcast_to(leverage, y.shape), cond
 
 
 def fit_wlls_batch(signals: np.ndarray, scheme: GradientScheme):
@@ -95,18 +135,14 @@ def fit_wlls_batch(signals: np.ndarray, scheme: GradientScheme):
     condition number refer to the weighted design.
     """
     x = design_matrix(scheme)
-    _check_condition(x)
+    cond_x = _check_condition(x)
     y = np.log(np.maximum(signals, SIGNAL_FLOOR))
-    k = signals.shape[0]
-    beta0, _ = _qr_solve_batch(np.broadcast_to(x, (k,) + x.shape), y)
-    sqrt_w = np.exp(beta0 @ x.T)  # predicted signals = sqrt of weights exp(2*yhat)
+    beta0 = np.einsum("jm,km->kj", _ols_projection(x)[0], y)
+    sqrt_w = np.exp(_predict_log(beta0, x))  # predicted signals = sqrt of weights exp(2*yhat)
     xw = sqrt_w[:, :, None] * x
-    conds = np.linalg.cond(xw)
-    if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
-        raise DegenerateSchemeError("degenerate gradient scheme")
+    conds = _weighted_conditions(cond_x, sqrt_w, xw)
     beta, leverage = _qr_solve_batch(xw, sqrt_w * y)
-    residuals = y - beta @ x.T
-    return beta, residuals, leverage, float(conds.max())
+    return beta, y - _predict_log(beta, x), leverage, float(conds.max())
 
 
 def floor_eigenvalues_batch(elements: np.ndarray):
@@ -114,6 +150,10 @@ def floor_eigenvalues_batch(elements: np.ndarray):
 
     The floor is EIGENVALUE_FLOOR_REL * max(MD, EIGENVALUE_FLOOR_MD_MIN),
     per tensor. Eigenvectors are preserved.
+
+    Returns (projected elements, changed rows, (eigenvalues, eigenvectors)).
+    The eigensystem is that of the projected elements, bit for bit what
+    eigh3_batch gives for them: floored rows are decomposed again.
     """
     evals, evecs = eigh3_batch(elements_to_matrices(elements))
     md = evals.mean(axis=1)
@@ -126,23 +166,26 @@ def floor_eigenvalues_batch(elements: np.ndarray):
             "kji,kj,kjl->kil", evecs[changed], flo[changed], evecs[changed]
         )
         out[changed] = matrices_to_elements(mats)
-    return out, changed
+        evals[changed], evecs[changed] = eigh3_batch(elements_to_matrices(out[changed]))
+    return out, changed, (evals, evecs)
 
 
 def fit_cwlls_batch(signals: np.ndarray, scheme: GradientScheme):
     """WLLS then SPD projection for a (k, m) signal batch.
 
-    Residuals are recomputed against the projected tensor so that
-    fitted + residual reproduces the observed log-signal.
+    Returns (beta, residuals, leverage, cond, (eigenvalues, eigenvectors));
+    the eigensystem is that of the projected tensors, so callers that need
+    it do not decompose the rows again. Residuals are recomputed against
+    the projected tensor so that fitted + residual reproduces the observed
+    log-signal.
     """
     beta, residuals, leverage, cond = fit_wlls_batch(signals, scheme)
-    floored, changed = floor_eigenvalues_batch(beta[:, :6])
+    floored, changed, eig = floor_eigenvalues_batch(beta[:, :6])
     if np.any(changed):
-        beta = beta.copy()
-        beta[:, :6] = floored
-        y_obs = np.log(np.maximum(signals, SIGNAL_FLOOR))
-        residuals = y_obs - beta @ design_matrix(scheme).T
-    return beta, residuals, leverage, cond
+        beta[changed, :6] = floored[changed]
+        y_obs = np.log(np.maximum(signals[changed], SIGNAL_FLOOR))
+        residuals[changed] = y_obs - _predict_log(beta[changed], design_matrix(scheme))
+    return beta, residuals, leverage, cond, eig
 
 
 def _result_from_batch(beta, residuals, leverage, cond, constrained) -> FitResult:
@@ -152,23 +195,20 @@ def _result_from_batch(beta, residuals, leverage, cond, constrained) -> FitResul
 
 def fit_ols(signals, scheme: GradientScheme) -> FitResult:
     """Ordinary least squares on the log-signal for one voxel."""
-    signals = _prepare(signals, scheme)
+    signals = as_signal_rows(signals, scheme)
     beta, res, lev, cond = fit_ols_batch(signals, scheme)
     return _result_from_batch(beta[0], res[0], lev[0], cond, False)
 
 
 def fit_wlls(signals, scheme: GradientScheme) -> FitResult:
     """Weighted linear least squares for one voxel."""
-    signals = _prepare(signals, scheme)
+    signals = as_signal_rows(signals, scheme)
     beta, res, lev, cond = fit_wlls_batch(signals, scheme)
     return _result_from_batch(beta[0], res[0], lev[0], cond, False)
 
 
 def fit_cwlls(signals, scheme: GradientScheme) -> FitResult:
     """Constrained WLLS (eigenvalue-floored) for one voxel."""
-    signals = _prepare(signals, scheme)
-    beta, res, lev, cond = fit_cwlls_batch(signals, scheme)
+    signals = as_signal_rows(signals, scheme)
+    beta, res, lev, cond, _ = fit_cwlls_batch(signals, scheme)
     return _result_from_batch(beta[0], res[0], lev[0], cond, True)
-
-
-ESTIMATORS = {"ols": fit_ols, "wlls": fit_wlls, "cwlls": fit_cwlls}

@@ -9,7 +9,6 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,8 @@ from . import bootstrap as bs
 from . import calibration as cal
 from . import dataio, mlp, simulation
 from .config import ConfigError, ExperimentConfig
-from .fitting import ESTIMATORS, fit_cwlls
-from .rng import rng_from_key, worker_count
+from .fitting import as_signal_rows, fit_cwlls_batch, fit_ols_batch, fit_wlls_batch
+from .rng import rng_from_key
 from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, fa_md_from_eigenvalues
 
 PARAMETERS = ("fa", "md", "theta")
@@ -106,48 +105,23 @@ def run_fit(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
     _, signals, _, _, scheme = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
     name = str(cfg.get("fit.estimator", "cwlls"))
-    if name not in ESTIMATORS:
+    # looked up per call, so wrappers installed on the module bindings see it
+    kernels = {"ols": fit_ols_batch, "wlls": fit_wlls_batch, "cwlls": fit_cwlls_batch}
+    if name not in kernels:
         raise ConfigError(f"unknown estimator {name!r}")
-    fit = ESTIMATORS[name]
-
-    def one(voxel: int) -> np.ndarray:
-        result = fit(signals[voxel], scheme)
-        return np.concatenate([result.tensor.elements, [result.tensor.ln_s0]])
-
-    params = np.stack(list(_map_voxels(one, len(signals))))
+    params = kernels[name](as_signal_rows(signals, scheme), scheme)[0]
     path = out / "fits.bin"
     dataio.write_fits(path, params, name)
     _refresh_manifest(cfg, out)
     return path
 
 
-def _map_voxels(fn, n: int):
-    workers = worker_count()
-    if workers <= 1:
-        return [fn(v) for v in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def run_bootstrap(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
     _, signals, _, _, scheme = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
     iterations = int(cfg.get("bootstrap.iterations", 1000))
-    seed = cfg.seed
-
-    def one(voxel: int) -> np.ndarray:
-        base = fit_cwlls(signals[voxel], scheme)
-        samples = bs.wild_bootstrap(
-            signals[voxel], scheme, iterations=iterations, seed=_voxel_seed(seed, voxel)
-        )
-        bundle = bs.summarize_uncertainty(samples)
-        evals, evecs = eigh3_batch(base.tensor.as_matrix()[None])
-        fa, md = fa_md_from_eigenvalues(evals[0])
-        return np.array(
-            [fa, md, *evecs[0, 0], bundle.theta95, bundle.sigma_fa, bundle.sigma_md, np.nan]
-        )
-
-    table = np.stack(list(_map_voxels(one, len(signals))))
+    seeds = [_voxel_seed(cfg.seed, voxel) for voxel in range(len(signals))]
+    table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
     path = out / "predictions_wbs.bin"
     dataio.write_predictions(path, table, "wbs", meta={"iterations": iterations})
     _refresh_manifest(cfg, out)
@@ -155,7 +129,7 @@ def run_bootstrap(cfg: ExperimentConfig) -> Path:
 
 
 def _voxel_seed(seed: int, voxel: int) -> int:
-    # fold (seed, voxel) into one integer key; wild_bootstrap keys off it
+    # fold (seed, voxel) into one integer key; the voxel's replicate stream keys off it
     return int(np.random.SeedSequence([seed, voxel]).generate_state(1)[0])
 
 
@@ -226,7 +200,7 @@ def run_predict(cfg: ExperimentConfig) -> Path:
             [fa, md, *evecs[0, 0], bundle.theta95, bundle.sigma_fa, bundle.sigma_md, u]
         )
 
-    table = np.stack(list(_map_voxels(one, len(signals))))
+    table = np.stack([one(voxel) for voxel in range(len(signals))])
     path = out / "predictions_dl.bin"
     dataio.write_predictions(path, table, "mc_dropout", meta={"samples": n_samples})
     _refresh_manifest(cfg, out)

@@ -2,14 +2,12 @@
 
 Streams are keyed by integer tuples (seed, voxel, replicate, ...) through
 SeedSequence feeding a counter-based Philox generator, so per-voxel work can
-run in any order, or in parallel, without changing a single draw. Gaussian
+run in any order, or in any batch, without changing a single draw. Gaussian
 noise is produced by an explicit Box-Muller transform on uniform draws; the
 pairing is convenient for magnitude (two-channel) noise models.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -26,11 +24,3 @@ def gaussian_pair(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarr
     radius = np.sqrt(-2.0 * np.log(u1))
     return radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)
 
-
-def worker_count() -> int:
-    """Parallelism cap from DTICALIB_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("DTICALIB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

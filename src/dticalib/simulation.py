@@ -168,18 +168,21 @@ def add_rician(signal, snr_db: float, rng: np.random.Generator, s0: float = 1.0)
     return np.sqrt((signal + sigma_n * n1) ** 2 + (sigma_n * n2) ** 2)
 
 
-def _truth_elements(spec: PhantomSpec, voxel: int, rng: np.random.Generator):
-    """Ground-truth tensor elements and population label for one voxel."""
+def _truth_elements(
+    spec: PhantomSpec, voxel: int, rng: np.random.Generator, axisym: Optional[np.ndarray]
+):
+    """Ground-truth tensor elements and population label for one voxel.
+
+    axisym holds the prolate/oblate eigenvalues, solved once per spec.
+    """
     population = 0
     if spec.generator == "fixed":
         if spec.elements is None:
             raise ValueError("fixed generator requires elements")
         lam = None
         base = np.asarray(spec.elements, dtype=np.float64)
-    elif spec.generator == "prolate":
-        lam = _axisym_eigenvalues(spec.fa_target, spec.md, prolate=True)
-    elif spec.generator == "oblate":
-        lam = _axisym_eigenvalues(spec.fa_target, spec.md, prolate=False)
+    elif spec.generator in ("prolate", "oblate"):
+        lam = axisym
     else:  # random_spd / two_population
         lam = rng.uniform(spec.eig_range[0], spec.eig_range[1], size=3)
         lam = np.sort(lam)[::-1]
@@ -201,10 +204,13 @@ def make_phantom(spec: PhantomSpec) -> list[VoxelRecord]:
     Deterministic in spec.seed; voxel streams are keyed (seed, voxel), so
     records do not depend on generation order.
     """
+    axisym = None
+    if spec.generator in ("prolate", "oblate"):
+        axisym = _axisym_eigenvalues(spec.fa_target, spec.md, spec.generator == "prolate")
     records = []
     for voxel in range(spec.n_voxels):
         rng = rng_from_key(spec.seed, voxel)
-        elements, population = _truth_elements(spec, voxel, rng)
+        elements, population = _truth_elements(spec, voxel, rng, axisym)
         truth = DiffusionTensor(elements, ln_s0=0.0)
         clean = predict_signal(truth, spec.scheme)
         if spec.snr_range is not None:
@@ -241,7 +247,7 @@ def monte_carlo_oracle(
     for k in range(n_realizations):
         noisy[k] = add_rician(clean, snr_db, rng_from_key(seed, k))
     try:
-        beta, _, _, _ = fit_cwlls_batch(noisy, scheme)
+        beta = fit_cwlls_batch(noisy, scheme)[0]
     except Exception as exc:  # pragma: no cover - degenerate schemes only
         raise RuntimeError(f"oracle fit failed: {exc}") from exc
     if not np.all(np.isfinite(beta)):

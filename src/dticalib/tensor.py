@@ -125,16 +125,11 @@ def design_matrix(scheme: GradientScheme) -> np.ndarray:
     )
 
 
-# Cyclic Jacobi sweeps on batches of symmetric 3x3 matrices. Chosen over the
-# analytic closed form: rotations stay orthogonal to machine precision even
-# for (near-)degenerate eigenvalues.
-
-_JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
-_JACOBI_MAX_SWEEPS = 30
-
-
 def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a batch of symmetric 3x3 matrices by cyclic Jacobi.
+    """Eigen-decompose a batch of symmetric 3x3 matrices (LAPACK, via numpy).
+
+    Each matrix is decomposed on its own, so a row's result does not depend
+    on what else is in the batch.
 
     Args:
         mats: (n, 3, 3) symmetric matrices.
@@ -143,45 +138,12 @@ def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues (n, 3) sorted descending, eigenvectors (n, 3, 3) with
         rows as eigenvectors (evecs[i, k] pairs with evals[i, k]).
     """
-    a = np.array(mats, dtype=np.float64)
+    a = np.asarray(mats, dtype=np.float64)
     if a.ndim != 3 or a.shape[1:] != (3, 3):
         raise ValueError("expected (n, 3, 3) input")
-    n = a.shape[0]
-    v = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = a[:, 0, 1] ** 2 + a[:, 0, 2] ** 2 + a[:, 1, 2] ** 2
-        if np.all(off <= (1e-15 * scale) ** 2):
-            break
-        for p, q in _JACOBI_PAIRS:
-            apq = a[:, p, q]
-            rotate = np.abs(apq) > 1e-300 * scale
-            tau = (a[:, q, q] - a[:, p, p]) / np.where(rotate, 2.0 * apq, 1.0)
-            t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = np.where(rotate, c, 1.0)
-            s = np.where(rotate, s, 0.0)
-            # Two-sided rotation on (p, q); only rows/cols p, q change.
-            ap = a[:, p, :].copy()
-            aq = a[:, q, :].copy()
-            a[:, p, :] = c[:, None] * ap - s[:, None] * aq
-            a[:, q, :] = s[:, None] * ap + c[:, None] * aq
-            ap = a[:, :, p].copy()
-            aq = a[:, :, q].copy()
-            a[:, :, p] = c[:, None] * ap - s[:, None] * aq
-            a[:, :, q] = s[:, None] * ap + c[:, None] * aq
-            vp = v[:, :, p].copy()
-            vq = v[:, :, q].copy()
-            v[:, :, p] = c[:, None] * vp - s[:, None] * vq
-            v[:, :, q] = s[:, None] * vp + c[:, None] * vq
-    evals = np.stack([a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]], axis=1)
-    order = np.argsort(-evals, axis=1, kind="stable")
-    evals = np.take_along_axis(evals, order, axis=1)
-    # Columns of v are eigenvectors; reorder and flip to row layout.
-    evecs = np.take_along_axis(v, order[:, None, :], axis=2).transpose(0, 2, 1)
-    return evals, evecs
+    evals, evecs = np.linalg.eigh(a)
+    # ascending columns -> descending rows; the eigenvectors stay a view
+    return np.ascontiguousarray(evals[:, ::-1]), evecs[:, :, ::-1].swapaxes(1, 2)
 
 
 def fa_md_from_eigenvalues(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,13 +168,6 @@ def eig3_sym(tensor: DiffusionTensor) -> TensorScalars:
     evals, evecs = eigh3_batch(tensor.as_matrix()[None])
     fa, md = fa_md_from_eigenvalues(evals[0])
     return TensorScalars(evals[0], evecs[0], float(fa), float(md))
-
-
-def principal_directions(tensors_elements: np.ndarray) -> np.ndarray:
-    """Principal eigenvectors for a (n, 6) batch of tensor element rows."""
-    mats = elements_to_matrices(tensors_elements)
-    _, evecs = eigh3_batch(mats)
-    return evecs[:, 0, :]
 
 
 def elements_to_matrices(elements: np.ndarray) -> np.ndarray:

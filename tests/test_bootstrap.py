@@ -9,6 +9,7 @@ from dticalib.bootstrap import (
     mean_dyadic,
     summarize_uncertainty,
     wild_bootstrap,
+    wild_bootstrap_table,
 )
 from dticalib.simulation import (
     PhantomSpec,
@@ -17,7 +18,8 @@ from dticalib.simulation import (
     make_scheme,
     monte_carlo_oracle,
 )
-from dticalib.tensor import DiffusionTensor, matrices_to_elements, predict_signal
+from dticalib.fitting import fit_cwlls
+from dticalib.tensor import DiffusionTensor, eig3_sym, matrices_to_elements, predict_signal
 
 
 def samples_from_axes(axes, scale=1e-3):
@@ -79,6 +81,25 @@ class TestWildBootstrap:
         wbs = summarize_uncertainty(wild_bootstrap(rec.signals, scheme, 1000, seed=5))
         orc = monte_carlo_oracle(rec.truth, scheme, 30.0, n_realizations=2000, seed=6)
         assert abs(wbs.sigma_fa / orc.sigma_fa - 1) <= 0.30
+
+    def test_table_matches_per_voxel_path(self):
+        # low SNR, so some replicates hit the eigenvalue floor
+        scheme = make_scheme(30)
+        spec = PhantomSpec(n_voxels=6, scheme=scheme, fa_target=0.9, md=0.5e-3,
+                           snr_db=12.0, seed=8)
+        signals = np.stack([r.signals for r in make_phantom(spec)])
+        seeds = [40 + v for v in range(len(signals))]
+        table = wild_bootstrap_table(signals, scheme, 150, seeds)
+        assert table.shape == (6, 9) and np.all(np.isnan(table[:, 8]))
+        for v, seed in enumerate(seeds):
+            point = eig3_sym(fit_cwlls(signals[v], scheme).tensor)
+            bundle = summarize_uncertainty(wild_bootstrap(signals[v], scheme, 150, seed))
+            expected = [point.fa, point.md, bundle.theta95, bundle.sigma_fa, bundle.sigma_md]
+            got = table[v, [0, 1, 5, 6, 7]]
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+            assert abs(np.dot(table[v, 2:5], point.principal_direction)) == pytest.approx(
+                1.0, abs=1e-12
+            )
 
 
 class TestMeanDyadic:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from dticalib.cli import main
+from dticalib import bootstrap as bs
 from dticalib import dataio, pipeline
 
 
@@ -140,6 +141,24 @@ class TestReproducibility:
             assert main([cmd, "--config", cfg]) == 0
         assert dir_hashes(tmp_path / "run") == first
 
+    def test_chunk_size_and_voxel_order_do_not_change_results(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        for cmd in ("simulate", "bootstrap"):
+            assert main([cmd, "--config", cfg]) == 0
+        path = tmp_path / "run/predictions_wbs.bin"
+        default = dataio.read_predictions(path)[1]
+        iterations, n = 120, 24
+        for rows in (1, iterations * n):  # one voxel per chunk, all voxels in one
+            monkeypatch.setattr(bs, "CHUNK_ROWS", rows)
+            assert main(["bootstrap", "--config", cfg]) == 0
+            assert np.array_equal(dataio.read_predictions(path)[1], default, equal_nan=True)
+
+        _, signals, _, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
+        seeds = np.array([pipeline._voxel_seed(11, v) for v in range(n)])
+        perm = np.random.default_rng(3).permutation(n)
+        permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, seeds[perm])
+        assert np.array_equal(permuted, default[perm], equal_nan=True)
+
     def test_manifest_lists_every_output(self, tmp_path):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
         assert main(["simulate", "--config", cfg]) == 0
@@ -192,13 +211,3 @@ class TestCurves:
             assert first[0] == 0.0 and first[1] == 0.0
             last = [float(tok) for tok in lines[-1].split(",")]
             assert last[2] == 1.0
-
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
-        for cmd in ("simulate", "bootstrap"):
-            assert main([cmd, "--config", cfg]) == 0
-        serial = dataio.read_predictions(tmp_path / "run/predictions_wbs.bin")[1]
-        monkeypatch.setenv("DTICALIB_THREADS", "4")
-        assert main(["bootstrap", "--config", cfg]) == 0
-        threaded = dataio.read_predictions(tmp_path / "run/predictions_wbs.bin")[1]
-        assert np.array_equal(serial, threaded, equal_nan=True)

@@ -87,6 +87,32 @@ class TestDegenerateScheme:
         with pytest.raises(DegenerateSchemeError, match="degenerate gradient scheme"):
             fit_ols(np.full(7, 0.5), scheme)
 
+    def test_condition_bound_decides_like_exact_cond(self, monkeypatch):
+        # cond(sqrt_w X) <= cond(X) max(sqrt_w) / min(sqrt_w): with the limit
+        # between a row's exact value and its bound, the exact SVD decides
+        from dticalib import fitting
+        from dticalib.tensor import design_matrix
+
+        scheme = make_scheme(30)
+        recs = make_phantom(PhantomSpec(n_voxels=6, scheme=scheme, snr_db=25.0, seed=5))
+        signals = np.stack([r.signals for r in recs])
+        x = design_matrix(scheme)
+        ols = np.linalg.lstsq(x, np.log(signals).T, rcond=None)[0].T
+        sqrt_w = np.exp(ols @ x.T)
+        exact = np.linalg.cond(sqrt_w[:, :, None] * x)
+        bound = np.linalg.cond(x) * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
+        assert np.all(bound > 2 * exact)  # fixture sanity: the bound is loose
+        limits = np.concatenate([exact * 0.9, np.sqrt(exact * bound), bound * 1.1])
+        for limit in limits:
+            monkeypatch.setattr(fitting, "CONDITION_LIMIT", limit)
+            if np.all(exact <= limit):
+                cond = fitting.fit_wlls_batch(signals, scheme)[3]
+                expected = np.where(bound <= limit, bound, exact).max()
+                assert cond == pytest.approx(expected, rel=1e-9)
+            else:
+                with pytest.raises(DegenerateSchemeError):
+                    fitting.fit_wlls_batch(signals, scheme)
+
 
 class TestLeverage:
     @pytest.mark.parametrize("fit", [fit_ols, fit_wlls, fit_cwlls])

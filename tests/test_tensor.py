@@ -120,6 +120,23 @@ class TestEig3Sym:
         assert np.allclose(evals[0], 2.5)
         assert np.allclose(evecs[0] @ evecs[0].T, np.eye(3), atol=1e-12)
 
+    def test_rows_independent_of_batch(self):
+        # LAPACK decomposes each matrix on its own: a mixed batch gives
+        # bit-for-bit the row-by-row results
+        rng = np.random.default_rng(29)
+        mats = rng.normal(size=(12, 3, 3)) * 1e-3
+        mats = (mats + mats.transpose(0, 2, 1)) / 2
+        mats[3] = np.eye(3) * 2.5
+        mats[4] = np.diag([2e-3, 2e-3, 0.5e-3])
+        mats[5] = 0.0
+        mats[6] = np.diag([1.0, 1.0 + 1e-15, 1.0 - 1e-15])
+        mats[7] *= 1e12
+        evals, evecs = eigh3_batch(mats)
+        for i in range(len(mats)):
+            e1, v1 = eigh3_batch(mats[i : i + 1])
+            assert np.array_equal(e1[0], evals[i]) and np.array_equal(v1[0], evecs[i])
+        assert np.all(np.diff(evals, axis=1) <= 0)
+
 
 class TestDesignMatrix:
     def test_b0_row(self):
