@@ -30,12 +30,13 @@ from .calibration import (
     BinStats,
     CalibrationCurve,
     IsotonicMap,
-    PredictionTriple,
+    Triples,
     bin_rmv_rmse,
     ence,
     fit_isotonic,
     picp_mpiw_curve,
     recalibrate,
+    triples_from_arrays,
 )
 from .simulation import (
     PhantomSpec,
@@ -72,7 +73,8 @@ __all__ = [
     "mean_dyadic",
     "cone_angle_95",
     "summarize_uncertainty",
-    "PredictionTriple",
+    "Triples",
+    "triples_from_arrays",
     "BinStats",
     "CalibrationCurve",
     "IsotonicMap",

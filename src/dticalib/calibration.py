@@ -1,7 +1,8 @@
 """Uncertainty calibration metrics and post-hoc recalibration.
 
-The substrate is a set of (truth, estimate, sigma) triples per scalar
-parameter. From those this module computes:
+The substrate is one Triples table per scalar parameter: three float
+arrays (truth, estimate, sigma), one row per voxel, validated once by
+triples_from_arrays. From those this module computes:
 
 * equal-population RMV/RMSE bins and the count-weighted ENCE,
 * PICP/MPIW curves over an interval half-width sweep and their AUCC,
@@ -12,7 +13,6 @@ parameter. From those this module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,21 +24,16 @@ DEFAULT_GRID_SIZE = 256
 MPIW_CAPS = {"fa": 0.20, "md": 0.2e-3, "theta": 60.0}
 
 
-@dataclass
-class PredictionTriple:
-    truth: float
-    estimate: float
-    sigma: float  # predicted uncertainty as a standard deviation
+@dataclass(frozen=True, eq=False)
+class Triples:
+    """Validated (truth, estimate, sigma) columns; build with triples_from_arrays."""
 
-    def __post_init__(self):
-        if not (
-            np.isfinite(self.truth)
-            and np.isfinite(self.estimate)
-            and np.isfinite(self.sigma)
-        ):
-            raise ValueError("non-finite triple")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+    truth: np.ndarray
+    estimate: np.ndarray
+    sigma: np.ndarray  # predicted uncertainty as a standard deviation
+
+    def __len__(self) -> int:
+        return len(self.truth)
 
 
 @dataclass
@@ -77,26 +72,24 @@ class IsotonicMap:
         return np.interp(variance, self.breakpoints, self.values)
 
 
-def _to_arrays(triples: Sequence[PredictionTriple]):
-    truth = np.array([t.truth for t in triples])
-    estimate = np.array([t.estimate for t in triples])
-    sigma = np.array([t.sigma for t in triples])
-    return truth, estimate, sigma
+def triples_from_arrays(truth, estimate, sigma) -> Triples:
+    """The one validating constructor: equal-length 1-D float arrays, all
+    finite, sigma >= 0. A ValueError names the first offending row."""
+    names = ("truth", "estimate", "sigma")
+    arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (truth, estimate, sigma)]
+    if len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 1:
+        shapes = ", ".join(f"{name} {a.shape}" for name, a in zip(names, arrays))
+        raise ValueError(f"row {min(a.size for a in arrays)}: not in all of {shapes}")
+    truth, estimate, sigma = arrays
+    ok = np.isfinite(truth) & np.isfinite(estimate) & np.isfinite(sigma) & (sigma >= 0)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        values = ", ".join(f"{name}={float(a[row])!r}" for name, a in zip(names, arrays))
+        raise ValueError(f"row {row}: need finite values and sigma >= 0, got {values}")
+    return Triples(truth, estimate, sigma)
 
 
-def triples_from_arrays(truth, estimate, sigma) -> list[PredictionTriple]:
-    return [
-        PredictionTriple(float(t), float(e), float(s))
-        for t, e, s in zip(truth, estimate, sigma)
-    ]
-
-
-def _sigma_order(sigma: np.ndarray) -> np.ndarray:
-    # stable sort: ties at bin boundaries resolve by original index
-    return np.argsort(sigma, kind="stable")
-
-
-def bin_rmv_rmse(triples: Sequence[PredictionTriple], n_bins: int = DEFAULT_BINS) -> BinStats:
+def bin_rmv_rmse(triples: Triples, n_bins: int = DEFAULT_BINS) -> BinStats:
     """Equal-population bins ordered by sigma; RMV and RMSE per bin.
 
     Any remainder after integer division is spread one-per-bin over the
@@ -107,10 +100,10 @@ def bin_rmv_rmse(triples: Sequence[PredictionTriple], n_bins: int = DEFAULT_BINS
     n = len(triples)
     if n < n_bins:
         raise ValueError("need at least one triple per bin")
-    truth, estimate, sigma = _to_arrays(triples)
-    order = _sigma_order(sigma)
-    err2 = (truth - estimate)[order] ** 2
-    var = sigma[order] ** 2
+    # stable sort: ties at bin boundaries resolve by original index
+    order = np.argsort(triples.sigma, kind="stable")
+    err2 = (triples.truth - triples.estimate)[order] ** 2
+    var = triples.sigma[order] ** 2
     base, rem = divmod(n, n_bins)
     sizes = np.full(n_bins, base)
     sizes[:rem] += 1
@@ -138,8 +131,26 @@ def ence(stats: BinStats) -> float:
     return float(gaps.sum() / n_total)
 
 
+def _coverage_thresholds(abs_err: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per row, the smallest float64 beta with |err| <= beta * sigma.
+
+    |err|/sigma can sit an ulp off it, so it is stepped against the rounded
+    product itself. Rows with sigma = 0 get 0 for exact hits, else inf.
+    """
+    keys = np.where(abs_err == 0, 0.0, np.inf)
+    positive = sigma > 0
+    err, sig = abs_err[positive], sigma[positive]
+    k = err / sig
+    while np.any(up := k * sig < err):
+        k[up] = np.nextafter(k[up], np.inf)
+    while np.any(down := (k > 0) & (np.nextafter(k, 0.0) * sig >= err)):
+        k[down] = np.nextafter(k[down], 0.0)
+    keys[positive] = k
+    return keys
+
+
 def picp_mpiw_curve(
-    triples: Sequence[PredictionTriple],
+    triples: Triples,
     mpiw_cap: float,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> CalibrationCurve:
@@ -147,22 +158,23 @@ def picp_mpiw_curve(
 
     Intervals are estimate +/- beta*sigma. The sweep runs from beta = 0 to
     the beta where the mean interval width 2*beta*mean(sigma) hits mpiw_cap.
-    Coverage uses the closed interval, so beta = 0 counts exact hits. The
-    area (AUCC) integrates coverage against normalized width, trapezoidally,
-    giving a scale-invariant score in [0, 1].
+    Coverage uses the closed interval, so beta = 0 counts exact hits. It is
+    counted from one sort of the per-row coverage thresholds, in O(n) memory.
+    The area (AUCC) integrates coverage against normalized width,
+    trapezoidally, giving a scale-invariant score in [0, 1].
     """
     if mpiw_cap <= 0:
         raise ValueError("mpiw_cap must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    truth, estimate, sigma = _to_arrays(triples)
+    sigma = triples.sigma
     mean_sigma = sigma.mean()
     if mean_sigma <= 0:
         raise ValueError("degenerate uncertainties")
     beta_max = mpiw_cap / (2.0 * mean_sigma)
     beta = np.linspace(0.0, beta_max, grid_size)
-    abs_err = np.abs(truth - estimate)
-    picp = (abs_err[None, :] <= beta[:, None] * sigma[None, :]).mean(axis=1)
+    thresholds = np.sort(_coverage_thresholds(np.abs(triples.truth - triples.estimate), sigma))
+    picp = np.searchsorted(thresholds, beta, side="right") / len(sigma)
     mpiw = 2.0 * beta * mean_sigma
     x = mpiw / mpiw[-1]
     aucc = float(np.trapezoid(picp, x))
@@ -193,9 +205,7 @@ def _pava(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.repeat(fitted[:n_blocks], size[:n_blocks])
 
 
-def fit_isotonic(
-    calibration_triples: Sequence[PredictionTriple], n_bins: int = DEFAULT_BINS
-) -> IsotonicMap:
+def fit_isotonic(calibration_triples: Triples, n_bins: int = DEFAULT_BINS) -> IsotonicMap:
     """Monotone variance map fitted to binned (RMV^2, RMSE^2) pairs.
 
     The pairs come from the calibration split only; apply the map to test
@@ -210,26 +220,12 @@ def fit_isotonic(
     if np.any(np.diff(x) < 0):
         raise AssertionError("bins must be ordered by sigma")
     # merge tied breakpoints so interpolation is well defined
-    bx, by = [], []
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[j + 1] == x[i]:
-            j += 1
-        w = stats.counts[i : j + 1].astype(np.float64)
-        bx.append(x[i])
-        by.append(float(np.average(y[i : j + 1], weights=w)))
-        i = j + 1
-    return IsotonicMap(np.array(bx), np.maximum.accumulate(np.array(by)))
+    w = stats.counts.astype(np.float64)
+    starts = np.flatnonzero(np.diff(x, prepend=-np.inf))
+    merged = np.add.reduceat(y * w, starts) / np.add.reduceat(w, starts)
+    return IsotonicMap(x[starts], np.maximum.accumulate(merged))
 
 
-def recalibrate(
-    mapping: IsotonicMap, triples: Sequence[PredictionTriple]
-) -> list[PredictionTriple]:
-    """Replace each sigma with sqrt(map(sigma^2)); truths and estimates stay."""
-    out = []
-    for t in triples:
-        out.append(
-            PredictionTriple(t.truth, t.estimate, float(np.sqrt(mapping(t.sigma**2))))
-        )
-    return out
+def recalibrate(mapping: IsotonicMap, sigma: np.ndarray) -> np.ndarray:
+    """Recalibrated sigmas: sqrt(map(sigma^2)), row by row."""
+    return np.sqrt(mapping(np.asarray(sigma, dtype=np.float64) ** 2))

@@ -153,7 +153,9 @@ def write_dataset(
 def read_dataset(path):
     """Returns (header, signals, truth_elements | None, s0 | None, scheme).
 
-    scheme_ref is resolved relative to the dataset file's directory.
+    scheme_ref is resolved relative to the dataset file's directory. Signals
+    must be finite and >= 0 and truth finite; the error names the first bad
+    voxel.
     """
 
     def shapes(header):
@@ -173,6 +175,19 @@ def read_dataset(path):
     signals = blocks[0]
     truth = blocks[1] if header["has_ground_truth"] else None
     s0 = blocks[-1] if header.get("has_s0") else None
+    # min/max propagate NaN, so two reductions cover every bad value
+    if not (signals.min(initial=0.0) >= 0 and np.isfinite(signals.max(initial=0.0))):
+        voxel, m = np.argwhere(~(np.isfinite(signals) & (signals >= 0)))[0]
+        raise DataFormatError(
+            f"{path}: voxel {voxel}, measurement {m}: signal {float(signals[voxel, m])!r} "
+            "must be finite and >= 0"
+        )
+    if truth is not None and not np.isfinite(truth).all():
+        voxel, k = np.argwhere(~np.isfinite(truth))[0]
+        raise DataFormatError(
+            f"{path}: voxel {voxel}, tensor element {k}: truth {float(truth[voxel, k])!r} "
+            "must be finite"
+        )
     ref = Path(path).parent / header["scheme_ref"]
     scheme = read_bvec_bval(str(ref) + ".bvec", str(ref) + ".bval")
     if scheme.n_measurements != header["m"]:

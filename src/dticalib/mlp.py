@@ -51,7 +51,6 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.15
     eval_every: int = 10  # epochs between validation evaluations
-    lr_halvings: bool = True  # halve lr on a non-improving evaluation
     stop_patience: int = 2  # consecutive non-improving evaluations
 
     def __post_init__(self):
@@ -123,6 +122,16 @@ class TwoBranchMlp:
             (rng.random((batch, w)) >= rate).astype(np.float64)
             for w in self.spec.hidden_widths
         ]
+
+    def make_sample_masks(self, rng, n_samples: int):
+        """Keep masks for n_samples one-row passes, drawn in one call.
+
+        The draw is sample-major, so the masks equal those of n_samples
+        successive make_dropout_masks(rng, 1) calls, bit for bit.
+        """
+        widths = self.spec.hidden_widths
+        keep = rng.random((n_samples, sum(widths))) >= self.spec.dropout_rate
+        return np.split(keep.astype(np.float64), np.cumsum(widths)[:-1], axis=1)
 
     def forward(self, x: np.ndarray, masks=None):
         """Both branches; returns (pred (B,6), u (B,), cache for backward).
@@ -328,9 +337,8 @@ def train(
                 bad_evals = 0
             else:
                 bad_evals += 1
-                if cfg.lr_halvings:
-                    lr *= 0.5
-                    history.lr_steps.append((epoch, lr))
+                lr *= 0.5
+                history.lr_steps.append((epoch, lr))
                 if bad_evals >= cfg.stop_patience:
                     history.stopped_epoch = epoch
                     break
@@ -342,19 +350,16 @@ def train(
 def predict_mc_dropout(model: TwoBranchMlp, x, n_samples: int = 100, seed: int = 0):
     """Stochastic forward passes with fresh dropout masks for one voxel.
 
+    The n_samples passes run as one forward over n_samples copies of x.
     Returns (TensorSampleSet of n_samples replicate tensors at physical
     scale, u) where u comes from a single deterministic pass of the
     uncertainty branch.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    rng = rng_from_key(seed)
-    out = np.empty((n_samples, 6))
-    for k in range(n_samples):
-        masks = model.make_dropout_masks(rng, 1)
-        pred, _, _ = model.forward(x, masks)
-        out[k] = pred[0] / model.spec.target_scale
+    masks = model.make_sample_masks(rng_from_key(seed), n_samples)
+    pred, _, _ = model.forward(np.repeat(x, n_samples, axis=0), masks)
     _, u = model.predict(x)
-    return TensorSampleSet(out, "mc_dropout"), float(u[0])
+    return TensorSampleSet(pred / model.spec.target_scale, "mc_dropout"), float(u[0])
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,6 @@ def _train_arrays(cfg: ExperimentConfig):
 def run_train(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
     inputs, truth, scheme = _train_arrays(cfg)
-    population = cfg.get("train.population")
-    if population is not None:
-        half = len(inputs) // 2
-        rows = slice(0, half) if int(population) == 0 else slice(half, len(inputs))
-        inputs, truth = inputs[rows], truth[rows]
     spec = mlp.MlpSpec(
         input_dim=scheme.n_measurements,
         hidden_widths=tuple(_int_list(cfg.get("train.hidden_widths", [64, 64, 64]))),
@@ -186,21 +181,17 @@ def run_predict(cfg: ExperimentConfig) -> Path:
     model, _ = mlp.load_checkpoint(_resolve(cfg, "predict.model", "model.bin"))
     n_samples = int(cfg.get("predict.samples", 100))
     inputs = mlp.normalize_signals(signals, scheme)
-    seed = cfg.seed
-
-    def one(voxel: int) -> np.ndarray:
+    points, _ = model.predict(inputs)
+    evals, evecs = eigh3_batch(elements_to_matrices(points))
+    fa, md = fa_md_from_eigenvalues(evals)
+    spread = np.empty((len(inputs), 4))
+    for voxel, x in enumerate(inputs):
         samples, u = mlp.predict_mc_dropout(
-            model, inputs[voxel], n_samples=n_samples, seed=_voxel_seed(seed, voxel)
+            model, x, n_samples=n_samples, seed=_voxel_seed(cfg.seed, voxel)
         )
         bundle = bs.summarize_uncertainty(samples, aleatoric_u=u)
-        point, _ = model.predict(inputs[voxel])
-        evals, evecs = eigh3_batch(elements_to_matrices(point))
-        fa, md = fa_md_from_eigenvalues(evals[0])
-        return np.array(
-            [fa, md, *evecs[0, 0], bundle.theta95, bundle.sigma_fa, bundle.sigma_md, u]
-        )
-
-    table = np.stack([one(voxel) for voxel in range(len(signals))])
+        spread[voxel] = bundle.theta95, bundle.sigma_fa, bundle.sigma_md, u
+    table = np.column_stack([fa, md, evecs[:, 0, :], spread])
     path = out / "predictions_dl.bin"
     dataio.write_predictions(path, table, "mc_dropout", meta={"samples": n_samples})
     _refresh_manifest(cfg, out)
@@ -218,16 +209,15 @@ def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(cosines))
 
 
-def triples_by_parameter(table: np.ndarray, truth_elements: np.ndarray, uncertainty="epistemic"):
-    """Per-parameter PredictionTriple lists from a prediction table.
+def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic"):
+    """Per-parameter Triples from a prediction table and truth_scalars output.
 
     theta uses the angular error as the deviation and theta95/2 as the
     sigma proxy (a 95th percentile of a folded normal sits near 2 sigma).
     With uncertainty="aleatoric", exp(u) replaces the per-parameter sigma.
     """
-    fa_true, md_true, v_true = truth_scalars(truth_elements)
-    v_hat = table[:, 2:5]
-    theta_err = angular_error_deg(v_hat, v_true)
+    fa_true, md_true, v_true = true_scalars
+    theta_err = angular_error_deg(table[:, 2:5], v_true)
     if uncertainty == "aleatoric":
         if np.any(~np.isfinite(table[:, 8])):
             raise ValueError("aleatoric sigma requested but u column is not finite")
@@ -252,25 +242,20 @@ def _metric_params(cfg: ExperimentConfig):
     return bins, grid, caps
 
 
-def _metrics_for_table(table, truth, bins, grid, caps, uncertainty):
-    fa_true, md_true, v_true = truth_scalars(truth)
-    errors = {
-        "fa": np.abs(table[:, 0] - fa_true),
-        "md": np.abs(table[:, 1] - md_true),
-        "theta": angular_error_deg(table[:, 2:5], v_true),
-    }
+def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty):
+    """Metrics of one table against truth_scalars output for the same rows."""
     out = {}
-    triples = triples_by_parameter(table, truth, uncertainty)
+    triples = triples_by_parameter(table, true_scalars, uncertainty)
     for p in PARAMETERS:
+        t = triples[p]
         entry = {
             "n": int(len(table)),
             "bins": bins,
-            "median_abs_error": float(np.median(errors[p])),
+            "median_abs_error": float(np.median(np.abs(t.truth - t.estimate))),
         }
-        sigmas = np.array([t.sigma for t in triples[p]])
-        if np.all(sigmas > 0):
-            entry["ence"] = cal.ence(cal.bin_rmv_rmse(triples[p], bins))
-            entry["aucc"] = cal.picp_mpiw_curve(triples[p], caps[p], grid).aucc
+        if np.all(t.sigma > 0):
+            entry["ence"] = cal.ence(cal.bin_rmv_rmse(t, bins))
+            entry["aucc"] = cal.picp_mpiw_curve(t, caps[p], grid).aucc
         else:
             entry["ence"] = None
             entry["aucc"] = None
@@ -309,16 +294,19 @@ def run_evaluate(cfg: ExperimentConfig) -> Path:
     if recal_path is not None:
         header, recal_table = dataio.read_predictions(_resolve(cfg, "evaluate.recalibrated"))
         holdout = np.array(header["meta"]["holdout"], dtype=int)
+        held_truth = truth_scalars(truth[holdout])
         metrics = {
             "before": _metrics_for_table(
-                table[holdout], truth[holdout], bins, grid, caps, uncertainty
+                table[holdout], held_truth, bins, grid, caps, uncertainty
             ),
             "after": _metrics_for_table(
-                recal_table, truth[holdout], bins, grid, caps, uncertainty
+                recal_table, held_truth, bins, grid, caps, uncertainty
             ),
         }
     else:
-        metrics = _metrics_for_table(table, truth, bins, grid, caps, uncertainty)
+        metrics = _metrics_for_table(
+            table, truth_scalars(truth), bins, grid, caps, uncertainty
+        )
     path = out / "metrics.json"
     dataio.write_metrics_json(path, metrics)
     _refresh_manifest(cfg, out)
@@ -353,13 +341,15 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
         cut = int(round(split * n))
         cal_idx, holdout = np.sort(perm[:cut]), np.sort(perm[cut:])
 
-    triples_cal = triples_by_parameter(table[cal_idx], truth[cal_idx], uncertainty)
+    triples_cal = triples_by_parameter(
+        table[cal_idx], truth_scalars(truth[cal_idx]), uncertainty
+    )
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
 
     recal = table[holdout].copy()
-    recal[:, 6] = np.sqrt(maps["fa"](recal[:, 6] ** 2))
-    recal[:, 7] = np.sqrt(maps["md"](recal[:, 7] ** 2))
-    recal[:, 5] = 2.0 * np.sqrt(maps["theta"]((recal[:, 5] / 2.0) ** 2))
+    recal[:, 6] = cal.recalibrate(maps["fa"], recal[:, 6])
+    recal[:, 7] = cal.recalibrate(maps["md"], recal[:, 7])
+    recal[:, 5] = 2.0 * cal.recalibrate(maps["theta"], recal[:, 5] / 2.0)
 
     maps_json = {
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}
@@ -387,7 +377,7 @@ def run_curves(cfg: ExperimentConfig) -> list:
     )
     bins, grid, caps = _metric_params(cfg)
     uncertainty = str(cfg.get("evaluate.uncertainty", "epistemic"))
-    triples = triples_by_parameter(table, truth, uncertainty)
+    triples = triples_by_parameter(table, truth_scalars(truth), uncertainty)
     paths = []
     for p in PARAMETERS:
         curve = cal.picp_mpiw_curve(triples[p], caps[p], grid)

@@ -80,8 +80,6 @@ class VoxelRecord:
     truth: Optional[DiffusionTensor] = None
     s0: float = 1.0
     population: int = 0  # 0 = base, 1 = shifted (two_population only)
-    fitted: Optional[DiffusionTensor] = None
-    bundle: Optional[UncertaintyBundle] = None
 
 
 def fibonacci_directions(n: int) -> np.ndarray:

@@ -195,7 +195,9 @@ def test_criterion_08_recalibration_efficacy():
     mapping = fit_isotonic(cal_half, 15)
     assert np.all(np.diff(mapping.values) > 0)  # the criterion's premise
     before = ence(bin_rmv_rmse(test_half, 15))
-    recal = recalibrate(mapping, test_half)
+    recal = triples_from_arrays(
+        test_half.truth, test_half.estimate, recalibrate(mapping, test_half.sigma)
+    )
     after = ence(bin_rmv_rmse(recal, 15))
     assert after <= 0.5 * before
     aucc_gap = abs(

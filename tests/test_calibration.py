@@ -2,11 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dticalib.calibration import (
     IsotonicMap,
-    PredictionTriple,
     _pava,
     bin_rmv_rmse,
     ence,
@@ -19,6 +18,16 @@ from dticalib.calibration import (
 
 def constant_triples(n, sigma, error):
     return triples_from_arrays(np.full(n, error), np.zeros(n), np.full(n, sigma))
+
+
+def recalibrated(mapping, t):
+    return triples_from_arrays(t.truth, t.estimate, recalibrate(mapping, t.sigma))
+
+
+def broadcast_picp(t, beta):
+    """Reference PICP: the (grid x n) closed-interval coverage matrix."""
+    abs_err = np.abs(t.truth - t.estimate)
+    return (abs_err[None, :] <= beta[:, None] * t.sigma[None, :]).mean(axis=1)
 
 
 def proportional_fixture():
@@ -172,6 +181,43 @@ class TestPicpMpiwCurve:
         with pytest.raises(ValueError, match="degenerate uncertainties"):
             picp_mpiw_curve(constant_triples(5, sigma=0.0, error=0.1), 1.0)
 
+    def test_matches_broadcast_definition_exactly(self):
+        rng = np.random.default_rng(17)
+        n, grid, cap = 3000, 256, 2.0
+        sig = rng.uniform(0.05, 2.0, n)
+        sig[:300] = 0.0  # sigma = 0: covered only by exact hits
+        err = rng.normal(0.0, 1.0, n)
+        err[::7] = 0.0  # exact hits, with and without sigma = 0
+        beta = np.linspace(0.0, cap / (2.0 * sig.mean()), grid)
+        # errors on, and one ulp either side of, rounded grid products
+        j = rng.integers(1, grid, 600)
+        on = beta[j] * sig[1000:1600]
+        err[1000:1600] = np.where(rng.random(600) < 0.5, -on, on)
+        err[1600:1800] = np.nextafter(beta[j[:200]] * sig[1600:1800], np.inf)
+        err[1800:2000] = np.nextafter(beta[j[200:400]] * sig[1800:2000], 0.0)
+        t = triples_from_arrays(err, np.zeros(n), sig)
+        curve = picp_mpiw_curve(t, cap, grid)
+        assert np.array_equal(curve.beta_grid, beta)
+        assert np.array_equal(curve.picp, broadcast_picp(t, beta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_permutation_invariant(self, data):
+        # dyadic sigmas sum exactly in any order, so the beta grid is fixed
+        # and only the coverage count could depend on row order
+        n = data.draw(st.integers(2, 40))
+        sig = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]), min_size=n, max_size=n)))
+        assume(sig.sum() > 0)
+        err = np.array(data.draw(st.lists(
+            st.floats(-3.0, 3.0, allow_nan=False), min_size=n, max_size=n)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        zero = np.zeros(n)
+        a = picp_mpiw_curve(triples_from_arrays(err, zero, sig), 1.5, 64)
+        b = picp_mpiw_curve(triples_from_arrays(err[perm], zero, sig[perm]), 1.5, 64)
+        assert np.array_equal(a.picp, b.picp)
+        assert a.aucc == b.aucc
+
 
 def exhaustive_monotone_fit(values, weights):
     """L2-optimal non-decreasing fit by enumerating contiguous poolings."""
@@ -237,6 +283,14 @@ class TestIsotonicMap:
         assert mapping(10.0) == 5.0
         assert mapping(1.5) == 4.0
 
+    def test_tied_breakpoints_merged_by_count_weighted_mean(self):
+        # bins of 4, 3, 3 rows; the first two share RMV^2 = 1
+        sigma = np.array([1.0] * 7 + [2.0] * 3)
+        err = np.array([0.5] * 4 + [1.0] * 3 + [2.0] * 3)
+        mapping = fit_isotonic(triples_from_arrays(err, np.zeros(10), sigma), 3)
+        assert np.array_equal(mapping.breakpoints, [1.0, 4.0])
+        assert np.allclose(mapping.values, [(4 * 0.25 + 3 * 1.0) / 7, 4.0], rtol=1e-15)
+
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):
             fit_isotonic(constant_triples(10, 1.0, 0.5), 1)
@@ -246,15 +300,12 @@ class TestRecalibrate:
     def test_identity_map_is_noop(self):
         mapping = IsotonicMap(np.array([0.0, 10.0]), np.array([0.0, 10.0]))
         triples = constant_triples(5, sigma=1.3, error=0.4)
-        out = recalibrate(mapping, triples)
-        for a, b in zip(out, triples):
-            assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
-            assert a.truth == b.truth and a.estimate == b.estimate
+        assert np.allclose(recalibrate(mapping, triples.sigma), triples.sigma, rtol=1e-12)
 
     def test_constant_map(self):
         mapping = IsotonicMap(np.array([1.0, 2.0]), np.array([4.0, 4.0]))
-        out = recalibrate(mapping, constant_triples(5, sigma=9.0, error=0.1))
-        assert all(t.sigma == 2.0 for t in out)
+        out = recalibrate(mapping, constant_triples(5, sigma=9.0, error=0.1).sigma)
+        assert np.all(out == 2.0)
 
     def test_twofold_miscalibration_fixed_on_holdout(self):
         # sampled-noise version of the 2x fixture, frozen seed
@@ -262,18 +313,19 @@ class TestRecalibrate:
         n = 4000
         sig_true = rng.uniform(0.02, 0.1, n)
         err = rng.normal(0.0, sig_true)
-        triples = triples_from_arrays(err, np.zeros(n), 2.0 * sig_true)
-        cal, test = triples[:2000], triples[2000:]
+        zero = np.zeros(2000)
+        cal = triples_from_arrays(err[:2000], zero, 2.0 * sig_true[:2000])
+        test = triples_from_arrays(err[2000:], zero, 2.0 * sig_true[2000:])
         mapping = fit_isotonic(cal, 15)
         before = ence(bin_rmv_rmse(test, 15))
-        after = ence(bin_rmv_rmse(recalibrate(mapping, test), 15))
+        after = ence(bin_rmv_rmse(recalibrated(mapping, test), 15))
         assert after <= 0.5 * before
 
     def test_proportional_map_preserves_aucc_exactly(self):
         cal, test = proportional_fixture()
         mapping = fit_isotonic(cal, 15)
         assert np.all(np.diff(mapping.values) > 0)  # strictly increasing
-        rec = recalibrate(mapping, test)
+        rec = recalibrated(mapping, test)
         a0 = picp_mpiw_curve(test, 0.2).aucc
         a1 = picp_mpiw_curve(rec, 0.2).aucc
         assert abs(a1 - a0) < 1e-9
@@ -287,15 +339,30 @@ class TestRecalibrate:
         triples = triples_from_arrays(err, np.zeros(2000), sig)
         mapping = IsotonicMap(np.array([0.0, 1.0, 4.0]), np.array([0.0, 1.0, 16.0]))
         a0 = picp_mpiw_curve(triples, 4.0).aucc
-        a1 = picp_mpiw_curve(recalibrate(mapping, triples), 4.0).aucc
+        a1 = picp_mpiw_curve(recalibrated(mapping, triples), 4.0).aucc
         assert abs(a1 - a0) > 1e-4
 
 
 class TestTripleValidation:
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            PredictionTriple(0.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match=r"row 2: .*sigma=-1.0$"):
+            triples_from_arrays(np.zeros(4), np.zeros(4), [1.0, 1.0, -1.0, -2.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            PredictionTriple(np.nan, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"row 3: need finite values .* truth=nan,"):
+            triples_from_arrays([0.0, 1.0, 2.0, np.nan, np.inf], np.zeros(5), np.ones(5))
+        with pytest.raises(ValueError, match=r"row 1: "):
+            triples_from_arrays(np.zeros(3), [0.0, np.inf, 0.0], [1.0, 1.0, np.nan])
+        with pytest.raises(ValueError, match=r"row 0: "):
+            triples_from_arrays(np.zeros(2), np.zeros(2), [np.nan, -1.0])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"row 4: not in all of .*estimate \(4,\)"):
+            triples_from_arrays(np.zeros(5), np.zeros(4), np.ones(5))
+
+    def test_arrays_are_float_and_kept(self):
+        t = triples_from_arrays([1, 2], [0, 0], [1, 1])
+        assert len(t) == 2
+        for a in (t.truth, t.estimate, t.sigma):
+            assert a.dtype == np.float64 and a.shape == (2,)
+        assert np.array_equal(t.truth, [1.0, 2.0])

@@ -58,6 +58,20 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
 
+    def test_nan_signal_is_data_error_naming_voxel(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "run/dataset.bin"
+        header, signals, truth, _, _ = dataio.read_dataset(path)
+        signals[7, 5] = np.nan
+        dataio.write_dataset(path, signals, "scheme", truth_elements=truth, seed=header["seed"])
+        capsys.readouterr()
+        for cmd in ("fit", "bootstrap"):
+            assert main([cmd, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and "voxel 7, measurement 5" in err
+
+
 class TestNoiselessPipeline:
     def test_fit_recovers_truth(self, tmp_path):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="inf"))
@@ -111,6 +125,17 @@ class TestCalibrateFlow:
         metrics = json.loads((out / "metrics.json").read_text())
         for p in ("fa", "md"):
             assert metrics["after"][p]["ence"] <= metrics["before"][p]["ence"]
+
+    def test_recalibration_changes_only_sigma_columns(self, tmp_path):
+        cfg_path, out = self.make_miscalibrated_run(tmp_path)
+        assert main(["calibrate", "--config", cfg_path]) == 0
+        _, table = dataio.read_predictions(out / "predictions_wbs.bin")
+        header, recal = dataio.read_predictions(out / "predictions_recalibrated.bin")
+        held = table[header["meta"]["holdout"]]
+        sigma_cols = [5, 6, 7]  # theta95, sigma_fa, sigma_md
+        kept = [c for c in range(table.shape[1]) if c not in sigma_cols]
+        assert np.array_equal(recal[:, kept], held[:, kept], equal_nan=True)
+        assert not np.array_equal(recal[:, sigma_cols], held[:, sigma_cols])
 
     def test_fractional_split(self, tmp_path):
         cfg_path, out = self.make_miscalibrated_run(tmp_path)

@@ -112,6 +112,22 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="version"):
             read_dataset(path)
 
+    def test_bad_signal_names_voxel_and_measurement(self, tmp_path):
+        for bad in (np.nan, np.inf, -0.5):
+            path, signals, truth = self.write_one(tmp_path)
+            signals[3, 4] = bad
+            signals[4, 0] = np.nan
+            write_dataset(path, signals, "scheme", truth_elements=truth)
+            with pytest.raises(DataFormatError, match="voxel 3, measurement 4"):
+                read_dataset(path)
+
+    def test_non_finite_truth_names_voxel(self, tmp_path):
+        path, signals, truth = self.write_one(tmp_path)
+        truth[2, 5] = np.nan
+        write_dataset(path, signals, "scheme", truth_elements=truth)
+        with pytest.raises(DataFormatError, match="voxel 2, tensor element 5"):
+            read_dataset(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
         write_fits(path, np.zeros((3, 7)), "cwlls")

@@ -18,6 +18,7 @@ from dticalib.mlp import (
     save_checkpoint,
     train,
 )
+from dticalib.rng import rng_from_key
 from dticalib.simulation import PhantomSpec, make_phantom, make_scheme
 
 SCHEME = make_scheme(30)
@@ -177,6 +178,26 @@ class TestTraining:
 
 
 class TestMcDropout:
+    def test_sample_masks_equal_per_sample_draws(self):
+        model = TwoBranchMlp(small_spec(hidden_widths=(32, 16, 8), dropout_rate=0.4), seed=3)
+        batched_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+        batched = model.make_sample_masks(batched_rng, 25)
+        loop = [model.make_dropout_masks(loop_rng, 1) for _ in range(25)]
+        for layer, masks in enumerate(batched):
+            assert np.array_equal(masks, np.vstack([m[layer] for m in loop]))
+        assert batched_rng.random() == loop_rng.random()  # same stream position
+
+    def test_one_pass_matches_per_sample_passes(self):
+        model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
+        x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
+        samples, u = predict_mc_dropout(model, x, n_samples=40, seed=11)
+        rng = rng_from_key(11)
+        reference = np.vstack([
+            model.forward(x, model.make_dropout_masks(rng, 1))[0] for _ in range(40)
+        ]) / model.spec.target_scale
+        assert np.allclose(samples.elements, reference, rtol=1e-12, atol=0.0)
+        assert u == model.predict(x)[1][0]
+
     def test_zero_rate_gives_identical_samples(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.0), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
