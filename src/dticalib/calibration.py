@@ -215,10 +215,11 @@ def fit_isotonic(calibration_triples: Triples, n_bins: int = DEFAULT_BINS) -> Is
     stats = bin_rmv_rmse(calibration_triples, n_bins)
     if stats.n_bins < 2:
         raise ValueError("need at least 2 bins to fit a map")
-    x = stats.rmv**2
+    # bins are ordered by sigma, so binned RMV^2 can fall only by rounding
+    # (means over bins of unequal size); carrying the maximum forward turns
+    # such a fall into a tie
+    x = np.maximum.accumulate(stats.rmv**2)
     y = _pava(stats.rmse**2, stats.counts.astype(np.float64))
-    if np.any(np.diff(x) < 0):
-        raise AssertionError("bins must be ordered by sigma")
     # merge tied breakpoints so interpolation is well defined
     w = stats.counts.astype(np.float64)
     starts = np.flatnonzero(np.diff(x, prepend=-np.inf))

@@ -321,6 +321,13 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     a calibrate.split fraction other than 0.5 takes a prefix of the shuffle
     instead.
     """
+    if str(cfg.get("evaluate.uncertainty", "epistemic")) == "aleatoric":
+        # the maps recalibrate the three per-parameter sigma columns; one
+        # aleatoric u column cannot carry three maps
+        raise ConfigError(
+            "calibrate needs evaluate.uncertainty = epistemic: it recalibrates the "
+            "per-parameter sigma columns, not the aleatoric u column"
+        )
     out = _ensure_out_dir(cfg)
     _, _, truth, _, _ = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
     if truth is None:
@@ -328,7 +335,6 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     pred_path = _resolve(cfg, "calibrate.predictions", "predictions_wbs.bin")
     header, table = dataio.read_predictions(pred_path)
     bins, _, _ = _metric_params(cfg)
-    uncertainty = str(cfg.get("evaluate.uncertainty", "epistemic"))
 
     n = len(table)
     split = float(cfg.get("calibrate.split", 0.5))
@@ -341,9 +347,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
         cut = int(round(split * n))
         cal_idx, holdout = np.sort(perm[:cut]), np.sort(perm[cut:])
 
-    triples_cal = triples_by_parameter(
-        table[cal_idx], truth_scalars(truth[cal_idx]), uncertainty
-    )
+    triples_cal = triples_by_parameter(table[cal_idx], truth_scalars(truth[cal_idx]))
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
 
     recal = table[holdout].copy()

@@ -295,6 +295,20 @@ class TestIsotonicMap:
         with pytest.raises(ValueError):
             fit_isotonic(constant_triples(10, 1.0, 0.5), 1)
 
+    def test_constant_sigma_bins_of_unequal_size_merge(self):
+        # bins of two sizes can round the same RMV^2 one ulp apart either
+        # way; about 1 table in 50 here falls from one bin to the next
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(16, 40))
+            truth = rng.normal(size=n)
+            sigma = np.full(n, rng.uniform(0.1, 2.0))
+            triples = triples_from_arrays(truth, truth + rng.normal(size=n), sigma)
+            mapping = fit_isotonic(triples, 15)
+            assert np.all(np.diff(mapping.breakpoints) > 0)
+            assert np.allclose(mapping.breakpoints, sigma[0] ** 2, rtol=1e-14, atol=0)
+            assert np.all(np.diff(mapping.values) >= 0)
+
 
 class TestRecalibrate:
     def test_identity_map_is_noop(self):

@@ -147,6 +147,17 @@ class TestCalibrateFlow:
         assert len(table) == 60  # 240 voxels, a quarter held out
         assert len(header["meta"]["holdout"]) == 60
 
+    def test_aleatoric_uncertainty_is_config_error(self, tmp_path, capsys):
+        cfg_path, out = self.make_miscalibrated_run(tmp_path)
+        (tmp_path / "e.cfg").write_text(
+            (tmp_path / "e.cfg").read_text() + "evaluate.uncertainty = aleatoric\n"
+        )
+        capsys.readouterr()
+        assert main(["calibrate", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "evaluate.uncertainty" in err
+        assert not (out / "predictions_recalibrated.bin").exists()
+
     def test_calibration_maps_written(self, tmp_path):
         cfg_path, out = self.make_miscalibrated_run(tmp_path)
         assert main(["calibrate", "--config", cfg_path]) == 0

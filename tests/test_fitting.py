@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dticalib as dc
+from dticalib import fitting
+from dticalib.bootstrap import _wild_base
 from dticalib.fitting import (
     DegenerateSchemeError,
     EIGENVALUE_FLOOR_MD_MIN,
@@ -11,7 +13,13 @@ from dticalib.fitting import (
     fit_ols,
     fit_wlls,
 )
-from dticalib.tensor import DiffusionTensor, GradientScheme, eig3_sym, predict_signal
+from dticalib.tensor import (
+    DiffusionTensor,
+    GradientScheme,
+    design_matrix,
+    eig3_sym,
+    predict_signal,
+)
 from dticalib.simulation import make_phantom, make_scheme, random_rotation, PhantomSpec
 
 
@@ -125,6 +133,75 @@ class TestLeverage:
         assert res.leverage.sum() == pytest.approx(7.0, abs=1e-8)
         assert np.all(res.leverage >= -1e-12) and np.all(res.leverage <= 1 + 1e-12)
         assert np.isfinite(res.condition_number) and res.condition_number >= 1.0
+
+
+def replicate_signals(generator, snr_db, n_voxels=20, iterations=50, seed=3):
+    """Wild-bootstrap replicate signal rows, as the bootstrap refits them."""
+    scheme = make_scheme(30)
+    recs = make_phantom(
+        PhantomSpec(n_voxels=n_voxels, scheme=scheme, generator=generator, snr_db=snr_db, seed=seed)
+    )
+    y_hat, scaled, _ = _wild_base(np.stack([r.signals for r in recs]), scheme)
+    signs = np.random.default_rng(seed).integers(0, 2, size=(n_voxels * iterations, len(scheme)))
+    y_star = np.repeat(y_hat, iterations, axis=0) + (2 * signs - 1) * np.repeat(
+        scaled, iterations, axis=0
+    )
+    return np.exp(y_star), scheme
+
+
+def normal_equations_bounds(signals, scheme):
+    """Per-row bound cond(X_s) * max(sqrt_w) / min(sqrt_w) of the weighted pass."""
+    x = design_matrix(scheme)
+    beta0 = np.linalg.lstsq(x, np.log(signals).T, rcond=None)[0].T
+    sqrt_w = np.exp(beta0 @ x.T)
+    return np.linalg.cond(x / np.linalg.norm(x, axis=0)) * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("generator,snr_db", [("prolate", 28.0), ("random_spd", 5.0)])
+    def test_matches_qr_solve(self, generator, snr_db, monkeypatch):
+        signals, scheme = replicate_signals(generator, snr_db)
+        beta, _, leverage, cond = fitting.fit_wlls_batch(signals, scheme)
+        monkeypatch.setattr(fitting, "NORMAL_EQUATIONS_LIMIT", 0.0)
+        beta_qr, _, leverage_qr, cond_qr = fitting.fit_wlls_batch(signals, scheme)
+        rel = np.abs(beta - beta_qr).max(axis=1) / np.abs(beta_qr).max(axis=1)
+        assert rel.max() <= 1e-11
+        assert np.abs(leverage - leverage_qr).max() <= 1e-13
+        assert cond == cond_qr
+
+    def test_split_batch_rows_equal_rows_fitted_alone(self, monkeypatch):
+        signals, scheme = replicate_signals("random_spd", 5.0, n_voxels=4, iterations=8)
+        bounds = normal_equations_bounds(signals, scheme)
+        limit = float(np.median(bounds))
+        monkeypatch.setattr(fitting, "NORMAL_EQUATIONS_LIMIT", limit)
+        qr_rows = []
+        qr_solve = fitting._qr_solve_batch
+
+        def spy(design, rhs):
+            qr_rows.append(len(design))
+            return qr_solve(design, rhs)
+
+        monkeypatch.setattr(fitting, "_qr_solve_batch", spy)
+        batch = fitting.fit_cwlls_batch(signals, scheme)
+        # the QR solve sees exactly the rows past the bound, in one call
+        assert qr_rows == [int(np.sum(bounds > limit))]
+        assert 0 < qr_rows[0] < len(signals)  # fixture sanity: both paths run
+        for row in range(len(signals)):
+            alone = fitting.fit_cwlls_batch(signals[row : row + 1], scheme)
+            for whole, single in zip(batch[:3], alone[:3]):
+                assert np.array_equal(whole[row], single[0])
+
+    @pytest.mark.parametrize("fit", [fit_wlls, fit_cwlls])
+    def test_loose_row_takes_qr_with_full_leverage(self, fit):
+        # b = 3000 on fast diffusion spans the signals by ~e^9: far past the bound
+        scheme = make_scheme(30, bvalue=3000.0)
+        truth = DiffusionTensor([3e-3, 2e-3, 1.5e-3, 2e-4, 0, -1e-4])
+        rng = np.random.default_rng(29)
+        noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
+        assert normal_equations_bounds(noisy[None], scheme)[0] > fitting.NORMAL_EQUATIONS_LIMIT
+        res = fit(noisy, scheme)
+        assert res.leverage.sum() == pytest.approx(7.0, abs=1e-8)
+        assert np.all(res.leverage >= -1e-12) and np.all(res.leverage <= 1 + 1e-12)
 
 
 class TestWllsBeatsOls:
