@@ -20,10 +20,8 @@ from dticalib.mlp import MlpSpec, TrainConfig, normalize_signals, predict_mc_dro
 
 
 def phantom_inputs(spec, scheme):
-    recs = make_phantom(spec)
-    signals = np.stack([r.signals for r in recs])
-    truth = np.stack([r.truth.elements for r in recs])
-    return normalize_signals(signals, scheme), truth
+    phantom = make_phantom(spec)
+    return normalize_signals(phantom.signals, scheme), phantom.truth
 
 
 def main():

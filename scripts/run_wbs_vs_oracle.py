@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from dticalib import PhantomSpec, make_phantom, make_scheme, monte_carlo_oracle
-from dticalib import summarize_uncertainty, wild_bootstrap
+from dticalib import wild_bootstrap_table
 
 
 def main():
@@ -39,17 +39,18 @@ def main():
             fa_target=args.fa, md=args.md, orientation="uniform",
             snr_db=snr, seed=args.seed,
         )
-        ratios = {"sigma_fa": [], "sigma_md": [], "theta95": []}
-        for v, rec in enumerate(make_phantom(spec)):
-            wbs = summarize_uncertainty(
-                wild_bootstrap(rec.signals, scheme, args.iterations, seed=1000 + v)
-            )
-            orc = monte_carlo_oracle(
-                rec.truth, scheme, snr, n_realizations=args.realizations, seed=2000 + v
-            )
-            for key in ratios:
-                ratios[key].append(getattr(wbs, key) / getattr(orc, key))
-        med = {key: float(np.median(val)) for key, val in ratios.items()}
+        phantom = make_phantom(spec)
+        # table columns 5, 6, 7: theta95, sigma_fa, sigma_md
+        wbs = wild_bootstrap_table(
+            phantom.signals, scheme, args.iterations, seeds=1000 + np.arange(args.voxels)
+        )[:, 5:8]
+        bundles = [
+            monte_carlo_oracle(t, scheme, snr, n_realizations=args.realizations, seed=2000 + v)
+            for v, t in enumerate(phantom.truth)
+        ]
+        orc = np.array([(b.theta95, b.sigma_fa, b.sigma_md) for b in bundles])
+        ratio = np.median(wbs / orc, axis=0)
+        med = {key: float(r) for key, r in zip(("theta95", "sigma_fa", "sigma_md"), ratio)}
         rows.append((snr, med))
         print(
             f"SNR {snr:5.1f} dB | median WBS/oracle: "

@@ -40,7 +40,6 @@ from .calibration import (
 )
 from .simulation import (
     PhantomSpec,
-    VoxelRecord,
     add_rician,
     make_phantom,
     make_scheme,
@@ -84,7 +83,6 @@ __all__ = [
     "fit_isotonic",
     "recalibrate",
     "PhantomSpec",
-    "VoxelRecord",
     "make_phantom",
     "make_scheme",
     "add_rician",

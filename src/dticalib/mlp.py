@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .bootstrap import TensorSampleSet
-from .fitting import fit_ols
+from .fitting import as_signal_rows, fit_ols_batch
 from .tensor import GradientScheme
 from .rng import rng_from_key
 
@@ -250,9 +250,8 @@ def normalize_signals(signals, scheme: GradientScheme) -> np.ndarray:
     if np.any(b0):
         base = signals[:, b0].mean(axis=1)
     else:
-        base = np.array([np.exp(fit_ols(row, scheme).tensor.ln_s0) for row in signals])
-    base = np.maximum(base, 1e-12)
-    return signals / base[:, None]
+        base = np.exp(fit_ols_batch(as_signal_rows(signals, scheme), scheme)[0][:, 6])
+    return signals / np.maximum(base, 1e-12)[:, None]
 
 
 @dataclass

@@ -70,10 +70,9 @@ def load_scheme(cfg: ExperimentConfig) -> GradientScheme:
 
 
 def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.PhantomSpec:
-    snr = cfg.get("phantom.snr_db", 30.0)
     eig_lo = float(cfg.get("phantom.eig_min", 0.1e-3))
     eig_hi = float(cfg.get("phantom.eig_max", 3.0e-3))
-    return simulation.PhantomSpec(
+    fields = dict(
         n_voxels=int(cfg.get("phantom.n_voxels", required=True)),
         scheme=scheme,
         generator=str(cfg.get("phantom.generator", "prolate")),
@@ -82,21 +81,23 @@ def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.P
         eig_range=(eig_lo, eig_hi),
         shift=float(cfg.get("phantom.shift", 1.8)),
         orientation=str(cfg.get("phantom.orientation", "uniform")),
-        snr_db=float(snr),
+        snr_db=float(cfg.get("phantom.snr_db", 30.0)),
         seed=cfg.seed,
     )
+    try:
+        return simulation.PhantomSpec(**fields)
+    except ValueError as exc:  # each message starts with the field: the key's last part
+        raise ConfigError(f"phantom.{exc}") from exc
 
 
 def run_simulate(cfg: ExperimentConfig) -> Path:
-    out = _ensure_out_dir(cfg)
     scheme = load_scheme(cfg)
     spec = _phantom_spec(cfg, scheme)
-    records = simulation.make_phantom(spec)
-    signals = np.stack([r.signals for r in records])
-    truth = np.stack([r.truth.elements for r in records])
+    out = _ensure_out_dir(cfg)
+    phantom = simulation.make_phantom(spec)
     dataio.write_bvec_bval(out / "scheme.bvec", out / "scheme.bval", scheme)
     path = out / "dataset.bin"
-    dataio.write_dataset(path, signals, "scheme", truth_elements=truth, seed=cfg.seed)
+    dataio.write_dataset(path, phantom.signals, "scheme", phantom.truth, seed=cfg.seed)
     _refresh_manifest(cfg, out)
     return path
 
@@ -233,6 +234,13 @@ def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic
     }
 
 
+def _uncertainty(cfg: ExperimentConfig) -> str:
+    value = str(cfg.get("evaluate.uncertainty", "epistemic"))
+    if value not in ("epistemic", "aleatoric"):
+        raise ConfigError(f"evaluate.uncertainty must be epistemic or aleatoric, not {value!r}")
+    return value
+
+
 def _metric_params(cfg: ExperimentConfig):
     bins = int(cfg.get("metrics.bins", cal.DEFAULT_BINS))
     grid = int(cfg.get("metrics.grid_size", cal.DEFAULT_GRID_SIZE))
@@ -283,13 +291,13 @@ def _load_table_for_eval(path):
 
 
 def run_evaluate(cfg: ExperimentConfig) -> Path:
+    uncertainty = _uncertainty(cfg)
     out = _ensure_out_dir(cfg)
     _, _, truth, _, _ = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
     if truth is None:
         raise dataio.DataFormatError("evaluate requires ground-truth tensors")
     table = _load_table_for_eval(_resolve(cfg, "evaluate.predictions", "predictions_wbs.bin"))
     bins, grid, caps = _metric_params(cfg)
-    uncertainty = str(cfg.get("evaluate.uncertainty", "epistemic"))
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
         header, recal_table = dataio.read_predictions(_resolve(cfg, "evaluate.recalibrated"))
@@ -321,7 +329,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     a calibrate.split fraction other than 0.5 takes a prefix of the shuffle
     instead.
     """
-    if str(cfg.get("evaluate.uncertainty", "epistemic")) == "aleatoric":
+    if _uncertainty(cfg) == "aleatoric":
         # the maps recalibrate the three per-parameter sigma columns; one
         # aleatoric u column cannot carry three maps
         raise ConfigError(
@@ -372,6 +380,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
 
 
 def run_curves(cfg: ExperimentConfig) -> list:
+    uncertainty = _uncertainty(cfg)
     out = _ensure_out_dir(cfg)
     _, _, truth, _, _ = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
     if truth is None:
@@ -380,7 +389,6 @@ def run_curves(cfg: ExperimentConfig) -> list:
         _resolve(cfg, "curves.predictions", "predictions_wbs.bin")
     )
     bins, grid, caps = _metric_params(cfg)
-    uncertainty = str(cfg.get("evaluate.uncertainty", "epistemic"))
     triples = triples_by_parameter(table, truth_scalars(truth), uncertainty)
     paths = []
     for p in PARAMETERS:

@@ -17,10 +17,12 @@ def rng_from_key(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 
 
+def box_muller(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent standard-normal arrays from uniform [0, 1) draws r1, r2, elementwise."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - r1))  # 1 - r1 is in (0, 1]; keeps log finite
+    return radius * np.cos(2.0 * np.pi * r2), radius * np.sin(2.0 * np.pi * r2)
+
+
 def gaussian_pair(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
     """Two independent standard-normal arrays via one Box-Muller transform."""
-    u1 = 1.0 - rng.random(shape)  # (0, 1]; keeps log finite
-    u2 = rng.random(shape)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    return radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)
-
+    return box_muller(rng.random(shape), rng.random(shape))

@@ -14,16 +14,15 @@ from typing import Optional
 import numpy as np
 
 from .tensor import (
-    DiffusionTensor,
     GradientScheme,
     elements_to_matrices,
     fa_md_from_eigenvalues,
     matrices_to_elements,
-    predict_signal,
+    predict_signal_batch,
 )
 from .fitting import fit_cwlls_batch
 from .bootstrap import TensorSampleSet, UncertaintyBundle, summarize_uncertainty
-from .rng import gaussian_pair, rng_from_key
+from .rng import box_muller, gaussian_pair, rng_from_key
 
 GENERATORS = ("fixed", "prolate", "oblate", "random_spd", "two_population")
 
@@ -36,7 +35,7 @@ class PhantomSpec:
         fixed          -- every voxel carries `elements` verbatim
         prolate        -- eigenvalues (a, b, b) solved for fa_target and md
         oblate         -- eigenvalues (a, a, b) solved for fa_target and md
-        random_spd     -- eigenvalues uniform in eig_range, random rotation
+        random_spd     -- eigenvalues uniform in eig_range
         two_population -- random_spd voxels; the second half has eigenvalues
                           scaled by `shift` (distribution-shift surrogate)
     orientation: "fixed" keeps the generator axes; "uniform" applies an
@@ -58,28 +57,22 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_voxels < 1:
+            raise ValueError(f"n_voxels must be >= 1, not {self.n_voxels}")
         if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
+            raise ValueError(f"generator must be one of {GENERATORS}, not {self.generator!r}")
+        if self.generator == "fixed" and self.elements is None:
+            raise ValueError("generator 'fixed' requires elements")
         if not 0.0 <= self.fa_target < 1.0:
             raise ValueError("fa_target must be in [0, 1)")
         if self.md <= 0:
             raise ValueError("md must be positive")
         if self.orientation not in ("fixed", "uniform"):
-            raise ValueError("orientation must be 'fixed' or 'uniform'")
+            raise ValueError(f"orientation must be fixed or uniform, not {self.orientation!r}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
         if self.snr_range is not None and len(self.snr_range) != 2:
             raise ValueError("snr_range must be (low, high)")
-
-
-@dataclass
-class VoxelRecord:
-    """One voxel: measurements plus (for synthetic data) the ground truth."""
-
-    signals: np.ndarray  # (m,)
-    truth: Optional[DiffusionTensor] = None
-    s0: float = 1.0
-    population: int = 0  # 0 = base, 1 = shifted (two_population only)
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -138,116 +131,120 @@ def _axisym_eigenvalues(fa_target: float, md: float, prolate: bool) -> np.ndarra
     return lam
 
 
+def quaternion_rotations(quats: np.ndarray) -> np.ndarray:
+    """(n, 4) unit quaternions (w, x, y, z) -> (n, 3, 3) rotation matrices."""
+    w, x, y, z = np.moveaxis(np.asarray(quats, dtype=np.float64), -1, 0)
+    rows = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+        (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+        (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def _unit_quaternion(rng: np.random.Generator) -> np.ndarray:
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation from a normalized random quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return quaternion_rotations(_unit_quaternion(rng)[None])[0]
 
 
-def add_rician(signal, snr_db: float, rng: np.random.Generator, s0: float = 1.0):
-    """Magnitude signal after adding complex Gaussian noise.
-
-    Returns sqrt((S + n1)^2 + n2^2) with n1, n2 ~ Normal(0, sigma_n) and
-    sigma_n = s0 * 10**(-snr_db / 20). snr_db = inf leaves S untouched.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if math.isinf(snr_db) and snr_db > 0:
-        return signal.copy()
-    sigma_n = s0 * 10.0 ** (-snr_db / 20.0)
-    n1, n2 = gaussian_pair(rng, signal.shape)
+def rician(signal, sigma_n, n1, n2) -> np.ndarray:
+    """Magnitude of signal + sigma_n * (n1 + i n2) for standard-normal n1, n2, elementwise."""
     return np.sqrt((signal + sigma_n * n1) ** 2 + (sigma_n * n2) ** 2)
 
 
-def _truth_elements(
-    spec: PhantomSpec, voxel: int, rng: np.random.Generator, axisym: Optional[np.ndarray]
-):
-    """Ground-truth tensor elements and population label for one voxel.
+def add_rician(signal, snr_db: float, rng: np.random.Generator):
+    """Magnitude of a normalized signal after complex Gaussian noise drawn from rng.
 
-    axisym holds the prolate/oblate eigenvalues, solved once per spec.
+    sigma_n = 10**(-snr_db / 20); snr_db = inf leaves S untouched.
     """
-    population = 0
-    if spec.generator == "fixed":
-        if spec.elements is None:
-            raise ValueError("fixed generator requires elements")
-        lam = None
-        base = np.asarray(spec.elements, dtype=np.float64)
-    elif spec.generator in ("prolate", "oblate"):
-        lam = axisym
-    else:  # random_spd / two_population
-        lam = rng.uniform(spec.eig_range[0], spec.eig_range[1], size=3)
-        lam = np.sort(lam)[::-1]
-        if spec.generator == "two_population" and voxel >= spec.n_voxels // 2:
-            lam = lam * spec.shift
-            population = 1
-    if lam is not None:
-        base = matrices_to_elements(np.diag(lam)[None])[0]
-    if spec.orientation == "uniform":
-        rot = random_rotation(rng)
-        mat = rot @ elements_to_matrices(base[None])[0] @ rot.T
-        base = matrices_to_elements(mat[None])[0]
-    return base, population
+    signal = np.asarray(signal, dtype=np.float64)
+    if snr_db == math.inf:
+        return signal.copy()
+    return rician(signal, 10.0 ** (-snr_db / 20.0), *gaussian_pair(rng, signal.shape))
 
 
-def make_phantom(spec: PhantomSpec) -> list[VoxelRecord]:
-    """Generate ground-truth tensors and noisy signals for one PhantomSpec.
+@dataclass(frozen=True)
+class Phantom:
+    """A synthetic dataset, one row per voxel."""
 
-    Deterministic in spec.seed; voxel streams are keyed (seed, voxel), so
-    records do not depend on generation order.
+    signals: np.ndarray  # (n, m) noisy magnitudes, normalized to S0 = 1
+    truth: np.ndarray  # (n, 6) ground-truth tensor elements
+    population: np.ndarray  # (n,) 0 = base, 1 = shifted (two_population only)
+
+
+def make_phantom(spec: PhantomSpec) -> Phantom:
+    """Ground-truth tensors and noisy signals for one PhantomSpec.
+
+    Deterministic in spec.seed. Voxel v draws from its own stream keyed
+    (seed, v), in this order: eigenvalues (random_spd, two_population), the
+    rotation quaternion (uniform orientation), the SNR (snr_range), then
+    the Box-Muller uniforms (finite SNR). Only these draws run per voxel;
+    tensors, signals and noise are computed on the voxel axis. So a voxel's
+    row does not depend on the other voxels, except that two_population
+    shifts the rows from n_voxels // 2 on.
     """
-    axisym = None
-    if spec.generator in ("prolate", "oblate"):
-        axisym = _axisym_eigenvalues(spec.fa_target, spec.md, spec.generator == "prolate")
-    records = []
-    for voxel in range(spec.n_voxels):
+    n, m = spec.n_voxels, len(spec.scheme)
+    random_eigenvalues = spec.generator in ("random_spd", "two_population")
+    eigenvalues, quats = np.empty((n, 3)), np.empty((n, 4))
+    noisy, sigma_n, uniforms = np.zeros(n, dtype=bool), np.empty(n), np.empty((2, n, m))
+    for voxel in range(n):
         rng = rng_from_key(spec.seed, voxel)
-        elements, population = _truth_elements(spec, voxel, rng, axisym)
-        truth = DiffusionTensor(elements, ln_s0=0.0)
-        clean = predict_signal(truth, spec.scheme)
-        if spec.snr_range is not None:
-            snr = float(rng.uniform(spec.snr_range[0], spec.snr_range[1]))
-        else:
-            snr = spec.snr_db
-        noisy = add_rician(clean, snr, rng)
-        records.append(
-            VoxelRecord(signals=noisy, truth=truth, s0=1.0, population=population)
-        )
-    return records
+        if random_eigenvalues:
+            eigenvalues[voxel] = rng.uniform(*spec.eig_range, size=3)
+        if spec.orientation == "uniform":
+            quats[voxel] = _unit_quaternion(rng)
+        snr = spec.snr_db if spec.snr_range is None else float(rng.uniform(*spec.snr_range))
+        if snr != math.inf:
+            noisy[voxel], sigma_n[voxel] = True, 10.0 ** (-snr / 20.0)
+            uniforms[0, voxel], uniforms[1, voxel] = rng.random(m), rng.random(m)
+
+    shifted = (np.arange(n) >= n // 2) & (spec.generator == "two_population")
+    if spec.generator in ("prolate", "oblate"):
+        eigenvalues[:] = _axisym_eigenvalues(spec.fa_target, spec.md, spec.generator == "prolate")
+    elif random_eigenvalues:
+        scale = np.where(shifted, spec.shift, 1.0)
+        eigenvalues = np.sort(eigenvalues, axis=1)[:, ::-1] * scale[:, None]
+    truth = np.concatenate([eigenvalues, np.zeros((n, 3))], axis=1)
+    if spec.generator == "fixed":
+        truth[:] = np.reshape(spec.elements, 6)
+    if spec.orientation == "uniform":
+        rot = quaternion_rotations(quats)
+        truth = matrices_to_elements(rot @ elements_to_matrices(truth) @ rot.swapaxes(1, 2))
+
+    signals = predict_signal_batch(truth, spec.scheme)
+    n1, n2 = box_muller(uniforms[0, noisy], uniforms[1, noisy])
+    signals[noisy] = rician(signals[noisy], sigma_n[noisy, None], n1, n2)
+    return Phantom(signals, truth, shifted.astype(np.int64))
 
 
 def monte_carlo_oracle(
-    tensor: DiffusionTensor,
+    truth: np.ndarray,
     scheme: GradientScheme,
     snr_db: float,
     n_realizations: int = 2000,
-    estimator: str = "cwlls",
     seed: int = 0,
 ) -> UncertaintyBundle:
-    """Empirical uncertainty from independent noise realizations.
+    """Empirical uncertainty of one voxel from independent noise realizations.
 
-    Each realization adds fresh Rician noise to the noiseless prediction and
-    refits; the bundle of the resulting tensor set is the ground truth that
-    bootstrap and dropout uncertainties are judged against.
+    truth is a (6,) tensor element row, as in Phantom.truth. Realization k is
+    voxel k of a fixed-generator phantom of it, noised from the stream keyed
+    (seed, k). All are refitted in one batch; the bundle of the fitted
+    tensors is the ground truth that bootstrap and dropout uncertainties are
+    judged against.
     """
-    if estimator != "cwlls":
-        raise ValueError("only the cwlls estimator is supported")
     if n_realizations < 100:
         raise ValueError("n_realizations must be >= 100")
-    clean = predict_signal(tensor, scheme)
-    noisy = np.empty((n_realizations, len(clean)))
-    for k in range(n_realizations):
-        noisy[k] = add_rician(clean, snr_db, rng_from_key(seed, k))
-    try:
-        beta = fit_cwlls_batch(noisy, scheme)[0]
-    except Exception as exc:  # pragma: no cover - degenerate schemes only
-        raise RuntimeError(f"oracle fit failed: {exc}") from exc
+    realizations = PhantomSpec(
+        n_voxels=n_realizations, scheme=scheme, generator="fixed", elements=truth,
+        orientation="fixed", snr_db=snr_db, seed=seed,
+    )
+    noisy = make_phantom(realizations).signals
+    beta = fit_cwlls_batch(noisy, scheme)[0]
     if not np.all(np.isfinite(beta)):
         bad = int(np.where(~np.isfinite(beta).all(axis=1))[0][0])
         raise RuntimeError(f"oracle fit diverged at realization {bad}")

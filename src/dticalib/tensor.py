@@ -62,17 +62,9 @@ class DiffusionTensor:
     def __post_init__(self):
         self.elements = np.asarray(self.elements, dtype=np.float64).reshape(6)
 
-    def as_matrix(self) -> np.ndarray:
-        xx, yy, zz, xy, xz, yz = self.elements
-        return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-
     @classmethod
     def from_matrix(cls, mat: np.ndarray, ln_s0: float = 0.0) -> "DiffusionTensor":
-        mat = np.asarray(mat, dtype=np.float64)
-        elems = np.array(
-            [mat[0, 0], mat[1, 1], mat[2, 2], mat[0, 1], mat[0, 2], mat[1, 2]]
-        )
-        return cls(elems, ln_s0)
+        return cls(matrices_to_elements(np.asarray(mat)[None])[0], ln_s0)
 
 
 @dataclass
@@ -89,21 +81,23 @@ class TensorScalars:
         self.principal_direction = self.eigenvectors[0]
 
 
-def signal_quadratic_form(tensor: DiffusionTensor, scheme: GradientScheme) -> np.ndarray:
-    """b * g^T D g per measurement (the log-attenuation, sign flipped)."""
+def predict_signal_batch(elements: np.ndarray, scheme: GradientScheme) -> np.ndarray:
+    """Normalized diffusion signals S/S0 = exp(-b g^T D g), (n, 6) rows -> (n, m).
+
+    b=0 entries give exactly 1. Each row is computed on its own, so it does
+    not depend on what else is in the batch.
+    """
+    elements = np.asarray(elements, dtype=np.float64)
+    if not np.all(np.isfinite(elements)):
+        raise ValueError("non-finite input")
     g = scheme.directions
-    d = tensor.as_matrix()
-    return scheme.bvalues * np.einsum("ij,jk,ik->i", g, d, g)
+    mats = elements_to_matrices(elements)
+    return np.exp(-(scheme.bvalues * np.einsum("ij,njk,ik->ni", g, mats, g)))
 
 
 def predict_signal(tensor: DiffusionTensor, scheme: GradientScheme) -> np.ndarray:
-    """Normalized diffusion signal S/S0 = exp(-b g^T D g) per measurement.
-
-    b=0 entries give exactly 1.
-    """
-    if not np.all(np.isfinite(tensor.elements)):
-        raise ValueError("non-finite input")
-    return np.exp(-signal_quadratic_form(tensor, scheme))
+    """predict_signal_batch for one tensor: (m,) signals."""
+    return predict_signal_batch(tensor.elements[None], scheme)[0]
 
 
 def design_matrix(scheme: GradientScheme) -> np.ndarray:
@@ -165,7 +159,7 @@ def eig3_sym(tensor: DiffusionTensor) -> TensorScalars:
     """Eigen-system, FA and MD of one tensor."""
     if not np.all(np.isfinite(tensor.elements)):
         raise ValueError("non-finite input")
-    evals, evecs = eigh3_batch(tensor.as_matrix()[None])
+    evals, evecs = eigh3_batch(elements_to_matrices(tensor.elements[None]))
     fa, md = fa_md_from_eigenvalues(evals[0])
     return TensorScalars(evals[0], evecs[0], float(fa), float(md))
 

@@ -43,14 +43,6 @@ def report(number, text):
     print(f"\nACCEPTANCE {number:2d} PASS - {text}")
 
 
-def phantom_arrays(spec):
-    recs = make_phantom(spec)
-    return (
-        np.stack([r.signals for r in recs]),
-        np.stack([r.truth.elements for r in recs]),
-    )
-
-
 def test_criterion_01_noiseless_roundtrip():
     scheme = make_scheme(30)
     rng = np.random.default_rng(1)
@@ -81,9 +73,10 @@ def test_criterion_02_wild_bootstrap_vs_oracle():
     )
     start = time.monotonic()
     devs = {"sigma_fa": [], "sigma_md": [], "theta95": []}
-    for v, rec in enumerate(make_phantom(spec)):
-        wbs = summarize_uncertainty(dc.wild_bootstrap(rec.signals, scheme, 1000, seed=1000 + v))
-        orc = monte_carlo_oracle(rec.truth, scheme, 30.0, n_realizations=2000, seed=2000 + v)
+    phantom = make_phantom(spec)
+    for v, (signals, truth) in enumerate(zip(phantom.signals, phantom.truth)):
+        wbs = summarize_uncertainty(dc.wild_bootstrap(signals, scheme, 1000, seed=1000 + v))
+        orc = monte_carlo_oracle(truth, scheme, 30.0, n_realizations=2000, seed=2000 + v)
         for key in devs:
             devs[key].append(abs(getattr(wbs, key) / getattr(orc, key) - 1.0))
     elapsed = time.monotonic() - start
@@ -245,10 +238,10 @@ def _trend_model():
         n_voxels=5000, scheme=scheme, generator="prolate", fa_target=0.8,
         md=0.9e-3, snr_range=(18.0, 37.0), seed=100,
     )
-    signals, truth = phantom_arrays(spec)
-    inputs = normalize_signals(signals, scheme)
+    phantom = make_phantom(spec)
+    inputs = normalize_signals(phantom.signals, scheme)
     model, _ = train(
-        inputs, truth,
+        inputs, phantom.truth,
         MlpSpec(input_dim=len(scheme), hidden_widths=(64, 64, 64),
                 uncertainty_widths=(64, 64), dropout_rate=0.3, target_scale=4000.0),
         TrainConfig(epochs=250, seed=3, batch_size=512, learning_rate=1e-3, eval_every=25),
@@ -264,7 +257,7 @@ def test_criterion_10_noise_trend():
             n_voxels=400, scheme=scheme, generator="prolate", fa_target=0.8,
             md=0.9e-3, snr_db=snr, seed=777,
         )
-        inputs = normalize_signals(phantom_arrays(spec)[0], scheme)
+        inputs = normalize_signals(make_phantom(spec).signals, scheme)
         mean_u.append(float(model.predict(inputs)[1].mean()))
     increasing = sum(b > a for a, b in zip(mean_u, mean_u[1:]))
     assert increasing >= 4, mean_u
@@ -274,7 +267,7 @@ def test_criterion_10_noise_trend():
             n_voxels=120, scheme=scheme, generator="prolate", fa_target=0.8,
             md=0.9e-3, snr_db=snr, seed=888,
         )
-        inputs = normalize_signals(phantom_arrays(spec)[0], scheme)
+        inputs = normalize_signals(make_phantom(spec).signals, scheme)
         vals = []
         for v in range(len(inputs)):
             samples, _ = predict_mc_dropout(model, inputs[v], n_samples=100, seed=3000 + v)
@@ -293,15 +286,15 @@ def test_criterion_11_distribution_shift():
         n_voxels=4000, scheme=scheme, generator="two_population",
         eig_range=(0.3e-3, 1.2e-3), shift=1.8, snr_db=30.0, seed=55,
     )
-    signals, truth = phantom_arrays(spec)
-    inputs = normalize_signals(signals, scheme)
-    train_inputs, train_truth = inputs[:2000], truth[:2000]  # population A only
+    phantom = make_phantom(spec)
+    inputs = normalize_signals(phantom.signals, scheme)
+    train_inputs, train_truth = inputs[:2000], phantom.truth[:2000]  # population A only
 
     eval_spec = PhantomSpec(
         n_voxels=400, scheme=scheme, generator="two_population",
         eig_range=(0.3e-3, 1.2e-3), shift=1.8, snr_db=30.0, seed=56,
     )
-    eval_inputs = normalize_signals(phantom_arrays(eval_spec)[0], scheme)
+    eval_inputs = normalize_signals(make_phantom(eval_spec).signals, scheme)
     in_dist, shifted = eval_inputs[:200], eval_inputs[200:]
 
     def sigma_md(model, rows, seed0):

@@ -47,23 +47,23 @@ class TestWildBootstrap:
 
     def test_same_seed_bitwise_identical(self):
         scheme = make_scheme(30)
-        rec = make_phantom(
+        signals = make_phantom(
             PhantomSpec(n_voxels=1, scheme=scheme, snr_db=25.0, seed=3)
-        )[0]
-        a = wild_bootstrap(rec.signals, scheme, 100, seed=9)
-        b = wild_bootstrap(rec.signals, scheme, 100, seed=9)
+        ).signals[0]
+        a = wild_bootstrap(signals, scheme, 100, seed=9)
+        b = wild_bootstrap(signals, scheme, 100, seed=9)
         assert np.array_equal(a.elements, b.elements)
-        c = wild_bootstrap(rec.signals, scheme, 100, seed=10)
+        c = wild_bootstrap(signals, scheme, 100, seed=10)
         assert not np.array_equal(a.elements, c.elements)
 
     def test_single_b0_scheme_saturates(self):
         # one shell + one b=0 row: that row is an exact interpolation point
         scheme = make_scheme(30, n_b0=1)
-        rec = make_phantom(
+        signals = make_phantom(
             PhantomSpec(n_voxels=1, scheme=scheme, snr_db=25.0, seed=3)
-        )[0]
+        ).signals[0]
         with pytest.raises(SaturatedLeverageError, match="saturated leverage"):
-            wild_bootstrap(rec.signals, scheme, 50, seed=0)
+            wild_bootstrap(signals, scheme, 50, seed=0)
 
     def test_iterations_validated(self):
         scheme = make_scheme(30)
@@ -77,9 +77,9 @@ class TestWildBootstrap:
             n_voxels=1, scheme=scheme, generator="prolate", fa_target=0.8,
             md=0.9e-3, orientation="uniform", snr_db=30.0, seed=12,
         )
-        rec = make_phantom(spec)[0]
-        wbs = summarize_uncertainty(wild_bootstrap(rec.signals, scheme, 1000, seed=5))
-        orc = monte_carlo_oracle(rec.truth, scheme, 30.0, n_realizations=2000, seed=6)
+        phantom = make_phantom(spec)
+        wbs = summarize_uncertainty(wild_bootstrap(phantom.signals[0], scheme, 1000, seed=5))
+        orc = monte_carlo_oracle(phantom.truth[0], scheme, 30.0, n_realizations=2000, seed=6)
         assert abs(wbs.sigma_fa / orc.sigma_fa - 1) <= 0.30
 
     def test_table_matches_per_voxel_path(self):
@@ -87,7 +87,7 @@ class TestWildBootstrap:
         scheme = make_scheme(30)
         spec = PhantomSpec(n_voxels=6, scheme=scheme, fa_target=0.9, md=0.5e-3,
                            snr_db=12.0, seed=8)
-        signals = np.stack([r.signals for r in make_phantom(spec)])
+        signals = make_phantom(spec).signals
         seeds = [40 + v for v in range(len(signals))]
         table = wild_bootstrap_table(signals, scheme, 150, seeds)
         assert table.shape == (6, 9) and np.all(np.isnan(table[:, 8]))
@@ -189,8 +189,8 @@ class TestSummarize:
     def test_matches_streaming_oracle(self):
         # two-pass numpy std against an incremental Welford accumulation
         scheme = make_scheme(30)
-        rec = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4))[0]
-        samples = wild_bootstrap(rec.signals, scheme, 1000, seed=2)
+        signals = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4)).signals[0]
+        samples = wild_bootstrap(signals, scheme, 1000, seed=2)
         from dticalib.tensor import eigh3_batch, elements_to_matrices, fa_md_from_eigenvalues
 
         fa, md = fa_md_from_eigenvalues(eigh3_batch(elements_to_matrices(samples.elements))[0])
@@ -216,9 +216,9 @@ class TestNoiseMonotonicity:
             )
             vals = [
                 summarize_uncertainty(
-                    wild_bootstrap(r.signals, scheme, 300, seed=100 + v)
+                    wild_bootstrap(row, scheme, 300, seed=100 + v)
                 ).sigma_fa
-                for v, r in enumerate(make_phantom(spec))
+                for v, row in enumerate(make_phantom(spec).signals)
             ]
             medians[snr] = np.median(vals)
         assert medians[20.0] >= medians[35.0]
@@ -234,9 +234,9 @@ class TestNoiseMonotonicity:
             )
             vals = [
                 summarize_uncertainty(
-                    wild_bootstrap(r.signals, scheme, 300, seed=500 + v)
+                    wild_bootstrap(row, scheme, 300, seed=500 + v)
                 ).theta95
-                for v, r in enumerate(make_phantom(spec))
+                for v, row in enumerate(make_phantom(spec).signals)
             ]
             medians[fa] = np.median(vals)
         assert medians[0.8] < medians[0.15]

@@ -4,6 +4,7 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dticalib.cli import main
 from dticalib import bootstrap as bs
@@ -70,6 +71,34 @@ class TestExitCodes:
             assert main([cmd, "--config", cfg]) == 2
             err = capsys.readouterr().err
             assert "data error" in err and "voxel 7, measurement 5" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("phantom.generator", "prolat"),
+        ("phantom.orientation", "unifrom"),
+        ("phantom.generator", "fixed"),  # no config key sets the fixed elements
+        ("phantom.n_voxels", "0"),
+    ])
+    def test_bad_phantom_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + f"{key} = {value}\n")
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and value in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "curves"])
+    def test_misspelled_uncertainty_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        for cmd in ("simulate", "bootstrap"):
+            assert main([cmd, "--config", cfg, "--iterations", "20"]) == 0
+        before = dir_hashes(tmp_path / "run")
+        (tmp_path / "e.cfg").write_text(
+            (tmp_path / "e.cfg").read_text() + "evaluate.uncertainty = aleatory\n"
+        )
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "evaluate.uncertainty" in err and "aleatory" in err
+        assert dir_hashes(tmp_path / "run") == before
 
 
 class TestNoiselessPipeline:
@@ -215,6 +244,34 @@ class TestReproducibility:
         assert main(["simulate", "--config", cfg, "--seed", "99"]) == 0
         b = dataio.read_dataset(tmp_path / "run/dataset.bin")[1]
         assert not np.array_equal(a, b)
+
+
+class TestSimulatePinned:
+    # sha256 of dataset.bin as the per-voxel phantom wrote it (numpy 2.4, x86-64)
+    PINNED = {
+        ("prolate", "uniform"): "104f565156f000ef7483d3ab51c3c4331b9e99e091b5960f7a6ced417ae5e113",
+        ("prolate", "fixed"): "db3bf38672eded1b3af51ac3c3ead3d3352355b92dcbc3c6c15656129770dbd2",
+        ("oblate", "uniform"): "a862ff1710def9190ba067f542a225c8a34493c1197e6562a6669a6ba25926a0",
+        ("oblate", "fixed"): "0a1fcf172d824f5c51823f6eb604429e3461a36ebcc1f994f2f5080a92fdfaf0",
+        ("random_spd", "uniform"): "acc414d97a812d13d2a6863645adf707e8dcd4fc9727d089705518250999da3f",
+        ("random_spd", "fixed"): "8d806dbe6a171e3c83be7f78c4fa7d1375dbe756ed8cd697b4150043b13ac5b1",
+        ("two_population", "uniform"): "47193dbc862aa76de34d2e9491074863fa2d21be6e2984c69deb31d01675d739",
+        ("two_population", "fixed"): "a1919d25acad0b6564abfd5af467d315333e694ac00f41fb49e34401d53ec759",
+    }
+
+    @pytest.mark.parametrize("generator, orientation", sorted(PINNED))
+    def test_dataset_matches_pinned_digest(self, tmp_path, generator, orientation):
+        body = (
+            f"out_dir = run\nseed = 11\nphantom.generator = {generator}\n"
+            f"phantom.n_voxels = 40\nphantom.orientation = {orientation}\n"
+            "phantom.snr_db = 28\nscheme.n_directions = 30\n"
+        )
+        if generator == "oblate":
+            body += "phantom.fa_target = 0.5\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        digest = hashlib.sha256((tmp_path / "run/dataset.bin").read_bytes()).hexdigest()
+        assert digest == self.PINNED[generator, orientation]
 
 
 class TestDlFlow:

@@ -102,8 +102,7 @@ class TestDegenerateScheme:
         from dticalib.tensor import design_matrix
 
         scheme = make_scheme(30)
-        recs = make_phantom(PhantomSpec(n_voxels=6, scheme=scheme, snr_db=25.0, seed=5))
-        signals = np.stack([r.signals for r in recs])
+        signals = make_phantom(PhantomSpec(n_voxels=6, scheme=scheme, snr_db=25.0, seed=5)).signals
         x = design_matrix(scheme)
         ols = np.linalg.lstsq(x, np.log(signals).T, rcond=None)[0].T
         sqrt_w = np.exp(ols @ x.T)
@@ -138,10 +137,10 @@ class TestLeverage:
 def replicate_signals(generator, snr_db, n_voxels=20, iterations=50, seed=3):
     """Wild-bootstrap replicate signal rows, as the bootstrap refits them."""
     scheme = make_scheme(30)
-    recs = make_phantom(
+    phantom = make_phantom(
         PhantomSpec(n_voxels=n_voxels, scheme=scheme, generator=generator, snr_db=snr_db, seed=seed)
     )
-    y_hat, scaled, _ = _wild_base(np.stack([r.signals for r in recs]), scheme)
+    y_hat, scaled, _ = _wild_base(phantom.signals, scheme)
     signs = np.random.default_rng(seed).integers(0, 2, size=(n_voxels * iterations, len(scheme)))
     y_star = np.repeat(y_hat, iterations, axis=0) + (2 * signs - 1) * np.repeat(
         scaled, iterations, axis=0
@@ -213,10 +212,11 @@ class TestWllsBeatsOls:
             md=0.9e-3, orientation="uniform", snr_db=30.0, seed=314,
         )
         errs = {"ols": [], "wlls": []}
-        for rec in make_phantom(spec):
-            fa_true = eig3_sym(rec.truth).fa
-            errs["ols"].append(abs(eig3_sym(fit_ols(rec.signals, scheme).tensor).fa - fa_true))
-            errs["wlls"].append(abs(eig3_sym(fit_wlls(rec.signals, scheme).tensor).fa - fa_true))
+        phantom = make_phantom(spec)
+        for signals, elements in zip(phantom.signals, phantom.truth):
+            fa_true = eig3_sym(DiffusionTensor(elements)).fa
+            errs["ols"].append(abs(eig3_sym(fit_ols(signals, scheme).tensor).fa - fa_true))
+            errs["wlls"].append(abs(eig3_sym(fit_wlls(signals, scheme).tensor).fa - fa_true))
         assert np.median(errs["wlls"]) <= np.median(errs["ols"])
 
 
@@ -241,10 +241,10 @@ class TestCwlls:
             n_voxels=1, scheme=scheme, generator="prolate", fa_target=0.9,
             md=0.5e-3, orientation="fixed", snr_db=8.0, seed=0,
         )
-        rec = make_phantom(spec)[0]
-        w = eig3_sym(fit_wlls(rec.signals, scheme).tensor)
+        signals = make_phantom(spec).signals[0]
+        w = eig3_sym(fit_wlls(signals, scheme).tensor)
         assert w.eigenvalues.min() < 0  # fixture sanity
-        c = eig3_sym(fit_cwlls(rec.signals, scheme).tensor)
+        c = eig3_sym(fit_cwlls(signals, scheme).tensor)
         floor = EIGENVALUE_FLOOR_REL * max(w.eigenvalues.mean(), EIGENVALUE_FLOOR_MD_MIN)
         assert np.all(c.eigenvalues >= floor * (1 - 1e-9))
         # nearest flooring: untouched eigenvalues and eigenvectors survive

@@ -18,18 +18,12 @@ from dticalib.mlp import (
     save_checkpoint,
     train,
 )
+from dticalib.fitting import fit_ols
 from dticalib.rng import rng_from_key
-from dticalib.simulation import PhantomSpec, make_phantom, make_scheme
+from dticalib.simulation import PhantomSpec, fibonacci_directions, make_phantom, make_scheme
+from dticalib.tensor import GradientScheme
 
 SCHEME = make_scheme(30)
-
-
-def phantom_arrays(spec):
-    recs = make_phantom(spec)
-    return (
-        np.stack([r.signals for r in recs]),
-        np.stack([r.truth.elements for r in recs]),
-    )
 
 
 def small_spec(**kw):
@@ -124,15 +118,15 @@ class TestTraining:
         spec = PhantomSpec(
             n_voxels=500, scheme=SCHEME, generator="random_spd", snr_db=30.0, seed=7
         )
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         _, hist = train(x, truth, small_spec(dropout_rate=0.3), TrainConfig(epochs=50, seed=1))
         assert hist.train_loss[-1] <= 0.5 * hist.train_loss[0]
 
     def test_deterministic_under_seed(self):
         spec = PhantomSpec(n_voxels=128, scheme=SCHEME, snr_db=30.0, seed=8)
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         cfg = TrainConfig(epochs=10, seed=5, batch_size=64)
         m1, _ = train(x, truth, small_spec(dropout_rate=0.4), cfg)
         m2, _ = train(x, truth, small_spec(dropout_rate=0.4), cfg)
@@ -140,8 +134,8 @@ class TestTraining:
 
     def test_divergence_reported_with_epoch(self):
         spec = PhantomSpec(n_voxels=64, scheme=SCHEME, snr_db=30.0, seed=1)
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
             train(x, truth, small_spec(), TrainConfig(epochs=3, seed=0, learning_rate=1e160))
 
@@ -150,8 +144,8 @@ class TestTraining:
             n_voxels=256, scheme=SCHEME, generator="prolate", fa_target=0.7,
             md=0.9e-3, orientation="fixed", snr_db=np.inf, seed=2,
         )
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         u_by_epochs = {}
         for epochs in (40, 500):
             model, _ = train(
@@ -167,8 +161,8 @@ class TestTraining:
 
     def test_huge_penalty_collapses_u(self):
         spec = PhantomSpec(n_voxels=128, scheme=SCHEME, snr_db=30.0, seed=9)
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         kwargs = dict(epochs=80, seed=2, batch_size=64, learning_rate=3e-3, eval_every=40)
         m_ref, _ = train(x, truth, small_spec(), TrainConfig(penalty=1.0, **kwargs))
         m_big, _ = train(x, truth, small_spec(), TrainConfig(penalty=1e6, **kwargs))
@@ -222,8 +216,8 @@ class TestMcDropout:
             n_voxels=600, scheme=SCHEME, generator="prolate", fa_target=0.6,
             md=0.9e-3, snr_db=35.0, seed=3,
         )
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         med_fa, med_md = [], []
         for rate in (0.1, 0.3, 0.5):
             model, _ = train(
@@ -251,26 +245,33 @@ class TestNormalization:
         assert np.allclose(x[:, :2], 1.0)
         assert np.allclose(x[:, 2:], 0.5)
 
-    def test_falls_back_to_fitted_s0(self):
+    @staticmethod
+    def two_shell_scheme():
         # ln S0 is only identifiable without b=0 rows on a multi-shell
-        # scheme, so the fallback fixture uses two shells
-        from dticalib.simulation import fibonacci_directions
-        from dticalib.tensor import GradientScheme
-
+        # scheme, so the fallback fixtures use two shells
         dirs = np.vstack([fibonacci_directions(8), fibonacci_directions(8)])
-        bvals = np.array([500.0] * 8 + [1500.0] * 8)
-        scheme = GradientScheme(dirs, bvals)
+        return GradientScheme(dirs, np.array([500.0] * 8 + [1500.0] * 8))
+
+    def test_falls_back_to_fitted_s0(self):
+        scheme = self.two_shell_scheme()
         truth = dc.DiffusionTensor([1e-3, 1e-3, 1e-3, 0, 0, 0], ln_s0=np.log(3.0))
         signals = dc.predict_signal(truth, scheme) * 3.0
         x = normalize_signals(signals, scheme)
         assert np.allclose(x, dc.predict_signal(truth, scheme), atol=1e-10)
 
+    def test_fallback_rows_equal_per_row_fit(self):
+        scheme = self.two_shell_scheme()
+        spec = PhantomSpec(n_voxels=50, scheme=scheme, generator="random_spd", snr_db=20.0, seed=12)
+        signals = make_phantom(spec).signals * np.linspace(0.5, 4.0, 50)[:, None]
+        expected = np.array([row / np.exp(fit_ols(row, scheme).tensor.ln_s0) for row in signals])
+        assert np.array_equal(normalize_signals(signals, scheme), expected)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         spec = PhantomSpec(n_voxels=64, scheme=SCHEME, snr_db=30.0, seed=4)
-        signals, truth = phantom_arrays(spec)
-        x = normalize_signals(signals, SCHEME)
+        phantom = make_phantom(spec)
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
         cfg = TrainConfig(epochs=5, seed=7, batch_size=32)
         model, hist = train(x, truth, small_spec(dropout_rate=0.2), cfg)
         path = tmp_path / "model.bin"

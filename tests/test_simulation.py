@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from dticalib.bootstrap import TensorSampleSet, summarize_uncertainty
+from dticalib.fitting import fit_cwlls_batch
 from dticalib.rng import gaussian_pair, rng_from_key
 from dticalib.simulation import (
+    GENERATORS,
     PhantomSpec,
     _axisym_eigenvalues,
     add_rician,
@@ -11,7 +16,7 @@ from dticalib.simulation import (
     make_scheme,
     monte_carlo_oracle,
 )
-from dticalib.tensor import elements_to_matrices
+from dticalib.tensor import DiffusionTensor, elements_to_matrices, predict_signal
 
 
 def lapack_fa_md(elements):
@@ -41,8 +46,8 @@ class TestGenerators:
             n_voxels=3, scheme=scheme, generator="prolate", fa_target=0.8,
             md=0.9e-3, orientation="uniform", snr_db=np.inf, seed=9,
         )
-        for rec in make_phantom(spec):
-            fa, md = lapack_fa_md(rec.truth.elements)
+        for elements in make_phantom(spec).truth:
+            fa, md = lapack_fa_md(elements)
             assert fa == pytest.approx(0.8, abs=1e-6)
             assert md == pytest.approx(0.9e-3, abs=1e-9)
 
@@ -64,8 +69,8 @@ class TestGenerators:
             n_voxels=50, scheme=scheme, generator="random_spd",
             eig_range=(0.2e-3, 1.5e-3), snr_db=np.inf, seed=5,
         )
-        for rec in make_phantom(spec):
-            lam = np.linalg.eigvalsh(elements_to_matrices(rec.truth.elements[None])[0])
+        for elements in make_phantom(spec).truth:
+            lam = np.linalg.eigvalsh(elements_to_matrices(elements[None])[0])
             assert lam.min() >= 0.2e-3 - 1e-12
             assert lam.max() <= 1.5e-3 + 1e-12
 
@@ -75,35 +80,32 @@ class TestGenerators:
             n_voxels=40, scheme=scheme, generator="two_population",
             eig_range=(0.3e-3, 1.0e-3), shift=1.8, snr_db=np.inf, seed=6,
         )
-        recs = make_phantom(spec)
-        assert [r.population for r in recs] == [0] * 20 + [1] * 20
-        md_a = np.mean([lapack_fa_md(r.truth.elements)[1] for r in recs[:20]])
-        md_b = np.mean([lapack_fa_md(r.truth.elements)[1] for r in recs[20:]])
+        phantom = make_phantom(spec)
+        assert phantom.population.tolist() == [0] * 20 + [1] * 20
+        md_a = np.mean([lapack_fa_md(t)[1] for t in phantom.truth[:20]])
+        md_b = np.mean([lapack_fa_md(t)[1] for t in phantom.truth[20:]])
         assert md_b > 1.4 * md_a
 
     def test_fixed_generator_requires_elements(self):
         scheme = make_scheme(10)
-        spec = PhantomSpec(n_voxels=1, scheme=scheme, generator="fixed", seed=0)
         with pytest.raises(ValueError):
-            make_phantom(spec)
+            make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, generator="fixed", seed=0))
 
 
 class TestPhantomDeterminism:
     def test_infinite_snr_is_noiseless(self):
         scheme = make_scheme(14)
         spec = PhantomSpec(n_voxels=4, scheme=scheme, snr_db=np.inf, seed=2)
-        for rec in make_phantom(spec):
-            from dticalib.tensor import predict_signal
-
-            assert np.array_equal(rec.signals, predict_signal(rec.truth, scheme))
+        phantom = make_phantom(spec)
+        for signals, elements in zip(phantom.signals, phantom.truth):
+            assert np.array_equal(signals, predict_signal(DiffusionTensor(elements), scheme))
 
     def test_same_seed_identical(self):
         scheme = make_scheme(14)
         spec = PhantomSpec(n_voxels=6, scheme=scheme, snr_db=25.0, seed=42)
         a, b = make_phantom(spec), make_phantom(spec)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.signals, rb.signals)
-            assert np.array_equal(ra.truth.elements, rb.truth.elements)
+        assert np.array_equal(a.signals, b.signals)
+        assert np.array_equal(a.truth, b.truth)
 
     def test_snr_range_draws_per_voxel(self):
         scheme = make_scheme(14)
@@ -112,9 +114,9 @@ class TestPhantomDeterminism:
             elements=np.array([1e-3, 1e-3, 1e-3, 0, 0, 0]),
             orientation="fixed", snr_range=(10.0, 40.0), seed=1,
         )
-        recs = make_phantom(spec)
-        spreads = [np.std(r.signals) for r in recs]
-        assert len(set(np.round(spreads, 12))) == len(recs)
+        signals = make_phantom(spec).signals
+        spreads = [np.std(row) for row in signals]
+        assert len(set(np.round(spreads, 12))) == len(signals)
 
 
 class TestRicianNoise:
@@ -158,8 +160,8 @@ class TestMonteCarloOracle:
     def test_noiseless_bundle_is_zero(self):
         scheme = make_scheme(20)
         spec = PhantomSpec(n_voxels=1, scheme=scheme, snr_db=np.inf, seed=3)
-        rec = make_phantom(spec)[0]
-        bundle = monte_carlo_oracle(rec.truth, scheme, np.inf, n_realizations=100, seed=0)
+        truth = make_phantom(spec).truth[0]
+        bundle = monte_carlo_oracle(truth, scheme, np.inf, n_realizations=100, seed=0)
         # identical replicates; the std of n equal floats still carries ulps
         assert bundle.sigma_fa < 1e-12
         assert bundle.sigma_md < 1e-15
@@ -171,9 +173,9 @@ class TestMonteCarloOracle:
             n_voxels=1, scheme=scheme, generator="prolate", fa_target=0.8,
             md=0.9e-3, snr_db=30.0, seed=19,
         )
-        rec = make_phantom(spec)[0]
-        a = monte_carlo_oracle(rec.truth, scheme, 30.0, n_realizations=2000, seed=1)
-        b = monte_carlo_oracle(rec.truth, scheme, 30.0, n_realizations=4000, seed=1)
+        truth = make_phantom(spec).truth[0]
+        a = monte_carlo_oracle(truth, scheme, 30.0, n_realizations=2000, seed=1)
+        b = monte_carlo_oracle(truth, scheme, 30.0, n_realizations=4000, seed=1)
         assert abs(a.sigma_fa / b.sigma_fa - 1) < 0.05
 
     def test_sigma_fa_monotone_in_noise(self):
@@ -182,22 +184,90 @@ class TestMonteCarloOracle:
             n_voxels=1, scheme=scheme, generator="prolate", fa_target=0.8,
             md=0.9e-3, snr_db=30.0, seed=23,
         )
-        rec = make_phantom(spec)[0]
-        noisy = monte_carlo_oracle(rec.truth, scheme, 20.0, n_realizations=800, seed=2)
-        quiet = monte_carlo_oracle(rec.truth, scheme, 35.0, n_realizations=800, seed=2)
+        truth = make_phantom(spec).truth[0]
+        noisy = monte_carlo_oracle(truth, scheme, 20.0, n_realizations=800, seed=2)
+        quiet = monte_carlo_oracle(truth, scheme, 35.0, n_realizations=800, seed=2)
         assert noisy.sigma_fa > quiet.sigma_fa
 
     def test_deterministic_under_seed(self):
         scheme = make_scheme(20)
         spec = PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4)
-        rec = make_phantom(spec)[0]
-        a = monte_carlo_oracle(rec.truth, scheme, 28.0, n_realizations=200, seed=7)
-        b = monte_carlo_oracle(rec.truth, scheme, 28.0, n_realizations=200, seed=7)
+        truth = make_phantom(spec).truth[0]
+        a = monte_carlo_oracle(truth, scheme, 28.0, n_realizations=200, seed=7)
+        b = monte_carlo_oracle(truth, scheme, 28.0, n_realizations=200, seed=7)
         assert (a.sigma_fa, a.sigma_md, a.theta95) == (b.sigma_fa, b.sigma_md, b.theta95)
 
     def test_rejects_tiny_realization_count(self):
         scheme = make_scheme(20)
         spec = PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4)
-        rec = make_phantom(spec)[0]
+        truth = make_phantom(spec).truth[0]
         with pytest.raises(ValueError):
-            monte_carlo_oracle(rec.truth, scheme, 28.0, n_realizations=50, seed=7)
+            monte_carlo_oracle(truth, scheme, 28.0, n_realizations=50, seed=7)
+
+
+def phantom_digest(phantom):
+    return hashlib.sha256(phantom.signals.tobytes() + phantom.truth.tobytes()).hexdigest()
+
+
+FIXED_ELEMENTS = np.array([1.7e-3, 0.4e-3, 0.3e-3, 0.1e-3, -0.05e-3, 0.02e-3])
+
+
+class TestPhantomArrays:
+    # sha256 of signals then truth bytes, as the per-voxel implementation made
+    # them (numpy 2.4, x86-64); any change to a draw or its order shows here
+    PINNED = {
+        "fixed": "a353426d5436f540f283acde7ce61b227eb2bd9ecfe961e8e96e35e703c1f74e",
+        "snr_range": "638826087547d71cbcde67203c61e7687fe1b4ef8864ffef0d3b1e8ce8f762a8",
+        "noiseless": "84850447ede6852016397f69532acb15f703f313f5cf86c1db7ea8b30648904d",
+    }
+
+    SPECS = {
+        "fixed": dict(generator="fixed", elements=FIXED_ELEMENTS, snr_db=25.0, seed=3),
+        "snr_range": dict(generator="random_spd", snr_range=(10.0, 40.0), seed=4),
+        "noiseless": dict(generator="two_population", snr_db=np.inf, seed=5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_matches_pinned_digest(self, case):
+        spec = PhantomSpec(n_voxels=25, scheme=make_scheme(30), **self.SPECS[case])
+        phantom = make_phantom(spec)
+        assert phantom.signals.shape == (25, 32) and phantom.truth.shape == (25, 6)
+        assert phantom_digest(phantom) == self.PINNED[case]
+
+    @pytest.mark.parametrize("noise", [dict(snr_db=25.0), dict(snr_range=(10.0, 40.0))])
+    @pytest.mark.parametrize("generator", [g for g in GENERATORS if g != "two_population"])
+    def test_prefix_rows_equal_smaller_phantom(self, generator, noise):
+        scheme = make_scheme(30)
+        elements = FIXED_ELEMENTS if generator == "fixed" else None
+        big = make_phantom(PhantomSpec(
+            n_voxels=30, scheme=scheme, generator=generator, elements=elements,
+            fa_target=0.6, seed=8, **noise,
+        ))
+        for k in (1, 7):
+            small = make_phantom(PhantomSpec(
+                n_voxels=k, scheme=scheme, generator=generator, elements=elements,
+                fa_target=0.6, seed=8, **noise,
+            ))
+            assert np.array_equal(big.signals[:k], small.signals)
+            assert np.array_equal(big.truth[:k], small.truth)
+            assert np.array_equal(big.population[:k], small.population)
+
+
+def reference_oracle(elements, scheme, snr_db, n_realizations, seed):
+    """The oracle one realization at a time: add_rician per stream, one batch fit."""
+    clean = predict_signal(DiffusionTensor(elements), scheme)
+    noisy = np.array(
+        [add_rician(clean, snr_db, rng_from_key(seed, k)) for k in range(n_realizations)]
+    )
+    beta = fit_cwlls_batch(noisy, scheme)[0]
+    return summarize_uncertainty(TensorSampleSet(beta[:, :6], "monte_carlo_oracle"))
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize("snr_db", [30.0, 12.0, np.inf])
+    def test_equals_per_realization_reference(self, snr_db):
+        scheme = make_scheme(30)
+        truth = make_phantom(PhantomSpec(n_voxels=2, scheme=scheme, seed=19)).truth
+        for v, elements in enumerate(truth):
+            expected = reference_oracle(elements, scheme, snr_db, 300, 2000 + v)
+            assert monte_carlo_oracle(elements, scheme, snr_db, 300, seed=2000 + v) == expected
