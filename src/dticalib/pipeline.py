@@ -39,55 +39,34 @@ def _refresh_manifest(cfg: ExperimentConfig, out_dir: Path):
     dataio.write_manifest(out_dir, cfg.text, cfg.seed, outputs)
 
 
-def _resolve(cfg: ExperimentConfig, dotted: str, default_name: str = None) -> Path:
-    raw = cfg.get(dotted)
-    if raw is None:
-        if default_name is None:
-            raise ConfigError(f"missing config key: {dotted}")
-        return cfg.out_dir / default_name
-    path = Path(str(raw))
-    if not path.is_absolute():
-        base = cfg.path.parent if cfg.path is not None else Path(".")
-        path = (base / path).resolve()
-    return path
-
-
 def load_scheme(cfg: ExperimentConfig) -> GradientScheme:
-    bvec = cfg.get("scheme.bvec")
-    bval = cfg.get("scheme.bval")
+    bvec, bval = cfg.get("scheme.bvec"), cfg.get("scheme.bval")
     if bvec and bval:
-        return dataio.read_bvec_bval(
-            _resolve(cfg, "scheme.bvec"), _resolve(cfg, "scheme.bval")
-        )
+        return dataio.read_bvec_bval(bvec, bval)
     n_dirs = cfg.get("scheme.n_directions")
     if n_dirs is None:
         raise ConfigError("scheme needs bvec/bval paths or n_directions")
-    return simulation.make_scheme(
-        int(n_dirs),
-        float(cfg.get("scheme.bvalue", 1000.0)),
-        int(cfg.get("scheme.n_b0", 2)),
-    )
+    return simulation.make_scheme(n_dirs, cfg.get("scheme.bvalue"), cfg.get("scheme.n_b0"))
 
 
 def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.PhantomSpec:
-    eig_lo = float(cfg.get("phantom.eig_min", 0.1e-3))
-    eig_hi = float(cfg.get("phantom.eig_max", 3.0e-3))
     fields = dict(
-        n_voxels=int(cfg.get("phantom.n_voxels", required=True)),
+        n_voxels=cfg.get("phantom.n_voxels", required=True),
         scheme=scheme,
-        generator=str(cfg.get("phantom.generator", "prolate")),
-        fa_target=float(cfg.get("phantom.fa_target", 0.8)),
-        md=float(cfg.get("phantom.md", 0.9e-3)),
-        eig_range=(eig_lo, eig_hi),
-        shift=float(cfg.get("phantom.shift", 1.8)),
-        orientation=str(cfg.get("phantom.orientation", "uniform")),
-        snr_db=float(cfg.get("phantom.snr_db", 30.0)),
+        generator=cfg.get("phantom.generator"),
+        fa_target=cfg.get("phantom.fa_target"),
+        md=cfg.get("phantom.md"),
+        eig_range=(cfg.get("phantom.eig_min"), cfg.get("phantom.eig_max")),
+        shift=cfg.get("phantom.shift"),
+        orientation=cfg.get("phantom.orientation"),
+        snr_db=cfg.get("phantom.snr_db"),
         seed=cfg.seed,
     )
     try:
         return simulation.PhantomSpec(**fields)
     except ValueError as exc:  # each message starts with the field: the key's last part
-        raise ConfigError(f"phantom.{exc}") from exc
+        key = f"phantom.{exc}".split()[0]
+        raise ConfigError(f"{cfg.sources.get(key, 'default')}: phantom.{exc}") from exc
 
 
 def run_simulate(cfg: ExperimentConfig) -> Path:
@@ -104,12 +83,10 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
 
 def run_fit(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
-    _, signals, _, _, scheme = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
-    name = str(cfg.get("fit.estimator", "cwlls"))
+    _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    name = cfg.get("fit.estimator")
     # looked up per call, so wrappers installed on the module bindings see it
     kernels = {"ols": fit_ols_batch, "wlls": fit_wlls_batch, "cwlls": fit_cwlls_batch}
-    if name not in kernels:
-        raise ConfigError(f"unknown estimator {name!r}")
     params = kernels[name](as_signal_rows(signals, scheme), scheme)[0]
     path = out / "fits.bin"
     dataio.write_fits(path, params, name)
@@ -119,8 +96,8 @@ def run_fit(cfg: ExperimentConfig) -> Path:
 
 def run_bootstrap(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
-    _, signals, _, _, scheme = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
-    iterations = int(cfg.get("bootstrap.iterations", 1000))
+    _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    iterations = cfg.get("bootstrap.iterations")
     seeds = [_voxel_seed(cfg.seed, voxel) for voxel in range(len(signals))]
     table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
     path = out / "predictions_wbs.bin"
@@ -135,9 +112,7 @@ def _voxel_seed(seed: int, voxel: int) -> int:
 
 
 def _train_arrays(cfg: ExperimentConfig):
-    _, signals, truth, _, scheme = dataio.read_dataset(
-        _resolve(cfg, "dataset.path", "dataset.bin")
-    )
+    _, signals, truth, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise ConfigError("training requires a dataset with ground truth")
     inputs = mlp.normalize_signals(signals, scheme)
@@ -149,19 +124,19 @@ def run_train(cfg: ExperimentConfig) -> Path:
     inputs, truth, scheme = _train_arrays(cfg)
     spec = mlp.MlpSpec(
         input_dim=scheme.n_measurements,
-        hidden_widths=tuple(_int_list(cfg.get("train.hidden_widths", [64, 64, 64]))),
-        uncertainty_widths=tuple(_int_list(cfg.get("train.uncertainty_widths", [32, 32]))),
-        dropout_rate=float(cfg.get("train.dropout_rate", 0.5)),
+        hidden_widths=cfg.get("train.hidden_widths"),
+        uncertainty_widths=cfg.get("train.uncertainty_widths"),
+        dropout_rate=cfg.get("train.dropout_rate"),
     )
     tcfg = mlp.TrainConfig(
-        penalty=float(cfg.get("train.penalty", 1.0)),
-        learning_rate=float(cfg.get("train.learning_rate", 1e-3)),
-        batch_size=int(cfg.get("train.batch_size", 256)),
-        epochs=int(cfg.get("train.epochs", 100)),
+        penalty=cfg.get("train.penalty"),
+        learning_rate=cfg.get("train.learning_rate"),
+        batch_size=cfg.get("train.batch_size"),
+        epochs=cfg.get("train.epochs"),
         seed=cfg.seed,
-        val_fraction=float(cfg.get("train.val_fraction", 0.15)),
-        eval_every=int(cfg.get("train.eval_every", 10)),
-        stop_patience=int(cfg.get("train.stop_patience", 2)),
+        val_fraction=cfg.get("train.val_fraction"),
+        eval_every=cfg.get("train.eval_every"),
+        stop_patience=cfg.get("train.stop_patience"),
     )
     model, history = mlp.train(inputs, truth, spec, tcfg)
     path = out / "model.bin"
@@ -170,17 +145,11 @@ def run_train(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _int_list(value):
-    if isinstance(value, (int, float)):
-        return [int(value)]
-    return [int(v) for v in value]
-
-
 def run_predict(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
-    _, signals, _, _, scheme = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
-    model, _ = mlp.load_checkpoint(_resolve(cfg, "predict.model", "model.bin"))
-    n_samples = int(cfg.get("predict.samples", 100))
+    _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    model, _ = mlp.load_checkpoint(cfg.get("predict.model"))
+    n_samples = cfg.get("predict.samples")
     inputs = mlp.normalize_signals(signals, scheme)
     points, _ = model.predict(inputs)
     evals, evecs = eigh3_batch(elements_to_matrices(points))
@@ -234,20 +203,9 @@ def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic
     }
 
 
-def _uncertainty(cfg: ExperimentConfig) -> str:
-    value = str(cfg.get("evaluate.uncertainty", "epistemic"))
-    if value not in ("epistemic", "aleatoric"):
-        raise ConfigError(f"evaluate.uncertainty must be epistemic or aleatoric, not {value!r}")
-    return value
-
-
 def _metric_params(cfg: ExperimentConfig):
-    bins = int(cfg.get("metrics.bins", cal.DEFAULT_BINS))
-    grid = int(cfg.get("metrics.grid_size", cal.DEFAULT_GRID_SIZE))
-    caps = {
-        p: float(cfg.get(f"metrics.mpiw_cap.{p}", cal.MPIW_CAPS[p])) for p in PARAMETERS
-    }
-    return bins, grid, caps
+    caps = {p: cfg.get(f"metrics.mpiw_cap.{p}") for p in PARAMETERS}
+    return cfg.get("metrics.bins"), cfg.get("metrics.grid_size"), caps
 
 
 def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty):
@@ -291,16 +249,16 @@ def _load_table_for_eval(path):
 
 
 def run_evaluate(cfg: ExperimentConfig) -> Path:
-    uncertainty = _uncertainty(cfg)
+    uncertainty = cfg.get("evaluate.uncertainty")
     out = _ensure_out_dir(cfg)
-    _, _, truth, _, _ = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
+    _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise dataio.DataFormatError("evaluate requires ground-truth tensors")
-    table = _load_table_for_eval(_resolve(cfg, "evaluate.predictions", "predictions_wbs.bin"))
+    table = _load_table_for_eval(cfg.get("evaluate.predictions"))
     bins, grid, caps = _metric_params(cfg)
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
-        header, recal_table = dataio.read_predictions(_resolve(cfg, "evaluate.recalibrated"))
+        header, recal_table = dataio.read_predictions(recal_path)
         holdout = np.array(header["meta"]["holdout"], dtype=int)
         held_truth = truth_scalars(truth[holdout])
         metrics = {
@@ -329,7 +287,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     a calibrate.split fraction other than 0.5 takes a prefix of the shuffle
     instead.
     """
-    if _uncertainty(cfg) == "aleatoric":
+    if cfg.get("evaluate.uncertainty") == "aleatoric":
         # the maps recalibrate the three per-parameter sigma columns; one
         # aleatoric u column cannot carry three maps
         raise ConfigError(
@@ -337,17 +295,14 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
             "per-parameter sigma columns, not the aleatoric u column"
         )
     out = _ensure_out_dir(cfg)
-    _, _, truth, _, _ = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
+    _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise dataio.DataFormatError("calibrate requires ground-truth tensors")
-    pred_path = _resolve(cfg, "calibrate.predictions", "predictions_wbs.bin")
-    header, table = dataio.read_predictions(pred_path)
+    header, table = dataio.read_predictions(cfg.get("calibrate.predictions"))
     bins, _, _ = _metric_params(cfg)
 
     n = len(table)
-    split = float(cfg.get("calibrate.split", 0.5))
-    if not 0.0 < split < 1.0:
-        raise ConfigError("calibrate.split must be in (0, 1)")
+    split = cfg.get("calibrate.split")
     perm = rng_from_key(cfg.seed, 2).permutation(n)
     if split == 0.5:
         cal_idx, holdout = np.sort(perm[0::2]), np.sort(perm[1::2])
@@ -380,14 +335,12 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
 
 
 def run_curves(cfg: ExperimentConfig) -> list:
-    uncertainty = _uncertainty(cfg)
+    uncertainty = cfg.get("evaluate.uncertainty")
     out = _ensure_out_dir(cfg)
-    _, _, truth, _, _ = dataio.read_dataset(_resolve(cfg, "dataset.path", "dataset.bin"))
+    _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise dataio.DataFormatError("curves require ground-truth tensors")
-    _, table = dataio.read_predictions(
-        _resolve(cfg, "curves.predictions", "predictions_wbs.bin")
-    )
+    _, table = dataio.read_predictions(cfg.get("curves.predictions"))
     bins, grid, caps = _metric_params(cfg)
     triples = triples_by_parameter(table, truth_scalars(truth), uncertainty)
     paths = []

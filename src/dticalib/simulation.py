@@ -73,6 +73,8 @@ class PhantomSpec:
             raise ValueError("snr_db must not be NaN")
         if self.snr_range is not None and len(self.snr_range) != 2:
             raise ValueError("snr_range must be (low, high)")
+        if self.generator in ("prolate", "oblate"):  # raises if fa_target is out of reach
+            _axisym_eigenvalues(self.fa_target, self.md, self.generator == "prolate")
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -115,7 +117,7 @@ def _axisym_eigenvalues(fa_target: float, md: float, prolate: bool) -> np.ndarra
 
     # prolate FA -> 1 as t -> 0; oblate tops out at FA(t=0) = 1/sqrt(2)
     if not prolate and fa_target >= fa_of_ratio(1e-12):
-        raise ValueError("fa_target not reachable by an oblate tensor")
+        raise ValueError(f"fa_target {fa_target} not reachable by an oblate tensor")
     lo, hi = 1e-12, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -127,7 +129,7 @@ def _axisym_eigenvalues(fa_target: float, md: float, prolate: bool) -> np.ndarra
     lam = np.array([1.0, t, t]) if prolate else np.array([1.0, 1.0, t])
     lam *= md / lam.mean()
     if np.any(lam <= 0):
-        raise ValueError("fa_target/md combination needs a negative eigenvalue")
+        raise ValueError(f"fa_target {fa_target} with md {md} needs a non-positive eigenvalue")
     return lam
 
 

@@ -85,6 +85,30 @@ class TestExitCodes:
         assert "config error" in err and key in err and value in err
         assert not (tmp_path / "run").exists()
 
+    # BASE ends on line 13, so appended lines start at line 14
+    @pytest.mark.parametrize("lines, key, where", [
+        ("bootstrap.iteration = 3", "bootstrap.iteration", "line 14"),  # unknown key
+        ("bootstrap.iterations = 10.7", "bootstrap.iterations", "line 14"),
+        ("bootstrap.iterations = true", "bootstrap.iterations", "line 14"),
+        ("phantom.fa_target = abc", "phantom.fa_target", "line 14"),
+        ("train.hidden_widths = 64, x", "train.hidden_widths", "line 14"),
+        ("seed = -1", "seed", "line 14"),
+        ("calibrate.split = 1.5", "calibrate.split", "line 14"),
+        ("phantom.generator = oblate\nphantom.fa_target = 0.9", "phantom.fa_target", "line 15"),
+    ])
+    def test_misconfiguration_names_key_and_line(self, tmp_path, capsys, lines, key, where):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + lines + "\n")
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}: {key}")
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_override_names_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: override: seed = -1")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "curves"])
     def test_misspelled_uncertainty_is_config_error(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
@@ -236,6 +260,19 @@ class TestReproducibility:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         assert manifest["seed"] == 11
         assert "dticalib" in manifest["versions"]
+
+    def test_manifest_hashes_config_text_and_overrides(self, tmp_path):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        text = BASE.format(snr="28")
+
+        def config_sha256():
+            return json.loads((tmp_path / "run/manifest.json").read_text())["config_sha256"]
+
+        assert main(["simulate", "--config", cfg]) == 0
+        assert config_sha256() == hashlib.sha256(text.encode()).hexdigest()
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--snr-db", "30"]) == 0
+        text += "\n# override\nseed = 5\n\n# override\nphantom.snr_db = 30.0\n"
+        assert config_sha256() == hashlib.sha256(text.encode()).hexdigest()
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
