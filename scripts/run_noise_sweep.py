@@ -64,12 +64,9 @@ def main():
         x_eval, _ = phantom_inputs(eval_spec, scheme)
         mean_u = float(model.predict(x_eval)[1].mean())
 
-        sfa, smd = [], []
-        for v in range(args.mc_voxels):
-            samples, _ = predict_mc_dropout(model, x_eval[v], args.samples, seed=3000 + v)
-            bundle = summarize_uncertainty(samples)
-            sfa.append(bundle.sigma_fa)
-            smd.append(bundle.sigma_md)
+        seeds = 3000 + np.arange(args.mc_voxels)
+        samples = predict_mc_dropout(model, x_eval[:args.mc_voxels], args.samples, seeds=seeds)
+        _, sfa, smd = summarize_uncertainty(samples).T
         rows.append((snr, mean_u, float(np.mean(sfa)), float(np.mean(smd))))
         print(f"SNR {snr:5.1f} dB | mean u {mean_u:+.4f} | "
               f"MC sigma(FA) {rows[-1][2]:.4f} | MC sigma(MD) {rows[-1][3]:.3e}")

@@ -44,11 +44,10 @@ def main():
         wbs = wild_bootstrap_table(
             phantom.signals, scheme, args.iterations, seeds=1000 + np.arange(args.voxels)
         )[:, 5:8]
-        bundles = [
+        orc = np.array([
             monte_carlo_oracle(t, scheme, snr, n_realizations=args.realizations, seed=2000 + v)
             for v, t in enumerate(phantom.truth)
-        ]
-        orc = np.array([(b.theta95, b.sigma_fa, b.sigma_md) for b in bundles])
+        ])
         ratio = np.median(wbs / orc, axis=0)
         med = {key: float(r) for key, r in zip(("theta95", "sigma_fa", "sigma_md"), ratio)}
         rows.append((snr, med))

@@ -18,10 +18,6 @@ from .tensor import (
 )
 from .fitting import FitResult, fit_cwlls, fit_ols, fit_wlls
 from .bootstrap import (
-    TensorSampleSet,
-    UncertaintyBundle,
-    cone_angle_95,
-    mean_dyadic,
     summarize_uncertainty,
     wild_bootstrap,
     wild_bootstrap_table,
@@ -65,12 +61,8 @@ __all__ = [
     "fit_ols",
     "fit_wlls",
     "fit_cwlls",
-    "TensorSampleSet",
-    "UncertaintyBundle",
     "wild_bootstrap",
     "wild_bootstrap_table",
-    "mean_dyadic",
-    "cone_angle_95",
     "summarize_uncertainty",
     "Triples",
     "triples_from_arrays",

@@ -2,17 +2,13 @@
 orientation statistics shared by every replicate-based method.
 
 Replicates from any source (wild bootstrap, dropout sampling, Monte-Carlo
-noise draws) are reduced the same way: population std of FA and MD, and a
-cone angle taken as the 95th percentile of angles between each replicate's
-principal direction and the mean dyadic axis. The reductions work on groups
-of equally many replicates, so one voxel and a whole table share one
-implementation.
+noise draws) are (g, k, 6) arrays: g voxels of k replicate tensors each.
+They are reduced the same way: population std of FA and MD, and a cone
+angle taken as the 95th percentile of angles between each replicate's
+principal direction and the mean dyadic axis. One voxel is the g = 1 case.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,36 +21,23 @@ from .tensor import (
 from .fitting import SIGNAL_FLOOR, as_signal_rows, fit_cwlls_batch
 from .rng import rng_from_key
 
-# Replicate rows refitted per fit_cwlls_batch call in wild_bootstrap_table;
-# a chunk always holds whole voxels (at least one). Results do not depend
-# on it: every kernel treats rows independently.
+# Replicate rows per grouped call: wild_bootstrap_table refits, and predict
+# runs dropout passes over, CHUNK_ROWS rows (whole voxels, at least one) at a
+# time. Wild-bootstrap tables do not depend on it, because every kernel
+# treats rows independently; dropout forwards use BLAS matmul, whose rows
+# agree across chunk sizes to rounding.
 CHUNK_ROWS = 1024
 
 
-@dataclass
-class TensorSampleSet:
-    """Replicate tensors from one voxel, stored as (k, 6) element rows."""
+def voxel_chunks(n_voxels: int, per_voxel: int):
+    """Slices of whole voxels, CHUNK_ROWS // per_voxel (at least one) each.
 
-    elements: np.ndarray  # (k, 6)
-    source: str  # wild_bootstrap | mc_dropout | monte_carlo_oracle
-
-    def __post_init__(self):
-        self.elements = np.asarray(self.elements, dtype=np.float64)
-        if self.elements.ndim != 2 or self.elements.shape[1] != 6:
-            raise ValueError("expected (k, 6) replicate elements")
-        if not np.all(np.isfinite(self.elements)):
-            raise ValueError("non-finite replicate tensors")
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass
-class UncertaintyBundle:
-    theta95: float  # degrees, in [0, 90]
-    sigma_fa: float
-    sigma_md: float  # mm^2/s
-    aleatoric_u: Optional[float] = None  # log-scale, DL only
+    A per_voxel below 1 counts as 1, so the replicate-count checks downstream
+    report it rather than a division by zero.
+    """
+    per_chunk = max(1, CHUNK_ROWS // max(per_voxel, 1))
+    for start in range(0, n_voxels, per_chunk):
+        yield slice(start, start + per_chunk)
 
 
 class SaturatedLeverageError(ValueError):
@@ -98,43 +81,26 @@ def _replicate_statistics(evals: np.ndarray, axes: np.ndarray):
     return _cone_angles_95(axes), np.std(fa, axis=1), np.std(md, axis=1)
 
 
-def _one_group(samples: TensorSampleSet):
-    """Eigenvalues (1, k, 3) and principal axes (1, k, 3) of one replicate set."""
-    evals, evecs = eigh3_batch(elements_to_matrices(samples.elements))
-    return evals[None], _principal_axes(evecs)[None]
+def summarize_uncertainty(elements) -> np.ndarray:
+    """(g, 3) theta95, sigma_fa, sigma_md of (g, k, 6) replicate tensor elements.
 
-
-def mean_dyadic(samples: TensorSampleSet) -> np.ndarray:
-    """Principal axis of the mean outer product of replicate directions.
-
-    The dyad v v^T is blind to the sign of v, so per-replicate sign flips
-    cannot move the result.
+    Population std of each group's replicate FA and MD, plus the 95th
+    percentile (linear interpolation) of angles to its mean dyadic axis.
+    The dyad v v^T and |dot| are blind to the sign of v, so angles live in
+    [0, 90] degrees; identical replicates give exactly 0. The cone angle is
+    meaningful for k >= 20 or so.
     """
-    return _mean_dyadic_axes(_one_group(samples)[1])[0]
-
-
-def cone_angle_95(samples: TensorSampleSet) -> float:
-    """95th percentile (linear interpolation) of angles to the mean dyadic axis.
-
-    Angles fold the eigenvector sign ambiguity via |dot|, so they live in
-    [0, 90] degrees. Meaningful for k >= 20 or so; smaller sets are allowed
-    (identical replicates give exactly 0).
-    """
-    return float(_cone_angles_95(_one_group(samples)[1])[0])
-
-
-def summarize_uncertainty(
-    samples: TensorSampleSet, aleatoric_u: Optional[float] = None
-) -> UncertaintyBundle:
-    """Population std of replicate FA/MD plus the 95% cone angle."""
-    if len(samples) < 2:
+    elements = np.asarray(elements, dtype=np.float64)
+    if elements.ndim != 3 or elements.shape[2] != 6:
+        raise ValueError("expected (g, k, 6) replicate elements")
+    if not np.all(np.isfinite(elements)):
+        raise ValueError("non-finite replicate tensors")
+    if elements.shape[1] < 2:
         raise ValueError("need at least 2 replicates")
-    theta95, sigma_fa, sigma_md = _replicate_statistics(*_one_group(samples))
-    return UncertaintyBundle(
-        theta95=float(theta95[0]),
-        sigma_fa=float(sigma_fa[0]),
-        sigma_md=float(sigma_md[0]),
-        aleatoric_u=aleatoric_u,
+    evals, evecs = eigh3_batch(elements_to_matrices(elements.reshape(-1, 6)))
+    shape = (*elements.shape[:2], 3)
+    return np.column_stack(
+        _replicate_statistics(evals.reshape(shape), _principal_axes(evecs).reshape(shape))
     )
 
 
@@ -174,19 +140,18 @@ def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientSche
 
 def wild_bootstrap(
     signals, scheme: GradientScheme, iterations: int = 1000, seed: int = 0
-) -> TensorSampleSet:
+) -> np.ndarray:
     """Wild-bootstrap replicates of the constrained WLLS fit of one voxel.
 
     The base fit supplies fitted log-signals, residuals and leverage. Each
     replicate flips residual signs with Rademacher draws and rescales them
     by 1/sqrt(1-h) before refitting, which keeps the resampling valid under
-    heteroscedastic noise.
+    heteroscedastic noise. Returns the (iterations, 6) replicate elements.
     """
     if iterations < 2:
         raise ValueError("iterations must be >= 2")
     y_hat, scaled, _ = _wild_base(as_signal_rows(signals, scheme), scheme)
-    elements, _ = _wild_replicates(y_hat, scaled, [seed], iterations, scheme)
-    return TensorSampleSet(elements, "wild_bootstrap")
+    return _wild_replicates(y_hat, scaled, [seed], iterations, scheme)[0]
 
 
 def wild_bootstrap_table(
@@ -213,9 +178,7 @@ def wild_bootstrap_table(
     table[:, 0], table[:, 1] = fa_md_from_eigenvalues(evals)
     table[:, 2:5] = evecs[:, 0]
     table[:, 8] = np.nan
-    per_chunk = max(1, CHUNK_ROWS // iterations)
-    for start in range(0, len(signals), per_chunk):
-        voxels = slice(start, start + per_chunk)
+    for voxels in voxel_chunks(len(signals), iterations):
         _, (rep_evals, rep_evecs) = _wild_replicates(
             y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme
         )

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .bootstrap import TensorSampleSet
 from .fitting import as_signal_rows, fit_ols_batch
 from .tensor import GradientScheme
 from .rng import rng_from_key
@@ -38,8 +37,11 @@ class MlpSpec:
     def __post_init__(self):
         self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
         self.uncertainty_widths = tuple(int(w) for w in self.uncertainty_widths)
+        for name in ("hidden_widths", "uncertainty_widths"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ValueError(f"dropout_rate must be in [0, 1), not {self.dropout_rate}")
 
 
 @dataclass
@@ -54,8 +56,12 @@ class TrainConfig:
     stop_patience: int = 2  # consecutive non-improving evaluations
 
     def __post_init__(self):
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        for name in ("penalty", "learning_rate", "batch_size", "epochs", "eval_every",
+                     "stop_patience"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), not {self.val_fraction}")
 
 
 def loss_attenuated(pred, truth, u: float, penalty: float) -> float:
@@ -290,6 +296,8 @@ def train(
     order = rng.permutation(n)
     n_val = int(round(cfg.val_fraction * n))
     val_idx, train_idx = order[:n_val], order[n_val:]
+    if not len(train_idx):
+        raise ValueError(f"val_fraction {cfg.val_fraction} leaves no training rows of {n}")
     x_val, y_val = inputs[val_idx], targets[val_idx]
     x_tr, y_tr = inputs[train_idx], targets[train_idx]
 
@@ -346,19 +354,22 @@ def train(
     return model, history
 
 
-def predict_mc_dropout(model: TwoBranchMlp, x, n_samples: int = 100, seed: int = 0):
-    """Stochastic forward passes with fresh dropout masks for one voxel.
+def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, seeds):
+    """Stochastic forward passes with fresh dropout masks, n_samples per row.
 
-    The n_samples passes run as one forward over n_samples copies of x.
-    Returns (TensorSampleSet of n_samples replicate tensors at physical
-    scale, u) where u comes from a single deterministic pass of the
-    uncertainty branch.
+    Row v of the (n, m) inputs draws its masks with
+    make_sample_masks(rng_from_key(seeds[v]), n_samples); all rows run as
+    one forward over n_samples copies of each. Returns the (n, n_samples, 6)
+    replicate tensors at physical scale (Gal & Ghahramani 2016, dropout as
+    a Bayesian approximation).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    masks = model.make_sample_masks(rng_from_key(seed), n_samples)
-    pred, _, _ = model.forward(np.repeat(x, n_samples, axis=0), masks)
-    _, u = model.predict(x)
-    return TensorSampleSet(pred / model.spec.target_scale, "mc_dropout"), float(u[0])
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if len(seeds) != len(inputs):
+        raise ValueError("need one seed per voxel")
+    draws = (model.make_sample_masks(rng_from_key(int(s)), n_samples) for s in seeds)
+    masks = [np.concatenate(layer) for layer in zip(*draws)]  # per-row masks freed here
+    pred, _, _ = model.forward(np.repeat(inputs, n_samples, axis=0), masks)
+    return (pred / model.spec.target_scale).reshape(len(inputs), n_samples, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +403,7 @@ def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
             raise ValueError("not a model checkpoint")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        spec_d = dict(header["spec"])
-        spec_d["hidden_widths"] = tuple(spec_d["hidden_widths"])
-        spec_d["uncertainty_widths"] = tuple(spec_d["uncertainty_widths"])
-        spec = MlpSpec(**spec_d)
-        model = TwoBranchMlp(spec, seed=header.get("seed", 0))
+        model = TwoBranchMlp(MlpSpec(**header["spec"]), seed=header.get("seed", 0))
         flat = np.frombuffer(
             f.read(8 * header["n_parameters"]), dtype="<f8"
         ).astype(np.float64)

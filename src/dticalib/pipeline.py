@@ -49,8 +49,20 @@ def load_scheme(cfg: ExperimentConfig) -> GradientScheme:
     return simulation.make_scheme(n_dirs, cfg.get("scheme.bvalue"), cfg.get("scheme.n_b0"))
 
 
+def _build(cfg: ExperimentConfig, section: str, cls, **fields):
+    """cls(**fields), whose ValueError becomes a ConfigError naming the key's line."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:  # each message starts with the field: the key's last part
+        key = f"{section}.{exc}".split()[0]
+        raise ConfigError(f"{cfg.sources.get(key, 'default')}: {section}.{exc}") from exc
+
+
 def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.PhantomSpec:
-    fields = dict(
+    return _build(
+        cfg,
+        "phantom",
+        simulation.PhantomSpec,
         n_voxels=cfg.get("phantom.n_voxels", required=True),
         scheme=scheme,
         generator=cfg.get("phantom.generator"),
@@ -62,11 +74,6 @@ def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.P
         snr_db=cfg.get("phantom.snr_db"),
         seed=cfg.seed,
     )
-    try:
-        return simulation.PhantomSpec(**fields)
-    except ValueError as exc:  # each message starts with the field: the key's last part
-        key = f"phantom.{exc}".split()[0]
-        raise ConfigError(f"{cfg.sources.get(key, 'default')}: phantom.{exc}") from exc
 
 
 def run_simulate(cfg: ExperimentConfig) -> Path:
@@ -98,7 +105,7 @@ def run_bootstrap(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
     _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     iterations = cfg.get("bootstrap.iterations")
-    seeds = [_voxel_seed(cfg.seed, voxel) for voxel in range(len(signals))]
+    seeds = _voxel_seeds(cfg.seed, len(signals))
     table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
     path = out / "predictions_wbs.bin"
     dataio.write_predictions(path, table, "wbs", meta={"iterations": iterations})
@@ -106,9 +113,9 @@ def run_bootstrap(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _voxel_seed(seed: int, voxel: int) -> int:
-    # fold (seed, voxel) into one integer key; the voxel's replicate stream keys off it
-    return int(np.random.SeedSequence([seed, voxel]).generate_state(1)[0])
+def _voxel_seeds(seed: int, n_voxels: int) -> list:
+    # fold each (seed, voxel) into one integer key; the voxel's replicate stream keys off it
+    return [int(np.random.SeedSequence([seed, v]).generate_state(1)[0]) for v in range(n_voxels)]
 
 
 def _train_arrays(cfg: ExperimentConfig):
@@ -120,15 +127,20 @@ def _train_arrays(cfg: ExperimentConfig):
 
 
 def run_train(cfg: ExperimentConfig) -> Path:
-    out = _ensure_out_dir(cfg)
     inputs, truth, scheme = _train_arrays(cfg)
-    spec = mlp.MlpSpec(
+    spec = _build(
+        cfg,
+        "train",
+        mlp.MlpSpec,
         input_dim=scheme.n_measurements,
         hidden_widths=cfg.get("train.hidden_widths"),
         uncertainty_widths=cfg.get("train.uncertainty_widths"),
         dropout_rate=cfg.get("train.dropout_rate"),
     )
-    tcfg = mlp.TrainConfig(
+    tcfg = _build(
+        cfg,
+        "train",
+        mlp.TrainConfig,
         penalty=cfg.get("train.penalty"),
         learning_rate=cfg.get("train.learning_rate"),
         batch_size=cfg.get("train.batch_size"),
@@ -138,6 +150,7 @@ def run_train(cfg: ExperimentConfig) -> Path:
         eval_every=cfg.get("train.eval_every"),
         stop_patience=cfg.get("train.stop_patience"),
     )
+    out = _ensure_out_dir(cfg)
     model, history = mlp.train(inputs, truth, spec, tcfg)
     path = out / "model.bin"
     mlp.save_checkpoint(path, model, tcfg, epoch=history.stopped_epoch)
@@ -151,17 +164,15 @@ def run_predict(cfg: ExperimentConfig) -> Path:
     model, _ = mlp.load_checkpoint(cfg.get("predict.model"))
     n_samples = cfg.get("predict.samples")
     inputs = mlp.normalize_signals(signals, scheme)
-    points, _ = model.predict(inputs)
+    points, u = model.predict(inputs)
     evals, evecs = eigh3_batch(elements_to_matrices(points))
     fa, md = fa_md_from_eigenvalues(evals)
-    spread = np.empty((len(inputs), 4))
-    for voxel, x in enumerate(inputs):
-        samples, u = mlp.predict_mc_dropout(
-            model, x, n_samples=n_samples, seed=_voxel_seed(cfg.seed, voxel)
-        )
-        bundle = bs.summarize_uncertainty(samples, aleatoric_u=u)
-        spread[voxel] = bundle.theta95, bundle.sigma_fa, bundle.sigma_md, u
-    table = np.column_stack([fa, md, evecs[:, 0, :], spread])
+    seeds = _voxel_seeds(cfg.seed, len(inputs))
+    spread = np.empty((len(inputs), 3))
+    for voxels in bs.voxel_chunks(len(inputs), n_samples):  # whole voxels per forward
+        samples = mlp.predict_mc_dropout(model, inputs[voxels], n_samples, seeds=seeds[voxels])
+        spread[voxels] = bs.summarize_uncertainty(samples)
+    table = np.column_stack([fa, md, evecs[:, 0, :], spread, u])
     path = out / "predictions_dl.bin"
     dataio.write_predictions(path, table, "mc_dropout", meta={"samples": n_samples})
     _refresh_manifest(cfg, out)

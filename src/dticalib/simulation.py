@@ -8,7 +8,7 @@ the per-channel Gaussian noise level is sigma_n = 10**(-snr_db / 20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from .tensor import (
     predict_signal_batch,
 )
 from .fitting import fit_cwlls_batch
-from .bootstrap import TensorSampleSet, UncertaintyBundle, summarize_uncertainty
+from .bootstrap import summarize_uncertainty
 from .rng import box_muller, gaussian_pair, rng_from_key
 
 GENERATORS = ("fixed", "prolate", "oblate", "random_spd", "two_population")
@@ -55,6 +55,10 @@ class PhantomSpec:
     snr_db: float = 30.0
     snr_range: Optional[tuple] = None  # per-voxel uniform SNR draw, overrides snr_db
     seed: int = 0
+    # (3,) eigenvalues solved once for prolate/oblate, by __post_init__
+    axisym_eigenvalues: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n_voxels < 1:
@@ -74,7 +78,9 @@ class PhantomSpec:
         if self.snr_range is not None and len(self.snr_range) != 2:
             raise ValueError("snr_range must be (low, high)")
         if self.generator in ("prolate", "oblate"):  # raises if fa_target is out of reach
-            _axisym_eigenvalues(self.fa_target, self.md, self.generator == "prolate")
+            self.axisym_eigenvalues = _axisym_eigenvalues(
+                self.fa_target, self.md, self.generator == "prolate"
+            )
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -207,7 +213,7 @@ def make_phantom(spec: PhantomSpec) -> Phantom:
 
     shifted = (np.arange(n) >= n // 2) & (spec.generator == "two_population")
     if spec.generator in ("prolate", "oblate"):
-        eigenvalues[:] = _axisym_eigenvalues(spec.fa_target, spec.md, spec.generator == "prolate")
+        eigenvalues[:] = spec.axisym_eigenvalues
     elif random_eigenvalues:
         scale = np.where(shifted, spec.shift, 1.0)
         eigenvalues = np.sort(eigenvalues, axis=1)[:, ::-1] * scale[:, None]
@@ -230,14 +236,14 @@ def monte_carlo_oracle(
     snr_db: float,
     n_realizations: int = 2000,
     seed: int = 0,
-) -> UncertaintyBundle:
+) -> np.ndarray:
     """Empirical uncertainty of one voxel from independent noise realizations.
 
     truth is a (6,) tensor element row, as in Phantom.truth. Realization k is
     voxel k of a fixed-generator phantom of it, noised from the stream keyed
-    (seed, k). All are refitted in one batch; the bundle of the fitted
-    tensors is the ground truth that bootstrap and dropout uncertainties are
-    judged against.
+    (seed, k). All are refitted in one batch; the (3,) row theta95,
+    sigma_fa, sigma_md of the fitted tensors is the ground truth that
+    bootstrap and dropout uncertainties are judged against.
     """
     if n_realizations < 100:
         raise ValueError("n_realizations must be >= 100")
@@ -250,5 +256,4 @@ def monte_carlo_oracle(
     if not np.all(np.isfinite(beta)):
         bad = int(np.where(~np.isfinite(beta).all(axis=1))[0][0])
         raise RuntimeError(f"oracle fit diverged at realization {bad}")
-    samples = TensorSampleSet(beta[:, :6], "monte_carlo_oracle")
-    return summarize_uncertainty(samples)
+    return summarize_uncertainty(beta[None, :, :6])[0]

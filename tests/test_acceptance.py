@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dticalib as dc
-from dticalib.bootstrap import TensorSampleSet, cone_angle_95, mean_dyadic, summarize_uncertainty
+from dticalib.bootstrap import _mean_dyadic_axes, _principal_axes, summarize_uncertainty
 from dticalib.calibration import (
     _pava,
     bin_rmv_rmse,
@@ -36,7 +36,9 @@ from dticalib.mlp import (
     train,
 )
 from dticalib.simulation import PhantomSpec, make_phantom, make_scheme, monte_carlo_oracle
-from dticalib.tensor import matrices_to_elements, predict_signal
+from dticalib.tensor import eigh3_batch, elements_to_matrices, matrices_to_elements, predict_signal
+
+COLUMNS = ("theta95", "sigma_fa", "sigma_md")  # summarize_uncertainty's columns
 
 
 def report(number, text):
@@ -72,15 +74,17 @@ def test_criterion_02_wild_bootstrap_vs_oracle():
         md=0.9e-3, orientation="uniform", snr_db=30.0, seed=42,
     )
     start = time.monotonic()
-    devs = {"sigma_fa": [], "sigma_md": [], "theta95": []}
     phantom = make_phantom(spec)
-    for v, (signals, truth) in enumerate(zip(phantom.signals, phantom.truth)):
-        wbs = summarize_uncertainty(dc.wild_bootstrap(signals, scheme, 1000, seed=1000 + v))
-        orc = monte_carlo_oracle(truth, scheme, 30.0, n_realizations=2000, seed=2000 + v)
-        for key in devs:
-            devs[key].append(abs(getattr(wbs, key) / getattr(orc, key) - 1.0))
+    wbs = summarize_uncertainty(np.stack([
+        dc.wild_bootstrap(signals, scheme, 1000, seed=1000 + v)
+        for v, signals in enumerate(phantom.signals)
+    ]))
+    orc = np.array([
+        monte_carlo_oracle(truth, scheme, 30.0, n_realizations=2000, seed=2000 + v)
+        for v, truth in enumerate(phantom.truth)
+    ])
     elapsed = time.monotonic() - start
-    medians = {key: float(np.median(val)) for key, val in devs.items()}
+    medians = dict(zip(COLUMNS, np.median(np.abs(wbs / orc - 1.0), axis=0).tolist()))
     assert all(m <= 0.30 for m in medians.values()), medians
     assert elapsed < 300.0
     report(2, "wild bootstrap vs Monte-Carlo oracle, median rel dev "
@@ -268,11 +272,9 @@ def test_criterion_10_noise_trend():
             md=0.9e-3, snr_db=snr, seed=888,
         )
         inputs = normalize_signals(make_phantom(spec).signals, scheme)
-        vals = []
-        for v in range(len(inputs)):
-            samples, _ = predict_mc_dropout(model, inputs[v], n_samples=100, seed=3000 + v)
-            vals.append(summarize_uncertainty(samples).sigma_fa)
-        return float(np.mean(vals))
+        seeds = 3000 + np.arange(len(inputs))
+        samples = predict_mc_dropout(model, inputs, n_samples=100, seeds=seeds)
+        return float(np.mean(summarize_uncertainty(samples)[:, 1]))
 
     noisy, quiet = mc_sigma_fa(20.0), mc_sigma_fa(35.0)
     assert noisy > quiet
@@ -298,11 +300,8 @@ def test_criterion_11_distribution_shift():
     in_dist, shifted = eval_inputs[:200], eval_inputs[200:]
 
     def sigma_md(model, rows, seed0):
-        out = []
-        for v in range(len(rows)):
-            samples, _ = predict_mc_dropout(model, rows[v], n_samples=60, seed=seed0 + v)
-            out.append(summarize_uncertainty(samples).sigma_md)
-        return np.array(out)
+        samples = predict_mc_dropout(model, rows, n_samples=60, seeds=seed0 + np.arange(len(rows)))
+        return summarize_uncertainty(samples)[:, 2]
 
     margins = []
     for seed in (1, 2, 3, 4, 5):
@@ -319,11 +318,20 @@ def test_criterion_11_distribution_shift():
                f"{min(margins):.1f}-{max(margins):.1f} training-population SDs, 5/5 seeds")
 
 
+def cone_angle_95(elements):
+    return summarize_uncertainty(elements[None])[0, 0]
+
+
+def mean_dyadic(elements):
+    axes = _principal_axes(eigh3_batch(elements_to_matrices(elements))[1])
+    return _mean_dyadic_axes(axes[None])[0]
+
+
 def test_criterion_12_cone_geometry():
     # identical replicate directions
     axes = np.tile([0.0, 0.0, 1.0], (100, 1))
     mats = 1e-3 * (np.einsum("ki,kj->kij", axes, axes) * 1.5 + 0.2 * np.eye(3))
-    identical = TensorSampleSet(matrices_to_elements(mats), "monte_carlo_oracle")
+    identical = matrices_to_elements(mats)
     assert cone_angle_95(identical) == 0.0
 
     # isotropic directions: closed form arccos(0.05) = 87.134 degrees
@@ -331,7 +339,7 @@ def test_criterion_12_cone_geometry():
     axes = rng.normal(size=(10_000, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     mats = 1e-3 * (np.einsum("ki,kj->kij", axes, axes) * 1.5 + 0.2 * np.eye(3))
-    iso = TensorSampleSet(matrices_to_elements(mats), "monte_carlo_oracle")
+    iso = matrices_to_elements(mats)
     theta = cone_angle_95(iso)
     assert theta == pytest.approx(np.degrees(np.arccos(0.05)), abs=0.5)
 
@@ -340,7 +348,7 @@ def test_criterion_12_cone_geometry():
     mats_f = 1e-3 * (
         np.einsum("ki,kj->kij", axes * flips, axes * flips) * 1.5 + 0.2 * np.eye(3)
     )
-    flipped = TensorSampleSet(matrices_to_elements(mats_f), "monte_carlo_oracle")
+    flipped = matrices_to_elements(mats_f)
     assert cone_angle_95(flipped) == theta
     assert abs(np.dot(mean_dyadic(flipped), mean_dyadic(iso))) == pytest.approx(1.0, abs=1e-12)
     report(12, f"cone geometry: identical -> 0, isotropic -> {theta:.2f} deg "

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from dticalib.bootstrap import (
     SaturatedLeverageError,
-    TensorSampleSet,
-    cone_angle_95,
-    mean_dyadic,
+    _mean_dyadic_axes,
+    _principal_axes,
     summarize_uncertainty,
     wild_bootstrap,
     wild_bootstrap_table,
@@ -19,16 +18,38 @@ from dticalib.simulation import (
     monte_carlo_oracle,
 )
 from dticalib.fitting import fit_cwlls
-from dticalib.tensor import DiffusionTensor, eig3_sym, matrices_to_elements, predict_signal
+from dticalib.tensor import (
+    DiffusionTensor,
+    eig3_sym,
+    eigh3_batch,
+    elements_to_matrices,
+    matrices_to_elements,
+    predict_signal,
+)
 
 
 def samples_from_axes(axes, scale=1e-3):
-    """Prolate replicate tensors whose principal directions are `axes`."""
+    """(k, 6) prolate replicate tensors whose principal directions are `axes`."""
     axes = np.asarray(axes, dtype=np.float64)
     mats = scale * (
         np.einsum("ki,kj->kij", axes, axes) * 1.5 + 0.2 * np.eye(3)[None, :, :]
     )
-    return TensorSampleSet(matrices_to_elements(mats), "monte_carlo_oracle")
+    return matrices_to_elements(mats)
+
+
+def summary(samples):
+    """(theta95, sigma_fa, sigma_md) of one (k, 6) replicate set."""
+    return summarize_uncertainty(samples[None])[0]
+
+
+def mean_dyadic(samples):
+    """Mean dyadic axis of one (k, 6) replicate set's principal directions."""
+    axes = _principal_axes(eigh3_batch(elements_to_matrices(samples))[1])
+    return _mean_dyadic_axes(axes[None])[0]
+
+
+def cone_angle_95(samples):
+    return summary(samples)[0]
 
 
 class TestWildBootstrap:
@@ -38,12 +59,12 @@ class TestWildBootstrap:
         scheme = make_scheme(30)
         truth = DiffusionTensor([1.4e-3, 0.5e-3, 0.5e-3, 0.1e-3, 0, 0])
         samples = wild_bootstrap(predict_signal(truth, scheme), scheme, 200, seed=1)
-        spread = samples.elements.max(axis=0) - samples.elements.min(axis=0)
+        spread = samples.max(axis=0) - samples.min(axis=0)
         assert np.max(spread) < 1e-15
-        bundle = summarize_uncertainty(samples)
-        assert bundle.sigma_fa < 1e-12
-        assert bundle.sigma_md < 1e-15
-        assert bundle.theta95 < 1e-5
+        theta95, sigma_fa, sigma_md = summary(samples)
+        assert sigma_fa < 1e-12
+        assert sigma_md < 1e-15
+        assert theta95 < 1e-5
 
     def test_same_seed_bitwise_identical(self):
         scheme = make_scheme(30)
@@ -52,9 +73,9 @@ class TestWildBootstrap:
         ).signals[0]
         a = wild_bootstrap(signals, scheme, 100, seed=9)
         b = wild_bootstrap(signals, scheme, 100, seed=9)
-        assert np.array_equal(a.elements, b.elements)
+        assert np.array_equal(a, b)
         c = wild_bootstrap(signals, scheme, 100, seed=10)
-        assert not np.array_equal(a.elements, c.elements)
+        assert not np.array_equal(a, c)
 
     def test_single_b0_scheme_saturates(self):
         # one shell + one b=0 row: that row is an exact interpolation point
@@ -78,9 +99,9 @@ class TestWildBootstrap:
             md=0.9e-3, orientation="uniform", snr_db=30.0, seed=12,
         )
         phantom = make_phantom(spec)
-        wbs = summarize_uncertainty(wild_bootstrap(phantom.signals[0], scheme, 1000, seed=5))
+        wbs = summary(wild_bootstrap(phantom.signals[0], scheme, 1000, seed=5))
         orc = monte_carlo_oracle(phantom.truth[0], scheme, 30.0, n_realizations=2000, seed=6)
-        assert abs(wbs.sigma_fa / orc.sigma_fa - 1) <= 0.30
+        assert abs(wbs[1] / orc[1] - 1) <= 0.30  # sigma_fa
 
     def test_table_matches_per_voxel_path(self):
         # low SNR, so some replicates hit the eigenvalue floor
@@ -93,8 +114,7 @@ class TestWildBootstrap:
         assert table.shape == (6, 9) and np.all(np.isnan(table[:, 8]))
         for v, seed in enumerate(seeds):
             point = eig3_sym(fit_cwlls(signals[v], scheme).tensor)
-            bundle = summarize_uncertainty(wild_bootstrap(signals[v], scheme, 150, seed))
-            expected = [point.fa, point.md, bundle.theta95, bundle.sigma_fa, bundle.sigma_md]
+            expected = [point.fa, point.md, *summary(wild_bootstrap(signals[v], scheme, 150, seed))]
             got = table[v, [0, 1, 5, 6, 7]]
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
             assert abs(np.dot(table[v, 2:5], point.principal_direction)) == pytest.approx(
@@ -169,33 +189,50 @@ class TestConeAngle:
 class TestSummarize:
     def test_identical_pair_gives_zero_bundle(self):
         t = DiffusionTensor([1.2e-3, 0.4e-3, 0.4e-3, 0, 0, 0])
-        samples = TensorSampleSet(np.stack([t.elements, t.elements]), "mc_dropout")
-        bundle = summarize_uncertainty(samples)
-        assert bundle.sigma_fa == 0.0 and bundle.sigma_md == 0.0 and bundle.theta95 == 0.0
+        theta95, sigma_fa, sigma_md = summary(np.stack([t.elements, t.elements]))
+        assert sigma_fa == 0.0 and sigma_md == 0.0 and theta95 == 0.0
 
     def test_two_point_fa_std(self):
         # FA values {0.4, 0.6}: population std is exactly 0.1
         e1 = np.diag(_axisym_eigenvalues(0.4, 0.9e-3, prolate=True))
         e2 = np.diag(_axisym_eigenvalues(0.6, 0.9e-3, prolate=True))
-        samples = TensorSampleSet(matrices_to_elements(np.stack([e1, e2])), "mc_dropout")
-        bundle = summarize_uncertainty(samples)
-        assert bundle.sigma_fa == pytest.approx(0.1, abs=1e-9)
+        sigma_fa = summary(matrices_to_elements(np.stack([e1, e2])))[1]
+        assert sigma_fa == pytest.approx(0.1, abs=1e-9)
 
     def test_requires_two_replicates(self):
         t = DiffusionTensor([1e-3, 1e-3, 1e-3, 0, 0, 0])
-        with pytest.raises(ValueError):
-            summarize_uncertainty(TensorSampleSet(t.elements[None], "mc_dropout"))
+        with pytest.raises(ValueError, match="need at least 2 replicates"):
+            summary(t.elements[None])
+
+    def test_groups_equal_each_group_alone(self):
+        rng = np.random.default_rng(5)
+        axes = rng.normal(size=(4, 30, 3))
+        axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+        groups = np.stack([samples_from_axes(a, scale=(1 + g) * 1e-3) for g, a in enumerate(axes)])
+        table = summarize_uncertainty(groups)
+        assert table.shape == (4, 3)
+        for g in range(4):
+            assert np.array_equal(table[g], summary(groups[g]))
+
+    def test_rejects_bad_shape_and_non_finite(self):
+        t = DiffusionTensor([1e-3, 1e-3, 1e-3, 0, 0, 0])
+        with pytest.raises(ValueError, match="expected"):
+            summarize_uncertainty(np.stack([t.elements, t.elements]))  # (k, 6): no group axis
+        bad = np.stack([t.elements, t.elements])
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite replicate tensors"):
+            summary(bad)
 
     def test_matches_streaming_oracle(self):
         # two-pass numpy std against an incremental Welford accumulation
         scheme = make_scheme(30)
         signals = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4)).signals[0]
         samples = wild_bootstrap(signals, scheme, 1000, seed=2)
-        from dticalib.tensor import eigh3_batch, elements_to_matrices, fa_md_from_eigenvalues
+        from dticalib.tensor import fa_md_from_eigenvalues
 
-        fa, md = fa_md_from_eigenvalues(eigh3_batch(elements_to_matrices(samples.elements))[0])
-        bundle = summarize_uncertainty(samples)
-        for values, got in ((fa, bundle.sigma_fa), (md, bundle.sigma_md)):
+        fa, md = fa_md_from_eigenvalues(eigh3_batch(elements_to_matrices(samples))[0])
+        _, sigma_fa, sigma_md = summary(samples)
+        for values, got in ((fa, sigma_fa), (md, sigma_md)):
             mean, m2 = 0.0, 0.0
             for i, v in enumerate(values, start=1):
                 delta = v - mean
@@ -215,9 +252,7 @@ class TestNoiseMonotonicity:
                 md=0.9e-3, orientation="uniform", snr_db=snr, seed=31,
             )
             vals = [
-                summarize_uncertainty(
-                    wild_bootstrap(row, scheme, 300, seed=100 + v)
-                ).sigma_fa
+                summary(wild_bootstrap(row, scheme, 300, seed=100 + v))[1]
                 for v, row in enumerate(make_phantom(spec).signals)
             ]
             medians[snr] = np.median(vals)
@@ -233,9 +268,7 @@ class TestNoiseMonotonicity:
                 md=0.9e-3, orientation="uniform", snr_db=25.0, seed=37,
             )
             vals = [
-                summarize_uncertainty(
-                    wild_bootstrap(row, scheme, 300, seed=500 + v)
-                ).theta95
+                summary(wild_bootstrap(row, scheme, 300, seed=500 + v))[0]
                 for v, row in enumerate(make_phantom(spec).signals)
             ]
             medians[fa] = np.median(vals)

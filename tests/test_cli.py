@@ -8,7 +8,7 @@ import pytest
 
 from dticalib.cli import main
 from dticalib import bootstrap as bs
-from dticalib import dataio, pipeline
+from dticalib import dataio, mlp, pipeline
 
 
 def write_cfg(path: Path, body: str):
@@ -102,6 +102,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}: {key}")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", [
+        "train.val_fraction = 1.5",  # no training rows
+        "train.epochs = 0",
+        "train.learning_rate = -1",
+        "train.batch_size = 0",
+        "train.eval_every = 0",
+        "train.hidden_widths = 0",
+        "train.dropout_rate = 1.5",
+        "train.penalty = 0",
+    ])
+    def test_bad_train_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + line + "\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 1
+        key, value = line.split(" = ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line 14: {key} must") and value in err
+        assert not (tmp_path / "run/model.bin").exists()
 
     def test_bad_override_names_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
@@ -243,7 +263,7 @@ class TestReproducibility:
             assert np.array_equal(dataio.read_predictions(path)[1], default, equal_nan=True)
 
         _, signals, _, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
-        seeds = np.array([pipeline._voxel_seed(11, v) for v in range(n)])
+        seeds = np.array(pipeline._voxel_seeds(11, n))
         perm = np.random.default_rng(3).permutation(n)
         permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, seeds[perm])
         assert np.array_equal(permuted, default[perm], equal_nan=True)
@@ -327,6 +347,67 @@ class TestDlFlow:
         for p in ("fa", "md", "theta"):
             assert metrics[p]["ence"] is not None
             assert 0.0 <= metrics[p]["aucc"] <= 1.0
+
+
+class TestDlReproducibility:
+    BODY = BASE.format(snr="28") + "train.epochs = 3\ntrain.dropout_rate = 0.3\npredict.samples = 30\n"
+    N, SAMPLES = 24, 30
+
+    def train_and_predict(self, tmp_path):
+        cfg = write_cfg(tmp_path / "e.cfg", self.BODY)
+        for cmd in ("simulate", "train", "predict"):
+            assert main([cmd, "--config", cfg]) == 0
+        return cfg
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        self.train_and_predict(tmp_path)
+        first = dir_hashes(tmp_path / "run")
+        shutil.rmtree(tmp_path / "run")
+        self.train_and_predict(tmp_path)
+        assert dir_hashes(tmp_path / "run") == first
+
+    def test_chunk_size_and_voxel_order_change_results_only_by_rounding(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = self.train_and_predict(tmp_path)
+        path = tmp_path / "run/predictions_dl.bin"
+        default = dataio.read_predictions(path)[1]
+        for rows in (1, self.SAMPLES * self.N):  # one voxel per chunk, all voxels in one
+            monkeypatch.setattr(bs, "CHUNK_ROWS", rows)
+            assert main(["predict", "--config", cfg]) == 0
+            table = dataio.read_predictions(path)[1]
+            assert np.all(np.abs(table - default) <= 1e-12 * np.abs(default))
+
+        _, signals, _, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
+        model, _ = mlp.load_checkpoint(tmp_path / "run/model.bin")
+        inputs = mlp.normalize_signals(signals, scheme)
+        seeds = np.array(pipeline._voxel_seeds(11, self.N))
+        perm = np.random.default_rng(3).permutation(self.N)
+        permuted = bs.summarize_uncertainty(
+            mlp.predict_mc_dropout(model, inputs[perm], self.SAMPLES, seeds=seeds[perm])
+        )
+        expected = default[perm, 5:8]
+        assert np.all(np.abs(permuted - expected) <= 1e-12 * np.abs(expected))
+
+    def test_one_grouped_call_per_chunk(self, tmp_path, monkeypatch):
+        cfg = self.train_and_predict(tmp_path)
+        calls = {"predict_mc_dropout": [], "summarize_uncertainty": []}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                calls[name].append(len(out))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(mlp, "predict_mc_dropout")
+        spy(bs, "summarize_uncertainty")
+        monkeypatch.setattr(bs, "CHUNK_ROWS", 10 * self.SAMPLES)  # chunks of 10, 10, 4 voxels
+        assert main(["predict", "--config", cfg]) == 0
+        assert calls == {"predict_mc_dropout": [10, 10, 4], "summarize_uncertainty": [10, 10, 4]}
 
 
 class TestCurves:

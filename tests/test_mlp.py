@@ -139,6 +139,29 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
             train(x, truth, small_spec(), TrainConfig(epochs=3, seed=0, learning_rate=1e160))
 
+    @pytest.mark.parametrize("field, value", [
+        ("penalty", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("batch_size", 0), ("epochs", 0), ("eval_every", 0), ("stop_patience", 0),
+        ("val_fraction", 1.5), ("val_fraction", -0.1),
+    ])
+    def test_config_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_widths", (0,)), ("hidden_widths", (64, -1)), ("uncertainty_widths", (0,)),
+        ("dropout_rate", 1.5), ("dropout_rate", -0.1),
+    ])
+    def test_spec_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            small_spec(**{field: value})
+
+    def test_no_training_rows_is_an_error(self):
+        # 3 voxels, val_fraction 0.9 rounds to 3 validation rows
+        x = np.full((3, len(SCHEME)), 0.5)
+        with pytest.raises(ValueError, match="no training rows"):
+            train(x, np.zeros((3, 6)), small_spec(), TrainConfig(epochs=1, val_fraction=0.9))
+
     def test_identical_voxels_converge_and_u_drifts_negative(self):
         spec = PhantomSpec(
             n_voxels=256, scheme=SCHEME, generator="prolate", fa_target=0.7,
@@ -184,31 +207,41 @@ class TestMcDropout:
     def test_one_pass_matches_per_sample_passes(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
-        samples, u = predict_mc_dropout(model, x, n_samples=40, seed=11)
+        samples = predict_mc_dropout(model, x, n_samples=40, seeds=[11])[0]
         rng = rng_from_key(11)
         reference = np.vstack([
             model.forward(x, model.make_dropout_masks(rng, 1))[0] for _ in range(40)
         ]) / model.spec.target_scale
-        assert np.allclose(samples.elements, reference, rtol=1e-12, atol=0.0)
-        assert u == model.predict(x)[1][0]
+        assert np.allclose(samples, reference, rtol=1e-12, atol=0.0)
+
+    def test_grouped_rows_equal_one_row_calls(self):
+        model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
+        x = np.random.default_rng(2).normal(0.5, 0.1, (7, len(SCHEME)))
+        seeds = [50 + 3 * v for v in range(7)]
+        grouped = predict_mc_dropout(model, x, n_samples=25, seeds=seeds)
+        assert grouped.shape == (7, 25, 6)
+        for v in range(7):
+            one = predict_mc_dropout(model, x[v], n_samples=25, seeds=[seeds[v]])[0]
+            assert np.allclose(grouped[v], one, rtol=1e-12, atol=0.0)
+        with pytest.raises(ValueError, match="one seed per voxel"):
+            predict_mc_dropout(model, x, n_samples=25, seeds=seeds[:-1])
 
     def test_zero_rate_gives_identical_samples(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.0), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
-        samples, _ = predict_mc_dropout(model, x, n_samples=20, seed=0)
-        assert samples.source == "mc_dropout"
-        assert np.all(samples.elements == samples.elements[0])
-        bundle = summarize_uncertainty(samples)
-        assert bundle.sigma_fa < 1e-12
+        samples = predict_mc_dropout(model, x, n_samples=20, seeds=[0])
+        assert samples.shape == (1, 20, 6)
+        assert np.all(samples == samples[0, 0])
+        assert summarize_uncertainty(samples)[0, 1] < 1e-12  # sigma_fa
 
     def test_same_seed_identical_sample_set(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
-        a, ua = predict_mc_dropout(model, x, n_samples=30, seed=11)
-        b, ub = predict_mc_dropout(model, x, n_samples=30, seed=11)
-        assert np.array_equal(a.elements, b.elements) and ua == ub
-        c, _ = predict_mc_dropout(model, x, n_samples=30, seed=12)
-        assert not np.array_equal(a.elements, c.elements)
+        a = predict_mc_dropout(model, x, n_samples=30, seeds=[11])
+        b = predict_mc_dropout(model, x, n_samples=30, seeds=[11])
+        assert np.array_equal(a, b)
+        c = predict_mc_dropout(model, x, n_samples=30, seeds=[12])
+        assert not np.array_equal(a, c)
 
     def test_spread_grows_with_dropout_rate(self):
         # retrain per rate with one seed; median sigma over voxels is monotone
@@ -225,12 +258,8 @@ class TestMcDropout:
                 MlpSpec(input_dim=len(SCHEME), dropout_rate=rate, target_scale=4000.0),
                 TrainConfig(epochs=150, seed=4, batch_size=128, eval_every=50),
             )
-            fa, md = [], []
-            for v in range(40):
-                samples, _ = predict_mc_dropout(model, x[v], n_samples=50, seed=700 + v)
-                b = summarize_uncertainty(samples)
-                fa.append(b.sigma_fa)
-                md.append(b.sigma_md)
+            samples = predict_mc_dropout(model, x[:40], n_samples=50, seeds=700 + np.arange(40))
+            _, fa, md = summarize_uncertainty(samples).T
             med_fa.append(np.median(fa))
             med_md.append(np.median(md))
         assert med_fa[0] < med_fa[1] < med_fa[2]
