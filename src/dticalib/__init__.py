@@ -8,15 +8,8 @@ against a Monte-Carlo gold standard on synthetic phantoms.
 
 __version__ = "0.1.0"
 
-from .tensor import (
-    DiffusionTensor,
-    GradientScheme,
-    TensorScalars,
-    design_matrix,
-    eig3_sym,
-    predict_signal,
-)
-from .fitting import FitResult, fit_cwlls, fit_ols, fit_wlls
+from .tensor import GradientScheme, design_matrix, fa_md_from_eigenvalues
+from .fitting import fit_cwlls_batch
 from .bootstrap import (
     summarize_uncertainty,
     wild_bootstrap,
@@ -36,7 +29,6 @@ from .calibration import (
 )
 from .simulation import (
     PhantomSpec,
-    add_rician,
     make_phantom,
     make_scheme,
     monte_carlo_oracle,
@@ -45,22 +37,15 @@ from .mlp import (
     MlpSpec,
     TrainConfig,
     TwoBranchMlp,
-    loss_attenuated,
     predict_mc_dropout,
     train,
 )
 
 __all__ = [
-    "DiffusionTensor",
     "GradientScheme",
-    "TensorScalars",
     "design_matrix",
-    "eig3_sym",
-    "predict_signal",
-    "FitResult",
-    "fit_ols",
-    "fit_wlls",
-    "fit_cwlls",
+    "fa_md_from_eigenvalues",
+    "fit_cwlls_batch",
     "wild_bootstrap",
     "wild_bootstrap_table",
     "summarize_uncertainty",
@@ -77,12 +62,10 @@ __all__ = [
     "PhantomSpec",
     "make_phantom",
     "make_scheme",
-    "add_rician",
     "monte_carlo_oracle",
     "MlpSpec",
     "TrainConfig",
     "TwoBranchMlp",
-    "loss_attenuated",
     "train",
     "predict_mc_dropout",
 ]

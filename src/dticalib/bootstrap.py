@@ -27,6 +27,7 @@ from .rng import rng_from_key
 # treats rows independently; dropout forwards use BLAS matmul, whose rows
 # agree across chunk sizes to rounding.
 CHUNK_ROWS = 1024
+MIN_REPLICATES = 2  # fewer leave no spread to measure
 
 
 def voxel_chunks(n_voxels: int, per_voxel: int):
@@ -95,8 +96,8 @@ def summarize_uncertainty(elements) -> np.ndarray:
         raise ValueError("expected (g, k, 6) replicate elements")
     if not np.all(np.isfinite(elements)):
         raise ValueError("non-finite replicate tensors")
-    if elements.shape[1] < 2:
-        raise ValueError("need at least 2 replicates")
+    if elements.shape[1] < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates")
     evals, evecs = eigh3_batch(elements_to_matrices(elements.reshape(-1, 6)))
     shape = (*elements.shape[:2], 3)
     return np.column_stack(
@@ -148,8 +149,8 @@ def wild_bootstrap(
     by 1/sqrt(1-h) before refitting, which keeps the resampling valid under
     heteroscedastic noise. Returns the (iterations, 6) replicate elements.
     """
-    if iterations < 2:
-        raise ValueError("iterations must be >= 2")
+    if iterations < MIN_REPLICATES:
+        raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
     y_hat, scaled, _ = _wild_base(as_signal_rows(signals, scheme), scheme)
     return _wild_replicates(y_hat, scaled, [seed], iterations, scheme)[0]
 
@@ -167,8 +168,8 @@ def wild_bootstrap_table(
     Returns the (n, 9) prediction table: fa, md, v1 (3) of the base CWLLS
     fit, then theta95, sigma_fa, sigma_md, and NaN for aleatoric u.
     """
-    if iterations < 2:
-        raise ValueError("iterations must be >= 2")
+    if iterations < MIN_REPLICATES:
+        raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
     signals = as_signal_rows(signals, scheme)
     seeds = [int(s) for s in seeds]
     if len(seeds) != len(signals):

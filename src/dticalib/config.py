@@ -11,7 +11,8 @@ Example::
     train.hidden_widths = 64, 64, 32
 
 SCHEMA declares every key once: its type, its default, and the values it
-allows where no library class checks them. ExperimentConfig.load checks the
+allows, except where the library class a stage builds before it writes
+checks them (phantom.* and train.*). ExperimentConfig.load checks the
 file and the CLI overrides against it, so an unknown key, a value of the wrong
 type, or one outside the allowed values is a ConfigError that names the key
 and its line (or "override") before any stage runs. When a key is set twice,
@@ -25,7 +26,7 @@ import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bootstrap import wild_bootstrap
+from .bootstrap import MIN_REPLICATES, wild_bootstrap
 from .calibration import DEFAULT_BINS, DEFAULT_GRID_SIZE, MPIW_CAPS
 from .mlp import MlpSpec, TrainConfig, predict_mc_dropout
 from .simulation import PhantomSpec, make_scheme
@@ -89,7 +90,9 @@ SCHEMA = {
     "phantom.snr_db": Key("float", PhantomSpec.snr_db),
     "dataset.path": Key("path", "dataset.bin"),
     "fit.estimator": Key("str", "cwlls", ("ols", "wlls", "cwlls")),
-    "bootstrap.iterations": Key("int", _default(wild_bootstrap, "iterations")),
+    "bootstrap.iterations": Key(
+        "int", _default(wild_bootstrap, "iterations"), Range(MIN_REPLICATES, closed=True)
+    ),
     "train.hidden_widths": Key("int-tuple", MlpSpec.hidden_widths),
     "train.uncertainty_widths": Key("int-tuple", MlpSpec.uncertainty_widths),
     "train.dropout_rate": Key("float", MlpSpec.dropout_rate),
@@ -101,16 +104,18 @@ SCHEMA = {
     "train.eval_every": Key("int", TrainConfig.eval_every),
     "train.stop_patience": Key("int", TrainConfig.stop_patience),
     "predict.model": Key("path", "model.bin"),
-    "predict.samples": Key("int", _default(predict_mc_dropout, "n_samples")),
+    "predict.samples": Key(
+        "int", _default(predict_mc_dropout, "n_samples"), Range(MIN_REPLICATES, closed=True)
+    ),
     "calibrate.predictions": Key("path", "predictions_wbs.bin"),
     "calibrate.split": Key("float", 0.5, Range(0, 1)),
     "evaluate.predictions": Key("path", "predictions_wbs.bin"),
     "evaluate.recalibrated": Key("path"),
     "evaluate.uncertainty": Key("str", "epistemic", ("epistemic", "aleatoric")),
     "curves.predictions": Key("path", "predictions_wbs.bin"),
-    "metrics.bins": Key("int", DEFAULT_BINS),
-    "metrics.grid_size": Key("int", DEFAULT_GRID_SIZE),
-    **{f"metrics.mpiw_cap.{p}": Key("float", cap) for p, cap in MPIW_CAPS.items()},
+    "metrics.bins": Key("int", DEFAULT_BINS, Range(1, closed=True)),
+    "metrics.grid_size": Key("int", DEFAULT_GRID_SIZE, Range(2, closed=True)),
+    **{f"metrics.mpiw_cap.{p}": Key("float", cap, Range(0)) for p, cap in MPIW_CAPS.items()},
 }
 
 

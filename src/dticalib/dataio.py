@@ -92,14 +92,16 @@ def write_bvec_bval(bvec_path, bval_path, scheme: GradientScheme):
             f.write(" ".join(repr(float(v)) for v in scheme.directions[:, axis]) + "\n")
 
 
-def _write_header_blocks(path, header: dict, blocks):
+def write_header_blocks(path, header: dict, blocks):
+    """The shared layout: header as one sorted-key JSON line, then each block as <f8."""
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for block in blocks:
             f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def _read_header_blocks(path, block_shapes_from_header):
+def read_header_blocks(path, block_shapes_from_header):
+    """(header, blocks); a short block or bytes past the last one are a DataFormatError."""
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         shapes = block_shapes_from_header(header)
@@ -147,7 +149,7 @@ def write_dataset(
         if s0.shape != (n,):
             raise DataFormatError("s0 block must be (n_voxels,)")
         blocks.append(s0)
-    _write_header_blocks(path, header, blocks)
+    write_header_blocks(path, header, blocks)
 
 
 def read_dataset(path):
@@ -171,7 +173,7 @@ def read_dataset(path):
             out.append((n,))
         return out
 
-    header, blocks = _read_header_blocks(path, shapes)
+    header, blocks = read_header_blocks(path, shapes)
     signals = blocks[0]
     truth = blocks[1] if header["has_ground_truth"] else None
     s0 = blocks[-1] if header.get("has_s0") else None
@@ -204,7 +206,7 @@ def write_fits(path, params: np.ndarray, estimator: str):
         "n_voxels": params.shape[0],
         "estimator": estimator,
     }
-    _write_header_blocks(path, header, [params])
+    write_header_blocks(path, header, [params])
 
 
 def read_fits(path):
@@ -213,7 +215,7 @@ def read_fits(path):
             raise DataFormatError(f"{path}: not a fits file")
         return [(header["n_voxels"], 7)]
 
-    header, blocks = _read_header_blocks(path, shapes)
+    header, blocks = read_header_blocks(path, shapes)
     return header, blocks[0]
 
 
@@ -231,7 +233,7 @@ def write_predictions(path, table: np.ndarray, method: str, meta: dict = None):
     }
     if meta:
         header["meta"] = meta
-    _write_header_blocks(path, header, [table])
+    write_header_blocks(path, header, [table])
 
 
 def read_predictions(path):
@@ -240,7 +242,7 @@ def read_predictions(path):
             raise DataFormatError(f"{path}: not a predictions file")
         return [(header["n_voxels"], len(header["columns"]))]
 
-    header, blocks = _read_header_blocks(path, shapes)
+    header, blocks = read_header_blocks(path, shapes)
     if list(header["columns"]) != list(PREDICTION_COLUMNS):
         raise DataFormatError(f"{path}: unexpected column set")
     return header, blocks[0]

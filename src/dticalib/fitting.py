@@ -1,28 +1,24 @@
 """Least-squares tensor estimation on log-transformed signals.
 
-Three estimators, each a per-voxel function over a batch kernel (one
-scheme, many signal rows):
+Three batch kernels, each fitting one scheme to (k, m) signal rows:
 
-* ``fit_ols``   -- unweighted solve of ln S = X beta through one shared
-                   projection R^-1 Q^T of X
-* ``fit_wlls``  -- two-pass: OLS, then a weighted solve with weights
-                   exp(2 * predicted ln S), through the normal equations of
-                   the column-equilibrated design (batched QR for rows whose
-                   weighted condition bound is too large for them)
-* ``fit_cwlls`` -- WLLS followed by an eigenvalue floor (SPD projection)
+* ``fit_ols_batch``   -- unweighted solve of ln S = X beta through one
+                         shared projection R^-1 Q^T of X
+* ``fit_wlls_batch``  -- two-pass: OLS, then a weighted solve with weights
+                         exp(2 * predicted ln S), through the normal equations
+                         of the column-equilibrated design (batched QR for
+                         rows whose weighted condition bound is too large)
+* ``fit_cwlls_batch`` -- WLLS followed by an eigenvalue floor (SPD projection)
 
 The kernels treat rows independently, bit for bit, so a voxel's fit does
-not depend on which batch it is fitted in.
+not depend on which batch it is fitted in; one voxel is a one-row batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
-    DiffusionTensor,
     GradientScheme,
     design_matrix,
     eigh3_batch,
@@ -42,18 +38,6 @@ EIGENVALUE_FLOOR_MD_MIN = 1e-5  # mm^2/s
 
 class DegenerateSchemeError(ValueError):
     pass
-
-
-@dataclass
-class FitResult:
-    tensor: DiffusionTensor
-    residuals_log: np.ndarray  # observed ln S minus fitted ln S
-    leverage: np.ndarray  # hat-matrix diagonal of the (weighted) design
-    constrained: bool
-    # 2-norm condition number of the (weighted) design; for WLLS/CWLLS the
-    # upper bound cond(X) * max(sqrt w) / min(sqrt w), or the exact value
-    # where that bound exceeds CONDITION_LIMIT (see _weighted_conditions)
-    condition_number: float
 
 
 def _qr_solve_batch(design: np.ndarray, rhs: np.ndarray):
@@ -243,29 +227,3 @@ def fit_cwlls_batch(signals: np.ndarray, scheme: GradientScheme):
         y_obs = np.log(np.maximum(signals[changed], SIGNAL_FLOOR))
         residuals[changed] = y_obs - _predict_log(beta[changed], design_matrix(scheme))
     return beta, residuals, leverage, cond, eig
-
-
-def _result_from_batch(beta, residuals, leverage, cond, constrained) -> FitResult:
-    tensor = DiffusionTensor(beta[:6], float(beta[6]))
-    return FitResult(tensor, residuals, leverage, constrained, cond)
-
-
-def fit_ols(signals, scheme: GradientScheme) -> FitResult:
-    """Ordinary least squares on the log-signal for one voxel."""
-    signals = as_signal_rows(signals, scheme)
-    beta, res, lev, cond = fit_ols_batch(signals, scheme)
-    return _result_from_batch(beta[0], res[0], lev[0], cond, False)
-
-
-def fit_wlls(signals, scheme: GradientScheme) -> FitResult:
-    """Weighted linear least squares for one voxel."""
-    signals = as_signal_rows(signals, scheme)
-    beta, res, lev, cond = fit_wlls_batch(signals, scheme)
-    return _result_from_batch(beta[0], res[0], lev[0], cond, False)
-
-
-def fit_cwlls(signals, scheme: GradientScheme) -> FitResult:
-    """Constrained WLLS (eigenvalue-floored) for one voxel."""
-    signals = as_signal_rows(signals, scheme)
-    beta, res, lev, cond, _ = fit_cwlls_batch(signals, scheme)
-    return _result_from_batch(beta[0], res[0], lev[0], cond, True)

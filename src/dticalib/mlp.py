@@ -14,11 +14,11 @@ backpropagation. Everything is float64 numpy; no framework.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import dataio
 from .fitting import as_signal_rows, fit_ols_batch
 from .tensor import GradientScheme
 from .rng import rng_from_key
@@ -62,16 +62,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), not {self.val_fraction}")
-
-
-def loss_attenuated(pred, truth, u: float, penalty: float) -> float:
-    """Attenuated L1 loss for one voxel (clamped u)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(truth)) and np.isfinite(u)):
-        raise ValueError("non-finite input")
-    u = float(np.clip(u, U_MIN, U_MAX))
-    return float(np.sum(np.abs(pred - truth)) * np.exp(-u) + penalty * u)
 
 
 class TwoBranchMlp:
@@ -218,31 +208,37 @@ class TwoBranchMlp:
         return out
 
 
+def attenuated_loss(pred, targets, u, penalty: float):
+    """Row-wise attenuated L1 loss sum_j |pred_j - target_j| * exp(-u) + penalty * u.
+
+    pred and targets are (B, 6), u the (B,) clamped forward output. Returns
+    the (B,) losses, plus pred - targets, the row L1 residuals and exp(-u)
+    for the gradient.
+    """
+    diff = pred - targets
+    resid = np.abs(diff).sum(axis=1)
+    attenuation = np.exp(-u)
+    return resid * attenuation + penalty * u, diff, resid, attenuation
+
+
 def batch_loss_and_grads(model: TwoBranchMlp, x, targets, penalty: float, masks=None):
     """Mean attenuated loss over a batch, with parameter gradients.
 
     Targets are expected at the model's internal (scaled) units.
     """
     x = np.atleast_2d(x)
-    targets = np.atleast_2d(targets)
     batch = x.shape[0]
     pred, u, cache = model.forward(x, masks)
-    diff = pred - targets
-    resid = np.abs(diff).sum(axis=1)
-    attenuation = np.exp(-u)
-    loss = float(np.mean(resid * attenuation + penalty * u))
+    losses, diff, resid, attenuation = attenuated_loss(pred, np.atleast_2d(targets), u, penalty)
     d_pred = np.sign(diff) * attenuation[:, None] / batch
     d_u = (-resid * attenuation + penalty) / batch
     grads = model.backward(cache, d_pred, d_u)
-    return loss, grads
+    return float(np.mean(losses)), grads
 
 
 def batch_loss(model: TwoBranchMlp, x, targets, penalty: float, masks=None) -> float:
-    x = np.atleast_2d(x)
-    targets = np.atleast_2d(targets)
-    pred, u, _ = model.forward(x, masks)
-    resid = np.abs(pred - targets).sum(axis=1)
-    return float(np.mean(resid * np.exp(-u) + penalty * u))
+    pred, u, _ = model.forward(np.atleast_2d(x), masks)
+    return float(np.mean(attenuated_loss(pred, np.atleast_2d(targets), u, penalty)[0]))
 
 
 def normalize_signals(signals, scheme: GradientScheme) -> np.ndarray:
@@ -372,10 +368,8 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
     return (pred / model.spec.target_scale).reshape(len(inputs), n_samples, 6)
 
 
-# ---------------------------------------------------------------------------
-# checkpoint format: one-line JSON header, then float64 little-endian weight
-# blocks in parameter declaration order
-# ---------------------------------------------------------------------------
+# checkpoint format: dataio's one-line JSON header, then one float64 block
+# of all weights in parameter declaration order
 
 CHECKPOINT_VERSION = 1
 
@@ -390,24 +384,18 @@ def save_checkpoint(path, model: TwoBranchMlp, cfg: TrainConfig = None, epoch: i
         "seed": model.seed,
         "n_parameters": model.n_parameters(),
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for p in model.parameters():
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    dataio.write_header_blocks(path, header, model.parameters())
 
 
 def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+    def shapes(header):
         if header.get("kind") != "mlp_checkpoint":
             raise ValueError("not a model checkpoint")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        model = TwoBranchMlp(MlpSpec(**header["spec"]), seed=header.get("seed", 0))
-        flat = np.frombuffer(
-            f.read(8 * header["n_parameters"]), dtype="<f8"
-        ).astype(np.float64)
-        if flat.size != header["n_parameters"]:
-            raise ValueError("checkpoint truncated")
-        model.set_flat(flat)
+        return [(header["n_parameters"],)]
+
+    header, (flat,) = dataio.read_header_blocks(path, shapes)
+    model = TwoBranchMlp(MlpSpec(**header["spec"]), seed=header.get("seed", 0))
+    model.set_flat(flat)
     return model, header

@@ -22,7 +22,3 @@ def box_muller(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     radius = np.sqrt(-2.0 * np.log(1.0 - r1))  # 1 - r1 is in (0, 1]; keeps log finite
     return radius * np.cos(2.0 * np.pi * r2), radius * np.sin(2.0 * np.pi * r2)
 
-
-def gaussian_pair(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent standard-normal arrays via one Box-Muller transform."""
-    return box_muller(rng.random(shape), rng.random(shape))

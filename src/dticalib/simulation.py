@@ -22,7 +22,7 @@ from .tensor import (
 )
 from .fitting import fit_cwlls_batch
 from .bootstrap import summarize_uncertainty
-from .rng import box_muller, gaussian_pair, rng_from_key
+from .rng import box_muller, rng_from_key
 
 GENERATORS = ("fixed", "prolate", "oblate", "random_spd", "two_population")
 
@@ -69,12 +69,19 @@ class PhantomSpec:
             raise ValueError("generator 'fixed' requires elements")
         if not 0.0 <= self.fa_target < 1.0:
             raise ValueError("fa_target must be in [0, 1)")
-        if self.md <= 0:
-            raise ValueError("md must be positive")
+        if not 0 < self.md < math.inf:
+            raise ValueError(f"md must be positive and finite, not {self.md}")
+        low, high = self.eig_range
+        if not 0 < high < math.inf:
+            raise ValueError(f"eig_max must be positive and finite, not {high}")
+        if not 0 < low <= high:
+            raise ValueError(f"eig_min must be in (0, eig_max = {high}], not {low}")
+        if not 0 < self.shift < math.inf:
+            raise ValueError(f"shift must be positive and finite, not {self.shift}")
         if self.orientation not in ("fixed", "uniform"):
             raise ValueError(f"orientation must be fixed or uniform, not {self.orientation!r}")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if not self.snr_db > -math.inf:  # NaN fails too
+            raise ValueError(f"snr_db must be > -inf, not {self.snr_db}")
         if self.snr_range is not None and len(self.snr_range) != 2:
             raise ValueError("snr_range must be (low, high)")
         if self.generator in ("prolate", "oblate"):  # raises if fa_target is out of reach
@@ -155,25 +162,9 @@ def _unit_quaternion(rng: np.random.Generator) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation from a normalized random quaternion."""
-    return quaternion_rotations(_unit_quaternion(rng)[None])[0]
-
-
 def rician(signal, sigma_n, n1, n2) -> np.ndarray:
     """Magnitude of signal + sigma_n * (n1 + i n2) for standard-normal n1, n2, elementwise."""
     return np.sqrt((signal + sigma_n * n1) ** 2 + (sigma_n * n2) ** 2)
-
-
-def add_rician(signal, snr_db: float, rng: np.random.Generator):
-    """Magnitude of a normalized signal after complex Gaussian noise drawn from rng.
-
-    sigma_n = 10**(-snr_db / 20); snr_db = inf leaves S untouched.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if snr_db == math.inf:
-        return signal.copy()
-    return rician(signal, 10.0 ** (-snr_db / 20.0), *gaussian_pair(rng, signal.shape))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,35 +52,6 @@ class GradientScheme:
         return len(self.bvalues)
 
 
-@dataclass
-class DiffusionTensor:
-    """Symmetric 3x3 diffusion tensor stored as its 6 unique elements plus ln(S0)."""
-
-    elements: np.ndarray  # (6,): Dxx, Dyy, Dzz, Dxy, Dxz, Dyz
-    ln_s0: float = 0.0
-
-    def __post_init__(self):
-        self.elements = np.asarray(self.elements, dtype=np.float64).reshape(6)
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, ln_s0: float = 0.0) -> "DiffusionTensor":
-        return cls(matrices_to_elements(np.asarray(mat)[None])[0], ln_s0)
-
-
-@dataclass
-class TensorScalars:
-    """Eigen-system of a tensor plus the derived rotation-invariant scalars."""
-
-    eigenvalues: np.ndarray  # (3,), descending
-    eigenvectors: np.ndarray  # (3, 3), rows are unit eigenvectors
-    fa: float
-    md: float
-    principal_direction: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.principal_direction = self.eigenvectors[0]
-
-
 def predict_signal_batch(elements: np.ndarray, scheme: GradientScheme) -> np.ndarray:
     """Normalized diffusion signals S/S0 = exp(-b g^T D g), (n, 6) rows -> (n, m).
 
@@ -93,11 +64,6 @@ def predict_signal_batch(elements: np.ndarray, scheme: GradientScheme) -> np.nda
     g = scheme.directions
     mats = elements_to_matrices(elements)
     return np.exp(-(scheme.bvalues * np.einsum("ij,njk,ik->ni", g, mats, g)))
-
-
-def predict_signal(tensor: DiffusionTensor, scheme: GradientScheme) -> np.ndarray:
-    """predict_signal_batch for one tensor: (m,) signals."""
-    return predict_signal_batch(tensor.elements[None], scheme)[0]
 
 
 def design_matrix(scheme: GradientScheme) -> np.ndarray:
@@ -153,15 +119,6 @@ def fa_md_from_eigenvalues(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num = 1.5 * np.sum(dev * dev, axis=-1)
     fa = np.sqrt(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0))
     return np.clip(fa, 0.0, 1.0), md
-
-
-def eig3_sym(tensor: DiffusionTensor) -> TensorScalars:
-    """Eigen-system, FA and MD of one tensor."""
-    if not np.all(np.isfinite(tensor.elements)):
-        raise ValueError("non-finite input")
-    evals, evecs = eigh3_batch(elements_to_matrices(tensor.elements[None]))
-    fa, md = fa_md_from_eigenvalues(evals[0])
-    return TensorScalars(evals[0], evecs[0], float(fa), float(md))
 
 
 def elements_to_matrices(elements: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dticalib.calibration import (
     triples_from_arrays,
 )
 from dticalib.cli import main as cli_main
-from dticalib.fitting import fit_cwlls, fit_ols, fit_wlls
+from dticalib.fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch
 from dticalib.mlp import (
     MlpSpec,
     TrainConfig,
@@ -35,8 +35,20 @@ from dticalib.mlp import (
     predict_mc_dropout,
     train,
 )
-from dticalib.simulation import PhantomSpec, make_phantom, make_scheme, monte_carlo_oracle
-from dticalib.tensor import eigh3_batch, elements_to_matrices, matrices_to_elements, predict_signal
+from dticalib.simulation import (
+    PhantomSpec,
+    _unit_quaternion,
+    make_phantom,
+    make_scheme,
+    monte_carlo_oracle,
+    quaternion_rotations,
+)
+from dticalib.tensor import (
+    eigh3_batch,
+    elements_to_matrices,
+    matrices_to_elements,
+    predict_signal_batch,
+)
 
 COLUMNS = ("theta95", "sigma_fa", "sigma_md")  # summarize_uncertainty's columns
 
@@ -52,15 +64,13 @@ def test_criterion_01_noiseless_roundtrip():
     worst = 0.0
     for _ in range(1000):
         lam = rng.uniform(0.1e-3, 3e-3, 3)
-        from dticalib.simulation import random_rotation
-
-        rot = random_rotation(rng)
-        truth = dc.DiffusionTensor.from_matrix(rot @ np.diag(lam) @ rot.T, 0.05)
-        signals = predict_signal(truth, scheme) * np.exp(truth.ln_s0)
-        scale = np.max(np.abs(truth.elements))
-        for fit in (fit_ols, fit_wlls, fit_cwlls):
-            res = fit(signals, scheme)
-            worst = max(worst, np.max(np.abs(res.tensor.elements - truth.elements)) / scale)
+        rot = quaternion_rotations(_unit_quaternion(rng)[None])[0]
+        truth = matrices_to_elements((rot @ np.diag(lam) @ rot.T)[None])  # one-row batch
+        signals = predict_signal_batch(truth, scheme) * np.exp(0.05)
+        scale = np.max(np.abs(truth))
+        for fit in (fit_ols_batch, fit_wlls_batch, fit_cwlls_batch):
+            beta = fit(signals, scheme)[0]
+            worst = max(worst, np.max(np.abs(beta[0, :6] - truth[0])) / scale)
     elapsed = time.monotonic() - start
     assert worst < 1e-8
     assert elapsed < 10.0

@@ -77,6 +77,12 @@ class TestExitCodes:
         ("phantom.orientation", "unifrom"),
         ("phantom.generator", "fixed"),  # no config key sets the fixed elements
         ("phantom.n_voxels", "0"),
+        ("phantom.snr_db", "-inf"),  # a dataset the fit stage refuses
+        ("phantom.eig_min", "-0.001"),  # random_spd truth with negative eigenvalues
+        ("phantom.eig_min", "0.005"),  # above eig_max
+        ("phantom.eig_max", "inf"),
+        ("phantom.shift", "-1"),  # two_population truth with negative eigenvalues
+        ("phantom.md", "inf"),
     ])
     def test_bad_phantom_value_is_config_error(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + f"{key} = {value}\n")
@@ -95,6 +101,14 @@ class TestExitCodes:
         ("seed = -1", "seed", "line 14"),
         ("calibrate.split = 1.5", "calibrate.split", "line 14"),
         ("phantom.generator = oblate\nphantom.fa_target = 0.9", "phantom.fa_target", "line 15"),
+        # values the bootstrap, predict and metric stages would reject after writing
+        ("bootstrap.iterations = 0", "bootstrap.iterations", "line 14"),
+        ("predict.samples = 1", "predict.samples", "line 14"),
+        ("metrics.bins = 0", "metrics.bins", "line 14"),
+        ("metrics.grid_size = 1", "metrics.grid_size", "line 14"),
+        ("metrics.mpiw_cap.fa = 0", "metrics.mpiw_cap.fa", "line 14"),
+        ("metrics.mpiw_cap.md = 0", "metrics.mpiw_cap.md", "line 14"),
+        ("metrics.mpiw_cap.theta = 0", "metrics.mpiw_cap.theta", "line 14"),
     ])
     def test_misconfiguration_names_key_and_line(self, tmp_path, capsys, lines, key, where):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + lines + "\n")

@@ -2,65 +2,88 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dticalib as dc
 from dticalib import fitting
 from dticalib.bootstrap import _wild_base
 from dticalib.fitting import (
     DegenerateSchemeError,
     EIGENVALUE_FLOOR_MD_MIN,
     EIGENVALUE_FLOOR_REL,
-    fit_cwlls,
-    fit_ols,
-    fit_wlls,
+    fit_cwlls_batch,
+    fit_ols_batch,
+    fit_wlls_batch,
 )
+from dticalib.rng import box_muller
 from dticalib.tensor import (
-    DiffusionTensor,
     GradientScheme,
     design_matrix,
-    eig3_sym,
-    predict_signal,
+    eigh3_batch,
+    elements_to_matrices,
+    fa_md_from_eigenvalues,
+    matrices_to_elements,
+    predict_signal_batch,
 )
-from dticalib.simulation import make_phantom, make_scheme, random_rotation, PhantomSpec
+from dticalib.simulation import (
+    PhantomSpec,
+    _unit_quaternion,
+    make_phantom,
+    make_scheme,
+    quaternion_rotations,
+    rician,
+)
+
+# the batch kernels under the names of the estimators they implement
+FITS = {"fit_ols": fit_ols_batch, "fit_wlls": fit_wlls_batch, "fit_cwlls": fit_cwlls_batch}
 
 
-def random_spd_tensor(rng, ln_s0=0.0):
+def random_spd_tensor(rng):
+    """(6,) elements of an SPD tensor with random eigenvalues and orientation."""
     lam = rng.uniform(0.1e-3, 3e-3, 3)
-    rot = random_rotation(rng)
-    return DiffusionTensor.from_matrix(rot @ np.diag(lam) @ rot.T, ln_s0)
+    rot = quaternion_rotations(_unit_quaternion(rng)[None])[0]
+    return matrices_to_elements((rot @ np.diag(lam) @ rot.T)[None])[0]
 
 
-def noiseless_signals(tensor, scheme):
-    return predict_signal(tensor, scheme) * np.exp(tensor.ln_s0)
+def noiseless_signals(elements, scheme, ln_s0=0.0):
+    return predict_signal_batch(elements[None], scheme)[0] * np.exp(ln_s0)
+
+
+def fit_one(fit, signals, scheme):
+    """(beta, residuals, leverage, cond) of one voxel, fitted as a one-row batch."""
+    beta, residuals, leverage, cond = fit(signals[None], scheme)[:4]
+    return beta[0], residuals[0], leverage[0], cond
+
+
+def eigensystem(elements):
+    """Eigenvalues (3,) descending and eigenvector rows (3, 3) of one element row."""
+    evals, evecs = eigh3_batch(elements_to_matrices(elements[None]))
+    return evals[0], evecs[0]
 
 
 class TestNoiselessRecovery:
-    @pytest.mark.parametrize("fit", [fit_ols, fit_wlls, fit_cwlls])
+    @pytest.mark.parametrize("fit", list(FITS.values()), ids=list(FITS))
     def test_exact_roundtrip(self, fit):
         rng = np.random.default_rng(5)
         scheme = make_scheme(30)
         for _ in range(25):
-            truth = random_spd_tensor(rng, ln_s0=float(rng.normal(0, 0.2)))
-            res = fit(noiseless_signals(truth, scheme), scheme)
-            assert np.max(np.abs(res.tensor.elements - truth.elements)) < 1e-10 * np.max(
-                np.abs(truth.elements)
-            )
-            assert res.tensor.ln_s0 == pytest.approx(truth.ln_s0, abs=1e-10)
+            ln_s0 = float(rng.normal(0, 0.2))
+            truth = random_spd_tensor(rng)
+            beta = fit_one(fit, noiseless_signals(truth, scheme, ln_s0), scheme)[0]
+            assert np.max(np.abs(beta[:6] - truth)) < 1e-10 * np.max(np.abs(truth))
+            assert beta[6] == pytest.approx(ln_s0, abs=1e-10)
 
     def test_wlls_equals_ols_without_noise(self):
         rng = np.random.default_rng(8)
         scheme = make_scheme(20)
         truth = random_spd_tensor(rng)
         s = noiseless_signals(truth, scheme)
-        a = fit_ols(s, scheme).tensor.elements
-        b = fit_wlls(s, scheme).tensor.elements
+        a = fit_one(fit_ols_batch, s, scheme)[0][:6]
+        b = fit_one(fit_wlls_batch, s, scheme)[0][:6]
         assert np.allclose(a, b, atol=1e-10 * np.max(np.abs(a)))
 
     def test_isotropic_signals_give_isotropic_tensor(self):
         scheme = make_scheme(15)
-        truth = DiffusionTensor([0.8e-3, 0.8e-3, 0.8e-3, 0, 0, 0])
-        res = fit_wlls(noiseless_signals(truth, scheme), scheme)
-        sc = eig3_sym(res.tensor)
-        assert np.allclose(sc.eigenvalues, 0.8e-3, rtol=1e-10)
+        truth = np.array([0.8e-3, 0.8e-3, 0.8e-3, 0, 0, 0])
+        beta = fit_one(fit_wlls_batch, noiseless_signals(truth, scheme), scheme)[0]
+        assert np.allclose(eigensystem(beta[:6])[0], 0.8e-3, rtol=1e-10)
 
     def test_minimal_scheme_interpolates(self):
         # m = 7 with a full-rank design leaves zero residuals; the classic
@@ -76,8 +99,8 @@ class TestNoiselessRecovery:
         )
         rng = np.random.default_rng(2)
         truth = random_spd_tensor(rng)
-        res = fit_ols(noiseless_signals(truth, scheme) * 1.3, scheme)
-        assert np.max(np.abs(res.residuals_log)) < 1e-10
+        residuals = fit_one(fit_ols_batch, noiseless_signals(truth, scheme) * 1.3, scheme)[1]
+        assert np.max(np.abs(residuals)) < 1e-10
 
 
 class TestDegenerateScheme:
@@ -93,7 +116,7 @@ class TestDegenerateScheme:
 
         assert np.linalg.matrix_rank(design_matrix(scheme)) < 7
         with pytest.raises(DegenerateSchemeError, match="degenerate gradient scheme"):
-            fit_ols(np.full(7, 0.5), scheme)
+            fit_ols_batch(np.full((1, 7), 0.5), scheme)
 
     def test_condition_bound_decides_like_exact_cond(self, monkeypatch):
         # cond(sqrt_w X) <= cond(X) max(sqrt_w) / min(sqrt_w): with the limit
@@ -122,16 +145,16 @@ class TestDegenerateScheme:
 
 
 class TestLeverage:
-    @pytest.mark.parametrize("fit", [fit_ols, fit_wlls, fit_cwlls])
+    @pytest.mark.parametrize("fit", list(FITS.values()), ids=list(FITS))
     def test_sums_to_parameter_count(self, fit):
         rng = np.random.default_rng(13)
         scheme = make_scheme(24)
         truth = random_spd_tensor(rng)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
-        res = fit(noisy, scheme)
-        assert res.leverage.sum() == pytest.approx(7.0, abs=1e-8)
-        assert np.all(res.leverage >= -1e-12) and np.all(res.leverage <= 1 + 1e-12)
-        assert np.isfinite(res.condition_number) and res.condition_number >= 1.0
+        _, _, leverage, cond = fit_one(fit, noisy, scheme)
+        assert leverage.sum() == pytest.approx(7.0, abs=1e-8)
+        assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
+        assert np.isfinite(cond) and cond >= 1.0
 
 
 def replicate_signals(generator, snr_db, n_voxels=20, iterations=50, seed=3):
@@ -190,17 +213,19 @@ class TestNormalEquations:
             for whole, single in zip(batch[:3], alone[:3]):
                 assert np.array_equal(whole[row], single[0])
 
-    @pytest.mark.parametrize("fit", [fit_wlls, fit_cwlls])
+    @pytest.mark.parametrize(
+        "fit", [fit_wlls_batch, fit_cwlls_batch], ids=["fit_wlls", "fit_cwlls"]
+    )
     def test_loose_row_takes_qr_with_full_leverage(self, fit):
         # b = 3000 on fast diffusion spans the signals by ~e^9: far past the bound
         scheme = make_scheme(30, bvalue=3000.0)
-        truth = DiffusionTensor([3e-3, 2e-3, 1.5e-3, 2e-4, 0, -1e-4])
+        truth = np.array([3e-3, 2e-3, 1.5e-3, 2e-4, 0, -1e-4])
         rng = np.random.default_rng(29)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
         assert normal_equations_bounds(noisy[None], scheme)[0] > fitting.NORMAL_EQUATIONS_LIMIT
-        res = fit(noisy, scheme)
-        assert res.leverage.sum() == pytest.approx(7.0, abs=1e-8)
-        assert np.all(res.leverage >= -1e-12) and np.all(res.leverage <= 1 + 1e-12)
+        leverage = fit_one(fit, noisy, scheme)[2]
+        assert leverage.sum() == pytest.approx(7.0, abs=1e-8)
+        assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
 
 
 class TestWllsBeatsOls:
@@ -214,9 +239,10 @@ class TestWllsBeatsOls:
         errs = {"ols": [], "wlls": []}
         phantom = make_phantom(spec)
         for signals, elements in zip(phantom.signals, phantom.truth):
-            fa_true = eig3_sym(DiffusionTensor(elements)).fa
-            errs["ols"].append(abs(eig3_sym(fit_ols(signals, scheme).tensor).fa - fa_true))
-            errs["wlls"].append(abs(eig3_sym(fit_wlls(signals, scheme).tensor).fa - fa_true))
+            fa_true = fa_md_from_eigenvalues(eigensystem(elements)[0])[0]
+            for name, fit in (("ols", fit_ols_batch), ("wlls", fit_wlls_batch)):
+                evals = eigensystem(fit_one(fit, signals, scheme)[0][:6])[0]
+                errs[name].append(abs(fa_md_from_eigenvalues(evals)[0] - fa_true))
         assert np.median(errs["wlls"]) <= np.median(errs["ols"])
 
 
@@ -226,13 +252,10 @@ class TestCwlls:
         scheme = make_scheme(30)
         truth = random_spd_tensor(rng)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.02, len(scheme)))
-        w = fit_wlls(noisy, scheme)
-        c = fit_cwlls(noisy, scheme)
-        assert eig3_sym(w.tensor).eigenvalues.min() > 0  # fixture sanity
-        assert np.allclose(
-            eig3_sym(c.tensor).eigenvalues, eig3_sym(w.tensor).eigenvalues, atol=1e-12
-        )
-        assert c.constrained and not w.constrained
+        w = eigensystem(fit_one(fit_wlls_batch, noisy, scheme)[0][:6])[0]
+        c = eigensystem(fit_one(fit_cwlls_batch, noisy, scheme)[0][:6])[0]
+        assert w.min() > 0  # fixture sanity
+        assert np.allclose(c, w, atol=1e-12)
 
     def test_floors_negative_eigenvalue(self):
         # phantom seed 0 at SNR 8 dB drives one WLLS eigenvalue negative
@@ -242,26 +265,25 @@ class TestCwlls:
             md=0.5e-3, orientation="fixed", snr_db=8.0, seed=0,
         )
         signals = make_phantom(spec).signals[0]
-        w = eig3_sym(fit_wlls(signals, scheme).tensor)
-        assert w.eigenvalues.min() < 0  # fixture sanity
-        c = eig3_sym(fit_cwlls(signals, scheme).tensor)
-        floor = EIGENVALUE_FLOOR_REL * max(w.eigenvalues.mean(), EIGENVALUE_FLOOR_MD_MIN)
-        assert np.all(c.eigenvalues >= floor * (1 - 1e-9))
+        w_evals, w_evecs = eigensystem(fit_one(fit_wlls_batch, signals, scheme)[0][:6])
+        assert w_evals.min() < 0  # fixture sanity
+        c_evals, c_evecs = eigensystem(fit_one(fit_cwlls_batch, signals, scheme)[0][:6])
+        floor = EIGENVALUE_FLOOR_REL * max(w_evals.mean(), EIGENVALUE_FLOOR_MD_MIN)
+        assert np.all(c_evals >= floor * (1 - 1e-9))
         # nearest flooring: untouched eigenvalues and eigenvectors survive
-        keep = w.eigenvalues >= floor
-        assert np.allclose(c.eigenvalues[keep], w.eigenvalues[keep], rtol=1e-10)
+        keep = w_evals >= floor
+        assert np.allclose(c_evals[keep], w_evals[keep], rtol=1e-10)
         for i in np.flatnonzero(keep):
-            assert abs(np.dot(c.eigenvectors[i], w.eigenvectors[i])) == pytest.approx(
-                1.0, abs=1e-8
-            )
+            assert abs(np.dot(c_evecs[i], w_evecs[i])) == pytest.approx(1.0, abs=1e-8)
 
     def test_isotropic_truth_md_above_floor(self):
         scheme = make_scheme(30)
         rng = np.random.default_rng(23)
-        truth = DiffusionTensor([0.7e-3, 0.7e-3, 0.7e-3, 0, 0, 0])
-        noisy = dc.add_rician(predict_signal(truth, scheme), 15.0, rng)
-        c = fit_cwlls(noisy, scheme)
-        assert eig3_sym(c.tensor).md >= EIGENVALUE_FLOOR_REL * EIGENVALUE_FLOOR_MD_MIN
+        truth = np.array([0.7e-3, 0.7e-3, 0.7e-3, 0, 0, 0])
+        n1, n2 = box_muller(rng.random(len(scheme)), rng.random(len(scheme)))
+        noisy = rician(noiseless_signals(truth, scheme), 10.0 ** (-15.0 / 20.0), n1, n2)
+        evals = eigensystem(fit_one(fit_cwlls_batch, noisy, scheme)[0][:6])[0]
+        assert fa_md_from_eigenvalues(evals)[1] >= EIGENVALUE_FLOOR_REL * EIGENVALUE_FLOOR_MD_MIN
 
 
 class TestPermutationInvariance:
@@ -274,10 +296,10 @@ class TestPermutationInvariance:
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
         perm = rng.permutation(len(scheme))
         permuted = GradientScheme(scheme.directions[perm], scheme.bvalues[perm])
-        a = fit_wlls(noisy, scheme)
-        b = fit_wlls(noisy[perm], permuted)
-        assert np.allclose(a.tensor.elements, b.tensor.elements, atol=1e-12)
-        assert np.allclose(a.residuals_log[perm], b.residuals_log, atol=1e-12)
+        a_beta, a_residuals = fit_one(fit_wlls_batch, noisy, scheme)[:2]
+        b_beta, b_residuals = fit_one(fit_wlls_batch, noisy[perm], permuted)[:2]
+        assert np.allclose(a_beta[:6], b_beta[:6], atol=1e-12)
+        assert np.allclose(a_residuals[perm], b_residuals, atol=1e-12)
 
 
 class TestSignalFloor:
@@ -285,5 +307,5 @@ class TestSignalFloor:
         scheme = make_scheme(10)
         signals = np.full(len(scheme), 0.5)
         signals[3] = 0.0  # Rician magnitudes can collapse to ~0
-        res = fit_ols(signals, scheme)
-        assert np.all(np.isfinite(res.tensor.elements))
+        beta = fit_one(fit_ols_batch, signals, scheme)[0]
+        assert np.all(np.isfinite(beta[:6]))

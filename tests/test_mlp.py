@@ -1,7 +1,8 @@
+import json
+
 import numpy as np
 import pytest
 
-import dticalib as dc
 from dticalib.bootstrap import summarize_uncertainty
 from dticalib.mlp import (
     DivergenceError,
@@ -10,18 +11,18 @@ from dticalib.mlp import (
     TwoBranchMlp,
     U_MIN,
     batch_loss,
+    attenuated_loss,
     batch_loss_and_grads,
     load_checkpoint,
-    loss_attenuated,
     normalize_signals,
     predict_mc_dropout,
     save_checkpoint,
     train,
 )
-from dticalib.fitting import fit_ols
+from dticalib.fitting import fit_ols_batch
 from dticalib.rng import rng_from_key
 from dticalib.simulation import PhantomSpec, fibonacci_directions, make_phantom, make_scheme
-from dticalib.tensor import GradientScheme
+from dticalib.tensor import GradientScheme, predict_signal_batch
 
 SCHEME = make_scheme(30)
 
@@ -32,6 +33,12 @@ def small_spec(**kw):
     kw.setdefault("uncertainty_widths", (16,))
     kw.setdefault("target_scale", 4000.0)
     return MlpSpec(**kw)
+
+
+def loss_attenuated(pred, truth, u, penalty):
+    """attenuated_loss of one voxel, as a one-row batch."""
+    pred, truth = np.asarray(pred, dtype=np.float64), np.asarray(truth, dtype=np.float64)
+    return attenuated_loss(pred[None], truth[None], np.array([u], dtype=np.float64), penalty)[0][0]
 
 
 class TestLossAttenuated:
@@ -283,16 +290,17 @@ class TestNormalization:
 
     def test_falls_back_to_fitted_s0(self):
         scheme = self.two_shell_scheme()
-        truth = dc.DiffusionTensor([1e-3, 1e-3, 1e-3, 0, 0, 0], ln_s0=np.log(3.0))
-        signals = dc.predict_signal(truth, scheme) * 3.0
-        x = normalize_signals(signals, scheme)
-        assert np.allclose(x, dc.predict_signal(truth, scheme), atol=1e-10)
+        clean = predict_signal_batch(np.array([[1e-3, 1e-3, 1e-3, 0, 0, 0]]), scheme)
+        x = normalize_signals(clean * 3.0, scheme)  # S0 = 3
+        assert np.allclose(x, clean, atol=1e-10)
 
     def test_fallback_rows_equal_per_row_fit(self):
         scheme = self.two_shell_scheme()
         spec = PhantomSpec(n_voxels=50, scheme=scheme, generator="random_spd", snr_db=20.0, seed=12)
         signals = make_phantom(spec).signals * np.linspace(0.5, 4.0, 50)[:, None]
-        expected = np.array([row / np.exp(fit_ols(row, scheme).tensor.ln_s0) for row in signals])
+        expected = np.array(
+            [row / np.exp(fit_ols_batch(row[None], scheme)[0][0, 6]) for row in signals]
+        )
         assert np.array_equal(normalize_signals(signals, scheme), expected)
 
 
@@ -311,6 +319,33 @@ class TestCheckpoint:
         assert header["config"]["seed"] == 7
         xq = x[:3]
         assert np.array_equal(loaded.predict(xq)[0], model.predict(xq)[0])
+
+    @staticmethod
+    def saved(tmp_path):
+        model = TwoBranchMlp(small_spec(), seed=3)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, model, TrainConfig(), epoch=2)
+        return model, path
+
+    def test_layout_is_header_line_then_weights(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        weights = b"".join(np.asarray(p, dtype="<f8").tobytes() for p in model.parameters())
+        expected = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + weights
+        assert path.read_bytes() == expected
+        assert header["n_parameters"] == model.n_parameters() and header["epoch"] == 2
+
+    def test_rejects_truncated(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bogus.bin"

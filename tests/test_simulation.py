@@ -5,18 +5,27 @@ import pytest
 
 from dticalib.bootstrap import summarize_uncertainty
 from dticalib.fitting import fit_cwlls_batch
-from dticalib.rng import gaussian_pair, rng_from_key
+from dticalib.rng import box_muller, rng_from_key
 from dticalib.simulation import (
     GENERATORS,
     PhantomSpec,
     _axisym_eigenvalues,
-    add_rician,
     fibonacci_directions,
     make_phantom,
     make_scheme,
     monte_carlo_oracle,
+    rician,
 )
-from dticalib.tensor import DiffusionTensor, elements_to_matrices, predict_signal
+from dticalib.tensor import elements_to_matrices, predict_signal_batch
+
+
+def add_rician(signal, snr_db, rng):
+    """signal after complex Gaussian noise at snr_db, Box-Muller uniforms drawn from rng.
+
+    snr_db = inf gives sigma_n = 0, and the magnitude sqrt(s**2) is s exactly.
+    """
+    n1, n2 = box_muller(rng.random(signal.shape), rng.random(signal.shape))
+    return rician(signal, 10.0 ** (-snr_db / 20.0), n1, n2)
 
 
 def lapack_fa_md(elements):
@@ -115,7 +124,7 @@ class TestPhantomDeterminism:
         spec = PhantomSpec(n_voxels=4, scheme=scheme, snr_db=np.inf, seed=2)
         phantom = make_phantom(spec)
         for signals, elements in zip(phantom.signals, phantom.truth):
-            assert np.array_equal(signals, predict_signal(DiffusionTensor(elements), scheme))
+            assert np.array_equal(signals, predict_signal_batch(elements[None], scheme)[0])
 
     def test_same_seed_identical(self):
         scheme = make_scheme(14)
@@ -140,7 +149,7 @@ class TestRicianNoise:
     def test_zero_noise_identity(self):
         rng = rng_from_key(0)
         s = np.array([0.0, 0.3, 1.0])
-        assert np.array_equal(add_rician(s, np.inf, rng), s)
+        assert np.array_equal(add_rician(s, np.inf, rng), s)  # sigma_n = 0
 
     def test_rayleigh_mean_at_zero_signal(self):
         # closed form: E|noise| of a zero signal is sigma * sqrt(pi/2)
@@ -166,7 +175,7 @@ class TestRicianNoise:
 
     def test_gaussian_pair_moments(self):
         rng = rng_from_key(11)
-        a, b = gaussian_pair(rng, 500_000)
+        a, b = box_muller(rng.random(500_000), rng.random(500_000))
         for z in (a, b):
             assert abs(z.mean()) < 5e-3
             assert abs(z.std() - 1) < 5e-3
@@ -273,8 +282,8 @@ class TestPhantomArrays:
 
 
 def reference_oracle(elements, scheme, snr_db, n_realizations, seed):
-    """The oracle one realization at a time: add_rician per stream, one batch fit."""
-    clean = predict_signal(DiffusionTensor(elements), scheme)
+    """The oracle one realization at a time: Rician noise per stream, one batch fit."""
+    clean = predict_signal_batch(elements[None], scheme)[0]
     noisy = np.array(
         [add_rician(clean, snr_db, rng_from_key(seed, k)) for k in range(n_realizations)]
     )

@@ -3,21 +3,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dticalib.tensor import (
-    DiffusionTensor,
     GradientScheme,
     design_matrix,
-    eig3_sym,
     eigh3_batch,
     elements_to_matrices,
     fa_md_from_eigenvalues,
     matrices_to_elements,
-    predict_signal,
+    predict_signal_batch,
 )
-from dticalib.simulation import make_scheme, random_rotation
+from dticalib.simulation import _unit_quaternion, make_scheme, quaternion_rotations
 
 
-def diag_tensor(dxx, dyy, dzz, ln_s0=0.0):
-    return DiffusionTensor([dxx, dyy, dzz, 0.0, 0.0, 0.0], ln_s0)
+def diag_tensor(dxx, dyy, dzz):
+    return np.array([dxx, dyy, dzz, 0.0, 0.0, 0.0])
+
+
+def random_rotation(rng):
+    return quaternion_rotations(_unit_quaternion(rng)[None])[0]
+
+
+def scalars(elements):
+    """(eigenvalues, eigenvectors, fa, md) of one (6,) element row, as a one-row batch."""
+    evals, evecs = eigh3_batch(elements_to_matrices(elements[None]))
+    fa, md = fa_md_from_eigenvalues(evals)
+    return evals[0], evecs[0], fa[0], md[0]
 
 
 class TestGradientScheme:
@@ -42,24 +51,24 @@ class TestPredictSignal:
     def test_isotropic_same_for_all_directions(self):
         scheme = make_scheme(12, bvalue=1000.0, n_b0=0)
         t = diag_tensor(1e-3, 1e-3, 1e-3)
-        s = predict_signal(t, scheme)
+        s = predict_signal_batch(t[None], scheme)[0]
         assert np.allclose(s, np.exp(-1.0), atol=1e-15)
 
     def test_b0_is_exactly_one(self):
         scheme = make_scheme(6, n_b0=2)
-        s = predict_signal(diag_tensor(1.7e-3, 0.3e-3, 0.3e-3), scheme)
+        s = predict_signal_batch(diag_tensor(1.7e-3, 0.3e-3, 0.3e-3)[None], scheme)[0]
         assert s[0] == 1.0 and s[1] == 1.0
 
     def test_diagonal_tensor_along_x(self):
         # q = (1,0,0), b = 1000 picks out Dxx alone
         scheme = GradientScheme([[1.0, 0.0, 0.0]], [1000.0])
-        s = predict_signal(diag_tensor(1.7e-3, 0.3e-3, 0.3e-3), scheme)
+        s = predict_signal_batch(diag_tensor(1.7e-3, 0.3e-3, 0.3e-3)[None], scheme)[0]
         assert s[0] == pytest.approx(0.18268352405273466, abs=1e-15)
 
     def test_non_finite_rejected(self):
         scheme = make_scheme(6)
         with pytest.raises(ValueError, match="non-finite input"):
-            predict_signal(DiffusionTensor([np.nan, 0, 0, 0, 0, 0]), scheme)
+            predict_signal_batch(np.array([[np.nan, 0, 0, 0, 0, 0]]), scheme)
 
     def test_values_in_unit_interval_for_spd(self):
         scheme = make_scheme(20)
@@ -67,44 +76,43 @@ class TestPredictSignal:
         for _ in range(20):
             lam = rng.uniform(0.1e-3, 3e-3, 3)
             rot = random_rotation(rng)
-            t = DiffusionTensor.from_matrix(rot @ np.diag(lam) @ rot.T)
-            s = predict_signal(t, scheme)
+            t = matrices_to_elements((rot @ np.diag(lam) @ rot.T)[None])
+            s = predict_signal_batch(t, scheme)[0]
             assert np.all(s > 0) and np.all(s <= 1.0)
 
 
 class TestEig3Sym:
     def test_isotropic_fa_zero(self):
-        sc = eig3_sym(diag_tensor(0.7e-3, 0.7e-3, 0.7e-3))
-        assert sc.fa == pytest.approx(0.0, abs=1e-12)
-        assert sc.md == pytest.approx(0.7e-3, rel=1e-12)
+        _, _, fa, md = scalars(diag_tensor(0.7e-3, 0.7e-3, 0.7e-3))
+        assert fa == pytest.approx(0.0, abs=1e-12)
+        assert md == pytest.approx(0.7e-3, rel=1e-12)
 
     def test_rank_one_fa_is_one(self):
-        sc = eig3_sym(diag_tensor(1.0, 0.0, 0.0))
-        assert sc.fa == pytest.approx(1.0, abs=1e-12)
-        assert sc.md == pytest.approx(1.0 / 3.0, rel=1e-12)
+        _, _, fa, md = scalars(diag_tensor(1.0, 0.0, 0.0))
+        assert fa == pytest.approx(1.0, abs=1e-12)
+        assert md == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_zero_tensor_fa_defined_zero(self):
-        sc = eig3_sym(diag_tensor(0.0, 0.0, 0.0))
-        assert sc.fa == 0.0
+        _, _, fa, _ = scalars(diag_tensor(0.0, 0.0, 0.0))
+        assert fa == 0.0
 
     def test_prolate_example(self):
         # oracle: direct evaluation of the FA formula on the eigenvalues
         lam = np.array([1.7e-3, 0.3e-3, 0.3e-3])
         fa_direct = np.sqrt(1.5 * np.sum((lam - lam.mean()) ** 2) / np.sum(lam**2))
-        sc = eig3_sym(diag_tensor(*lam))
+        _, _, fa, md = scalars(diag_tensor(*lam))
         assert fa_direct == pytest.approx(0.7990222037494894, abs=1e-12)
-        assert sc.fa == pytest.approx(fa_direct, abs=1e-12)
-        assert sc.md == pytest.approx(lam.mean(), rel=1e-12)
+        assert fa == pytest.approx(fa_direct, abs=1e-12)
+        assert md == pytest.approx(lam.mean(), rel=1e-12)
 
     def test_eigenvectors_orthonormal_and_reconstruct(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             mat = rng.normal(size=(3, 3))
             mat = (mat + mat.T) / 2
-            sc = eig3_sym(DiffusionTensor.from_matrix(mat))
-            v = sc.eigenvectors
+            evals, v, _, _ = scalars(matrices_to_elements(mat[None])[0])
             assert np.allclose(v @ v.T, np.eye(3), atol=1e-8)
-            recon = v.T @ np.diag(sc.eigenvalues) @ v
+            recon = v.T @ np.diag(evals) @ v
             assert np.linalg.norm(recon - mat) <= 1e-10 * max(np.linalg.norm(mat), 1e-30)
 
     def test_matches_lapack_eigenvalues(self):
@@ -156,10 +164,10 @@ class TestDesignMatrix:
             lam = rng.uniform(0.1e-3, 3e-3, 3)
             rot = random_rotation(rng)
             ln_s0 = float(rng.normal(0, 0.3))
-            t = DiffusionTensor.from_matrix(rot @ np.diag(lam) @ rot.T, ln_s0)
+            t = matrices_to_elements((rot @ np.diag(lam) @ rot.T)[None])
             x = design_matrix(scheme)
-            params = np.concatenate([t.elements, [ln_s0]])
-            log_signal = np.log(predict_signal(t, scheme)) + ln_s0
+            params = np.concatenate([t[0], [ln_s0]])
+            log_signal = np.log(predict_signal_batch(t, scheme)[0]) + ln_s0
             assert np.allclose(x @ params, log_signal, atol=1e-12)
 
 
@@ -170,10 +178,10 @@ class TestRotationEquivariance:
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0.1e-3, 3e-3, 3)
         rot = random_rotation(rng)
-        base = eig3_sym(diag_tensor(*lam))
-        rotated = eig3_sym(DiffusionTensor.from_matrix(rot @ np.diag(lam) @ rot.T))
-        assert rotated.fa == pytest.approx(base.fa, abs=1e-10)
-        assert rotated.md == pytest.approx(base.md, abs=1e-10 * base.md + 1e-18)
+        _, _, base_fa, base_md = scalars(diag_tensor(*lam))
+        _, _, fa, md = scalars(matrices_to_elements((rot @ np.diag(lam) @ rot.T)[None])[0])
+        assert fa == pytest.approx(base_fa, abs=1e-10)
+        assert md == pytest.approx(base_md, abs=1e-10 * base_md + 1e-18)
 
 
 class TestElementLayout:
