@@ -41,7 +41,6 @@ class BinStats:
     rmv: np.ndarray  # sqrt(mean sigma^2) per bin
     rmse: np.ndarray  # sqrt(mean squared error) per bin
     counts: np.ndarray
-    binning: str = "equal_population"
 
     @property
     def n_bins(self) -> int:

@@ -12,8 +12,6 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig
-from .dataio import DataFormatError
-from .fitting import DegenerateSchemeError
 from .mlp import DivergenceError
 from . import pipeline
 
@@ -78,14 +76,7 @@ def main(argv=None) -> int:
     except (DivergenceError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (
-        DataFormatError,
-        DegenerateSchemeError,
-        FileNotFoundError,
-        OSError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # DataFormatError is a ValueError too
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     return 0

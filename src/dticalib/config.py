@@ -76,9 +76,10 @@ SCHEMA = {
     "seed": Key("int", PhantomSpec.seed, Range(0, closed=True)),
     "scheme.bvec": Key("path"),
     "scheme.bval": Key("path"),
-    "scheme.n_directions": Key("int"),
-    "scheme.bvalue": Key("float", _default(make_scheme, "bvalue")),
-    "scheme.n_b0": Key("int", _default(make_scheme, "n_b0")),
+    # the single-shell design has full rank only with 7+ directions and a b=0 row
+    "scheme.n_directions": Key("int", None, Range(7, closed=True)),
+    "scheme.bvalue": Key("float", _default(make_scheme, "bvalue"), Range(0)),
+    "scheme.n_b0": Key("int", _default(make_scheme, "n_b0"), Range(1, closed=True)),
     "phantom.n_voxels": Key("int"),
     "phantom.generator": Key("str", PhantomSpec.generator),
     "phantom.fa_target": Key("float", PhantomSpec.fa_target),

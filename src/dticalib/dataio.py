@@ -100,10 +100,27 @@ def write_header_blocks(path, header: dict, blocks):
             f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def read_header_blocks(path, block_shapes_from_header):
-    """(header, blocks); a short block or bytes past the last one are a DataFormatError."""
-    with open(path, "rb") as f:
+def _read_header(f, path) -> dict:
+    """The JSON object on the first line of the open file f."""
+    try:  # bad UTF-8 and bad JSON are ValueErrors
         header = json.loads(f.readline().decode("utf-8"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: first line is not a JSON header object")
+    return header
+
+
+def file_kind(path):
+    """The kind a file of the shared layout declares in its header."""
+    with open(path, "rb") as f:
+        return _read_header(f, path).get("kind")
+
+
+def read_header_blocks(path, block_shapes_from_header):
+    """(header, blocks); a bad header, a short block or trailing bytes are a DataFormatError."""
+    with open(path, "rb") as f:
+        header = _read_header(f, path)
         shapes = block_shapes_from_header(header)
         blocks = []
         for shape in shapes:

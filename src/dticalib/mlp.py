@@ -1,10 +1,13 @@
 """Per-voxel two-branch MLP: tensor regression with a learned,
 input-dependent uncertainty scalar.
 
-The main branch maps a normalized signal vector to the 6 tensor elements and
-carries dropout on its hidden layers (inverted scaling, so masks can stay
-active at inference for Monte-Carlo sampling). The uncertainty branch shares
-the input but has no dropout, so its output u depends on the signal alone.
+The regression branch maps a normalized signal vector to the 6 tensor
+elements and carries dropout on its hidden layers (inverted scaling, so
+masks can stay active at inference for Monte-Carlo sampling). The
+uncertainty branch shares the input but has no dropout, so its output u
+depends on the signal alone and comes from one deterministic pass. One
+ReLU-stack kernel, _stack_forward with _stack_backward, serves both
+branches; MC dropout samples only the regression branch.
 
 Training minimizes the attenuated loss
     sum_j |pred_j - truth_j| * exp(-u) + penalty * u
@@ -65,7 +68,7 @@ class TrainConfig:
 
 
 class TwoBranchMlp:
-    """Weights plus forward/backward passes; see module docstring."""
+    """Weights of both branches and their passes; see module docstring."""
 
     def __init__(self, spec: MlpSpec, seed: int = 0):
         self.spec = spec
@@ -130,88 +133,59 @@ class TwoBranchMlp:
         return np.split(keep.astype(np.float64), np.cumsum(widths)[:-1], axis=1)
 
     def forward(self, x: np.ndarray, masks=None):
-        """Both branches; returns (pred (B,6), u (B,), cache for backward).
+        """Dropout branch: (pred (B, 6) at internal scale, trace).
 
-        masks=None runs the main branch deterministically (no dropout).
+        masks=None runs it deterministically (no dropout).
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        keep = 1.0 - self.spec.dropout_rate
-        cache = {"x": x, "main_in": [], "main_z": [], "masks": masks}
-        h = x
-        n_hidden = len(self.spec.hidden_widths)
-        for i in range(n_hidden):
-            cache["main_in"].append(h)
-            z = h @ self.main_w[i] + self.main_b[i]
-            cache["main_z"].append(z)
-            h = np.maximum(z, 0.0)
-            if masks is not None:
-                h = h * masks[i] / keep
-        cache["main_in"].append(h)
-        pred = h @ self.main_w[-1] + self.main_b[-1]
+        return _stack_forward(self.main_w, self.main_b, x, masks, 1.0 - self.spec.dropout_rate)
 
-        g = x
-        cache["unc_in"], cache["unc_z"] = [], []
-        for i in range(len(self.spec.uncertainty_widths)):
-            cache["unc_in"].append(g)
-            z = g @ self.unc_w[i] + self.unc_b[i]
-            cache["unc_z"].append(z)
-            g = np.maximum(z, 0.0)
-        cache["unc_in"].append(g)
-        u_raw = (g @ self.unc_w[-1] + self.unc_b[-1])[:, 0]
-        cache["u_raw"] = u_raw
-        u = np.clip(u_raw, U_MIN, U_MAX)
-        return pred, u, cache
+    def uncertainty(self, x: np.ndarray):
+        """Deterministic branch: (u (B,) clamped to [U_MIN, U_MAX], trace)."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        u_raw, trace = _stack_forward(self.unc_w, self.unc_b, x)
+        return np.clip(u_raw[:, 0], U_MIN, U_MAX), trace
 
     def predict(self, x: np.ndarray):
-        """Deterministic pass: (pred_elements at physical scale, u)."""
-        pred, u, _ = self.forward(x, masks=None)
-        return pred / self.spec.target_scale, u
+        """Deterministic pass of both branches: (pred_elements at physical scale, u)."""
+        pred, _ = self.forward(x)
+        return pred / self.spec.target_scale, self.uncertainty(x)[0]
 
-    def backward(self, cache, d_pred: np.ndarray, d_u: np.ndarray):
-        """Gradients of all parameters given dLoss/dpred and dLoss/du."""
-        keep = 1.0 - self.spec.dropout_rate
-        masks = cache["masks"]
-        grads_w = [None] * len(self.main_w)
-        grads_b = [None] * len(self.main_b)
-        h_last = cache["main_in"][-1]
-        grads_w[-1] = h_last.T @ d_pred
-        grads_b[-1] = d_pred.sum(axis=0)
-        dh = d_pred @ self.main_w[-1].T
-        for i in reversed(range(len(self.spec.hidden_widths))):
-            if masks is not None:
-                dh = dh * masks[i] / keep
-            dz = dh * (cache["main_z"][i] > 0)
-            grads_w[i] = cache["main_in"][i].T @ dz
-            grads_b[i] = dz.sum(axis=0)
-            dh = dz @ self.main_w[i].T
 
-        # clamp gate: zero gradient where u_raw left the clamp window
-        gate = (cache["u_raw"] > U_MIN) & (cache["u_raw"] < U_MAX)
-        du = (d_u * gate)[:, None]
-        ugrads_w = [None] * len(self.unc_w)
-        ugrads_b = [None] * len(self.unc_b)
-        g_last = cache["unc_in"][-1]
-        ugrads_w[-1] = g_last.T @ du
-        ugrads_b[-1] = du.sum(axis=0)
-        dg = du @ self.unc_w[-1].T
-        for i in reversed(range(len(self.spec.uncertainty_widths))):
-            dz = dg * (cache["unc_z"][i] > 0)
-            ugrads_w[i] = cache["unc_in"][i].T @ dz
-            ugrads_b[i] = dz.sum(axis=0)
-            dg = dz @ self.unc_w[i].T
+def _stack_forward(weights, biases, x, masks=None, keep=1.0):
+    """ReLU hidden layers, then a linear output layer; returns (out, trace).
 
-        out = []
-        for w, b in zip(grads_w, grads_b):
-            out.extend([w, b])
-        for w, b in zip(ugrads_w, ugrads_b):
-            out.extend([w, b])
-        return out
+    trace lists each layer's input, x first. masks, one keep mask per hidden
+    layer, drop units after the ReLU with inverted scaling 1 / keep.
+    """
+    trace = [x]
+    for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        h = np.maximum(trace[-1] @ w + b, 0.0)
+        if masks is not None:
+            h = h * masks[i] / keep
+        trace.append(h)
+    return trace[-1] @ weights[-1] + biases[-1], trace
+
+
+def _stack_backward(weights, trace, d_out, masks=None, keep=1.0):
+    """Gradients [W0, b0, ..., Wk, bk] of a _stack_forward pass given dLoss/d(out)."""
+    grads = [d_out.sum(axis=0), trace[-1].T @ d_out]  # last layer first, b before W
+    d = d_out
+    for i in reversed(range(len(weights) - 1)):
+        d = d @ weights[i + 1].T
+        if masks is not None:
+            d = d * masks[i] / keep
+        # the ReLU passes gradient where its output is positive; a dropped
+        # unit's gradient is already zero
+        d = d * (trace[i + 1] > 0)
+        grads += [d.sum(axis=0), trace[i].T @ d]
+    return grads[::-1]
 
 
 def attenuated_loss(pred, targets, u, penalty: float):
     """Row-wise attenuated L1 loss sum_j |pred_j - target_j| * exp(-u) + penalty * u.
 
-    pred and targets are (B, 6), u the (B,) clamped forward output. Returns
+    pred and targets are (B, 6), u the (B,) clamped uncertainty output. Returns
     the (B,) losses, plus pred - targets, the row L1 residuals and exp(-u)
     for the gradient.
     """
@@ -228,16 +202,20 @@ def batch_loss_and_grads(model: TwoBranchMlp, x, targets, penalty: float, masks=
     """
     x = np.atleast_2d(x)
     batch = x.shape[0]
-    pred, u, cache = model.forward(x, masks)
+    pred, trace = model.forward(x, masks)
+    u, u_trace = model.uncertainty(x)
     losses, diff, resid, attenuation = attenuated_loss(pred, np.atleast_2d(targets), u, penalty)
     d_pred = np.sign(diff) * attenuation[:, None] / batch
     d_u = (-resid * attenuation + penalty) / batch
-    grads = model.backward(cache, d_pred, d_u)
-    return float(np.mean(losses)), grads
+    d_u = d_u * ((u > U_MIN) & (u < U_MAX))  # no gradient where the clamp holds u
+    grads = _stack_backward(model.main_w, trace, d_pred, masks, 1.0 - model.spec.dropout_rate)
+    return float(np.mean(losses)), grads + _stack_backward(model.unc_w, u_trace, d_u[:, None])
 
 
 def batch_loss(model: TwoBranchMlp, x, targets, penalty: float, masks=None) -> float:
-    pred, u, _ = model.forward(np.atleast_2d(x), masks)
+    x = np.atleast_2d(x)
+    pred, _ = model.forward(x, masks)
+    u, _ = model.uncertainty(x)
     return float(np.mean(attenuated_loss(pred, np.atleast_2d(targets), u, penalty)[0]))
 
 
@@ -364,7 +342,7 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
         raise ValueError("need one seed per voxel")
     draws = (model.make_sample_masks(rng_from_key(int(s)), n_samples) for s in seeds)
     masks = [np.concatenate(layer) for layer in zip(*draws)]  # per-row masks freed here
-    pred, _, _ = model.forward(np.repeat(inputs, n_samples, axis=0), masks)
+    pred, _ = model.forward(np.repeat(inputs, n_samples, axis=0), masks)
     return (pred / model.spec.target_scale).reshape(len(inputs), n_samples, 6)
 
 

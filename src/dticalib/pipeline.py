@@ -8,7 +8,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -118,16 +117,11 @@ def _voxel_seeds(seed: int, n_voxels: int) -> list:
     return [int(np.random.SeedSequence([seed, v]).generate_state(1)[0]) for v in range(n_voxels)]
 
 
-def _train_arrays(cfg: ExperimentConfig):
+def run_train(cfg: ExperimentConfig) -> Path:
     _, signals, truth, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise ConfigError("training requires a dataset with ground truth")
     inputs = mlp.normalize_signals(signals, scheme)
-    return inputs, truth, scheme
-
-
-def run_train(cfg: ExperimentConfig) -> Path:
-    inputs, truth, scheme = _train_arrays(cfg)
     spec = _build(
         cfg,
         "train",
@@ -242,8 +236,7 @@ def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty):
 
 def _load_table_for_eval(path):
     """Predictions table from either a predictions file or a fits file."""
-    with open(path, "rb") as f:
-        kind = json.loads(f.readline().decode("utf-8")).get("kind")
+    kind = dataio.file_kind(path)
     if kind == "predictions":
         _, table = dataio.read_predictions(path)
         return table
@@ -259,18 +252,32 @@ def _load_table_for_eval(path):
     raise dataio.DataFormatError(f"{path}: cannot evaluate file of kind {kind!r}")
 
 
+def _check_bins(cfg: ExperimentConfig, rows: dict, context: str = "", least: int = 1):
+    """ConfigError naming metrics.bins unless it is at least `least` and at most
+    the rows of each scored table ({name: row count})."""
+    bins = cfg.get("metrics.bins")
+    if bins < least or min(rows.values()) < bins:
+        counts = ", ".join(f"{name} holds {n}" for name, n in rows.items())
+        raise ConfigError(
+            f"{cfg.sources.get('metrics.bins', 'default')}: metrics.bins = {bins} must be at "
+            f"least {least} and at most the rows of each scored table; {counts}{context}"
+        )
+
+
 def run_evaluate(cfg: ExperimentConfig) -> Path:
     uncertainty = cfg.get("evaluate.uncertainty")
-    out = _ensure_out_dir(cfg)
     _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise dataio.DataFormatError("evaluate requires ground-truth tensors")
-    table = _load_table_for_eval(cfg.get("evaluate.predictions"))
+    pred_path = cfg.get("evaluate.predictions")
+    table = _load_table_for_eval(pred_path)
     bins, grid, caps = _metric_params(cfg)
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
         header, recal_table = dataio.read_predictions(recal_path)
         holdout = np.array(header["meta"]["holdout"], dtype=int)
+        rows = {f"held-out rows of {pred_path}": len(holdout), str(recal_path): len(recal_table)}
+        _check_bins(cfg, rows)
         held_truth = truth_scalars(truth[holdout])
         metrics = {
             "before": _metrics_for_table(
@@ -281,9 +288,11 @@ def run_evaluate(cfg: ExperimentConfig) -> Path:
             ),
         }
     else:
+        _check_bins(cfg, {str(pred_path): len(table)})
         metrics = _metrics_for_table(
             table, truth_scalars(truth), bins, grid, caps, uncertainty
         )
+    out = _ensure_out_dir(cfg)
     path = out / "metrics.json"
     dataio.write_metrics_json(path, metrics)
     _refresh_manifest(cfg, out)
@@ -305,7 +314,6 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
             "calibrate needs evaluate.uncertainty = epistemic: it recalibrates the "
             "per-parameter sigma columns, not the aleatoric u column"
         )
-    out = _ensure_out_dir(cfg)
     _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
     if truth is None:
         raise dataio.DataFormatError("calibrate requires ground-truth tensors")
@@ -320,6 +328,11 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     else:
         cut = int(round(split * n))
         cal_idx, holdout = np.sort(perm[:cut]), np.sort(perm[cut:])
+    rows = {"calibration split": len(cal_idx), "held-out split": len(holdout)}
+    where = cfg.sources.get("calibrate.split", "default")
+    # an isotonic map needs at least 2 bins
+    _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
+    out = _ensure_out_dir(cfg)
 
     triples_cal = triples_by_parameter(table[cal_idx], truth_scalars(truth[cal_idx]))
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}

@@ -109,6 +109,13 @@ class TestExitCodes:
         ("metrics.mpiw_cap.fa = 0", "metrics.mpiw_cap.fa", "line 14"),
         ("metrics.mpiw_cap.md = 0", "metrics.mpiw_cap.md", "line 14"),
         ("metrics.mpiw_cap.theta = 0", "metrics.mpiw_cap.theta", "line 14"),
+        # schemes whose single-shell design is short of 7 rows, singular or negative
+        ("scheme.n_directions = 3", "scheme.n_directions", "line 14"),
+        ("scheme.n_directions = 0", "scheme.n_directions", "line 14"),
+        ("scheme.n_b0 = -1", "scheme.n_b0", "line 14"),
+        ("scheme.n_b0 = 0", "scheme.n_b0", "line 14"),
+        ("scheme.bvalue = -1000", "scheme.bvalue", "line 14"),
+        ("scheme.bvalue = 0", "scheme.bvalue", "line 14"),
     ])
     def test_misconfiguration_names_key_and_line(self, tmp_path, capsys, lines, key, where):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + lines + "\n")
@@ -116,6 +123,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}: {key}")
         assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def bootstrapped_run(tmp_path, body):
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        for cmd in ("simulate", "bootstrap"):
+            assert main([cmd, "--config", cfg, "--iterations", "20"]) == 0
+        return cfg, dir_hashes(tmp_path / "run")
+
+    def test_split_smaller_than_bins_is_config_error(self, tmp_path, capsys):
+        body = BASE.format(snr="28").replace("n_voxels = 24", "n_voxels = 20")
+        cfg, before = self.bootstrapped_run(tmp_path, body + "calibrate.split = 0.05\n")
+        capsys.readouterr()
+        assert main(["calibrate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 13: metrics.bins = 6")
+        assert "calibration split holds 1, held-out split holds 19 of 20 rows" in err
+        assert "calibrate.split = 0.05 (line 14)" in err
+        assert dir_hashes(tmp_path / "run") == before
+
+    def test_one_bin_calibration_is_config_error(self, tmp_path, capsys):
+        cfg, before = self.bootstrapped_run(tmp_path, BASE.format(snr="28") + "metrics.bins = 1\n")
+        capsys.readouterr()
+        assert main(["calibrate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 14: metrics.bins = 1 must be at least 2")
+        assert "calibration split holds 12, held-out split holds 12 of 24 rows" in err
+        assert "calibrate.split = 0.5 (default)" in err
+        assert dir_hashes(tmp_path / "run") == before
+
+    def test_table_smaller_than_bins_is_config_error(self, tmp_path, capsys):
+        body = BASE.format(snr="28").replace("n_voxels = 24", "n_voxels = 5")
+        cfg, before = self.bootstrapped_run(tmp_path, body.replace("metrics.bins = 6\n", ""))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: default: metrics.bins = 15")
+        assert err.rstrip().endswith(f"{tmp_path / 'run/predictions_wbs.bin'} holds 5")
+        assert dir_hashes(tmp_path / "run") == before
+
+    @pytest.mark.parametrize("first_line", [
+        b"no header here\n", b"\x89PNG\r\n\x1a\n\0\xff", b"[1, 2]\n",
+    ], ids=["junk", "binary", "list"])
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "dataset.path"), ("evaluate", "evaluate.predictions"),
+    ])
+    def test_foreign_file_is_data_error_naming_path(
+        self, tmp_path, capsys, first_line, command, key
+    ):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + f"{key} = foreign.bin\n")
+        if command == "evaluate":
+            assert main(["simulate", "--config", cfg]) == 0
+        (tmp_path / "foreign.bin").write_bytes(first_line + b"\0" * 16)
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'foreign.bin'}: ")
 
     @pytest.mark.parametrize("line", [
         "train.val_fraction = 1.5",  # no training rows

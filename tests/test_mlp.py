@@ -9,6 +9,7 @@ from dticalib.mlp import (
     MlpSpec,
     TrainConfig,
     TwoBranchMlp,
+    U_MAX,
     U_MIN,
     batch_loss,
     attenuated_loss,
@@ -112,12 +113,121 @@ class TestUncertaintyBranchDeterminism:
         spec = small_spec(dropout_rate=0.5)
         model = TwoBranchMlp(spec, seed=2)
         x = np.random.default_rng(5).normal(0.5, 0.2, size=(4, spec.input_dim))
-        _, u_plain, _ = model.forward(x, masks=None)
+        u_plain, _ = model.uncertainty(x)
         masks = model.make_dropout_masks(np.random.default_rng(9), 4)
-        _, u_masked, _ = model.forward(x, masks=masks)
+        model.forward(x, masks=masks)  # a masked pass of the dropout branch
+        u_masked, _ = model.uncertainty(x)
         assert np.array_equal(u_plain, u_masked)
-        _, u_again, _ = model.forward(x, masks=None)
+        u_again, _ = model.uncertainty(x)
         assert np.array_equal(u_plain, u_again)
+
+
+def reference_forward(model, x, masks=None):
+    """Both branches written out as two loops: (pred, u, cache)."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    keep = 1.0 - model.spec.dropout_rate
+    cache = {"main_in": [], "main_z": [], "unc_in": [], "unc_z": [], "masks": masks}
+    h = x
+    for i in range(len(model.spec.hidden_widths)):
+        cache["main_in"].append(h)
+        z = h @ model.main_w[i] + model.main_b[i]
+        cache["main_z"].append(z)
+        h = np.maximum(z, 0.0)
+        if masks is not None:
+            h = h * masks[i] / keep
+    cache["main_in"].append(h)
+    pred = h @ model.main_w[-1] + model.main_b[-1]
+    g = x
+    for i in range(len(model.spec.uncertainty_widths)):
+        cache["unc_in"].append(g)
+        z = g @ model.unc_w[i] + model.unc_b[i]
+        cache["unc_z"].append(z)
+        g = np.maximum(z, 0.0)
+    cache["unc_in"].append(g)
+    cache["u_raw"] = (g @ model.unc_w[-1] + model.unc_b[-1])[:, 0]
+    return pred, np.clip(cache["u_raw"], U_MIN, U_MAX), cache
+
+
+def reference_backward(model, cache, d_pred, d_u):
+    """Gradients of reference_forward, one loop per branch."""
+    keep = 1.0 - model.spec.dropout_rate
+    masks = cache["masks"]
+    grads_w, grads_b = [None] * len(model.main_w), [None] * len(model.main_b)
+    grads_w[-1] = cache["main_in"][-1].T @ d_pred
+    grads_b[-1] = d_pred.sum(axis=0)
+    dh = d_pred @ model.main_w[-1].T
+    for i in reversed(range(len(model.spec.hidden_widths))):
+        if masks is not None:
+            dh = dh * masks[i] / keep
+        dz = dh * (cache["main_z"][i] > 0)
+        grads_w[i] = cache["main_in"][i].T @ dz
+        grads_b[i] = dz.sum(axis=0)
+        dh = dz @ model.main_w[i].T
+    gate = (cache["u_raw"] > U_MIN) & (cache["u_raw"] < U_MAX)
+    du = (d_u * gate)[:, None]
+    ugrads_w, ugrads_b = [None] * len(model.unc_w), [None] * len(model.unc_b)
+    ugrads_w[-1] = cache["unc_in"][-1].T @ du
+    ugrads_b[-1] = du.sum(axis=0)
+    dg = du @ model.unc_w[-1].T
+    for i in reversed(range(len(model.spec.uncertainty_widths))):
+        dz = dg * (cache["unc_z"][i] > 0)
+        ugrads_w[i] = cache["unc_in"][i].T @ dz
+        ugrads_b[i] = dz.sum(axis=0)
+        dg = dz @ model.unc_w[i].T
+    out = []
+    for w, b in [*zip(grads_w, grads_b), *zip(ugrads_w, ugrads_b)]:
+        out.extend([w, b])
+    return out
+
+
+class TestStackKernelMatchesTwoLoopReference:
+    """The shared layer-stack kernel keeps the two-loop arithmetic bit for bit."""
+
+    @staticmethod
+    def model_and_batch(dropout_rate=0.3):  # keep 0.7: 1 / keep rounds
+        spec = small_spec(hidden_widths=(32, 16, 8), uncertainty_widths=(16, 8),
+                          dropout_rate=dropout_rate)
+        model = TwoBranchMlp(spec, seed=5)
+        rng = np.random.default_rng(6)
+        x = rng.normal(0.5, 0.2, size=(9, spec.input_dim))
+        y = rng.normal(0.0, 0.5, size=(9, 6))
+        return model, x, y
+
+    @pytest.mark.parametrize("with_masks", [False, True])
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_loss_and_every_gradient(self, with_masks, clamped):
+        model, x, y = self.model_and_batch()
+        masks = model.make_dropout_masks(np.random.default_rng(3), len(x)) if with_masks else None
+        if clamped:  # move u_raw so that it leaves the clamp window on some rows only
+            u_raw = reference_forward(model, x)[2]["u_raw"]
+            model.unc_b[-1][:] += U_MAX - np.median(u_raw)
+        pred, u, cache = reference_forward(model, x, masks)
+        gate = (cache["u_raw"] > U_MIN) & (cache["u_raw"] < U_MAX)
+        assert gate.any() and (not gate.all()) == clamped
+        penalty = 1.0
+        losses, diff, resid, attenuation = attenuated_loss(pred, y, u, penalty)
+        d_pred = np.sign(diff) * attenuation[:, None] / len(x)
+        d_u = (-resid * attenuation + penalty) / len(x)
+        expected = reference_backward(model, cache, d_pred, d_u)
+        loss, grads = batch_loss_and_grads(model, x, y, penalty, masks)
+        assert loss == float(np.mean(losses))
+        assert len(grads) == len(expected) == len(model.parameters())
+        for got, want in zip(grads, expected):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert batch_loss(model, x, y, penalty, masks) == loss
+
+    def test_predict_and_mc_dropout(self):
+        model, x, _ = self.model_and_batch()
+        pred, u, _ = reference_forward(model, x)
+        points, u_got = model.predict(x)
+        assert np.array_equal(points, pred / model.spec.target_scale)
+        assert np.array_equal(u_got, u)
+        seeds = [21 + v for v in range(len(x))]
+        draws = [model.make_sample_masks(rng_from_key(s), 12) for s in seeds]
+        masks = [np.concatenate(layer) for layer in zip(*draws)]
+        want = reference_forward(model, np.repeat(x, 12, axis=0), masks)[0]
+        got = predict_mc_dropout(model, x, n_samples=12, seeds=seeds)
+        assert np.array_equal(got, (want / model.spec.target_scale).reshape(len(x), 12, 6))
 
 
 class TestTraining:
