@@ -79,7 +79,7 @@ SCHEMA = {
     # the single-shell design has full rank only with 7+ directions and a b=0 row
     "scheme.n_directions": Key("int", None, Range(7, closed=True)),
     "scheme.bvalue": Key("float", _default(make_scheme, "bvalue"), Range(0)),
-    "scheme.n_b0": Key("int", _default(make_scheme, "n_b0"), Range(1, closed=True)),
+    "scheme.n_b0": Key("int", _default(make_scheme, "n_b0"), Range(2, closed=True)),
     "phantom.n_voxels": Key("int"),
     "phantom.generator": Key("str", PhantomSpec.generator),
     "phantom.fa_target": Key("float", PhantomSpec.fa_target),

@@ -2,8 +2,9 @@
 metrics JSON, curve CSVs, and run manifests.
 
 Binary files share one layout: a single-line JSON header (UTF-8, sorted
-keys) followed by little-endian float64 blocks whose sizes the header pins
-exactly. Everything is written deterministically so identical inputs give
+keys) that declares the file's kind and format version, followed by
+little-endian float64 blocks whose sizes the header pins exactly.
+Everything is written deterministically so identical inputs give
 byte-identical files.
 """
 
@@ -18,8 +19,15 @@ import numpy as np
 
 from .tensor import GradientScheme
 
-DATASET_VERSION = 1
-PREDICTIONS_VERSION = 1
+# the one format version of each binary kind, and the header fields its
+# readers use; a reader refuses another kind, another version or a missing field
+VERSIONS = {"dataset": 1, "fits": 1, "predictions": 1, "mlp_checkpoint": 1}
+FIELDS = {
+    "dataset": ("n_voxels", "m", "has_ground_truth", "scheme_ref"),
+    "fits": ("n_voxels",),
+    "predictions": ("n_voxels", "columns", "method"),
+    "mlp_checkpoint": ("n_parameters", "spec"),
+}
 
 # prediction table columns, fixed order
 PREDICTION_COLUMNS = (
@@ -92,8 +100,9 @@ def write_bvec_bval(bvec_path, bval_path, scheme: GradientScheme):
             f.write(" ".join(repr(float(v)) for v in scheme.directions[:, axis]) + "\n")
 
 
-def write_header_blocks(path, header: dict, blocks):
-    """The shared layout: header as one sorted-key JSON line, then each block as <f8."""
+def write_header_blocks(path, kind: str, header: dict, blocks):
+    """One sorted-key JSON line of header, kind and version, then each block as <f8."""
+    header = {**header, "kind": kind, "version": VERSIONS[kind]}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for block in blocks:
@@ -117,13 +126,20 @@ def file_kind(path):
         return _read_header(f, path).get("kind")
 
 
-def read_header_blocks(path, block_shapes_from_header):
-    """(header, blocks); a bad header, a short block or trailing bytes are a DataFormatError."""
+def read_header_blocks(path, kind: str, block_shapes_from_header):
+    """(header, blocks) of a file of this kind; each is a DataFormatError naming the path:
+    a bad header, another kind or version, a missing field, a short block, trailing bytes."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
-        shapes = block_shapes_from_header(header)
+        if header.get("kind") != kind:
+            raise DataFormatError(f"{path}: not a {kind} file (kind {header.get('kind')!r})")
+        missing = [field for field in ("version", *FIELDS[kind]) if field not in header]
+        if missing:
+            raise DataFormatError(f"{path}: {kind} header lacks {', '.join(missing)}")
+        if header["version"] != VERSIONS[kind]:
+            raise DataFormatError(f"{path}: unsupported {kind} version {header['version']!r}")
         blocks = []
-        for shape in shapes:
+        for shape in block_shapes_from_header(header):
             count = int(np.prod(shape))
             raw = f.read(8 * count)
             if len(raw) != 8 * count:
@@ -139,19 +155,16 @@ def write_dataset(
     signals: np.ndarray,
     scheme_ref: str,
     truth_elements: np.ndarray = None,
-    s0: np.ndarray = None,
     seed: int = 0,
 ):
-    """Voxel dataset: signals (n, m) plus optional truth (n, 6) and S0 (n,)."""
+    """Voxel dataset: signals (n, m) plus optional truth (n, 6)."""
     signals = np.asarray(signals, dtype=np.float64)
     n, m = signals.shape
     header = {
-        "version": DATASET_VERSION,
-        "kind": "dataset",
         "n_voxels": n,
         "m": m,
         "has_ground_truth": truth_elements is not None,
-        "has_s0": s0 is not None,
+        "has_s0": False,  # version 1 declares an S0 block that no writer fills
         "seed": seed,
         "scheme_ref": scheme_ref,
     }
@@ -161,16 +174,11 @@ def write_dataset(
         if truth_elements.shape != (n, 6):
             raise DataFormatError("truth block must be (n_voxels, 6)")
         blocks.append(truth_elements)
-    if s0 is not None:
-        s0 = np.asarray(s0, dtype=np.float64)
-        if s0.shape != (n,):
-            raise DataFormatError("s0 block must be (n_voxels,)")
-        blocks.append(s0)
-    write_header_blocks(path, header, blocks)
+    write_header_blocks(path, "dataset", header, blocks)
 
 
 def read_dataset(path):
-    """Returns (header, signals, truth_elements | None, s0 | None, scheme).
+    """Returns (header, signals, truth_elements | None, scheme).
 
     scheme_ref is resolved relative to the dataset file's directory. Signals
     must be finite and >= 0 and truth finite; the error names the first bad
@@ -178,22 +186,12 @@ def read_dataset(path):
     """
 
     def shapes(header):
-        if header.get("kind") != "dataset":
-            raise DataFormatError(f"{path}: not a dataset file")
-        if header.get("version") != DATASET_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {header.get('version')}")
         n, m = header["n_voxels"], header["m"]
-        out = [(n, m)]
-        if header["has_ground_truth"]:
-            out.append((n, 6))
-        if header.get("has_s0"):
-            out.append((n,))
-        return out
+        return [(n, m), (n, 6)] if header["has_ground_truth"] else [(n, m)]
 
-    header, blocks = read_header_blocks(path, shapes)
+    header, blocks = read_header_blocks(path, "dataset", shapes)
     signals = blocks[0]
     truth = blocks[1] if header["has_ground_truth"] else None
-    s0 = blocks[-1] if header.get("has_s0") else None
     # min/max propagate NaN, so two reductions cover every bad value
     if not (signals.min(initial=0.0) >= 0 and np.isfinite(signals.max(initial=0.0))):
         voxel, m = np.argwhere(~(np.isfinite(signals) & (signals >= 0)))[0]
@@ -211,29 +209,19 @@ def read_dataset(path):
     scheme = read_bvec_bval(str(ref) + ".bvec", str(ref) + ".bval")
     if scheme.n_measurements != header["m"]:
         raise DataFormatError(f"{path}: scheme length disagrees with header")
-    return header, signals, truth, s0, scheme
+    return header, signals, truth, scheme
 
 
 def write_fits(path, params: np.ndarray, estimator: str):
     """Fitted parameters (n, 7): six tensor elements plus ln S0 per voxel."""
     params = np.asarray(params, dtype=np.float64)
-    header = {
-        "version": DATASET_VERSION,
-        "kind": "fits",
-        "n_voxels": params.shape[0],
-        "estimator": estimator,
-    }
-    write_header_blocks(path, header, [params])
+    header = {"n_voxels": params.shape[0], "estimator": estimator}
+    write_header_blocks(path, "fits", header, [params])
 
 
 def read_fits(path):
-    def shapes(header):
-        if header.get("kind") != "fits":
-            raise DataFormatError(f"{path}: not a fits file")
-        return [(header["n_voxels"], 7)]
-
-    header, blocks = read_header_blocks(path, shapes)
-    return header, blocks[0]
+    header, (params,) = read_header_blocks(path, "fits", lambda h: [(h["n_voxels"], 7)])
+    return header, params
 
 
 def write_predictions(path, table: np.ndarray, method: str, meta: dict = None):
@@ -241,28 +229,20 @@ def write_predictions(path, table: np.ndarray, method: str, meta: dict = None):
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] != len(PREDICTION_COLUMNS):
         raise DataFormatError("prediction table has wrong width")
-    header = {
-        "version": PREDICTIONS_VERSION,
-        "kind": "predictions",
-        "n_voxels": table.shape[0],
-        "columns": list(PREDICTION_COLUMNS),
-        "method": method,
-    }
+    header = {"n_voxels": table.shape[0], "columns": list(PREDICTION_COLUMNS), "method": method}
     if meta:
         header["meta"] = meta
-    write_header_blocks(path, header, [table])
+    write_header_blocks(path, "predictions", header, [table])
 
 
 def read_predictions(path):
     def shapes(header):
-        if header.get("kind") != "predictions":
-            raise DataFormatError(f"{path}: not a predictions file")
-        return [(header["n_voxels"], len(header["columns"]))]
+        if header["columns"] != list(PREDICTION_COLUMNS):
+            raise DataFormatError(f"{path}: unexpected column set")
+        return [(header["n_voxels"], len(PREDICTION_COLUMNS))]
 
-    header, blocks = read_header_blocks(path, shapes)
-    if list(header["columns"]) != list(PREDICTION_COLUMNS):
-        raise DataFormatError(f"{path}: unexpected column set")
-    return header, blocks[0]
+    header, (table,) = read_header_blocks(path, "predictions", shapes)
+    return header, table
 
 
 def write_metrics_json(path, metrics: dict):

@@ -349,31 +349,22 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
 # checkpoint format: dataio's one-line JSON header, then one float64 block
 # of all weights in parameter declaration order
 
-CHECKPOINT_VERSION = 1
-
 
 def save_checkpoint(path, model: TwoBranchMlp, cfg: TrainConfig = None, epoch: int = 0):
     header = {
-        "version": CHECKPOINT_VERSION,
-        "kind": "mlp_checkpoint",
         "spec": asdict(model.spec),
         "config": asdict(cfg) if cfg is not None else None,
         "epoch": epoch,
         "seed": model.seed,
         "n_parameters": model.n_parameters(),
     }
-    dataio.write_header_blocks(path, header, model.parameters())
+    dataio.write_header_blocks(path, "mlp_checkpoint", header, model.parameters())
 
 
 def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
-    def shapes(header):
-        if header.get("kind") != "mlp_checkpoint":
-            raise ValueError("not a model checkpoint")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        return [(header["n_parameters"],)]
-
-    header, (flat,) = dataio.read_header_blocks(path, shapes)
+    header, (flat,) = dataio.read_header_blocks(
+        path, "mlp_checkpoint", lambda header: [(header["n_parameters"],)]
+    )
     model = TwoBranchMlp(MlpSpec(**header["spec"]), seed=header.get("seed", 0))
     model.set_flat(flat)
     return model, header

@@ -89,7 +89,7 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
 
 def run_fit(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
-    _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     name = cfg.get("fit.estimator")
     # looked up per call, so wrappers installed on the module bindings see it
     kernels = {"ols": fit_ols_batch, "wlls": fit_wlls_batch, "cwlls": fit_cwlls_batch}
@@ -102,7 +102,7 @@ def run_fit(cfg: ExperimentConfig) -> Path:
 
 def run_bootstrap(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
-    _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     iterations = cfg.get("bootstrap.iterations")
     seeds = _voxel_seeds(cfg.seed, len(signals))
     table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
@@ -112,15 +112,22 @@ def run_bootstrap(cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _read_truth_dataset(cfg: ExperimentConfig):
+    """(signals, truth, scheme) of dataset.path; a dataset without truth is a data error."""
+    path = cfg.get("dataset.path")
+    _, signals, truth, scheme = dataio.read_dataset(path)
+    if truth is None:
+        raise dataio.DataFormatError(f"{path}: dataset holds no ground-truth tensors")
+    return signals, truth, scheme
+
+
 def _voxel_seeds(seed: int, n_voxels: int) -> list:
     # fold each (seed, voxel) into one integer key; the voxel's replicate stream keys off it
     return [int(np.random.SeedSequence([seed, v]).generate_state(1)[0]) for v in range(n_voxels)]
 
 
 def run_train(cfg: ExperimentConfig) -> Path:
-    _, signals, truth, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
-    if truth is None:
-        raise ConfigError("training requires a dataset with ground truth")
+    signals, truth, scheme = _read_truth_dataset(cfg)
     inputs = mlp.normalize_signals(signals, scheme)
     spec = _build(
         cfg,
@@ -154,7 +161,7 @@ def run_train(cfg: ExperimentConfig) -> Path:
 
 def run_predict(cfg: ExperimentConfig) -> Path:
     out = _ensure_out_dir(cfg)
-    _, signals, _, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     model, _ = mlp.load_checkpoint(cfg.get("predict.model"))
     n_samples = cfg.get("predict.samples")
     inputs = mlp.normalize_signals(signals, scheme)
@@ -266,16 +273,23 @@ def _check_bins(cfg: ExperimentConfig, rows: dict, context: str = "", least: int
 
 def run_evaluate(cfg: ExperimentConfig) -> Path:
     uncertainty = cfg.get("evaluate.uncertainty")
-    _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
-    if truth is None:
-        raise dataio.DataFormatError("evaluate requires ground-truth tensors")
+    _, truth, _ = _read_truth_dataset(cfg)
     pred_path = cfg.get("evaluate.predictions")
     table = _load_table_for_eval(pred_path)
     bins, grid, caps = _metric_params(cfg)
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
         header, recal_table = dataio.read_predictions(recal_path)
-        holdout = np.array(header["meta"]["holdout"], dtype=int)
+        meta = header.get("meta")
+        holdout = np.asarray(meta.get("holdout") if isinstance(meta, dict) else None)
+        n = len(recal_table)
+        if holdout.shape != (n,) or n and not (
+            holdout.dtype.kind == "i" and 0 <= holdout.min() and holdout.max() < len(table)
+        ):
+            raise dataio.DataFormatError(
+                f"{recal_path}: meta.holdout must hold one row index of {pred_path} "
+                f"(below {len(table)}) per recalibrated row, {n} in all"
+            )
         rows = {f"held-out rows of {pred_path}": len(holdout), str(recal_path): len(recal_table)}
         _check_bins(cfg, rows)
         held_truth = truth_scalars(truth[holdout])
@@ -314,9 +328,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
             "calibrate needs evaluate.uncertainty = epistemic: it recalibrates the "
             "per-parameter sigma columns, not the aleatoric u column"
         )
-    _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
-    if truth is None:
-        raise dataio.DataFormatError("calibrate requires ground-truth tensors")
+    _, truth, _ = _read_truth_dataset(cfg)
     header, table = dataio.read_predictions(cfg.get("calibrate.predictions"))
     bins, _, _ = _metric_params(cfg)
 
@@ -361,9 +373,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
 def run_curves(cfg: ExperimentConfig) -> list:
     uncertainty = cfg.get("evaluate.uncertainty")
     out = _ensure_out_dir(cfg)
-    _, _, truth, _, _ = dataio.read_dataset(cfg.get("dataset.path"))
-    if truth is None:
-        raise dataio.DataFormatError("curves require ground-truth tensors")
+    _, truth, _ = _read_truth_dataset(cfg)
     _, table = dataio.read_predictions(cfg.get("curves.predictions"))
     bins, grid, caps = _metric_params(cfg)
     triples = triples_by_parameter(table, truth_scalars(truth), uncertainty)

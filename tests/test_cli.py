@@ -63,7 +63,7 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
         assert main(["simulate", "--config", cfg]) == 0
         path = tmp_path / "run/dataset.bin"
-        header, signals, truth, _, _ = dataio.read_dataset(path)
+        header, signals, truth, _ = dataio.read_dataset(path)
         signals[7, 5] = np.nan
         dataio.write_dataset(path, signals, "scheme", truth_elements=truth, seed=header["seed"])
         capsys.readouterr()
@@ -114,6 +114,7 @@ class TestExitCodes:
         ("scheme.n_directions = 0", "scheme.n_directions", "line 14"),
         ("scheme.n_b0 = -1", "scheme.n_b0", "line 14"),
         ("scheme.n_b0 = 0", "scheme.n_b0", "line 14"),
+        ("scheme.n_b0 = 1", "scheme.n_b0", "line 14"),  # a lone b=0 row has leverage 1
         ("scheme.bvalue = -1000", "scheme.bvalue", "line 14"),
         ("scheme.bvalue = 0", "scheme.bvalue", "line 14"),
     ])
@@ -179,6 +180,41 @@ class TestExitCodes:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {tmp_path / 'foreign.bin'}: ")
+
+    def test_header_lacking_fields_is_data_error_naming_path_and_field(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "evaluate.predictions = p.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        (tmp_path / "p.bin").write_bytes(b'{"kind": "predictions"}\n')
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'p.bin'}: ") and "n_voxels" in err
+
+    def test_model_that_is_not_a_checkpoint_is_data_error_naming_path(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "predict.model = run/dataset.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg, "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'run/dataset.bin'}: not a mlp_checkpoint")
+        assert not (tmp_path / "run/predictions_dl.bin").exists()
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "evaluate", "curves"])
+    def test_dataset_without_truth_is_data_error_naming_path(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        for cmd in ("simulate", "bootstrap"):
+            assert main([cmd, "--config", cfg, "--iterations", "20"]) == 0
+        path = tmp_path / "run/dataset.bin"
+        header, signals, _, _ = dataio.read_dataset(path)
+        dataio.write_dataset(path, signals, "scheme", seed=header["seed"])
+        before = dir_hashes(tmp_path / "run")
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: dataset holds no ground-truth tensors")
+        assert dir_hashes(tmp_path / "run") == before
 
     @pytest.mark.parametrize("line", [
         "train.val_fraction = 1.5",  # no training rows
@@ -246,7 +282,7 @@ class TestCalibrateFlow:
             "phantom.n_voxels = 24", "phantom.n_voxels = 240"))
         assert main(["simulate", "--config", cfg_path]) == 0
         out = tmp_path / "run"
-        _, _, truth, _, _ = dataio.read_dataset(out / "dataset.bin")
+        _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
         fa, md, v1 = pipeline.truth_scalars(truth)
         rng = np.random.default_rng(5)
         n = len(truth)
@@ -308,6 +344,30 @@ class TestCalibrateFlow:
         assert "config error" in err and "evaluate.uncertainty" in err
         assert not (out / "predictions_recalibrated.bin").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("meta"),
+        lambda h: h["meta"].pop("holdout"),
+        lambda h: h["meta"]["holdout"].pop(),  # one index short of the table
+        lambda h: h["meta"]["holdout"].__setitem__(0, 240),  # past the predictions table
+        lambda h: h["meta"]["holdout"].__setitem__(0, -1),
+    ], ids=["no-meta", "no-holdout", "short", "past-end", "negative"])
+    def test_bad_holdout_is_data_error_naming_path(self, tmp_path, capsys, edit):
+        cfg_path, out = self.make_miscalibrated_run(tmp_path)
+        assert main(["calibrate", "--config", cfg_path]) == 0
+        path = out / "predictions_recalibrated.bin"
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + rest)
+        cfg2 = write_cfg(
+            tmp_path / "e2.cfg",
+            BASE.format(snr="inf") + "evaluate.recalibrated = run/predictions_recalibrated.bin\n",
+        )
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg2]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: meta.holdout ")
+        assert not (out / "metrics.json").exists()
+
     def test_calibration_maps_written(self, tmp_path):
         cfg_path, out = self.make_miscalibrated_run(tmp_path)
         assert main(["calibrate", "--config", cfg_path]) == 0
@@ -339,7 +399,7 @@ class TestReproducibility:
             assert main(["bootstrap", "--config", cfg]) == 0
             assert np.array_equal(dataio.read_predictions(path)[1], default, equal_nan=True)
 
-        _, signals, _, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
+        _, signals, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
         seeds = np.array(pipeline._voxel_seeds(11, n))
         perm = np.random.default_rng(3).permutation(n)
         permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, seeds[perm])
@@ -455,7 +515,7 @@ class TestDlReproducibility:
             table = dataio.read_predictions(path)[1]
             assert np.all(np.abs(table - default) <= 1e-12 * np.abs(default))
 
-        _, signals, _, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
+        _, signals, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
         model, _ = mlp.load_checkpoint(tmp_path / "run/model.bin")
         inputs = mlp.normalize_signals(signals, scheme)
         seeds = np.array(pipeline._voxel_seeds(11, self.N))

@@ -15,6 +15,7 @@ from dticalib.dataio import (
     write_fits,
     write_predictions,
 )
+from dticalib.mlp import MlpSpec, TwoBranchMlp, load_checkpoint, save_checkpoint
 from dticalib.simulation import make_scheme
 
 
@@ -70,24 +71,12 @@ class TestDatasetFile:
 
     def test_roundtrip(self, tmp_path):
         path, signals, truth = self.write_one(tmp_path)
-        header, s, t, s0, scheme = read_dataset(path)
+        header, s, t, scheme = read_dataset(path)
         assert header["seed"] == 3 and header["n_voxels"] == 5
         assert np.array_equal(s, signals)
         assert np.array_equal(t, truth)
-        assert s0 is None
+        assert header["has_s0"] is False
         assert scheme.n_measurements == 12
-
-    def test_s0_block_roundtrip(self, tmp_path):
-        scheme = make_scheme(10)
-        rng = np.random.default_rng(6)
-        signals = rng.uniform(0.1, 1.0, (4, len(scheme)))
-        s0 = rng.uniform(0.8, 1.2, 4)
-        write_bvec_bval(tmp_path / "scheme.bvec", tmp_path / "scheme.bval", scheme)
-        path = tmp_path / "d.bin"
-        write_dataset(path, signals, "scheme", s0=s0)
-        _, _, truth, back_s0, _ = read_dataset(path)
-        assert truth is None
-        assert np.array_equal(back_s0, s0)
 
     def test_truncated_block_rejected(self, tmp_path):
         path, _, _ = self.write_one(tmp_path)
@@ -156,3 +145,92 @@ class TestFitsAndPredictions:
     def test_wrong_width_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_predictions(tmp_path / "p.bin", np.zeros((2, 3)), "wbs")
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header line of a binary file, keeping its blocks."""
+    head, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + rest)
+
+
+def dataset_file(tmp_path):
+    scheme = make_scheme(10)
+    write_bvec_bval(tmp_path / "scheme.bvec", tmp_path / "scheme.bval", scheme)
+    path = tmp_path / "d.bin"
+    write_dataset(path, np.ones((3, len(scheme))), "scheme", truth_elements=np.zeros((3, 6)))
+    return path
+
+
+def fits_file(tmp_path):
+    write_fits(tmp_path / "f.bin", np.zeros((3, 7)), "cwlls")
+    return tmp_path / "f.bin"
+
+
+def predictions_file(tmp_path):
+    write_predictions(tmp_path / "p.bin", np.zeros((3, len(PREDICTION_COLUMNS))), "wbs")
+    return tmp_path / "p.bin"
+
+
+def checkpoint_file(tmp_path):
+    model = TwoBranchMlp(MlpSpec(input_dim=12, hidden_widths=(4,), uncertainty_widths=(3,)))
+    save_checkpoint(tmp_path / "m.bin", model)
+    return tmp_path / "m.bin"
+
+
+# kind: (writer of a valid file, its reader, the header fields that reader uses)
+KINDS = {
+    "dataset": (dataset_file, read_dataset, ("n_voxels", "m", "has_ground_truth", "scheme_ref")),
+    "fits": (fits_file, read_fits, ("n_voxels",)),
+    "predictions": (predictions_file, read_predictions, ("n_voxels", "columns", "method")),
+    "mlp_checkpoint": (checkpoint_file, load_checkpoint, ("n_parameters", "spec")),
+}
+
+
+class TestHeaderContract:
+    @pytest.mark.parametrize("kind, change", [
+        (kind, change)
+        for kind, (_, _, fields) in KINDS.items()
+        for change in ("other kind", "version 2", "version", *fields)
+    ])
+    def test_refusal_names_path(self, tmp_path, kind, change):
+        write, read, _ = KINDS[kind]
+        path = write(tmp_path)
+        read(path)
+        other = "fits" if kind == "dataset" else "dataset"
+        edits = {
+            "other kind": lambda h: h.update(kind=other),
+            "version 2": lambda h: h.update(version=2),
+        }
+        rewrite_header(path, edits.get(change, lambda h: h.pop(change)))
+        with pytest.raises(DataFormatError) as info:
+            read(path)
+        expected = {
+            "other kind": f"{path}: not a {kind} file (kind {other!r})",
+            "version 2": f"{path}: unsupported {kind} version 2",
+        }
+        assert str(info.value) == expected.get(change, f"{path}: {kind} header lacks {change}")
+
+    def test_every_missing_field_is_named(self, tmp_path):
+        path = tmp_path / "p.bin"
+        path.write_bytes(b'{"kind": "predictions"}\n')
+        with pytest.raises(DataFormatError, match="lacks version, n_voxels, columns, method$"):
+            read_predictions(path)
+
+    def test_header_lines_are_pinned(self, tmp_path):
+        write_fits(tmp_path / "f.bin", np.zeros((2, 7)), "cwlls")
+        write_predictions(tmp_path / "p.bin", np.zeros((2, 9)), "wbs", meta={"iterations": 11})
+        assert (tmp_path / "f.bin").read_bytes().split(b"\n", 1)[0] == (
+            b'{"estimator": "cwlls", "kind": "fits", "n_voxels": 2, "version": 1}'
+        )
+        assert (tmp_path / "p.bin").read_bytes().split(b"\n", 1)[0] == (
+            b'{"columns": ["fa_hat", "md_hat", "v1x", "v1y", "v1z", "theta95", "sigma_fa", '
+            b'"sigma_md", "aleatoric_u"], "kind": "predictions", "meta": {"iterations": 11}, '
+            b'"method": "wbs", "n_voxels": 2, "version": 1}'
+        )
+        path = dataset_file(tmp_path)
+        assert path.read_bytes().split(b"\n", 1)[0] == (
+            b'{"has_ground_truth": true, "has_s0": false, "kind": "dataset", "m": 12, '
+            b'"n_voxels": 3, "scheme_ref": "scheme", "seed": 0, "version": 1}'
+        )
