@@ -14,11 +14,12 @@ import numpy as np
 
 from .tensor import (
     GradientScheme,
+    design_matrix,
     eigh3_batch,
     elements_to_matrices,
     fa_md_from_eigenvalues,
 )
-from .fitting import SIGNAL_FLOOR, as_signal_rows, fit_cwlls_batch
+from .fitting import as_signal_rows, fit_cwlls_batch, log_signals, weighted_leverage
 from .rng import rng_from_key
 
 # Replicate rows per grouped call: wild_bootstrap_table refits, and predict
@@ -113,13 +114,15 @@ def summarize_uncertainty(elements) -> np.ndarray:
 def _wild_base(signals: np.ndarray, scheme: GradientScheme):
     """Base constrained WLLS fit of (n, m) signal rows.
 
-    Returns (fitted log-signals, leverage-scaled residuals, base eigensystem).
+    Returns (fitted log-signals X beta, residuals scaled by 1/sqrt(1 - h),
+    base eigensystem), where h is the leverage of the weighted design.
     """
-    _, residuals, leverage, _, eig = fit_cwlls_batch(signals, scheme)
+    beta, _, eig = fit_cwlls_batch(signals, scheme)
+    leverage = weighted_leverage(signals, scheme)
     if np.any(leverage >= 1.0 - 1e-9):
         raise SaturatedLeverageError("saturated leverage")
-    y_hat = np.log(np.maximum(signals, SIGNAL_FLOOR)) - residuals
-    return y_hat, residuals / np.sqrt(1.0 - leverage), eig
+    y_hat = np.einsum("kj,mj->km", beta, design_matrix(scheme))
+    return y_hat, (log_signals(signals) - y_hat) / np.sqrt(1.0 - leverage), eig
 
 
 def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientScheme):
@@ -133,7 +136,7 @@ def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientSche
         [rng_from_key(s).integers(0, 2, size=(iterations, y_hat.shape[1])) for s in seeds]
     ) * 2 - 1
     y_star = np.repeat(y_hat, iterations, axis=0) + signs * np.repeat(scaled, iterations, axis=0)
-    beta, _, _, _, eig = fit_cwlls_batch(np.exp(y_star), scheme)
+    beta, _, eig = fit_cwlls_batch(np.exp(y_star), scheme)
     if not np.all(np.isfinite(beta)):
         raise ValueError("non-finite replicate tensors")
     return beta[:, :6], eig

@@ -20,13 +20,14 @@ import numpy as np
 from .tensor import GradientScheme
 
 # the one format version of each binary kind, and the header fields its
-# readers use; a reader refuses another kind, another version or a missing field
+# readers use with their JSON types; a reader refuses another kind, another
+# version, and a missing field or one of another type
 VERSIONS = {"dataset": 1, "fits": 1, "predictions": 1, "mlp_checkpoint": 1}
 FIELDS = {
-    "dataset": ("n_voxels", "m", "has_ground_truth", "scheme_ref"),
-    "fits": ("n_voxels",),
-    "predictions": ("n_voxels", "columns", "method"),
-    "mlp_checkpoint": ("n_parameters", "spec"),
+    "dataset": {"n_voxels": int, "m": int, "has_ground_truth": bool, "scheme_ref": str},
+    "fits": {"n_voxels": int},
+    "predictions": {"n_voxels": int, "columns": list, "method": str},
+    "mlp_checkpoint": {"n_parameters": int, "spec": dict},
 }
 
 # prediction table columns, fixed order
@@ -128,14 +129,21 @@ def file_kind(path):
 
 def read_header_blocks(path, kind: str, block_shapes_from_header):
     """(header, blocks) of a file of this kind; each is a DataFormatError naming the path:
-    a bad header, another kind or version, a missing field, a short block, trailing bytes."""
+    a bad header, another kind or version, a missing field or one of another type, a
+    short block, trailing bytes."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
         if header.get("kind") != kind:
             raise DataFormatError(f"{path}: not a {kind} file (kind {header.get('kind')!r})")
-        missing = [field for field in ("version", *FIELDS[kind]) if field not in header]
+        fields = {"version": int, **FIELDS[kind]}
+        missing = [field for field in fields if field not in header]
         if missing:
             raise DataFormatError(f"{path}: {kind} header lacks {', '.join(missing)}")
+        for field, expected in fields.items():
+            if type(header[field]) is not expected:  # JSON true is a bool, never an int
+                value = header[field]
+                raise DataFormatError(f"{path}: {kind} header field {field} = {value!r} "
+                                      f"is not {expected.__name__}")
         if header["version"] != VERSIONS[kind]:
             raise DataFormatError(f"{path}: unsupported {kind} version {header['version']!r}")
         blocks = []

@@ -10,8 +10,16 @@ Three batch kernels, each fitting one scheme to (k, m) signal rows:
                          rows whose weighted condition bound is too large)
 * ``fit_cwlls_batch`` -- WLLS followed by an eigenvalue floor (SPD projection)
 
-The kernels treat rows independently, bit for bit, so a voxel's fit does
-not depend on which batch it is fitted in; one voxel is a one-row batch.
+Each returns the parameters (k, 7) and the largest condition number of the
+(weighted) design; CWLLS also returns the eigensystem of the projected
+tensors. ``weighted_leverage`` is the hat-matrix diagonal of the WLLS
+weighted designs, which only the wild bootstrap's base fit reads.
+
+Row-axis products use einsum, elementwise arithmetic and per-matrix batched
+LAPACK (qr, single-rhs solve) only, never BLAS matmul or multi-rhs solves:
+each row's result is then bitwise independent of its batch, so a voxel's
+fit does not depend on which batch it is fitted in (one voxel is a one-row
+batch), which the bootstrap's chunk-size invariance relies on.
 """
 
 from __future__ import annotations
@@ -40,79 +48,78 @@ class DegenerateSchemeError(ValueError):
     pass
 
 
-def _qr_solve_batch(design: np.ndarray, rhs: np.ndarray):
-    """Least-squares via thin QR for a (k, m, 7) stack of designs.
+def log_signals(signals) -> np.ndarray:
+    """ln S of signal rows, clamped at SIGNAL_FLOOR first."""
+    return np.log(np.maximum(signals, SIGNAL_FLOOR))
 
-    Returns (beta (k, 7), leverage (k, m)). Leverage is the squared row
-    norm of Q, i.e. the hat-matrix diagonal.
-    """
+
+def _qr_solve_batch(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares beta (k, 7) via thin QR for a (k, m, 7) stack of designs."""
     q, r = np.linalg.qr(design)
-    beta = np.linalg.solve(r, np.einsum("kmj,km->kj", q, rhs)[..., None])[..., 0]
-    leverage = np.einsum("kmj,kmj->km", q, q)
-    return beta, leverage
+    return np.linalg.solve(r, np.einsum("kmj,km->kj", q, rhs)[..., None])[..., 0]
+
+
+def weighted_leverage(signals: np.ndarray, scheme: GradientScheme) -> np.ndarray:
+    """Hat-matrix diagonal (k, m) of the WLLS weighted designs sqrt_w X of
+    (k, m) signal rows: the squared row norms of Q in their thin QR."""
+    x = design_matrix(scheme)
+    q = np.linalg.qr(_wlls_sqrt_weights(x, log_signals(signals))[:, :, None] * x)[0]
+    return np.einsum("kmj,kmj->km", q, q)
 
 
 _UPPER = np.triu_indices(7)
 # position among the 28 upper-triangle entries of each (i, j) of a 7x7
 _SYMMETRIC = np.zeros((7, 7), dtype=np.intp)
 _SYMMETRIC[_UPPER] = _SYMMETRIC.T[_UPPER] = np.arange(len(_UPPER[0]))
-_OFF_DIAGONAL_TWICE = np.where(_UPPER[0] == _UPPER[1], 1.0, 2.0)
 
 
-def _normal_solve_batch(xs: np.ndarray, w: np.ndarray, y: np.ndarray):
+def _normal_solve_batch(xs: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Weighted least squares through the 7x7 Gram matrices G = xs^T W xs.
 
     xs (m, 7) is the column-equilibrated design, w (k, m) the weights and
-    y (k, m) the log-signals. Returns (beta of xs (k, 7), leverage (k, m));
-    leverage w_m xs_m^T G^-1 xs_m is the hat-matrix diagonal. Both G and
-    the leverage contract against the 28 products xs_i * xs_j, i <= j.
+    y (k, m) the log-signals; G contracts the weights against the 28
+    products xs_i * xs_j, i <= j. Returns beta of xs (k, 7).
     """
     outer = xs[:, _UPPER[0]] * xs[:, _UPPER[1]]
-    inverse = np.linalg.inv(np.einsum("km,mp->kp", w, outer)[:, _SYMMETRIC])
-    beta = np.einsum("kij,kj->ki", inverse, np.einsum("mj,km->kj", xs, w * y))
-    upper = inverse[:, _UPPER[0], _UPPER[1]] * _OFF_DIAGONAL_TWICE
-    return beta, w * np.einsum("kp,mp->km", upper, outer)
+    gram = np.einsum("km,mp->kp", w, outer)[:, _SYMMETRIC]
+    rhs = np.einsum("mj,km->kj", xs, w * y)
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
-def _weighted_solve_batch(x: np.ndarray, sqrt_w: np.ndarray, y: np.ndarray):
+def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: np.ndarray):
     """Weighted least squares of (k, m) log-signals y on the (m, 7) design x.
 
-    Scaling the columns of X to unit norm (X_s = X / ||X columns||) takes
-    the weighted condition number from about 1.3e3 to about 5 on 30
-    directions at b = 1000, which makes the normal equations as accurate as
-    QR there. A row takes them when its bound
-    cond(X_s) * max(sqrt_w) / min(sqrt_w) is within NORMAL_EQUATIONS_LIMIT
-    and keeps the QR solve of sqrt_w X otherwise.
+    For positive weights cond(diag(s) A) <= cond(A) * max(s) / min(s), so
+    one per-row ratio max(sqrt_w) / min(sqrt_w) makes both decisions:
 
-    Returns (beta (k, 7), leverage (k, m)).
+    * rejection: rows whose bound cond(X) * ratio exceeds CONDITION_LIMIT
+      get the exact condition number of sqrt_w X, so a row is rejected
+      exactly when that is too large.
+    * solver: unit-norm columns (X_s) take the weighted condition number
+      from about 1.3e3 to about 5 on 30 directions at b = 1000, where the
+      normal equations are as accurate as QR. A row takes them when
+      cond(X_s) * ratio is within NORMAL_EQUATIONS_LIMIT, and QR otherwise.
+
+    Returns (beta (k, 7), per-row condition numbers or their bounds (k,)).
     """
+    ratio = sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
+    conds = cond_x * ratio
+    loose = ~(conds <= CONDITION_LIMIT)
+    if np.any(loose):
+        conds[loose] = np.linalg.cond(sqrt_w[loose, :, None] * x)
+    if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
+        raise DegenerateSchemeError("degenerate gradient scheme")
     scale = np.linalg.norm(x, axis=0)
     xs = x / scale
-    bound = np.linalg.cond(xs) * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
-    normal = bound <= NORMAL_EQUATIONS_LIMIT
+    normal = np.linalg.cond(xs) * ratio <= NORMAL_EQUATIONS_LIMIT
     beta = np.empty((len(y), x.shape[1]))
-    leverage = np.empty(y.shape)
     if np.any(normal):
         w = sqrt_w[normal] * sqrt_w[normal]
-        beta_s, leverage[normal] = _normal_solve_batch(xs, w, y[normal])
-        beta[normal] = beta_s / scale
+        beta[normal] = _normal_solve_batch(xs, w, y[normal]) / scale
     if not np.all(normal):
         qr = ~normal
-        beta[qr], leverage[qr] = _qr_solve_batch(
-            sqrt_w[qr, :, None] * x, sqrt_w[qr] * y[qr]
-        )
-    return beta, leverage
-
-
-# Row-axis products use einsum, elementwise arithmetic and per-matrix
-# batched LAPACK (qr, inv, single-rhs solve) only: each row's result is then
-# bitwise independent of the batch it sits in (BLAS matmul and multi-rhs
-# solves are not), which the bootstrap's chunk-size invariance relies on.
-
-
-def _predict_log(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Fitted log-signals (k, m) of parameter rows beta (k, 7)."""
-    return np.einsum("kj,mj->km", beta, x)
+        beta[qr] = _qr_solve_batch(sqrt_w[qr, :, None] * x, sqrt_w[qr] * y[qr])
+    return beta, conds
 
 
 def as_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
@@ -134,56 +141,37 @@ def _check_condition(design: np.ndarray) -> float:
     return cond
 
 
-def _weighted_conditions(cond_x: float, sqrt_w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-row condition numbers of the weighted designs sqrt_w * X.
-
-    For positive weights cond(diag(s) X) <= cond(X) * max(s) / min(s), so a
-    row whose bound is within CONDITION_LIMIT passes without an SVD; the
-    remaining rows get the exact 2-norm condition number. A row is therefore
-    rejected exactly when its exact condition number is too large.
-    """
-    conds = cond_x * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
-    loose = ~(conds <= CONDITION_LIMIT)
-    if np.any(loose):
-        conds[loose] = np.linalg.cond(sqrt_w[loose, :, None] * x)
-    if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
-        raise DegenerateSchemeError("degenerate gradient scheme")
-    return conds
-
-
-def _ols_projection(x: np.ndarray):
-    """Least-squares projection R^-1 Q^T (7, m) of X and its leverage (m,)."""
+def _ols_projection(x: np.ndarray) -> np.ndarray:
+    """Least-squares projection R^-1 Q^T (7, m) of X."""
     q, r = np.linalg.qr(x)
-    return np.linalg.solve(r, q.T), np.einsum("mj,mj->m", q, q)
+    return np.linalg.solve(r, q.T)
+
+
+def _wlls_sqrt_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """OLS-predicted signals (k, m) of log-signals y: the square roots of the
+    WLLS weights exp(2 * predicted ln S)."""
+    beta0 = np.einsum("jm,km->kj", _ols_projection(x), y)
+    return np.exp(np.einsum("kj,mj->km", beta0, x))
 
 
 def fit_ols_batch(signals: np.ndarray, scheme: GradientScheme):
-    """OLS on ln S for a (k, m) signal batch.
-
-    Returns (beta (k, 7), residuals (k, m), leverage (k, m), cond).
-    """
+    """OLS on ln S for a (k, m) signal batch. Returns (beta (k, 7), cond(X))."""
     x = design_matrix(scheme)
     cond = _check_condition(x)
-    y = np.log(np.maximum(signals, SIGNAL_FLOOR))
-    projection, leverage = _ols_projection(x)
-    beta = np.einsum("jm,km->kj", projection, y)
-    return beta, y - _predict_log(beta, x), np.broadcast_to(leverage, y.shape), cond
+    return np.einsum("jm,km->kj", _ols_projection(x), log_signals(signals)), cond
 
 
 def fit_wlls_batch(signals: np.ndarray, scheme: GradientScheme):
     """Two-pass weighted solve; weights are squared OLS-predicted signals.
 
-    Returns (beta, residuals, leverage, cond) where leverage and the
-    condition number refer to the weighted design.
+    Returns (beta (k, 7), cond): the largest condition number of the
+    weighted designs, each row's exact value or its bound.
     """
     x = design_matrix(scheme)
     cond_x = _check_condition(x)
-    y = np.log(np.maximum(signals, SIGNAL_FLOOR))
-    beta0 = np.einsum("jm,km->kj", _ols_projection(x)[0], y)
-    sqrt_w = np.exp(_predict_log(beta0, x))  # predicted signals = sqrt of weights exp(2*yhat)
-    conds = _weighted_conditions(cond_x, sqrt_w, x)
-    beta, leverage = _weighted_solve_batch(x, sqrt_w, y)
-    return beta, y - _predict_log(beta, x), leverage, float(conds.max())
+    y = log_signals(signals)
+    beta, conds = _weighted_solve_batch(x, cond_x, _wlls_sqrt_weights(x, y), y)
+    return beta, float(conds.max())
 
 
 def floor_eigenvalues_batch(elements: np.ndarray):
@@ -192,8 +180,8 @@ def floor_eigenvalues_batch(elements: np.ndarray):
     The floor is EIGENVALUE_FLOOR_REL * max(MD, EIGENVALUE_FLOOR_MD_MIN),
     per tensor. Eigenvectors are preserved.
 
-    Returns (projected elements, changed rows, (eigenvalues, eigenvectors)).
-    The eigensystem is that of the projected elements, bit for bit what
+    Returns (projected elements, (eigenvalues, eigenvectors)). The
+    eigensystem is that of the projected elements, bit for bit what
     eigh3_batch gives for them: floored rows are decomposed again.
     """
     evals, evecs = eigh3_batch(elements_to_matrices(elements))
@@ -208,22 +196,16 @@ def floor_eigenvalues_batch(elements: np.ndarray):
         )
         out[changed] = matrices_to_elements(mats)
         evals[changed], evecs[changed] = eigh3_batch(elements_to_matrices(out[changed]))
-    return out, changed, (evals, evecs)
+    return out, (evals, evecs)
 
 
 def fit_cwlls_batch(signals: np.ndarray, scheme: GradientScheme):
     """WLLS then SPD projection for a (k, m) signal batch.
 
-    Returns (beta, residuals, leverage, cond, (eigenvalues, eigenvectors));
-    the eigensystem is that of the projected tensors, so callers that need
-    it do not decompose the rows again. Residuals are recomputed against
-    the projected tensor so that fitted + residual reproduces the observed
-    log-signal.
+    Returns (beta, cond, (eigenvalues, eigenvectors)); the eigensystem is
+    that of the projected tensors, so callers that need it do not decompose
+    the rows again.
     """
-    beta, residuals, leverage, cond = fit_wlls_batch(signals, scheme)
-    floored, changed, eig = floor_eigenvalues_batch(beta[:, :6])
-    if np.any(changed):
-        beta[changed, :6] = floored[changed]
-        y_obs = np.log(np.maximum(signals[changed], SIGNAL_FLOOR))
-        residuals[changed] = y_obs - _predict_log(beta[changed], design_matrix(scheme))
-    return beta, residuals, leverage, cond, eig
+    beta, cond = fit_wlls_batch(signals, scheme)
+    beta[:, :6], eig = floor_eigenvalues_batch(beta[:, :6])
+    return beta, cond, eig

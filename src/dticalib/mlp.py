@@ -365,6 +365,10 @@ def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
     header, (flat,) = dataio.read_header_blocks(
         path, "mlp_checkpoint", lambda header: [(header["n_parameters"],)]
     )
-    model = TwoBranchMlp(MlpSpec(**header["spec"]), seed=header.get("seed", 0))
+    try:
+        spec = MlpSpec(**header["spec"])
+    except (TypeError, ValueError) as exc:  # an unknown or missing key, or a bad value
+        raise dataio.DataFormatError(f"{path}: mlp_checkpoint spec refused: {exc}") from exc
+    model = TwoBranchMlp(spec, seed=header.get("seed", 0))
     model.set_flat(flat)
     return model, header

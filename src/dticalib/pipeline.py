@@ -166,22 +166,22 @@ def run_predict(cfg: ExperimentConfig) -> Path:
     n_samples = cfg.get("predict.samples")
     inputs = mlp.normalize_signals(signals, scheme)
     points, u = model.predict(inputs)
-    evals, evecs = eigh3_batch(elements_to_matrices(points))
-    fa, md = fa_md_from_eigenvalues(evals)
+    fa, md, v1 = tensor_scalars(points)
     seeds = _voxel_seeds(cfg.seed, len(inputs))
     spread = np.empty((len(inputs), 3))
     for voxels in bs.voxel_chunks(len(inputs), n_samples):  # whole voxels per forward
         samples = mlp.predict_mc_dropout(model, inputs[voxels], n_samples, seeds=seeds[voxels])
         spread[voxels] = bs.summarize_uncertainty(samples)
-    table = np.column_stack([fa, md, evecs[:, 0, :], spread, u])
+    table = np.column_stack([fa, md, v1, spread, u])
     path = out / "predictions_dl.bin"
     dataio.write_predictions(path, table, "mc_dropout", meta={"samples": n_samples})
     _refresh_manifest(cfg, out)
     return path
 
 
-def truth_scalars(truth_elements: np.ndarray):
-    evals, evecs = eigh3_batch(elements_to_matrices(truth_elements))
+def tensor_scalars(elements: np.ndarray):
+    """(fa, md, v1) of (n, 6) tensor rows: (n,), (n,) and principal axes (n, 3)."""
+    evals, evecs = eigh3_batch(elements_to_matrices(elements))
     fa, md = fa_md_from_eigenvalues(evals)
     return fa, md, evecs[:, 0, :]
 
@@ -192,7 +192,7 @@ def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
 
 
 def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic"):
-    """Per-parameter Triples from a prediction table and truth_scalars output.
+    """Per-parameter Triples from a prediction table and the truth's tensor_scalars.
 
     theta uses the angular error as the deviation and theta95/2 as the
     sigma proxy (a 95th percentile of a folded normal sits near 2 sigma).
@@ -221,7 +221,7 @@ def _metric_params(cfg: ExperimentConfig):
 
 
 def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty):
-    """Metrics of one table against truth_scalars output for the same rows."""
+    """Metrics of one table against the truth's tensor_scalars for the same rows."""
     out = {}
     triples = triples_by_parameter(table, true_scalars, uncertainty)
     for p in PARAMETERS:
@@ -249,13 +249,10 @@ def _load_table_for_eval(path):
         return table
     if kind == "fits":
         _, params = dataio.read_fits(path)
-        evals, evecs = eigh3_batch(elements_to_matrices(params[:, :6]))
-        fa, md = fa_md_from_eigenvalues(evals)
         n = len(params)
         zeros = np.zeros(n)
-        return np.column_stack(
-            [fa, md, evecs[:, 0, :], zeros, zeros, zeros, np.full(n, np.nan)]
-        )
+        fa, md, v1 = tensor_scalars(params[:, :6])
+        return np.column_stack([fa, md, v1, zeros, zeros, zeros, np.full(n, np.nan)])
     raise dataio.DataFormatError(f"{path}: cannot evaluate file of kind {kind!r}")
 
 
@@ -292,7 +289,7 @@ def run_evaluate(cfg: ExperimentConfig) -> Path:
             )
         rows = {f"held-out rows of {pred_path}": len(holdout), str(recal_path): len(recal_table)}
         _check_bins(cfg, rows)
-        held_truth = truth_scalars(truth[holdout])
+        held_truth = tensor_scalars(truth[holdout])
         metrics = {
             "before": _metrics_for_table(
                 table[holdout], held_truth, bins, grid, caps, uncertainty
@@ -304,7 +301,7 @@ def run_evaluate(cfg: ExperimentConfig) -> Path:
     else:
         _check_bins(cfg, {str(pred_path): len(table)})
         metrics = _metrics_for_table(
-            table, truth_scalars(truth), bins, grid, caps, uncertainty
+            table, tensor_scalars(truth), bins, grid, caps, uncertainty
         )
     out = _ensure_out_dir(cfg)
     path = out / "metrics.json"
@@ -346,7 +343,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
     out = _ensure_out_dir(cfg)
 
-    triples_cal = triples_by_parameter(table[cal_idx], truth_scalars(truth[cal_idx]))
+    triples_cal = triples_by_parameter(table[cal_idx], tensor_scalars(truth[cal_idx]))
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
 
     recal = table[holdout].copy()
@@ -376,7 +373,7 @@ def run_curves(cfg: ExperimentConfig) -> list:
     _, truth, _ = _read_truth_dataset(cfg)
     _, table = dataio.read_predictions(cfg.get("curves.predictions"))
     bins, grid, caps = _metric_params(cfg)
-    triples = triples_by_parameter(table, truth_scalars(truth), uncertainty)
+    triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty)
     paths = []
     for p in PARAMETERS:
         curve = cal.picp_mpiw_curve(triples[p], caps[p], grid)

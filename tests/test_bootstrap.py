@@ -112,7 +112,7 @@ class TestWildBootstrap:
         table = wild_bootstrap_table(signals, scheme, 150, seeds)
         assert table.shape == (6, 9) and np.all(np.isnan(table[:, 8]))
         for v, seed in enumerate(seeds):
-            evals, evecs = fit_cwlls_batch(signals[v : v + 1], scheme)[4]
+            evals, evecs = fit_cwlls_batch(signals[v : v + 1], scheme)[2]
             fa, md = fa_md_from_eigenvalues(evals[0])
             expected = [fa, md, *summary(wild_bootstrap(signals[v], scheme, 150, seed))]
             got = table[v, [0, 1, 5, 6, 7]]

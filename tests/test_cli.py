@@ -191,6 +191,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {tmp_path / 'p.bin'}: ") and "n_voxels" in err
 
+    def test_header_field_of_wrong_type_is_data_error_naming_path_and_field(
+        self, tmp_path, capsys
+    ):
+        body = BASE.format(snr="28") + "evaluate.predictions = p.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "p.bin"
+        dataio.write_predictions(path, np.zeros((24, 9)), "wbs")
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head.replace(b'"n_voxels": 24', b'"n_voxels": "24"') + b"\n" + rest)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: predictions header field n_voxels = '24' ")
+        assert not (tmp_path / "run/metrics.json").exists()
+
+    def test_checkpoint_spec_with_unknown_key_is_data_error_naming_path(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "predict.model = m.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "m.bin"
+        spec = mlp.MlpSpec(input_dim=32, hidden_widths=(4,), uncertainty_widths=(3,))
+        mlp.save_checkpoint(path, mlp.TwoBranchMlp(spec))
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head.replace(b'"spec": {', b'"spec": {"bogus": 1, ') + b"\n" + rest)
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg, "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: mlp_checkpoint spec refused: ")
+        assert "bogus" in err
+        assert not (tmp_path / "run/predictions_dl.bin").exists()
+
     def test_model_that_is_not_a_checkpoint_is_data_error_naming_path(self, tmp_path, capsys):
         body = BASE.format(snr="28") + "predict.model = run/dataset.bin\n"
         cfg = write_cfg(tmp_path / "e.cfg", body)
@@ -283,7 +315,7 @@ class TestCalibrateFlow:
         assert main(["simulate", "--config", cfg_path]) == 0
         out = tmp_path / "run"
         _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
-        fa, md, v1 = pipeline.truth_scalars(truth)
+        fa, md, v1 = pipeline.tensor_scalars(truth)
         rng = np.random.default_rng(5)
         n = len(truth)
         sig_true = {"fa": rng.uniform(0.01, 0.05, n), "md": rng.uniform(2e-5, 8e-5, n)}

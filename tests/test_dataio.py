@@ -187,6 +187,19 @@ KINDS = {
     "mlp_checkpoint": (checkpoint_file, load_checkpoint, ("n_parameters", "spec")),
 }
 
+# each field a reader uses, with values of another JSON type than its own
+WRONG_TYPES = {
+    "version": ("1", True),
+    "n_voxels": ("40", True, 40.0),
+    "m": ("12", False),
+    "has_ground_truth": (1, "true"),
+    "scheme_ref": (7, None),
+    "columns": ("fa_hat",),
+    "method": (["wbs"],),
+    "n_parameters": ("100", True),
+    "spec": ([12],),
+}
+
 
 class TestHeaderContract:
     @pytest.mark.parametrize("kind, change", [
@@ -211,6 +224,32 @@ class TestHeaderContract:
             "version 2": f"{path}: unsupported {kind} version 2",
         }
         assert str(info.value) == expected.get(change, f"{path}: {kind} header lacks {change}")
+
+    @pytest.mark.parametrize("kind, field, value", [
+        (kind, field, value)
+        for kind, (_, _, fields) in KINDS.items()
+        for field in ("version", *fields)
+        for value in WRONG_TYPES[field]
+    ])
+    def test_wrong_field_type_names_path_and_field(self, tmp_path, kind, field, value):
+        write, read, _ = KINDS[kind]
+        path = write(tmp_path)
+        rewrite_header(path, lambda h: h.update({field: value}))
+        with pytest.raises(DataFormatError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}: {kind} header field {field} = {value!r} is not")
+
+    @pytest.mark.parametrize("spec", [
+        {"bogus": 1},  # a key MlpSpec does not know
+        {"dropout_rate": 1.5},
+        {"hidden_widths": 4},
+    ])
+    def test_checkpoint_spec_refused_names_path(self, tmp_path, spec):
+        path = checkpoint_file(tmp_path)
+        rewrite_header(path, lambda h: h["spec"].update(spec))
+        with pytest.raises(DataFormatError, match="spec refused") as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: mlp_checkpoint spec refused: ")
 
     def test_every_missing_field_is_named(self, tmp_path):
         path = tmp_path / "p.bin"

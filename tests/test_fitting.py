@@ -11,6 +11,8 @@ from dticalib.fitting import (
     fit_cwlls_batch,
     fit_ols_batch,
     fit_wlls_batch,
+    log_signals,
+    weighted_leverage,
 )
 from dticalib.rng import box_muller
 from dticalib.tensor import (
@@ -47,9 +49,14 @@ def noiseless_signals(elements, scheme, ln_s0=0.0):
 
 
 def fit_one(fit, signals, scheme):
-    """(beta, residuals, leverage, cond) of one voxel, fitted as a one-row batch."""
-    beta, residuals, leverage, cond = fit(signals[None], scheme)[:4]
-    return beta[0], residuals[0], leverage[0], cond
+    """(beta, cond) of one voxel, fitted as a one-row batch."""
+    beta, cond = fit(signals[None], scheme)[:2]
+    return beta[0], cond
+
+
+def residuals_of(beta, signals, scheme):
+    """Log-signal residuals ln S - X beta of one voxel's fit."""
+    return log_signals(signals) - design_matrix(scheme) @ beta
 
 
 def eigensystem(elements):
@@ -99,7 +106,8 @@ class TestNoiselessRecovery:
         )
         rng = np.random.default_rng(2)
         truth = random_spd_tensor(rng)
-        residuals = fit_one(fit_ols_batch, noiseless_signals(truth, scheme) * 1.3, scheme)[1]
+        signals = noiseless_signals(truth, scheme) * 1.3
+        residuals = residuals_of(fit_one(fit_ols_batch, signals, scheme)[0], signals, scheme)
         assert np.max(np.abs(residuals)) < 1e-10
 
 
@@ -136,7 +144,7 @@ class TestDegenerateScheme:
         for limit in limits:
             monkeypatch.setattr(fitting, "CONDITION_LIMIT", limit)
             if np.all(exact <= limit):
-                cond = fitting.fit_wlls_batch(signals, scheme)[3]
+                cond = fitting.fit_wlls_batch(signals, scheme)[1]
                 expected = np.where(bound <= limit, bound, exact).max()
                 assert cond == pytest.approx(expected, rel=1e-9)
             else:
@@ -151,7 +159,8 @@ class TestLeverage:
         scheme = make_scheme(24)
         truth = random_spd_tensor(rng)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
-        _, _, leverage, cond = fit_one(fit, noisy, scheme)
+        cond = fit_one(fit, noisy, scheme)[1]
+        leverage = weighted_leverage(noisy[None], scheme)[0]
         assert leverage.sum() == pytest.approx(7.0, abs=1e-8)
         assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
         assert np.isfinite(cond) and cond >= 1.0
@@ -183,12 +192,11 @@ class TestNormalEquations:
     @pytest.mark.parametrize("generator,snr_db", [("prolate", 28.0), ("random_spd", 5.0)])
     def test_matches_qr_solve(self, generator, snr_db, monkeypatch):
         signals, scheme = replicate_signals(generator, snr_db)
-        beta, _, leverage, cond = fitting.fit_wlls_batch(signals, scheme)
+        beta, cond = fitting.fit_wlls_batch(signals, scheme)
         monkeypatch.setattr(fitting, "NORMAL_EQUATIONS_LIMIT", 0.0)
-        beta_qr, _, leverage_qr, cond_qr = fitting.fit_wlls_batch(signals, scheme)
+        beta_qr, cond_qr = fitting.fit_wlls_batch(signals, scheme)
         rel = np.abs(beta - beta_qr).max(axis=1) / np.abs(beta_qr).max(axis=1)
         assert rel.max() <= 1e-11
-        assert np.abs(leverage - leverage_qr).max() <= 1e-13
         assert cond == cond_qr
 
     def test_split_batch_rows_equal_rows_fitted_alone(self, monkeypatch):
@@ -210,22 +218,85 @@ class TestNormalEquations:
         assert 0 < qr_rows[0] < len(signals)  # fixture sanity: both paths run
         for row in range(len(signals)):
             alone = fitting.fit_cwlls_batch(signals[row : row + 1], scheme)
-            for whole, single in zip(batch[:3], alone[:3]):
+            for whole, single in zip((batch[0], *batch[2]), (alone[0], *alone[2])):
                 assert np.array_equal(whole[row], single[0])
 
     @pytest.mark.parametrize(
         "fit", [fit_wlls_batch, fit_cwlls_batch], ids=["fit_wlls", "fit_cwlls"]
     )
-    def test_loose_row_takes_qr_with_full_leverage(self, fit):
+    def test_loose_row_takes_qr_with_full_leverage(self, fit, monkeypatch):
         # b = 3000 on fast diffusion spans the signals by ~e^9: far past the bound
         scheme = make_scheme(30, bvalue=3000.0)
         truth = np.array([3e-3, 2e-3, 1.5e-3, 2e-4, 0, -1e-4])
         rng = np.random.default_rng(29)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
         assert normal_equations_bounds(noisy[None], scheme)[0] > fitting.NORMAL_EQUATIONS_LIMIT
-        leverage = fit_one(fit, noisy, scheme)[2]
+        qr_rows = []
+        qr_solve = fitting._qr_solve_batch
+
+        def spy(design, rhs):
+            qr_rows.append(len(design))
+            return qr_solve(design, rhs)
+
+        monkeypatch.setattr(fitting, "_qr_solve_batch", spy)
+        beta = fit_one(fit, noisy, scheme)[0]
+        assert qr_rows == [1] and np.all(np.isfinite(beta))
+        leverage = weighted_leverage(noisy[None], scheme)[0]
         assert leverage.sum() == pytest.approx(7.0, abs=1e-8)
         assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
+
+
+class TestRowsAloneAsInBatch:
+    """Every kernel and the leverage give each row bitwise what it gets alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_directions=st.integers(8, 40),
+        bvalue=st.floats(500.0, 3000.0),
+        n_b0=st.integers(1, 3),
+        snrs=st.lists(st.floats(5.0, 40.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_row_alone_equals_row_in_batch(self, n_directions, bvalue, n_b0, snrs, seed):
+        scheme = make_scheme(n_directions, bvalue, n_b0)
+        rng = np.random.default_rng(seed)
+        # a tensor the floor changes, a fast one whose weights span past the
+        # normal-equations bound and a slow one well within it
+        special = (
+            np.array([2e-3, 1e-3, -0.5e-3, 0, 0, 0]),
+            np.array([10.0 / bvalue, 1e-3, 0.5e-3, 0, 0, 0]),
+            np.array([1.0 / bvalue] * 3 + [0.0] * 3),
+        )
+        rows = [noiseless_signals(elements, scheme) for elements in special]
+        for snr_db in snrs:
+            clean = noiseless_signals(random_spd_tensor(rng), scheme)
+            n1, n2 = box_muller(rng.random(len(scheme)), rng.random(len(scheme)))
+            rows.append(rician(clean, 10.0 ** (-snr_db / 20.0), n1, n2))
+        signals = np.array(rows)[rng.permutation(len(rows))]
+        bounds = normal_equations_bounds(signals, scheme)
+        # draw sanity: both solve paths and the floor are exercised
+        assert bounds.min() <= fitting.NORMAL_EQUATIONS_LIMIT < bounds.max()
+        wlls = fit_wlls_batch(signals, scheme)[0]
+        assert np.linalg.eigvalsh(elements_to_matrices(wlls[:, :6])).min() < 0
+
+        kernels = (fit_ols_batch, fit_wlls_batch, fit_cwlls_batch)
+        batches = [fit(signals, scheme) for fit in kernels]
+        leverage = weighted_leverage(signals, scheme)
+        assert np.allclose(leverage.sum(axis=1), 7.0, rtol=0, atol=1e-8)
+        assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
+        alone = [[fit(signals[row : row + 1], scheme) for row in range(len(signals))]
+                 for fit in kernels]
+        for batch, singles in zip(batches, alone):
+            # cond is the largest row's, and each row's is its own
+            assert batch[1] == max(single[1] for single in singles)
+            for row, single in enumerate(singles):
+                assert np.array_equal(batch[0][row], single[0][0])
+        for row, single in enumerate(alone[2]):
+            for whole, one in zip(batches[2][2], single[2]):
+                assert np.array_equal(whole[row], one[0])
+        for row in range(len(signals)):
+            alone_leverage = weighted_leverage(signals[row : row + 1], scheme)
+            assert np.array_equal(leverage[row], alone_leverage[0])
 
 
 class TestWllsBeatsOls:
@@ -296,9 +367,11 @@ class TestPermutationInvariance:
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
         perm = rng.permutation(len(scheme))
         permuted = GradientScheme(scheme.directions[perm], scheme.bvalues[perm])
-        a_beta, a_residuals = fit_one(fit_wlls_batch, noisy, scheme)[:2]
-        b_beta, b_residuals = fit_one(fit_wlls_batch, noisy[perm], permuted)[:2]
+        a_beta = fit_one(fit_wlls_batch, noisy, scheme)[0]
+        b_beta = fit_one(fit_wlls_batch, noisy[perm], permuted)[0]
         assert np.allclose(a_beta[:6], b_beta[:6], atol=1e-12)
+        a_residuals = residuals_of(a_beta, noisy, scheme)
+        b_residuals = residuals_of(b_beta, noisy[perm], permuted)
         assert np.allclose(a_residuals[perm], b_residuals, atol=1e-12)
 
 
