@@ -2,10 +2,11 @@
 orientation statistics shared by every replicate-based method.
 
 Replicates from any source (wild bootstrap, dropout sampling, Monte-Carlo
-noise draws) are (g, k, 6) arrays: g voxels of k replicate tensors each.
-They are reduced the same way: population std of FA and MD, and a cone
-angle taken as the 95th percentile of angles between each replicate's
-principal direction and the mean dyadic axis. One voxel is the g = 1 case.
+noise draws) form g voxels of k replicate tensors each. One reducer,
+``replicate_statistics``, takes their voxel-major eigensystem from whatever
+computed it: population std of FA and MD, and a cone angle taken as the
+95th percentile of angles between each replicate's principal direction and
+the mean dyadic axis. One voxel is the g = 1 case.
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ class SaturatedLeverageError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _principal_axes(evecs: np.ndarray) -> np.ndarray:
-    """Contiguous principal axes (..., 3) of eigenvector rows (..., 3, 3).
-
-    Contiguous input keeps the reductions below bitwise the same whether
-    they see one group or many.
-    """
-    return np.ascontiguousarray(evecs[..., 0, :])
-
-
 def _mean_dyadic_axes(axes: np.ndarray) -> np.ndarray:
     """(g, 3) principal axes of the mean dyads of (g, k, 3) directions."""
     dyads = np.einsum("gki,gkj->gij", axes, axes) / axes.shape[1]
@@ -73,14 +65,14 @@ def _cone_angles_95(axes: np.ndarray) -> np.ndarray:
     return np.percentile(np.degrees(np.arccos(cosines)), 95, axis=1, method="linear")
 
 
-def _replicate_statistics(evals: np.ndarray, axes: np.ndarray):
-    """(theta95, sigma_fa, sigma_md), each (g,), of grouped replicates.
-
-    evals (g, k, 3) descending and axes (g, k, 3) principal eigenvectors:
-    each replicate's eigensystem, computed once by the caller.
-    """
-    fa, md = fa_md_from_eigenvalues(evals)
-    return _cone_angles_95(axes), np.std(fa, axis=1), np.std(md, axis=1)
+def replicate_statistics(evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
+    """(g, 3) theta95, sigma_fa, sigma_md of g groups of k replicates, from their
+    voxel-major eigensystem: evals (g * k, 3) descending, evecs (g * k, 3, 3) rows.
+    Contiguous principal axes keep each group's result bitwise the same whether it
+    is reduced alone or among many."""
+    axes = np.ascontiguousarray(evecs[:, 0]).reshape(-1, k, 3)
+    fa, md = fa_md_from_eigenvalues(evals.reshape(-1, k, 3))
+    return np.column_stack([_cone_angles_95(axes), np.std(fa, axis=1), np.std(md, axis=1)])
 
 
 def summarize_uncertainty(elements) -> np.ndarray:
@@ -99,11 +91,8 @@ def summarize_uncertainty(elements) -> np.ndarray:
         raise ValueError("non-finite replicate tensors")
     if elements.shape[1] < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
-    evals, evecs = eigh3_batch(elements_to_matrices(elements.reshape(-1, 6)))
-    shape = (*elements.shape[:2], 3)
-    return np.column_stack(
-        _replicate_statistics(evals.reshape(shape), _principal_axes(evecs).reshape(shape))
-    )
+    eig = eigh3_batch(elements_to_matrices(elements.reshape(-1, 6)))
+    return replicate_statistics(*eig, elements.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +172,6 @@ def wild_bootstrap_table(
     table[:, 2:5] = evecs[:, 0]
     table[:, 8] = np.nan
     for voxels in voxel_chunks(len(signals), iterations):
-        _, (rep_evals, rep_evecs) = _wild_replicates(
-            y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme
-        )
-        shape = (len(rep_evals) // iterations, iterations, 3)
-        table[voxels, 5:8] = np.column_stack(
-            _replicate_statistics(
-                rep_evals.reshape(shape), _principal_axes(rep_evecs).reshape(shape)
-            )
-        )
+        _, eig = _wild_replicates(y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme)
+        table[voxels, 5:8] = replicate_statistics(*eig, iterations)
     return table

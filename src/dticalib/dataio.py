@@ -21,7 +21,8 @@ from .tensor import GradientScheme
 
 # the one format version of each binary kind, and the header fields its
 # readers use with their JSON types; a reader refuses another kind, another
-# version, and a missing field or one of another type
+# version, a missing field or one of another type, and a negative int field
+# (each one is a block size)
 VERSIONS = {"dataset": 1, "fits": 1, "predictions": 1, "mlp_checkpoint": 1}
 FIELDS = {
     "dataset": {"n_voxels": int, "m": int, "has_ground_truth": bool, "scheme_ref": str},
@@ -130,7 +131,7 @@ def file_kind(path):
 def read_header_blocks(path, kind: str, block_shapes_from_header):
     """(header, blocks) of a file of this kind; each is a DataFormatError naming the path:
     a bad header, another kind or version, a missing field or one of another type, a
-    short block, trailing bytes."""
+    negative size, a short block, trailing bytes."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
         if header.get("kind") != kind:
@@ -146,6 +147,10 @@ def read_header_blocks(path, kind: str, block_shapes_from_header):
                                       f"is not {expected.__name__}")
         if header["version"] != VERSIONS[kind]:
             raise DataFormatError(f"{path}: unsupported {kind} version {header['version']!r}")
+        for field, expected in FIELDS[kind].items():
+            if expected is int and header[field] < 0:
+                raise DataFormatError(f"{path}: {kind} header field {field} = "
+                                      f"{header[field]} must be >= 0")
         blocks = []
         for shape in block_shapes_from_header(header):
             count = int(np.prod(shape))

@@ -370,5 +370,10 @@ def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
     except (TypeError, ValueError) as exc:  # an unknown or missing key, or a bad value
         raise dataio.DataFormatError(f"{path}: mlp_checkpoint spec refused: {exc}") from exc
     model = TwoBranchMlp(spec, seed=header.get("seed", 0))
+    if model.n_parameters() != header["n_parameters"]:
+        raise dataio.DataFormatError(
+            f"{path}: mlp_checkpoint header n_parameters = {header['n_parameters']}, "
+            f"but its spec has {model.n_parameters()}"
+        )
     model.set_flat(flat)
     return model, header

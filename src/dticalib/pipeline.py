@@ -160,9 +160,15 @@ def run_train(cfg: ExperimentConfig) -> Path:
 
 
 def run_predict(cfg: ExperimentConfig) -> Path:
+    dataset, checkpoint = cfg.get("dataset.path"), cfg.get("predict.model")
+    _, signals, _, scheme = dataio.read_dataset(dataset)
+    model, _ = mlp.load_checkpoint(checkpoint)
+    if model.spec.input_dim != len(scheme):
+        raise dataio.DataFormatError(
+            f"{checkpoint}: checkpoint input_dim {model.spec.input_dim} does not match "
+            f"the {len(scheme)} measurements of {dataset}"
+        )
     out = _ensure_out_dir(cfg)
-    _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
-    model, _ = mlp.load_checkpoint(cfg.get("predict.model"))
     n_samples = cfg.get("predict.samples")
     inputs = mlp.normalize_signals(signals, scheme)
     points, u = model.predict(inputs)

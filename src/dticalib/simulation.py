@@ -21,7 +21,7 @@ from .tensor import (
     predict_signal_batch,
 )
 from .fitting import fit_cwlls_batch
-from .bootstrap import summarize_uncertainty
+from .bootstrap import replicate_statistics
 from .rng import box_muller, rng_from_key
 
 GENERATORS = ("fixed", "prolate", "oblate", "random_spd", "two_population")
@@ -232,9 +232,9 @@ def monte_carlo_oracle(
 
     truth is a (6,) tensor element row, as in Phantom.truth. Realization k is
     voxel k of a fixed-generator phantom of it, noised from the stream keyed
-    (seed, k). All are refitted in one batch; the (3,) row theta95,
-    sigma_fa, sigma_md of the fitted tensors is the ground truth that
-    bootstrap and dropout uncertainties are judged against.
+    (seed, k). All are refitted in one batch, whose eigensystem gives the
+    (3,) row theta95, sigma_fa, sigma_md: the ground truth that bootstrap
+    and dropout uncertainties are judged against.
     """
     if n_realizations < 100:
         raise ValueError("n_realizations must be >= 100")
@@ -243,8 +243,8 @@ def monte_carlo_oracle(
         orientation="fixed", snr_db=snr_db, seed=seed,
     )
     noisy = make_phantom(realizations).signals
-    beta = fit_cwlls_batch(noisy, scheme)[0]
+    beta, _, eig = fit_cwlls_batch(noisy, scheme)
     if not np.all(np.isfinite(beta)):
         bad = int(np.where(~np.isfinite(beta).all(axis=1))[0][0])
         raise RuntimeError(f"oracle fit diverged at realization {bad}")
-    return summarize_uncertainty(beta[None, :, :6])[0]
+    return replicate_statistics(*eig, n_realizations)[0]

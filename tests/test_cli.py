@@ -223,6 +223,21 @@ class TestExitCodes:
         assert "bogus" in err
         assert not (tmp_path / "run/predictions_dl.bin").exists()
 
+    def test_checkpoint_of_another_scheme_is_data_error_naming_both_files(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "predict.model = m.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "m.bin"
+        spec = mlp.MlpSpec(input_dim=12, hidden_widths=(4,), uncertainty_widths=(3,))
+        mlp.save_checkpoint(path, mlp.TwoBranchMlp(spec))
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg, "--samples", "4"]) == 2
+        assert capsys.readouterr().err.rstrip() == (
+            f"data error: {path}: checkpoint input_dim 12 does not match "
+            f"the 32 measurements of {tmp_path / 'run/dataset.bin'}"
+        )
+        assert not (tmp_path / "run/predictions_dl.bin").exists()
+
     def test_model_that_is_not_a_checkpoint_is_data_error_naming_path(self, tmp_path, capsys):
         body = BASE.format(snr="28") + "predict.model = run/dataset.bin\n"
         cfg = write_cfg(tmp_path / "e.cfg", body)

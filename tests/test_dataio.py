@@ -5,6 +5,7 @@ import pytest
 
 from dticalib.dataio import (
     DataFormatError,
+    FIELDS,
     PREDICTION_COLUMNS,
     read_bvec_bval,
     read_dataset,
@@ -205,16 +206,19 @@ class TestHeaderContract:
     @pytest.mark.parametrize("kind, change", [
         (kind, change)
         for kind, (_, _, fields) in KINDS.items()
-        for change in ("other kind", "version 2", "version", *fields)
+        for change in ("other kind", "version 2", "version", *fields,
+                       *(f"{f} = -40" for f in fields if FIELDS[kind][f] is int))
     ])
     def test_refusal_names_path(self, tmp_path, kind, change):
-        write, read, _ = KINDS[kind]
+        write, read, fields = KINDS[kind]
         path = write(tmp_path)
         read(path)
         other = "fits" if kind == "dataset" else "dataset"
         edits = {
             "other kind": lambda h: h.update(kind=other),
             "version 2": lambda h: h.update(version=2),
+            # every int field is a block size
+            **{f"{f} = -40": lambda h, f=f: h.update({f: -40}) for f in fields},
         }
         rewrite_header(path, edits.get(change, lambda h: h.pop(change)))
         with pytest.raises(DataFormatError) as info:
@@ -222,6 +226,7 @@ class TestHeaderContract:
         expected = {
             "other kind": f"{path}: not a {kind} file (kind {other!r})",
             "version 2": f"{path}: unsupported {kind} version 2",
+            **{f"{f} = -40": f"{path}: {kind} header field {f} = -40 must be >= 0" for f in fields},
         }
         assert str(info.value) == expected.get(change, f"{path}: {kind} header lacks {change}")
 
@@ -238,6 +243,18 @@ class TestHeaderContract:
         with pytest.raises(DataFormatError) as info:
             read(path)
         assert str(info.value).startswith(f"{path}: {kind} header field {field} = {value!r} is not")
+
+    def test_checkpoint_spec_that_disagrees_with_its_blocks_names_both_counts(self, tmp_path):
+        path = checkpoint_file(tmp_path)
+        saved = TwoBranchMlp(MlpSpec(input_dim=12, hidden_widths=(4,), uncertainty_widths=(3,)))
+        edited = TwoBranchMlp(MlpSpec(input_dim=12, hidden_widths=(6,), uncertainty_widths=(3,)))
+        rewrite_header(path, lambda h: h["spec"].update(hidden_widths=[6]))
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            f"{path}: mlp_checkpoint header n_parameters = {saved.n_parameters()}, "
+            f"but its spec has {edited.n_parameters()}"
+        )
 
     @pytest.mark.parametrize("spec", [
         {"bogus": 1},  # a key MlpSpec does not know

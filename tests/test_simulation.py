@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dticalib.simulation import (
     monte_carlo_oracle,
     rician,
 )
-from dticalib.tensor import elements_to_matrices, predict_signal_batch
+from dticalib.tensor import eigh3_batch, elements_to_matrices, predict_signal_batch
 
 
 def add_rician(signal, snr_db, rng):
@@ -224,6 +225,23 @@ class TestMonteCarloOracle:
         a = monte_carlo_oracle(truth, scheme, 28.0, n_realizations=200, seed=7)
         b = monte_carlo_oracle(truth, scheme, 28.0, n_realizations=200, seed=7)
         assert np.array_equal(a, b)
+
+    def test_each_realization_decomposed_once(self, monkeypatch):
+        # the fit's eigensystem is reduced as it is; a second eigensolve of
+        # every realization shows as a second call this large
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return eigh3_batch(mats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dticalib") and getattr(module, "eigh3_batch", None) is eigh3_batch:
+                monkeypatch.setattr(module, "eigh3_batch", counted)
+        scheme = make_scheme(20)
+        truth = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, seed=4)).truth[0]
+        monte_carlo_oracle(truth, scheme, 12.0, n_realizations=300, seed=7)
+        assert sum(rows >= 300 for rows in calls) == 1
 
     def test_rejects_tiny_realization_count(self):
         scheme = make_scheme(20)
