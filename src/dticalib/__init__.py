@@ -9,7 +9,7 @@ against a Monte-Carlo gold standard on synthetic phantoms.
 __version__ = "0.1.0"
 
 from .tensor import GradientScheme, design_matrix, fa_md_from_eigenvalues
-from .fitting import fit_cwlls_batch
+from .fitting import fit_cwlls_batch, log_signal_rows
 from .bootstrap import (
     summarize_uncertainty,
     wild_bootstrap,
@@ -46,6 +46,7 @@ __all__ = [
     "design_matrix",
     "fa_md_from_eigenvalues",
     "fit_cwlls_batch",
+    "log_signal_rows",
     "wild_bootstrap",
     "wild_bootstrap_table",
     "summarize_uncertainty",

@@ -20,7 +20,7 @@ from .tensor import (
     elements_to_matrices,
     fa_md_from_eigenvalues,
 )
-from .fitting import as_signal_rows, fit_cwlls_batch, log_signals, weighted_leverage
+from .fitting import SIGNAL_FLOOR, fit_cwlls_batch, log_signal_rows, weighted_leverage
 from .rng import rng_from_key
 
 # Replicate rows per grouped call: wild_bootstrap_table refits, and predict
@@ -100,32 +100,33 @@ def summarize_uncertainty(elements) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wild_base(signals: np.ndarray, scheme: GradientScheme):
-    """Base constrained WLLS fit of (n, m) signal rows.
+def _wild_base(y: np.ndarray, scheme: GradientScheme):
+    """Base constrained WLLS fit of (n, m) log-signal rows y.
 
     Returns (fitted log-signals X beta, residuals scaled by 1/sqrt(1 - h),
     base eigensystem), where h is the leverage of the weighted design.
     """
-    beta, _, eig = fit_cwlls_batch(signals, scheme)
-    leverage = weighted_leverage(signals, scheme)
+    beta, _, eig = fit_cwlls_batch(y, scheme)
+    leverage = weighted_leverage(y, scheme)
     if np.any(leverage >= 1.0 - 1e-9):
         raise SaturatedLeverageError("saturated leverage")
     y_hat = np.einsum("kj,mj->km", beta, design_matrix(scheme))
-    return y_hat, (log_signals(signals) - y_hat) / np.sqrt(1.0 - leverage), eig
+    return y_hat, (y - y_hat) / np.sqrt(1.0 - leverage), eig
 
 
 def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientScheme):
     """CWLLS refits of `iterations` sign-flipped residual sets per voxel.
 
-    Voxel v draws its Rademacher signs from rng_from_key(seeds[v]). Returns
-    the (len(seeds) * iterations, 6) replicate elements, voxel-major, and
-    their eigensystem.
+    Voxel v draws its Rademacher signs from rng_from_key(seeds[v]). The
+    log-signals y* are clamped at ln SIGNAL_FLOOR, as log_signal_rows clamps
+    signals. Returns the (len(seeds) * iterations, 6) replicate elements,
+    voxel-major, and their eigensystem.
     """
     signs = np.concatenate(
         [rng_from_key(s).integers(0, 2, size=(iterations, y_hat.shape[1])) for s in seeds]
     ) * 2 - 1
     y_star = np.repeat(y_hat, iterations, axis=0) + signs * np.repeat(scaled, iterations, axis=0)
-    beta, _, eig = fit_cwlls_batch(np.exp(y_star), scheme)
+    beta, _, eig = fit_cwlls_batch(np.maximum(y_star, np.log(SIGNAL_FLOOR)), scheme)
     if not np.all(np.isfinite(beta)):
         raise ValueError("non-finite replicate tensors")
     return beta[:, :6], eig
@@ -143,7 +144,7 @@ def wild_bootstrap(
     """
     if iterations < MIN_REPLICATES:
         raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
-    y_hat, scaled, _ = _wild_base(as_signal_rows(signals, scheme), scheme)
+    y_hat, scaled, _ = _wild_base(log_signal_rows(signals, scheme), scheme)
     return _wild_replicates(y_hat, scaled, [seed], iterations, scheme)[0]
 
 
@@ -162,16 +163,16 @@ def wild_bootstrap_table(
     """
     if iterations < MIN_REPLICATES:
         raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
-    signals = as_signal_rows(signals, scheme)
+    y = log_signal_rows(signals, scheme)
     seeds = [int(s) for s in seeds]
-    if len(seeds) != len(signals):
+    if len(seeds) != len(y):
         raise ValueError("need one seed per voxel")
-    y_hat, scaled, (evals, evecs) = _wild_base(signals, scheme)
-    table = np.empty((len(signals), 9))
+    y_hat, scaled, (evals, evecs) = _wild_base(y, scheme)
+    table = np.empty((len(y), 9))
     table[:, 0], table[:, 1] = fa_md_from_eigenvalues(evals)
     table[:, 2:5] = evecs[:, 0]
     table[:, 8] = np.nan
-    for voxels in voxel_chunks(len(signals), iterations):
+    for voxels in voxel_chunks(len(y), iterations):
         _, eig = _wild_replicates(y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme)
         table[voxels, 5:8] = replicate_statistics(*eig, iterations)
     return table

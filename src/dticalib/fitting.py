@@ -1,8 +1,9 @@
 """Least-squares tensor estimation on log-transformed signals.
 
-Three batch kernels, each fitting one scheme to (k, m) signal rows:
+Three batch kernels, each fitting one scheme to (k, m) log-signal rows y,
+which ``log_signal_rows`` makes from signals; no kernel takes a log itself:
 
-* ``fit_ols_batch``   -- unweighted solve of ln S = X beta through one
+* ``fit_ols_batch``   -- unweighted solve of y = X beta through one
                          shared projection R^-1 Q^T of X
 * ``fit_wlls_batch``  -- two-pass: OLS, then a weighted solve with weights
                          exp(2 * predicted ln S), through the normal equations
@@ -48,8 +49,16 @@ class DegenerateSchemeError(ValueError):
     pass
 
 
-def log_signals(signals) -> np.ndarray:
-    """ln S of signal rows, clamped at SIGNAL_FLOOR first."""
+def log_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
+    """(k, m) ln S rows of float64 signals, clamped at SIGNAL_FLOOR first; one
+    voxel's (m,) vector becomes (1, m)."""
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.ndim == 1:
+        signals = signals[None]
+    if signals.ndim != 2 or signals.shape[1] != scheme.n_measurements:
+        raise ValueError("signal count does not match scheme")
+    if scheme.n_measurements < 7:
+        raise ValueError("need at least 7 measurements for a full fit")
     return np.log(np.maximum(signals, SIGNAL_FLOOR))
 
 
@@ -59,11 +68,11 @@ def _qr_solve_batch(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r, np.einsum("kmj,km->kj", q, rhs)[..., None])[..., 0]
 
 
-def weighted_leverage(signals: np.ndarray, scheme: GradientScheme) -> np.ndarray:
+def weighted_leverage(y: np.ndarray, scheme: GradientScheme) -> np.ndarray:
     """Hat-matrix diagonal (k, m) of the WLLS weighted designs sqrt_w X of
-    (k, m) signal rows: the squared row norms of Q in their thin QR."""
+    (k, m) log-signal rows: the squared row norms of Q in their thin QR."""
     x = design_matrix(scheme)
-    q = np.linalg.qr(_wlls_sqrt_weights(x, log_signals(signals))[:, :, None] * x)[0]
+    q = np.linalg.qr(_wlls_sqrt_weights(x, y)[:, :, None] * x)[0]
     return np.einsum("kmj,kmj->km", q, q)
 
 
@@ -122,18 +131,6 @@ def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: n
     return beta, conds
 
 
-def as_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
-    """(k, m) float64 signal rows; one voxel's (m,) vector becomes (1, m)."""
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim == 1:
-        signals = signals[None]
-    if signals.ndim != 2 or signals.shape[1] != scheme.n_measurements:
-        raise ValueError("signal count does not match scheme")
-    if scheme.n_measurements < 7:
-        raise ValueError("need at least 7 measurements for a full fit")
-    return signals
-
-
 def _check_condition(design: np.ndarray) -> float:
     cond = float(np.linalg.cond(design))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -154,14 +151,14 @@ def _wlls_sqrt_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(np.einsum("kj,mj->km", beta0, x))
 
 
-def fit_ols_batch(signals: np.ndarray, scheme: GradientScheme):
-    """OLS on ln S for a (k, m) signal batch. Returns (beta (k, 7), cond(X))."""
+def fit_ols_batch(y: np.ndarray, scheme: GradientScheme):
+    """OLS of (k, m) log-signal rows. Returns (beta (k, 7), cond(X))."""
     x = design_matrix(scheme)
     cond = _check_condition(x)
-    return np.einsum("jm,km->kj", _ols_projection(x), log_signals(signals)), cond
+    return np.einsum("jm,km->kj", _ols_projection(x), y), cond
 
 
-def fit_wlls_batch(signals: np.ndarray, scheme: GradientScheme):
+def fit_wlls_batch(y: np.ndarray, scheme: GradientScheme):
     """Two-pass weighted solve; weights are squared OLS-predicted signals.
 
     Returns (beta (k, 7), cond): the largest condition number of the
@@ -169,7 +166,6 @@ def fit_wlls_batch(signals: np.ndarray, scheme: GradientScheme):
     """
     x = design_matrix(scheme)
     cond_x = _check_condition(x)
-    y = log_signals(signals)
     beta, conds = _weighted_solve_batch(x, cond_x, _wlls_sqrt_weights(x, y), y)
     return beta, float(conds.max())
 
@@ -199,13 +195,13 @@ def floor_eigenvalues_batch(elements: np.ndarray):
     return out, (evals, evecs)
 
 
-def fit_cwlls_batch(signals: np.ndarray, scheme: GradientScheme):
-    """WLLS then SPD projection for a (k, m) signal batch.
+def fit_cwlls_batch(y: np.ndarray, scheme: GradientScheme):
+    """WLLS then SPD projection of (k, m) log-signal rows.
 
     Returns (beta, cond, (eigenvalues, eigenvectors)); the eigensystem is
     that of the projected tensors, so callers that need it do not decompose
     the rows again.
     """
-    beta, cond = fit_wlls_batch(signals, scheme)
+    beta, cond = fit_wlls_batch(y, scheme)
     beta[:, :6], eig = floor_eigenvalues_batch(beta[:, :6])
     return beta, cond, eig

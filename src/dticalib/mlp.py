@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import dataio
-from .fitting import as_signal_rows, fit_ols_batch
+from .fitting import fit_ols_batch, log_signal_rows
 from .tensor import GradientScheme
 from .rng import rng_from_key
 
@@ -230,7 +230,7 @@ def normalize_signals(signals, scheme: GradientScheme) -> np.ndarray:
     if np.any(b0):
         base = signals[:, b0].mean(axis=1)
     else:
-        base = np.exp(fit_ols_batch(as_signal_rows(signals, scheme), scheme)[0][:, 6])
+        base = np.exp(fit_ols_batch(log_signal_rows(signals, scheme), scheme)[0][:, 6])
     return signals / np.maximum(base, 1e-12)[:, None]
 
 

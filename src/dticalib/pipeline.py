@@ -1,9 +1,9 @@
 """Pipeline steps behind the CLI subcommands.
 
-Each step reads what it needs from an ExperimentConfig, writes its outputs
-under the config's out_dir, and refreshes the run manifest. All randomness
-derives from the config seed through keyed streams, so reruns are
-byte-identical.
+Each step reads and checks what it needs from an ExperimentConfig, makes
+out_dir only then, writes its outputs there and refreshes the run manifest,
+so a refused input leaves no out_dir behind. All randomness derives from the
+config seed through keyed streams, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import bootstrap as bs
 from . import calibration as cal
 from . import dataio, mlp, simulation
 from .config import ConfigError, ExperimentConfig
-from .fitting import as_signal_rows, fit_cwlls_batch, fit_ols_batch, fit_wlls_batch
+from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from .rng import rng_from_key
 from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, fa_md_from_eigenvalues
 
@@ -88,12 +88,12 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
 
 
 def run_fit(cfg: ExperimentConfig) -> Path:
-    out = _ensure_out_dir(cfg)
     _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     name = cfg.get("fit.estimator")
     # looked up per call, so wrappers installed on the module bindings see it
     kernels = {"ols": fit_ols_batch, "wlls": fit_wlls_batch, "cwlls": fit_cwlls_batch}
-    params = kernels[name](as_signal_rows(signals, scheme), scheme)[0]
+    params = kernels[name](log_signal_rows(signals, scheme), scheme)[0]
+    out = _ensure_out_dir(cfg)
     path = out / "fits.bin"
     dataio.write_fits(path, params, name)
     _refresh_manifest(cfg, out)
@@ -101,11 +101,11 @@ def run_fit(cfg: ExperimentConfig) -> Path:
 
 
 def run_bootstrap(cfg: ExperimentConfig) -> Path:
-    out = _ensure_out_dir(cfg)
     _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     iterations = cfg.get("bootstrap.iterations")
     seeds = _voxel_seeds(cfg.seed, len(signals))
     table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
+    out = _ensure_out_dir(cfg)
     path = out / "predictions_wbs.bin"
     dataio.write_predictions(path, table, "wbs", meta={"iterations": iterations})
     _refresh_manifest(cfg, out)
@@ -347,7 +347,6 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
     where = cfg.sources.get("calibrate.split", "default")
     # an isotonic map needs at least 2 bins
     _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
-    out = _ensure_out_dir(cfg)
 
     triples_cal = triples_by_parameter(table[cal_idx], tensor_scalars(truth[cal_idx]))
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
@@ -361,6 +360,7 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}
         for p in PARAMETERS
     }
+    out = _ensure_out_dir(cfg)
     dataio.write_metrics_json(out / "calibration_maps.json", maps_json)
     path = out / "predictions_recalibrated.bin"
     dataio.write_predictions(
@@ -375,16 +375,14 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
 
 def run_curves(cfg: ExperimentConfig) -> list:
     uncertainty = cfg.get("evaluate.uncertainty")
-    out = _ensure_out_dir(cfg)
     _, truth, _ = _read_truth_dataset(cfg)
     _, table = dataio.read_predictions(cfg.get("curves.predictions"))
-    bins, grid, caps = _metric_params(cfg)
+    _, grid, caps = _metric_params(cfg)
     triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty)
-    paths = []
-    for p in PARAMETERS:
-        curve = cal.picp_mpiw_curve(triples[p], caps[p], grid)
-        path = out / f"curves_{p}.csv"
+    curves = [cal.picp_mpiw_curve(triples[p], caps[p], grid) for p in PARAMETERS]
+    out = _ensure_out_dir(cfg)
+    paths = [out / f"curves_{p}.csv" for p in PARAMETERS]
+    for path, curve in zip(paths, curves):
         dataio.write_curve_csv(path, curve)
-        paths.append(path)
     _refresh_manifest(cfg, out)
     return paths

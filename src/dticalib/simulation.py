@@ -20,7 +20,7 @@ from .tensor import (
     matrices_to_elements,
     predict_signal_batch,
 )
-from .fitting import fit_cwlls_batch
+from .fitting import fit_cwlls_batch, log_signal_rows
 from .bootstrap import replicate_statistics
 from .rng import box_muller, rng_from_key
 
@@ -243,7 +243,7 @@ def monte_carlo_oracle(
         orientation="fixed", snr_db=snr_db, seed=seed,
     )
     noisy = make_phantom(realizations).signals
-    beta, _, eig = fit_cwlls_batch(noisy, scheme)
+    beta, _, eig = fit_cwlls_batch(log_signal_rows(noisy, scheme), scheme)
     if not np.all(np.isfinite(beta)):
         bad = int(np.where(~np.isfinite(beta).all(axis=1))[0][0])
         raise RuntimeError(f"oracle fit diverged at realization {bad}")

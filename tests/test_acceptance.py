@@ -24,7 +24,7 @@ from dticalib.calibration import (
     triples_from_arrays,
 )
 from dticalib.cli import main as cli_main
-from dticalib.fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch
+from dticalib.fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from dticalib.mlp import (
     MlpSpec,
     TrainConfig,
@@ -66,10 +66,10 @@ def test_criterion_01_noiseless_roundtrip():
         lam = rng.uniform(0.1e-3, 3e-3, 3)
         rot = quaternion_rotations(_unit_quaternion(rng)[None])[0]
         truth = matrices_to_elements((rot @ np.diag(lam) @ rot.T)[None])  # one-row batch
-        signals = predict_signal_batch(truth, scheme) * np.exp(0.05)
+        y = log_signal_rows(predict_signal_batch(truth, scheme) * np.exp(0.05), scheme)
         scale = np.max(np.abs(truth))
         for fit in (fit_ols_batch, fit_wlls_batch, fit_cwlls_batch):
-            beta = fit(signals, scheme)[0]
+            beta = fit(y, scheme)[0]
             worst = max(worst, np.max(np.abs(beta[0, :6] - truth[0])) / scale)
     elapsed = time.monotonic() - start
     assert worst < 1e-8

@@ -58,6 +58,18 @@ class TestExitCodes:
         assert main(["fit", "--config", cfg]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "simulate", "fit", "bootstrap", "train", "predict", "calibrate", "evaluate", "curves",
+    ])
+    def test_missing_input_leaves_no_out_dir(self, tmp_path, capsys, command):
+        # simulate reads the scheme files; every other stage reads run/dataset.bin first
+        body = BASE.format(snr="28")
+        if command == "simulate":
+            body += "scheme.bvec = missing.bvec\nscheme.bval = missing.bval\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main([command, "--config", cfg]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nan_signal_is_data_error_naming_voxel(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,11 @@ from dticalib.fitting import (
     DegenerateSchemeError,
     EIGENVALUE_FLOOR_MD_MIN,
     EIGENVALUE_FLOOR_REL,
+    SIGNAL_FLOOR,
     fit_cwlls_batch,
     fit_ols_batch,
     fit_wlls_batch,
-    log_signals,
+    log_signal_rows,
     weighted_leverage,
 )
 from dticalib.rng import box_muller
@@ -49,14 +52,14 @@ def noiseless_signals(elements, scheme, ln_s0=0.0):
 
 
 def fit_one(fit, signals, scheme):
-    """(beta, cond) of one voxel, fitted as a one-row batch."""
-    beta, cond = fit(signals[None], scheme)[:2]
+    """(beta, cond) of one voxel's signals, fitted as a one-row batch."""
+    beta, cond = fit(log_signal_rows(signals, scheme), scheme)[:2]
     return beta[0], cond
 
 
 def residuals_of(beta, signals, scheme):
     """Log-signal residuals ln S - X beta of one voxel's fit."""
-    return log_signals(signals) - design_matrix(scheme) @ beta
+    return log_signal_rows(signals, scheme)[0] - design_matrix(scheme) @ beta
 
 
 def eigensystem(elements):
@@ -134,8 +137,9 @@ class TestDegenerateScheme:
 
         scheme = make_scheme(30)
         signals = make_phantom(PhantomSpec(n_voxels=6, scheme=scheme, snr_db=25.0, seed=5)).signals
+        y = log_signal_rows(signals, scheme)
         x = design_matrix(scheme)
-        ols = np.linalg.lstsq(x, np.log(signals).T, rcond=None)[0].T
+        ols = np.linalg.lstsq(x, y.T, rcond=None)[0].T
         sqrt_w = np.exp(ols @ x.T)
         exact = np.linalg.cond(sqrt_w[:, :, None] * x)
         bound = np.linalg.cond(x) * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
@@ -144,12 +148,12 @@ class TestDegenerateScheme:
         for limit in limits:
             monkeypatch.setattr(fitting, "CONDITION_LIMIT", limit)
             if np.all(exact <= limit):
-                cond = fitting.fit_wlls_batch(signals, scheme)[1]
+                cond = fitting.fit_wlls_batch(y, scheme)[1]
                 expected = np.where(bound <= limit, bound, exact).max()
                 assert cond == pytest.approx(expected, rel=1e-9)
             else:
                 with pytest.raises(DegenerateSchemeError):
-                    fitting.fit_wlls_batch(signals, scheme)
+                    fitting.fit_wlls_batch(y, scheme)
 
 
 class TestLeverage:
@@ -160,30 +164,31 @@ class TestLeverage:
         truth = random_spd_tensor(rng)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
         cond = fit_one(fit, noisy, scheme)[1]
-        leverage = weighted_leverage(noisy[None], scheme)[0]
+        leverage = weighted_leverage(log_signal_rows(noisy, scheme), scheme)[0]
         assert leverage.sum() == pytest.approx(7.0, abs=1e-8)
         assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
         assert np.isfinite(cond) and cond >= 1.0
 
 
-def replicate_signals(generator, snr_db, n_voxels=20, iterations=50, seed=3):
-    """Wild-bootstrap replicate signal rows, as the bootstrap refits them."""
+def replicate_log_signals(generator, snr_db, n_voxels=20, iterations=50, seed=3):
+    """Wild-bootstrap replicate log-signal rows, as the bootstrap refits them."""
     scheme = make_scheme(30)
     phantom = make_phantom(
         PhantomSpec(n_voxels=n_voxels, scheme=scheme, generator=generator, snr_db=snr_db, seed=seed)
     )
-    y_hat, scaled, _ = _wild_base(phantom.signals, scheme)
+    y_hat, scaled, _ = _wild_base(log_signal_rows(phantom.signals, scheme), scheme)
     signs = np.random.default_rng(seed).integers(0, 2, size=(n_voxels * iterations, len(scheme)))
     y_star = np.repeat(y_hat, iterations, axis=0) + (2 * signs - 1) * np.repeat(
         scaled, iterations, axis=0
     )
-    return np.exp(y_star), scheme
+    return np.maximum(y_star, np.log(SIGNAL_FLOOR)), scheme
 
 
-def normal_equations_bounds(signals, scheme):
-    """Per-row bound cond(X_s) * max(sqrt_w) / min(sqrt_w) of the weighted pass."""
+def normal_equations_bounds(y, scheme):
+    """Per-row bound cond(X_s) * max(sqrt_w) / min(sqrt_w) of the weighted pass
+    on (k, m) log-signal rows y."""
     x = design_matrix(scheme)
-    beta0 = np.linalg.lstsq(x, np.log(signals).T, rcond=None)[0].T
+    beta0 = np.linalg.lstsq(x, y.T, rcond=None)[0].T
     sqrt_w = np.exp(beta0 @ x.T)
     return np.linalg.cond(x / np.linalg.norm(x, axis=0)) * sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
 
@@ -191,17 +196,17 @@ def normal_equations_bounds(signals, scheme):
 class TestNormalEquations:
     @pytest.mark.parametrize("generator,snr_db", [("prolate", 28.0), ("random_spd", 5.0)])
     def test_matches_qr_solve(self, generator, snr_db, monkeypatch):
-        signals, scheme = replicate_signals(generator, snr_db)
-        beta, cond = fitting.fit_wlls_batch(signals, scheme)
+        y, scheme = replicate_log_signals(generator, snr_db)
+        beta, cond = fitting.fit_wlls_batch(y, scheme)
         monkeypatch.setattr(fitting, "NORMAL_EQUATIONS_LIMIT", 0.0)
-        beta_qr, cond_qr = fitting.fit_wlls_batch(signals, scheme)
+        beta_qr, cond_qr = fitting.fit_wlls_batch(y, scheme)
         rel = np.abs(beta - beta_qr).max(axis=1) / np.abs(beta_qr).max(axis=1)
         assert rel.max() <= 1e-11
         assert cond == cond_qr
 
     def test_split_batch_rows_equal_rows_fitted_alone(self, monkeypatch):
-        signals, scheme = replicate_signals("random_spd", 5.0, n_voxels=4, iterations=8)
-        bounds = normal_equations_bounds(signals, scheme)
+        y, scheme = replicate_log_signals("random_spd", 5.0, n_voxels=4, iterations=8)
+        bounds = normal_equations_bounds(y, scheme)
         limit = float(np.median(bounds))
         monkeypatch.setattr(fitting, "NORMAL_EQUATIONS_LIMIT", limit)
         qr_rows = []
@@ -212,12 +217,12 @@ class TestNormalEquations:
             return qr_solve(design, rhs)
 
         monkeypatch.setattr(fitting, "_qr_solve_batch", spy)
-        batch = fitting.fit_cwlls_batch(signals, scheme)
+        batch = fitting.fit_cwlls_batch(y, scheme)
         # the QR solve sees exactly the rows past the bound, in one call
         assert qr_rows == [int(np.sum(bounds > limit))]
-        assert 0 < qr_rows[0] < len(signals)  # fixture sanity: both paths run
-        for row in range(len(signals)):
-            alone = fitting.fit_cwlls_batch(signals[row : row + 1], scheme)
+        assert 0 < qr_rows[0] < len(y)  # fixture sanity: both paths run
+        for row in range(len(y)):
+            alone = fitting.fit_cwlls_batch(y[row : row + 1], scheme)
             for whole, single in zip((batch[0], *batch[2]), (alone[0], *alone[2])):
                 assert np.array_equal(whole[row], single[0])
 
@@ -230,7 +235,8 @@ class TestNormalEquations:
         truth = np.array([3e-3, 2e-3, 1.5e-3, 2e-4, 0, -1e-4])
         rng = np.random.default_rng(29)
         noisy = noiseless_signals(truth, scheme) * np.exp(rng.normal(0, 0.05, len(scheme)))
-        assert normal_equations_bounds(noisy[None], scheme)[0] > fitting.NORMAL_EQUATIONS_LIMIT
+        y = log_signal_rows(noisy, scheme)
+        assert normal_equations_bounds(y, scheme)[0] > fitting.NORMAL_EQUATIONS_LIMIT
         qr_rows = []
         qr_solve = fitting._qr_solve_batch
 
@@ -241,7 +247,7 @@ class TestNormalEquations:
         monkeypatch.setattr(fitting, "_qr_solve_batch", spy)
         beta = fit_one(fit, noisy, scheme)[0]
         assert qr_rows == [1] and np.all(np.isfinite(beta))
-        leverage = weighted_leverage(noisy[None], scheme)[0]
+        leverage = weighted_leverage(y, scheme)[0]
         assert leverage.sum() == pytest.approx(7.0, abs=1e-8)
         assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
 
@@ -272,19 +278,19 @@ class TestRowsAloneAsInBatch:
             clean = noiseless_signals(random_spd_tensor(rng), scheme)
             n1, n2 = box_muller(rng.random(len(scheme)), rng.random(len(scheme)))
             rows.append(rician(clean, 10.0 ** (-snr_db / 20.0), n1, n2))
-        signals = np.array(rows)[rng.permutation(len(rows))]
-        bounds = normal_equations_bounds(signals, scheme)
+        y = log_signal_rows(np.array(rows)[rng.permutation(len(rows))], scheme)
+        bounds = normal_equations_bounds(y, scheme)
         # draw sanity: both solve paths and the floor are exercised
         assert bounds.min() <= fitting.NORMAL_EQUATIONS_LIMIT < bounds.max()
-        wlls = fit_wlls_batch(signals, scheme)[0]
+        wlls = fit_wlls_batch(y, scheme)[0]
         assert np.linalg.eigvalsh(elements_to_matrices(wlls[:, :6])).min() < 0
 
         kernels = (fit_ols_batch, fit_wlls_batch, fit_cwlls_batch)
-        batches = [fit(signals, scheme) for fit in kernels]
-        leverage = weighted_leverage(signals, scheme)
+        batches = [fit(y, scheme) for fit in kernels]
+        leverage = weighted_leverage(y, scheme)
         assert np.allclose(leverage.sum(axis=1), 7.0, rtol=0, atol=1e-8)
         assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
-        alone = [[fit(signals[row : row + 1], scheme) for row in range(len(signals))]
+        alone = [[fit(y[row : row + 1], scheme) for row in range(len(y))]
                  for fit in kernels]
         for batch, singles in zip(batches, alone):
             # cond is the largest row's, and each row's is its own
@@ -294,8 +300,8 @@ class TestRowsAloneAsInBatch:
         for row, single in enumerate(alone[2]):
             for whole, one in zip(batches[2][2], single[2]):
                 assert np.array_equal(whole[row], one[0])
-        for row in range(len(signals)):
-            alone_leverage = weighted_leverage(signals[row : row + 1], scheme)
+        for row in range(len(y)):
+            alone_leverage = weighted_leverage(y[row : row + 1], scheme)
             assert np.array_equal(leverage[row], alone_leverage[0])
 
 
@@ -373,6 +379,35 @@ class TestPermutationInvariance:
         a_residuals = residuals_of(a_beta, noisy, scheme)
         b_residuals = residuals_of(b_beta, noisy[perm], permuted)
         assert np.allclose(a_residuals[perm], b_residuals, atol=1e-12)
+
+
+class TestLogSignalRows:
+    def test_vector_becomes_one_row(self):
+        scheme = make_scheme(10)
+        signals = np.linspace(0.2, 1.0, len(scheme))
+        y = log_signal_rows(signals, scheme)
+        assert y.shape == (1, len(scheme)) and np.array_equal(y[0], np.log(signals))
+
+    @pytest.mark.parametrize("shape", [(11,), (2, 11), (2, 13), (1, 2, 12)])
+    def test_wrong_width_is_refused(self, shape):
+        with pytest.raises(ValueError, match="signal count does not match scheme"):
+            log_signal_rows(np.ones(shape), make_scheme(10))
+
+    def test_fewer_than_seven_measurements_are_refused(self):
+        scheme = make_scheme(4)  # 2 b=0 + 4 directions
+        assert len(scheme) == 6  # fixture sanity
+        with pytest.raises(ValueError, match="need at least 7 measurements"):
+            log_signal_rows(np.ones((3, 6)), scheme)
+
+    def test_zero_signal_is_clamped_without_warning(self):
+        scheme = make_scheme(10)
+        signals = np.full((2, len(scheme)), 0.5)
+        signals[1, 3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = log_signal_rows(signals, scheme)
+        assert y[1, 3] == np.log(SIGNAL_FLOOR)
+        assert np.all(y[:, [0, 1, 2, 4]] == np.log(0.5))
 
 
 class TestSignalFloor:

@@ -20,7 +20,7 @@ from dticalib.mlp import (
     save_checkpoint,
     train,
 )
-from dticalib.fitting import fit_ols_batch
+from dticalib.fitting import fit_ols_batch, log_signal_rows
 from dticalib.rng import rng_from_key
 from dticalib.simulation import PhantomSpec, fibonacci_directions, make_phantom, make_scheme
 from dticalib.tensor import GradientScheme, predict_signal_batch
@@ -408,9 +408,10 @@ class TestNormalization:
         scheme = self.two_shell_scheme()
         spec = PhantomSpec(n_voxels=50, scheme=scheme, generator="random_spd", snr_db=20.0, seed=12)
         signals = make_phantom(spec).signals * np.linspace(0.5, 4.0, 50)[:, None]
-        expected = np.array(
-            [row / np.exp(fit_ols_batch(row[None], scheme)[0][0, 6]) for row in signals]
-        )
+        expected = np.array([
+            row / np.exp(fit_ols_batch(log_signal_rows(row, scheme), scheme)[0][0, 6])
+            for row in signals
+        ])
         assert np.array_equal(normalize_signals(signals, scheme), expected)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dticalib.bootstrap import summarize_uncertainty
-from dticalib.fitting import fit_cwlls_batch
+from dticalib.fitting import fit_cwlls_batch, log_signal_rows
 from dticalib.rng import box_muller, rng_from_key
 from dticalib.simulation import (
     GENERATORS,
@@ -305,7 +305,7 @@ def reference_oracle(elements, scheme, snr_db, n_realizations, seed):
     noisy = np.array(
         [add_rician(clean, snr_db, rng_from_key(seed, k)) for k in range(n_realizations)]
     )
-    beta = fit_cwlls_batch(noisy, scheme)[0]
+    beta = fit_cwlls_batch(log_signal_rows(noisy, scheme), scheme)[0]
     return summarize_uncertainty(beta[None, :, :6])[0]
 
 
