@@ -22,13 +22,13 @@ from .tensor import GradientScheme
 # the one format version of each binary kind, and the header fields its
 # readers use with their JSON types; a reader refuses another kind, another
 # version, a missing field or one of another type, and a negative int field
-# (each one is a block size)
+# (a block size or a seed, and neither can be negative)
 VERSIONS = {"dataset": 1, "fits": 1, "predictions": 1, "mlp_checkpoint": 1}
 FIELDS = {
     "dataset": {"n_voxels": int, "m": int, "has_ground_truth": bool, "scheme_ref": str},
     "fits": {"n_voxels": int},
     "predictions": {"n_voxels": int, "columns": list, "method": str},
-    "mlp_checkpoint": {"n_parameters": int, "spec": dict},
+    "mlp_checkpoint": {"n_parameters": int, "spec": dict, "seed": int},
 }
 
 # prediction table columns, fixed order

@@ -9,6 +9,10 @@ depends on the signal alone and comes from one deterministic pass. One
 ReLU-stack kernel, _stack_forward with _stack_backward, serves both
 branches; MC dropout samples only the regression branch.
 
+Every weight and bias of both branches is a view into one float64 vector,
+model.flat. Gradients come laid out the same way, Adam updates model.flat
+as a whole, and a checkpoint's one block is model.flat.
+
 Training minimizes the attenuated loss
     sum_j |pred_j - truth_j| * exp(-u) + penalty * u
 averaged over the batch, by plain minibatch Adam with handwritten
@@ -68,49 +72,34 @@ class TrainConfig:
 
 
 class TwoBranchMlp:
-    """Weights of both branches and their passes; see module docstring."""
+    """Weights of both branches, each a view into flat, and their passes.
+
+    flat holds main W0, b0, ..., Wk, bk, then the uncertainty branch alike.
+    """
 
     def __init__(self, spec: MlpSpec, seed: int = 0):
         self.spec = spec
         self.seed = seed
+        layers = [
+            (fan_in, fan_out)
+            for dims in ([spec.input_dim, *spec.hidden_widths, 6],
+                         [spec.input_dim, *spec.uncertainty_widths, 1])
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        ]
+        self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
         rng = rng_from_key(seed)
-        self.main_w, self.main_b = self._init_branch(
-            rng, spec.input_dim, spec.hidden_widths, 6
-        )
-        self.unc_w, self.unc_b = self._init_branch(
-            rng, spec.input_dim, spec.uncertainty_widths, 1
-        )
-
-    @staticmethod
-    def _init_branch(rng, input_dim, widths, out_dim):
-        dims = [input_dim, *widths, out_dim]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in layers:
+            w = self.flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
             bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return weights, biases
-
-    # parameter declaration order: main W0,b0,...,Wk,bk then uncertainty branch
-    def parameters(self):
-        out = []
-        for w, b in zip(self.main_w, self.main_b):
-            out.extend([w, b])
-        for w, b in zip(self.unc_w, self.unc_b):
-            out.extend([w, b])
-        return out
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
-
-    def set_flat(self, flat: np.ndarray):
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            offset += fan_in * fan_out
+            weights.append(w)
+            biases.append(self.flat[offset : offset + fan_out])  # starts at zero
+            offset += fan_out
+        main = len(spec.hidden_widths) + 1
+        self.main_w, self.unc_w = weights[:main], weights[main:]
+        self.main_b, self.unc_b = biases[:main], biases[main:]
 
     def make_dropout_masks(self, rng, batch: int):
         """Keep masks for the main-branch hidden layers, one per layer."""
@@ -196,7 +185,7 @@ def attenuated_loss(pred, targets, u, penalty: float):
 
 
 def batch_loss_and_grads(model: TwoBranchMlp, x, targets, penalty: float, masks=None):
-    """Mean attenuated loss over a batch, with parameter gradients.
+    """Mean attenuated loss over a batch, with its gradient laid out as model.flat.
 
     Targets are expected at the model's internal (scaled) units.
     """
@@ -209,7 +198,8 @@ def batch_loss_and_grads(model: TwoBranchMlp, x, targets, penalty: float, masks=
     d_u = (-resid * attenuation + penalty) / batch
     d_u = d_u * ((u > U_MIN) & (u < U_MAX))  # no gradient where the clamp holds u
     grads = _stack_backward(model.main_w, trace, d_pred, masks, 1.0 - model.spec.dropout_rate)
-    return float(np.mean(losses)), grads + _stack_backward(model.unc_w, u_trace, d_u[:, None])
+    grads += _stack_backward(model.unc_w, u_trace, d_u[:, None])
+    return float(np.mean(losses)), np.concatenate([g.ravel() for g in grads])
 
 
 def batch_loss(model: TwoBranchMlp, x, targets, penalty: float, masks=None) -> float:
@@ -275,9 +265,8 @@ def train(
     x_val, y_val = inputs[val_idx], targets[val_idx]
     x_tr, y_tr = inputs[train_idx], targets[train_idx]
 
-    params = model.parameters()
-    m1 = [np.zeros_like(p) for p in params]
-    m2 = [np.zeros_like(p) for p in params]
+    m1 = np.zeros_like(model.flat)
+    m2 = np.zeros_like(model.flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     step = 0
@@ -292,20 +281,19 @@ def train(
         for start in range(0, len(x_tr), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             masks = model.make_dropout_masks(rng, len(idx))
-            loss, grads = batch_loss_and_grads(
+            loss, grad = batch_loss_and_grads(
                 model, x_tr[idx], y_tr[idx], cfg.penalty, masks
             )
             if not np.isfinite(loss):
                 raise DivergenceError(f"divergence at epoch {epoch}")
             step += 1
-            for p, g, a, b in zip(params, grads, m1, m2):
-                a *= beta1
-                a += (1 - beta1) * g
-                b *= beta2
-                b += (1 - beta2) * g * g
-                a_hat = a / (1 - beta1**step)
-                b_hat = b / (1 - beta2**step)
-                p -= lr * a_hat / (np.sqrt(b_hat) + eps)
+            m1 *= beta1
+            m1 += (1 - beta1) * grad
+            m2 *= beta2
+            m2 += (1 - beta2) * grad * grad
+            m1_hat = m1 / (1 - beta1**step)
+            m2_hat = m2 / (1 - beta2**step)
+            model.flat -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
             epoch_losses.append(loss)
         history.train_loss.append(float(np.mean(epoch_losses)))
 
@@ -346,8 +334,8 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
     return (pred / model.spec.target_scale).reshape(len(inputs), n_samples, 6)
 
 
-# checkpoint format: dataio's one-line JSON header, then one float64 block
-# of all weights in parameter declaration order
+# checkpoint format: dataio's one-line JSON header, then one float64 block,
+# model.flat
 
 
 def save_checkpoint(path, model: TwoBranchMlp, cfg: TrainConfig = None, epoch: int = 0):
@@ -356,9 +344,9 @@ def save_checkpoint(path, model: TwoBranchMlp, cfg: TrainConfig = None, epoch: i
         "config": asdict(cfg) if cfg is not None else None,
         "epoch": epoch,
         "seed": model.seed,
-        "n_parameters": model.n_parameters(),
+        "n_parameters": model.flat.size,
     }
-    dataio.write_header_blocks(path, "mlp_checkpoint", header, model.parameters())
+    dataio.write_header_blocks(path, "mlp_checkpoint", header, [model.flat])
 
 
 def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
@@ -369,11 +357,11 @@ def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
         spec = MlpSpec(**header["spec"])
     except (TypeError, ValueError) as exc:  # an unknown or missing key, or a bad value
         raise dataio.DataFormatError(f"{path}: mlp_checkpoint spec refused: {exc}") from exc
-    model = TwoBranchMlp(spec, seed=header.get("seed", 0))
-    if model.n_parameters() != header["n_parameters"]:
+    model = TwoBranchMlp(spec, seed=header["seed"])
+    if model.flat.size != header["n_parameters"]:
         raise dataio.DataFormatError(
             f"{path}: mlp_checkpoint header n_parameters = {header['n_parameters']}, "
-            f"but its spec has {model.n_parameters()}"
+            f"but its spec has {model.flat.size}"
         )
-    model.set_flat(flat)
+    model.flat[...] = flat
     return model, header

@@ -122,23 +122,18 @@ def test_criterion_04_gradient_check():
     rng = np.random.default_rng(41)
     x = rng.normal(0.5, 0.25, size=(8, spec.input_dim))
     y = rng.normal(0.0, 0.6, size=(8, 6))
-    _, grads = batch_loss_and_grads(model, x, y, 1.0)
-    flat_g = np.concatenate([g.ravel() for g in grads])
-    flat_p = model.get_flat()
+    _, grad = batch_loss_and_grads(model, x, y, 1.0)
     h = 1e-5
     worst = 0.0
-    for idx in rng.choice(flat_p.size, 20, replace=False):
-        p0 = flat_p[idx]
-        flat_p[idx] = p0 + h
-        model.set_flat(flat_p)
+    for idx in rng.choice(model.flat.size, 20, replace=False):
+        p0 = model.flat[idx]
+        model.flat[idx] = p0 + h
         up = batch_loss(model, x, y, 1.0)
-        flat_p[idx] = p0 - h
-        model.set_flat(flat_p)
+        model.flat[idx] = p0 - h
         down = batch_loss(model, x, y, 1.0)
-        flat_p[idx] = p0
-        model.set_flat(flat_p)
+        model.flat[idx] = p0
         fd = (up - down) / (2 * h)
-        worst = max(worst, abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-12))
+        worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-12))
     assert worst < 1e-4
     report(4, f"backprop vs central differences on 20 coordinates, worst rel err {worst:.2e}")
 

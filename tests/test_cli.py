@@ -9,6 +9,8 @@ import pytest
 from dticalib.cli import main
 from dticalib import bootstrap as bs
 from dticalib import dataio, mlp, pipeline
+from dticalib.simulation import PhantomSpec, make_scheme
+from test_simulation import PINNED_DISPATCH, reference_phantom
 
 
 def write_cfg(path: Path, body: str):
@@ -464,6 +466,24 @@ class TestReproducibility:
         permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, seeds[perm])
         assert np.array_equal(permuted, default[perm], equal_nan=True)
 
+    @pytest.mark.parametrize("snr", ["28", "8"])  # at 8 dB some rows are floored
+    @pytest.mark.parametrize("estimator", ["ols", "wlls", "cwlls"])
+    def test_fits_follow_a_voxel_permutation(self, tmp_path, estimator, snr):
+        body = BASE.format(snr=snr) + f"fit.estimator = {estimator}\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        for cmd in ("simulate", "fit"):
+            assert main([cmd, "--config", cfg]) == 0
+        _, signals, truth, _ = dataio.read_dataset(tmp_path / "run/dataset.bin")
+        perm = np.random.default_rng(5).permutation(len(signals))
+        (tmp_path / "perm").mkdir()
+        for name in ("scheme.bvec", "scheme.bval"):
+            shutil.copy(tmp_path / "run" / name, tmp_path / "perm" / name)
+        dataio.write_dataset(tmp_path / "perm/dataset.bin", signals[perm], "scheme", truth[perm])
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "perm")]) == 0
+        header, fits = dataio.read_fits(tmp_path / "run/fits.bin")
+        assert header["estimator"] == estimator
+        assert np.array_equal(dataio.read_fits(tmp_path / "perm/fits.bin")[1], fits[perm])
+
     def test_manifest_lists_every_output(self, tmp_path):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
         assert main(["simulate", "--config", cfg]) == 0
@@ -512,8 +532,8 @@ class TestSimulatePinned:
         ("two_population", "fixed"): "a1919d25acad0b6564abfd5af467d315333e694ac00f41fb49e34401d53ec759",
     }
 
-    @pytest.mark.parametrize("generator, orientation", sorted(PINNED))
-    def test_dataset_matches_pinned_digest(self, tmp_path, generator, orientation):
+    @staticmethod
+    def simulate(tmp_path, generator, orientation):
         body = (
             f"out_dir = run\nseed = 11\nphantom.generator = {generator}\n"
             f"phantom.n_voxels = 40\nphantom.orientation = {orientation}\n"
@@ -523,8 +543,24 @@ class TestSimulatePinned:
             body += "phantom.fa_target = 0.5\n"
         cfg = write_cfg(tmp_path / "e.cfg", body)
         assert main(["simulate", "--config", cfg]) == 0
-        digest = hashlib.sha256((tmp_path / "run/dataset.bin").read_bytes()).hexdigest()
+        return tmp_path / "run/dataset.bin"
+
+    @PINNED_DISPATCH
+    @pytest.mark.parametrize("generator, orientation", sorted(PINNED))
+    def test_dataset_matches_pinned_digest(self, tmp_path, generator, orientation):
+        path = self.simulate(tmp_path, generator, orientation)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.PINNED[generator, orientation]
+
+    @pytest.mark.parametrize("generator, orientation", sorted(PINNED))
+    def test_dataset_matches_per_voxel_reference(self, tmp_path, generator, orientation):
+        _, signals, truth, _ = dataio.read_dataset(self.simulate(tmp_path, generator, orientation))
+        spec = PhantomSpec(  # simulate's scheme; the one read back may differ in the last bit
+            n_voxels=40, scheme=make_scheme(30), generator=generator, orientation=orientation,
+            snr_db=28.0, seed=11, fa_target=0.5 if generator == "oblate" else 0.8,
+        )
+        expected_signals, expected_truth, _ = reference_phantom(spec)
+        assert np.array_equal(signals, expected_signals) and np.array_equal(truth, expected_truth)
 
 
 class TestDlFlow:

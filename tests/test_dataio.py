@@ -185,7 +185,7 @@ KINDS = {
     "dataset": (dataset_file, read_dataset, ("n_voxels", "m", "has_ground_truth", "scheme_ref")),
     "fits": (fits_file, read_fits, ("n_voxels",)),
     "predictions": (predictions_file, read_predictions, ("n_voxels", "columns", "method")),
-    "mlp_checkpoint": (checkpoint_file, load_checkpoint, ("n_parameters", "spec")),
+    "mlp_checkpoint": (checkpoint_file, load_checkpoint, ("n_parameters", "spec", "seed")),
 }
 
 # each field a reader uses, with values of another JSON type than its own
@@ -199,6 +199,7 @@ WRONG_TYPES = {
     "method": (["wbs"],),
     "n_parameters": ("100", True),
     "spec": ([12],),
+    "seed": (1.5, None, [1, 2], True),
 }
 
 
@@ -217,7 +218,7 @@ class TestHeaderContract:
         edits = {
             "other kind": lambda h: h.update(kind=other),
             "version 2": lambda h: h.update(version=2),
-            # every int field is a block size
+            # every int field is a block size or a seed
             **{f"{f} = -40": lambda h, f=f: h.update({f: -40}) for f in fields},
         }
         rewrite_header(path, edits.get(change, lambda h: h.pop(change)))
@@ -252,8 +253,8 @@ class TestHeaderContract:
         with pytest.raises(DataFormatError) as info:
             load_checkpoint(path)
         assert str(info.value) == (
-            f"{path}: mlp_checkpoint header n_parameters = {saved.n_parameters()}, "
-            f"but its spec has {edited.n_parameters()}"
+            f"{path}: mlp_checkpoint header n_parameters = {saved.flat.size}, "
+            f"but its spec has {edited.flat.size}"
         )
 
     @pytest.mark.parametrize("spec", [

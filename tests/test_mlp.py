@@ -74,6 +74,35 @@ class TestLossAttenuated:
         assert np.log(1e-8) < U_MIN
 
 
+def declared_views(model):
+    """model's weights and biases in declaration order: main W0, b0, ..., then uncertainty."""
+    pairs = [*zip(model.main_w, model.main_b), *zip(model.unc_w, model.unc_b)]
+    return [a for pair in pairs for a in pair]
+
+
+class TestParameterStore:
+    def test_views_tile_flat_in_declaration_order(self):
+        model = TwoBranchMlp(small_spec(hidden_widths=(32, 16), uncertainty_widths=(8,)), seed=3)
+        views = declared_views(model)
+        assert all(np.shares_memory(v, model.flat) for v in views)
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), model.flat)
+        assert sum(v.size for v in views) == model.flat.size
+        model.flat[-1] = 7.0  # the last element is the uncertainty output bias
+        assert model.unc_b[-1][0] == 7.0
+
+    def test_initial_draws_are_per_layer_uniforms(self):
+        spec = small_spec(hidden_widths=(32, 16), uncertainty_widths=(8,))
+        model = TwoBranchMlp(spec, seed=11)
+        rng = rng_from_key(11)
+        expected = []
+        for dims in ([spec.input_dim, 32, 16, 6], [spec.input_dim, 8, 1]):
+            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+                bound = 1.0 / np.sqrt(fan_in)
+                expected += [rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel(),
+                             np.zeros(fan_out)]
+        assert np.array_equal(model.flat, np.concatenate(expected))
+
+
 class TestGradients:
     def gradient_check(self, masks, seed, n_coords=25, h=1e-5):
         spec = small_spec()
@@ -83,22 +112,17 @@ class TestGradients:
         y = rng.normal(0.0, 0.5, size=(6, 6))
         if masks == "dropout":
             masks = model.make_dropout_masks(np.random.default_rng(3), 6)
-        _, grads = batch_loss_and_grads(model, x, y, 1.0, masks)
-        flat_g = np.concatenate([g.ravel() for g in grads])
-        flat_p = model.get_flat()
+        _, grad = batch_loss_and_grads(model, x, y, 1.0, masks)
         worst = 0.0
-        for idx in rng.choice(flat_p.size, n_coords, replace=False):
-            p0 = flat_p[idx]
-            flat_p[idx] = p0 + h
-            model.set_flat(flat_p)
+        for idx in rng.choice(model.flat.size, n_coords, replace=False):
+            p0 = model.flat[idx]
+            model.flat[idx] = p0 + h
             up = batch_loss(model, x, y, 1.0, masks)
-            flat_p[idx] = p0 - h
-            model.set_flat(flat_p)
+            model.flat[idx] = p0 - h
             down = batch_loss(model, x, y, 1.0, masks)
-            flat_p[idx] = p0
-            model.set_flat(flat_p)
+            model.flat[idx] = p0
             fd = (up - down) / (2 * h)
-            worst = max(worst, abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-12))
+            worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-12))
         return worst
 
     def test_deterministic_pass(self):
@@ -209,11 +233,11 @@ class TestStackKernelMatchesTwoLoopReference:
         d_pred = np.sign(diff) * attenuation[:, None] / len(x)
         d_u = (-resid * attenuation + penalty) / len(x)
         expected = reference_backward(model, cache, d_pred, d_u)
-        loss, grads = batch_loss_and_grads(model, x, y, penalty, masks)
+        loss, grad = batch_loss_and_grads(model, x, y, penalty, masks)
         assert loss == float(np.mean(losses))
-        assert len(grads) == len(expected) == len(model.parameters())
-        for got, want in zip(grads, expected):
-            assert got.shape == want.shape and np.array_equal(got, want)
+        assert [w.shape for w in expected] == [v.shape for v in declared_views(model)]
+        assert grad.shape == model.flat.shape
+        assert np.array_equal(grad, np.concatenate([w.ravel() for w in expected]))
         assert batch_loss(model, x, y, penalty, masks) == loss
 
     def test_predict_and_mc_dropout(self):
@@ -247,7 +271,7 @@ class TestTraining:
         cfg = TrainConfig(epochs=10, seed=5, batch_size=64)
         m1, _ = train(x, truth, small_spec(dropout_rate=0.4), cfg)
         m2, _ = train(x, truth, small_spec(dropout_rate=0.4), cfg)
-        assert np.array_equal(m1.get_flat(), m2.get_flat())
+        assert np.array_equal(m1.flat, m2.flat)
 
     def test_divergence_reported_with_epoch(self):
         spec = PhantomSpec(n_voxels=64, scheme=SCHEME, snr_db=30.0, seed=1)
@@ -425,7 +449,7 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(path, model, cfg, epoch=hist.stopped_epoch)
         loaded, header = load_checkpoint(path)
-        assert np.array_equal(loaded.get_flat(), model.get_flat())
+        assert np.array_equal(loaded.flat, model.flat)
         assert header["spec"]["dropout_rate"] == 0.2
         assert header["config"]["seed"] == 7
         xq = x[:3]
@@ -441,10 +465,10 @@ class TestCheckpoint:
     def test_layout_is_header_line_then_weights(self, tmp_path):
         model, path = self.saved(tmp_path)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        weights = b"".join(np.asarray(p, dtype="<f8").tobytes() for p in model.parameters())
+        weights = model.flat.astype("<f8").tobytes()
         expected = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + weights
         assert path.read_bytes() == expected
-        assert header["n_parameters"] == model.n_parameters() and header["epoch"] == 2
+        assert header["n_parameters"] == model.flat.size and header["epoch"] == 2
 
     def test_rejects_truncated(self, tmp_path):
         _, path = self.saved(tmp_path)

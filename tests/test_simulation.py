@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from dticalib.bootstrap import summarize_uncertainty
 from dticalib.fitting import fit_cwlls_batch, log_signal_rows
@@ -15,9 +16,15 @@ from dticalib.simulation import (
     make_phantom,
     make_scheme,
     monte_carlo_oracle,
+    quaternion_rotations,
     rician,
 )
-from dticalib.tensor import eigh3_batch, elements_to_matrices, predict_signal_batch
+from dticalib.tensor import (
+    eigh3_batch,
+    elements_to_matrices,
+    matrices_to_elements,
+    predict_signal_batch,
+)
 
 
 def add_rician(signal, snr_db, rng):
@@ -255,7 +262,68 @@ def phantom_digest(phantom):
     return hashlib.sha256(phantom.signals.tobytes() + phantom.truth.tobytes()).hexdigest()
 
 
+# The digests hash float64 results of numpy's exp and log, whose AVX-512
+# loops round differently from the AVX2 ones, so they hold only under the
+# dispatch they were made on. reference_phantom checks the same property,
+# make_phantom equal to its per-voxel form, under any dispatch.
+PINNED_DISPATCH = pytest.mark.skipif(
+    not __cpu_features__.get("X86_V4", False),
+    reason="digests were pinned under numpy's X86_V4 (AVX-512) loops, which are "
+    "not dispatched here; exp and log may round otherwise",
+)
+
+
+def reference_phantom(spec):
+    """make_phantom one voxel at a time: (signals, truth, population).
+
+    Voxel v draws from its own stream keyed (seed, v), in the order that
+    make_phantom documents, and its tensor, signal and Rician noise are
+    computed alone.
+    """
+    signals, truth, population = [], [], []
+    for v in range(spec.n_voxels):
+        rng = rng_from_key(spec.seed, v)
+        shifted = spec.generator == "two_population" and v >= spec.n_voxels // 2
+        if spec.generator == "fixed":
+            elements = np.reshape(spec.elements, 6).astype(np.float64)
+        elif spec.generator in ("prolate", "oblate"):
+            elements = np.concatenate([spec.axisym_eigenvalues, np.zeros(3)])
+        else:
+            lam = np.sort(rng.uniform(*spec.eig_range, size=3))[::-1]
+            elements = np.concatenate([lam * (spec.shift if shifted else 1.0), np.zeros(3)])
+        if spec.orientation == "uniform":
+            q = rng.normal(size=4)
+            rot = quaternion_rotations((q / np.linalg.norm(q))[None])
+            mats = rot @ elements_to_matrices(elements[None]) @ rot.swapaxes(1, 2)
+            elements = matrices_to_elements(mats)[0]
+        snr = spec.snr_db if spec.snr_range is None else float(rng.uniform(*spec.snr_range))
+        clean = predict_signal_batch(elements[None], spec.scheme)[0]
+        signals.append(clean if snr == np.inf else add_rician(clean, snr, rng))
+        truth.append(elements)
+        population.append(int(shifted))
+    return np.array(signals), np.array(truth), np.array(population)
+
+
 FIXED_ELEMENTS = np.array([1.7e-3, 0.4e-3, 0.3e-3, 0.1e-3, -0.05e-3, 0.02e-3])
+
+
+class TestPhantomReference:
+    @pytest.mark.parametrize("noise", [
+        dict(snr_db=25.0), dict(snr_range=(10.0, 40.0)), dict(snr_db=np.inf),
+    ], ids=["fixed_snr", "snr_range", "noiseless"])
+    @pytest.mark.parametrize("orientation", ["fixed", "uniform"])
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_equals_per_voxel_reference(self, generator, orientation, noise):
+        spec = PhantomSpec(
+            n_voxels=25, scheme=make_scheme(30), generator=generator,
+            elements=FIXED_ELEMENTS if generator == "fixed" else None, fa_target=0.6,
+            orientation=orientation, seed=13, **noise,
+        )
+        phantom = make_phantom(spec)
+        signals, truth, population = reference_phantom(spec)
+        assert np.array_equal(phantom.signals, signals)
+        assert np.array_equal(phantom.truth, truth)
+        assert np.array_equal(phantom.population, population)
 
 
 class TestPhantomArrays:
@@ -273,12 +341,20 @@ class TestPhantomArrays:
         "noiseless": dict(generator="two_population", snr_db=np.inf, seed=5),
     }
 
+    @PINNED_DISPATCH
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_matches_pinned_digest(self, case):
         spec = PhantomSpec(n_voxels=25, scheme=make_scheme(30), **self.SPECS[case])
         phantom = make_phantom(spec)
         assert phantom.signals.shape == (25, 32) and phantom.truth.shape == (25, 6)
         assert phantom_digest(phantom) == self.PINNED[case]
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_matches_per_voxel_reference(self, case):
+        spec = PhantomSpec(n_voxels=25, scheme=make_scheme(30), **self.SPECS[case])
+        phantom = make_phantom(spec)
+        signals, truth, _ = reference_phantom(spec)
+        assert np.array_equal(phantom.signals, signals) and np.array_equal(phantom.truth, truth)
 
     @pytest.mark.parametrize("noise", [dict(snr_db=25.0), dict(snr_range=(10.0, 40.0))])
     @pytest.mark.parametrize("generator", [g for g in GENERATORS if g != "two_population"])

@@ -4,16 +4,24 @@ Each module of src/dticalib is parsed with the standard-library ast. An
 imported name that its module never references fails, as does a top-level
 private def (a function or class named _x) that no code in the package
 references outside its own body. The package __init__ is exempt from the
-import check, because its imports are the public namespace.
+import check, because its imports are the public namespace. A public
+module-level function or public method fails when neither the package,
+outside its own body, nor scripts/ references its name, and the README
+never names it; dunders are exempt.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dticalib"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dticalib"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def parse(path: Path) -> ast.Module:
@@ -32,18 +40,19 @@ def unused_imports(tree: ast.Module) -> list:
     return [(name, line) for name, line in bound if name not in read]
 
 
-def referenced_names(statements) -> set:
-    """Names read as variables or attributes, or imported by name, in statements."""
-    names = set()
+def name_counts(statements) -> Counter:
+    """How often each name is read as a variable or attribute, or imported by
+    name, in statements."""
+    counts = Counter()
     for statement in statements:
         for node in ast.walk(statement):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                counts[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                counts[node.attr] += 1
             elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-    return names
+                counts.update(alias.name for alias in node.names)
+    return counts
 
 
 def unreferenced_private_defs(trees: dict) -> list:
@@ -57,8 +66,31 @@ def unreferenced_private_defs(trees: dict) -> list:
             if not node.name.startswith("_") or node.name.startswith("__"):
                 continue
             others = (s for t in trees.values() for s in t.body if s is not node)
-            if node.name not in referenced_names(others):
+            if node.name not in name_counts(others):
                 found.append((module, node.name, node.lineno))
+    return found
+
+
+def unreferenced_public_defs(trees: dict, scripts: list, readme: str) -> list:
+    """(module, name, line) of each public module-level function or public
+    method of the {module: tree} set that no code of trees or scripts
+    references outside its own body, and that readme never names."""
+    counts = name_counts([*trees.values(), *scripts])
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{d.name}", d) for d in node.body if isinstance(d, FUNCTIONS)]
+            else:
+                continue
+            for name, d in defs:
+                if d.name.startswith("_"):  # private, or a dunder
+                    continue
+                outside = counts[d.name] - name_counts([d])[d.name]
+                if not outside and not re.search(rf"\b{d.name}\b", readme):
+                    found.append((module, name, d.lineno))
     return found
 
 
@@ -71,6 +103,13 @@ def test_every_import_is_used(path):
 
 def test_every_private_def_is_referenced():
     assert unreferenced_private_defs({p.name: parse(p) for p in MODULES}) == []
+
+
+def test_every_public_def_is_used():
+    trees = {p.name: parse(p) for p in MODULES}
+    scripts = [parse(p) for p in SCRIPTS]
+    readme = (ROOT / "README.md").read_text()
+    assert unreferenced_public_defs(trees, scripts, readme) == []
 
 
 def test_scan_finds_an_unused_import_and_an_unreferenced_def():
@@ -86,3 +125,24 @@ def test_scan_finds_an_unused_import_and_an_unreferenced_def():
     )
     assert unused_imports(tree) == [("dumps", 3)]
     assert unreferenced_private_defs({"m.py": tree}) == [("m.py", "_dead", 4)]
+
+
+def test_scan_finds_an_unused_public_function_and_method():
+    tree = ast.parse(
+        "def dead(n):\n"
+        "    return dead(n - 1)\n"  # its own recursion is not a use
+        "def named():\n"
+        "    pass\n"
+        "def scripted():\n"
+        "    pass\n"
+        "class Model:\n"
+        "    def __init__(self):\n"
+        "        self.live()\n"
+        "    def live(self):\n"
+        "        pass\n"
+        "    def get_flat(self):\n"
+        "        pass\n"
+    )
+    script = ast.parse("from m import scripted\nscripted()\n")
+    found = unreferenced_public_defs({"m.py": tree}, [script], "call `named()` first")
+    assert found == [("m.py", "dead", 1), ("m.py", "Model.get_flat", 12)]
