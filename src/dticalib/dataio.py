@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import GradientScheme
+from .tensor import DIRECTION_NORM_TOL, GradientScheme
 
 # the one format version of each binary kind, and the header fields its
 # readers use with their JSON types; a reader refuses another kind, another
@@ -52,8 +52,10 @@ class DataFormatError(ValueError):
 def read_bvec_bval(bvec_path, bval_path) -> GradientScheme:
     """FSL-style tables: bval = one row of m numbers, bvec = three rows.
 
-    Directions with b > 0 are renormalized (with a warning) when their norm
-    strays more than 1e-3 from unity; zero vectors are kept for b = 0.
+    A direction is renormalized only when its norm strays more than
+    DIRECTION_NORM_TOL from unity, so a table that write_bvec_bval wrote reads
+    back bit for bit; a b > 0 direction more than 1e-3 off warns. Zero
+    vectors are kept for b = 0.
     """
     bvals = _parse_rows(bval_path, expected_rows=1)[0]
     rows = _parse_rows(bvec_path, expected_rows=3)
@@ -68,8 +70,7 @@ def read_bvec_bval(bvec_path, bval_path) -> GradientScheme:
                 raise DataFormatError(f"zero direction with b>0 at column {i}")
             if abs(norm - 1.0) > 1e-3:
                 warnings.warn(f"renormalizing direction {i} (norm {norm:.6f})")
-            directions[i] /= norm
-        elif norm > 0:
+        if norm > 0 and abs(norm - 1.0) > DIRECTION_NORM_TOL:
             directions[i] /= norm
     return GradientScheme(directions, bvals)
 

@@ -18,7 +18,13 @@ from . import dataio, mlp, simulation
 from .config import ConfigError, ExperimentConfig
 from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from .rng import rng_from_key
-from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, fa_md_from_eigenvalues
+from .tensor import (
+    GradientScheme,
+    eigh3_batch,
+    elements_to_matrices,
+    fa_md_from_eigenvalues,
+    principal_scalars,
+)
 
 PARAMETERS = ("fa", "md", "theta")
 
@@ -186,10 +192,21 @@ def run_predict(cfg: ExperimentConfig) -> Path:
 
 
 def tensor_scalars(elements: np.ndarray):
-    """(fa, md, v1) of (n, 6) tensor rows: (n,), (n,) and principal axes (n, 3)."""
-    evals, evecs = eigh3_batch(elements_to_matrices(elements))
-    fa, md = fa_md_from_eigenvalues(evals)
-    return fa, md, evecs[:, 0, :]
+    """(fa, md, v1) of (n, 6) tensor rows: (n,), (n,) and principal axes (n, 3).
+
+    Every row comes from the closed form of `principal_scalars`, except the
+    rows it marks loose (lambda1 too near lambda2, isotropic or non-finite):
+    those alone go through eigh3_batch, so they read exactly as an eigensolve
+    gives them. eigh3_batch is called also when no row is loose, so a
+    traced run sees the fallback on every table.
+    """
+    elements = np.asarray(elements, dtype=np.float64)
+    fa, md, v1, loose = principal_scalars(elements)
+    rows = np.flatnonzero(loose)
+    evals, evecs = eigh3_batch(elements_to_matrices(elements[rows]))
+    fa[rows], md[rows] = fa_md_from_eigenvalues(evals)
+    v1[rows] = evecs[:, 0, :]
+    return fa, md, v1
 
 
 def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:

@@ -1,5 +1,11 @@
 """Core diffusion tensor math: signal model, 3x3 symmetric eigensolver, scalar maps.
 
+Scalar maps come two ways. `eigh3_batch` decomposes each matrix with LAPACK;
+`principal_scalars` takes FA, MD and the principal axis in closed form
+(Smith's lambda1, v1 from cross products) and marks the rows where that
+closed form is loose, near-degenerate lambda1, isotropic or non-finite, so a
+caller sends only those to `eigh3_batch`.
+
 Conventions used throughout the package:
 
 * tensor elements are ordered (Dxx, Dyy, Dzz, Dxy, Dxz, Dyz), units mm^2/s
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DIRECTION_NORM_TOL = 1e-9
+# principal_scalars: cross-product threshold below which a row is loose
+CROSS_PRODUCT_TOL = 1e-4
 
 
 @dataclass
@@ -104,6 +112,81 @@ def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(a)
     # ascending columns -> descending rows; the eigenvectors stay a view
     return np.ascontiguousarray(evals[:, ::-1]), evecs[:, :, ::-1].swapaxes(1, 2)
+
+
+def principal_scalars(elements: np.ndarray):
+    """Closed-form FA, MD and principal axis of (n, 6) rows, with a loose mask.
+
+    MD = tr D / 3 and FA = sqrt(3/2) ||D - MD I||_F / ||D||_F (0 for the zero
+    tensor, clipped to [0, 1]). lambda1 of the deviatoric comes from Smith's
+    trigonometric formula (Smith 1961, CACM 4(4):168) and v1 is the largest of
+    the three row cross products of (D - MD I) - lambda1 I, the columns of its
+    adjugate (Kopp 2008, arXiv:physics/0610206). Each row is computed on its
+    own, elementwise, so it does not depend on what else is in the batch.
+
+    Smith's lambda1 loses accuracy as lambda1 nears lambda2, and v1 with it
+    (its error grows as eps / gap^2). A row is loose when that largest squared
+    cross product is at most
+    CROSS_PRODUCT_TOL * ||D - MD I||^2 * max(||D - MD I||^2, CROSS_PRODUCT_TOL * ||D||^2):
+    the first factor bounds the closed form's error, the second marks rows
+    whose anisotropy is too near the rounding of ||D|| for any solver to fix
+    an axis. Isotropic and non-finite rows are loose. Loose rows carry no
+    usable v1; callers decompose them with eigh3_batch.
+
+    Returns:
+        fa (n,), md (n,), v1 (n, 3) unit rows, loose (n,) bool.
+    """
+    e = np.asarray(elements, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] != 6:
+        raise ValueError("expected (n, 6) input")
+    finite = np.all(np.isfinite(e), axis=1)
+    # contiguous columns; non-finite rows run as the zero tensor
+    cols = np.where(finite, np.ascontiguousarray(e.T), 0.0)
+    md = (cols[0] + cols[1] + cols[2]) / 3.0
+    cols[:3] -= md
+    # an exact power-of-two scale puts the largest deviatoric entry in
+    # [0.5, 1) (below, if it is subnormal), so fourth powers stay in range
+    exponent = np.frexp(np.max(np.abs(cols), axis=0))[1]
+    scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
+    cols *= scale
+    a, b, c, xy, xz, yz = cols
+    off2 = xy * xy + xz * xz + yz * yz
+    dev2 = a * a + b * b + c * c + 2.0 * off2
+    with np.errstate(over="ignore"):  # MD beyond 1e154 x the anisotropy: inf, loose
+        mds = md * scale
+        norm2 = dev2 + 3.0 * (mds * mds)
+    fa = np.sqrt(np.divide(1.5 * dev2, norm2, out=np.zeros_like(dev2), where=norm2 > 0))
+
+    q = (a + b + c) / 3.0  # the rounding left in the deviatoric's trace
+    a0, b0, c0 = a - q, b - q, c - q
+    p = np.sqrt((a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * off2) / 6.0)
+    det = a0 * (b0 * c0 - yz * yz) - xy * (xy * c0 - yz * xz) + xz * (xy * yz - b0 * xz)
+    half_det = np.divide(det, 2.0 * p * p * p, out=np.zeros_like(p), where=p > 0)
+    lam1 = q + 2.0 * p * np.cos(np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0)
+
+    # adjugate of M = dev - lam1 I; its columns are the row cross products of M
+    am, bm, cm = a - lam1, b - lam1, c - lam1
+    m00, m11, m22 = bm * cm - yz * yz, am * cm - xz * xz, am * bm - xy * xy
+    m01, m02, m12 = xz * yz - xy * cm, xy * yz - bm * xz, xy * xz - am * yz
+    sq0 = m00 * m00 + m01 * m01 + m02 * m02
+    sq1 = m01 * m01 + m11 * m11 + m12 * m12
+    sq2 = m02 * m02 + m12 * m12 + m22 * m22
+    pick0 = (sq0 >= sq1) & (sq0 >= sq2)
+    pick1 = ~pick0 & (sq1 >= sq2)
+    best = np.where(pick0, sq0, np.where(pick1, sq1, sq2))
+    v1 = np.stack(
+        [
+            np.where(pick0, m00, np.where(pick1, m01, m02)),
+            np.where(pick0, m01, np.where(pick1, m11, m12)),
+            np.where(pick0, m02, np.where(pick1, m12, m22)),
+        ],
+        axis=1,
+    )
+    v1 /= np.sqrt(np.where(best > 0, best, 1.0))[:, None]
+    sure = (best > CROSS_PRODUCT_TOL * dev2 * dev2) & (
+        best > CROSS_PRODUCT_TOL * CROSS_PRODUCT_TOL * dev2 * norm2
+    )
+    return np.clip(fa, 0.0, 1.0), md, v1, ~(sure & finite)
 
 
 def fa_md_from_eigenvalues(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from dticalib.cli import main
 from dticalib import bootstrap as bs
 from dticalib import dataio, mlp, pipeline
 from dticalib.simulation import PhantomSpec, make_scheme
+from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars
 from test_simulation import PINNED_DISPATCH, reference_phantom
 
 
@@ -435,6 +437,50 @@ class TestCalibrateFlow:
         maps = json.loads((out / "calibration_maps.json").read_text())
         for p in ("fa", "md", "theta"):
             assert np.all(np.diff(maps[p]["values"]) >= 0)
+
+
+class TestTruthEigensolves:
+    """calibrate, evaluate and curves decompose only the truth rows that the
+    closed form of principal_scalars leaves loose."""
+
+    @pytest.mark.parametrize("generator", ["prolate", "random_spd"])
+    def test_only_loose_rows_reach_eigh(self, tmp_path, monkeypatch, generator):
+        body = BASE.format(snr="inf").replace("n_voxels = 24", "n_voxels = 600")
+        cfg = write_cfg(tmp_path / "e.cfg", body.replace("= prolate", f"= {generator}"))
+        assert main(["simulate", "--config", cfg]) == 0
+        out = tmp_path / "run"
+        _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
+        fa, md, v1 = pipeline.tensor_scalars(truth)
+        sigma = np.full(len(truth), 0.02)
+        table = np.column_stack(
+            [fa + sigma, md, v1, np.full(len(truth), 10.0), sigma, sigma * md, sigma]
+        )
+        dataio.write_predictions(out / "predictions_wbs.bin", table, "wbs")
+        evals = eigh3_batch(elements_to_matrices(truth))[0]
+        loose = principal_scalars(truth)[3]
+        if generator == "prolate":
+            assert np.all(evals[:, 0] >= 1.3 * evals[:, 1])
+        else:
+            assert 0 < loose.sum() < len(truth)
+
+        rows = []
+
+        def counted(mats):
+            rows.append(len(mats))
+            return eigh3_batch(mats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dticalib") and getattr(module, "eigh3_batch", None) is eigh3_batch:
+                monkeypatch.setattr(module, "eigh3_batch", counted)
+        for command in ("calibrate", "evaluate", "curves"):
+            assert main([command, "--config", cfg]) == 0
+        header, _ = dataio.read_predictions(out / "predictions_recalibrated.bin")
+        calibration_split = np.ones(len(truth), bool)
+        calibration_split[header["meta"]["holdout"]] = False
+        expected = [loose[calibration_split].sum(), loose.sum(), loose.sum()]
+        assert rows == expected
+        if generator == "prolate":
+            assert rows == [0, 0, 0]
 
 
 class TestReproducibility:

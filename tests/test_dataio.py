@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,23 @@ class TestBvecBval:
         back = read_bvec_bval(tmp_path / "s.bvec", tmp_path / "s.bval")
         assert np.allclose(back.directions, scheme.directions, atol=1e-12)
         assert np.allclose(back.bvalues, scheme.bvalues, atol=1e-12)
+
+    @pytest.mark.parametrize("n_directions", [6, 30, 64])
+    def test_roundtrip_keeps_every_bit(self, tmp_path, n_directions):
+        # make_scheme(30)'s direction 24 has a norm one ulp off 1; dividing
+        # it by that norm moved its last bit
+        scheme = make_scheme(n_directions, n_b0=2)
+        write_bvec_bval(tmp_path / "s.bvec", tmp_path / "s.bval", scheme)
+        back = read_bvec_bval(tmp_path / "s.bvec", tmp_path / "s.bval")
+        assert np.array_equal(back.directions, scheme.directions)
+        assert np.array_equal(back.bvalues, scheme.bvalues)
+
+    def test_renormalizes_small_stray_silently(self, tmp_path):
+        bvec, bval = self.write_pair(tmp_path, ["1.0001", "0", "0"], "1000")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scheme = read_bvec_bval(bvec, bval)
+        assert np.array_equal(scheme.directions[0], [1.0, 0.0, 0.0])
 
 
 class TestDatasetFile:

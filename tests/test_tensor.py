@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dticalib.fitting import fit_ols_batch, log_signal_rows
+from dticalib.pipeline import tensor_scalars
 from dticalib.tensor import (
     GradientScheme,
     design_matrix,
@@ -10,6 +14,7 @@ from dticalib.tensor import (
     fa_md_from_eigenvalues,
     matrices_to_elements,
     predict_signal_batch,
+    principal_scalars,
 )
 from dticalib.simulation import _unit_quaternion, make_scheme, quaternion_rotations
 
@@ -144,6 +149,124 @@ class TestEig3Sym:
             e1, v1 = eigh3_batch(mats[i : i + 1])
             assert np.array_equal(e1[0], evals[i]) and np.array_equal(v1[0], evecs[i])
         assert np.all(np.diff(evals, axis=1) <= 0)
+
+
+def angle_deg(v, w):
+    """Angle between the axes of unit rows v and w, accurate down to 1e-16 rad."""
+    sin = np.linalg.norm(np.cross(v, w), axis=1)
+    return np.degrees(np.arctan2(sin, np.abs(np.sum(v * w, axis=1))))
+
+
+OLS_SCHEME = make_scheme(12)
+
+
+def hard_row(kind, gap, log_scale, seed):
+    """One (6,) tensor row of a shape where a closed form is at its weakest."""
+    rng = np.random.default_rng(seed)
+    rot = random_rotation(rng)
+    lam = rng.uniform(0.2, 2.0)
+    if kind == "prolate":  # lambda2 == lambda3 exactly
+        minor = lam * rng.uniform(0.05, 0.95)
+        lams = [lam, minor, minor]
+    elif kind == "near_oblate":  # lambda1 = lambda2 (1 + gap)
+        lams = [lam * (1.0 + gap), lam, lam * rng.uniform(-0.5, 0.95)]
+    elif kind == "near_isotropic":  # anisotropy at gap x the size
+        lams = lam * (1.0 + gap * rng.normal(size=3))
+    elif kind == "random":  # any sign
+        lams = rng.normal(0.3, 1.0, size=3)
+    elif kind == "isotropic":
+        lams = [lam, lam, lam]
+    elif kind == "zero":
+        return np.zeros(6)
+    elif kind == "floor":  # a floored fit: 1e-11 I with rounding-level off-diagonals
+        return np.concatenate([np.full(3, 1e-11), rng.uniform(-1e-27, 1e-27, 3)])
+    else:  # an OLS fit of a noisy prolate voxel; often has a negative eigenvalue
+        truth = matrices_to_elements((rot @ np.diag([1.7e-3, 0.3e-3, 0.3e-3]) @ rot.T)[None])
+        signals = predict_signal_batch(truth, OLS_SCHEME)
+        signals = np.abs(signals + rng.normal(0.0, 0.3, signals.shape))
+        return fit_ols_batch(log_signal_rows(signals, OLS_SCHEME), OLS_SCHEME)[0][0, :6]
+    mats = rot @ np.diag(np.asarray(lams, dtype=np.float64) * 10.0**log_scale) @ rot.T
+    return matrices_to_elements(mats[None])[0]
+
+
+HARD_ROWS = st.builds(
+    hard_row,
+    st.sampled_from(
+        ["prolate", "near_oblate", "near_isotropic", "random", "isotropic", "zero", "floor",
+         "ols"]
+    ),
+    st.sampled_from([10.0**-k for k in range(1, 10)] + [0.0]),
+    st.floats(-6.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestPrincipalScalars:
+    """The closed form against eigh3_batch, which decomposes the loose rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(HARD_ROWS, min_size=1, max_size=12))
+    def test_matches_eigh(self, rows):
+        elements = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, _, loose = principal_scalars(elements)
+            fa, md, v1 = tensor_scalars(elements)
+        evals, evecs = eigh3_batch(elements_to_matrices(elements))
+        fa_ref, md_ref = fa_md_from_eigenvalues(evals)
+        sure = ~loose
+        size = np.linalg.norm(elements_to_matrices(elements), axis=(1, 2))
+        # MD relative to the tensor's size: an OLS fit's MD can sit near 0
+        assert np.all(np.abs(fa - fa_ref)[sure] <= 1e-14)
+        assert np.all(np.abs(md - md_ref)[sure] <= 1e-14 * size[sure])
+        assert np.all(angle_deg(v1, evecs[:, 0])[sure] <= 1e-9)
+        assert np.array_equal(fa[loose], fa_ref[loose])
+        assert np.array_equal(md[loose], md_ref[loose])
+        assert np.array_equal(v1[loose], evecs[loose, 0])
+        for i in range(len(elements)):
+            alone = tensor_scalars(elements[i : i + 1])
+            assert np.array_equal(alone[0][0], fa[i]) and np.array_equal(alone[1][0], md[i])
+            assert np.array_equal(alone[2][0], v1[i])
+            assert principal_scalars(elements[i : i + 1])[3][0] == loose[i]
+
+    def test_separated_lambda1_is_never_loose(self):
+        rng = np.random.default_rng(41)
+        n = 20000
+        lam2 = rng.uniform(0.1, 2.0, n)
+        lams = np.column_stack(
+            [lam2 * rng.uniform(1.3, 10.0, n), lam2, lam2 * rng.uniform(1e-6, 1.0, n)]
+        )
+        quats = rng.normal(size=(n, 4))
+        rots = quaternion_rotations(quats / np.linalg.norm(quats, axis=1, keepdims=True))
+        mats = rots @ (lams[:, :, None] * 10.0 ** rng.uniform(-6, 2, (n, 1, 1))
+                       * rots.swapaxes(1, 2))
+        assert not principal_scalars(matrices_to_elements(mats))[3].any()
+
+    def test_edge_rows(self):
+        elements = np.array(
+            [
+                np.zeros(6),
+                [0.7e-3, 0.7e-3, 0.7e-3, 0.0, 0.0, 0.0],
+                [1e-11, 1e-11, 1e-11, 1e-27, -2e-27, 3e-27],
+                [1e-3, 1e-3, 0.2e-3, 0.0, 0.0, 0.0],  # oblate: no principal axis
+                [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [np.inf, 1e-3, 1e-3, 0.0, 0.0, 0.0],
+                [1.7e-3, 0.3e-3, 0.3e-3, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1e-320, 0.0, 0.0],  # subnormal: eigenvalues +-1e-320, 0
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fa, md, v1, loose = principal_scalars(elements)
+        assert loose.tolist() == [True] * 6 + [False] * 2
+        assert fa[0] == 0.0 and fa[1] == 0.0
+        assert np.array_equal(np.abs(v1[6]), [1.0, 0.0, 0.0])
+        assert fa[6] == pytest.approx(0.7990222037494894, abs=1e-15)
+        assert np.allclose(np.abs(v1[7]), [np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-15)
+
+    def test_rejects_misshapen_rows(self):
+        with pytest.raises(ValueError, match="expected"):
+            principal_scalars(np.zeros((3, 3, 3)))
 
 
 class TestDesignMatrix:
