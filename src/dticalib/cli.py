@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = ExperimentConfig.load(args.config, overrides)
-        COMMANDS[args.command](cfg)
+        pipeline.run(cfg, COMMANDS[args.command])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import warnings
 from pathlib import Path
 
@@ -55,24 +57,30 @@ def read_bvec_bval(bvec_path, bval_path) -> GradientScheme:
     A direction is renormalized only when its norm strays more than
     DIRECTION_NORM_TOL from unity, so a table that write_bvec_bval wrote reads
     back bit for bit; a b > 0 direction more than 1e-3 off warns. Zero
-    vectors are kept for b = 0.
+    vectors are kept for b = 0. Every refusal names the file it concerns.
     """
     bvals = _parse_rows(bval_path, expected_rows=1)[0]
     rows = _parse_rows(bvec_path, expected_rows=3)
     if len({len(r) for r in rows} | {len(bvals)}) != 1:
-        raise DataFormatError("bvec/bval measurement counts disagree")
+        raise DataFormatError(f"{bvec_path}, {bval_path}: bvec/bval measurement counts disagree")
     directions = np.stack(rows, axis=1).astype(np.float64)
     bvals = np.asarray(bvals, dtype=np.float64)
     norms = np.linalg.norm(directions, axis=1)
     for i, (norm, b) in enumerate(zip(norms, bvals)):
+        if not np.isfinite(norm):  # GradientScheme refuses it below
+            continue
         if b > 0:
             if norm == 0:
-                raise DataFormatError(f"zero direction with b>0 at column {i}")
+                raise DataFormatError(f"{bvec_path}: zero direction with b>0 at column {i}")
             if abs(norm - 1.0) > 1e-3:
                 warnings.warn(f"renormalizing direction {i} (norm {norm:.6f})")
         if norm > 0 and abs(norm - 1.0) > DIRECTION_NORM_TOL:
             directions[i] /= norm
-    return GradientScheme(directions, bvals)
+    try:
+        return GradientScheme(directions, bvals)
+    except ValueError as exc:  # each message starts with the field it refuses
+        path = bval_path if str(exc).startswith("bvalues") else bvec_path
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _parse_rows(path, expected_rows: int):
@@ -132,7 +140,8 @@ def file_kind(path):
 def read_header_blocks(path, kind: str, block_shapes_from_header):
     """(header, blocks) of a file of this kind; each is a DataFormatError naming the path:
     a bad header, another kind or version, a missing field or one of another type, a
-    negative size, a short block, trailing bytes."""
+    negative size, a short block, trailing bytes. Block sizes are checked against the
+    file size, in Python ints, before any block is allocated or read."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
         if header.get("kind") != kind:
@@ -152,15 +161,17 @@ def read_header_blocks(path, kind: str, block_shapes_from_header):
             if expected is int and header[field] < 0:
                 raise DataFormatError(f"{path}: {kind} header field {field} = "
                                       f"{header[field]} must be >= 0")
-        blocks = []
-        for shape in block_shapes_from_header(header):
-            count = int(np.prod(shape))
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise DataFormatError(f"{path}: truncated block")
-            blocks.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-        if f.read(1):
+        shapes = block_shapes_from_header(header)
+        declared = sum(8 * math.prod(shape) for shape in shapes)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if declared > left:
+            raise DataFormatError(f"{path}: truncated block")
+        if declared < left:
             raise DataFormatError(f"{path}: trailing bytes beyond declared blocks")
+        blocks = [np.empty(shape, dtype="<f8") for shape in shapes]
+        for block in blocks:
+            if f.readinto(block) != block.nbytes:  # the file shrank since fstat
+                raise DataFormatError(f"{path}: truncated block")
     return header, blocks
 
 

@@ -1,14 +1,16 @@
-"""Pipeline steps behind the CLI subcommands.
+"""Pipeline stages behind the CLI subcommands.
 
-Each step reads and checks what it needs from an ExperimentConfig, makes
-out_dir only then, writes its outputs there and refreshes the run manifest,
-so a refused input leaves no out_dir behind. All randomness derives from the
-config seed through keyed streams, so reruns are byte-identical.
+Each stage `run_<name>(cfg)` reads and checks what it needs from an
+ExperimentConfig and computes its results; it touches no file. It returns
+a writer, `write(out_dir)`, that writes those results through `dataio` (or
+`mlp.save_checkpoint`). `run(cfg, stage)` is the one caller of both: it
+calls the stage, and only then makes out_dir, calls the writer and
+refreshes the run manifest. So a refused input, or a stage that fails in
+its work, leaves no out_dir and no output behind. All randomness derives
+from the config seed through keyed streams, so reruns are byte-identical.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -29,19 +31,15 @@ from .tensor import (
 PARAMETERS = ("fa", "md", "theta")
 
 
-def _ensure_out_dir(cfg: ExperimentConfig) -> Path:
+def run(cfg: ExperimentConfig, stage):
+    """Refuse a config without out_dir, compute the stage, then make out_dir,
+    write its outputs and refresh manifest.json over every file in out_dir."""
     out = cfg.out_dir
+    write = stage(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _refresh_manifest(cfg: ExperimentConfig, out_dir: Path):
-    outputs = [
-        p
-        for p in sorted(out_dir.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
-    ]
-    dataio.write_manifest(out_dir, cfg.text, cfg.seed, outputs)
+    write(out)
+    outputs = [p for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"]
+    dataio.write_manifest(out, cfg.text, cfg.seed, outputs)
 
 
 def load_scheme(cfg: ExperimentConfig) -> GradientScheme:
@@ -81,41 +79,35 @@ def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.P
     )
 
 
-def run_simulate(cfg: ExperimentConfig) -> Path:
+def run_simulate(cfg: ExperimentConfig):
     scheme = load_scheme(cfg)
-    spec = _phantom_spec(cfg, scheme)
-    out = _ensure_out_dir(cfg)
-    phantom = simulation.make_phantom(spec)
-    dataio.write_bvec_bval(out / "scheme.bvec", out / "scheme.bval", scheme)
-    path = out / "dataset.bin"
-    dataio.write_dataset(path, phantom.signals, "scheme", phantom.truth, seed=cfg.seed)
-    _refresh_manifest(cfg, out)
-    return path
+    phantom = simulation.make_phantom(_phantom_spec(cfg, scheme))
+
+    def write(out):
+        dataio.write_bvec_bval(out / "scheme.bvec", out / "scheme.bval", scheme)
+        dataio.write_dataset(
+            out / "dataset.bin", phantom.signals, "scheme", phantom.truth, seed=cfg.seed
+        )
+
+    return write
 
 
-def run_fit(cfg: ExperimentConfig) -> Path:
+def run_fit(cfg: ExperimentConfig):
     _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     name = cfg.get("fit.estimator")
     # looked up per call, so wrappers installed on the module bindings see it
     kernels = {"ols": fit_ols_batch, "wlls": fit_wlls_batch, "cwlls": fit_cwlls_batch}
     params = kernels[name](log_signal_rows(signals, scheme), scheme)[0]
-    out = _ensure_out_dir(cfg)
-    path = out / "fits.bin"
-    dataio.write_fits(path, params, name)
-    _refresh_manifest(cfg, out)
-    return path
+    return lambda out: dataio.write_fits(out / "fits.bin", params, name)
 
 
-def run_bootstrap(cfg: ExperimentConfig) -> Path:
+def run_bootstrap(cfg: ExperimentConfig):
     _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     iterations = cfg.get("bootstrap.iterations")
     seeds = _voxel_seeds(cfg.seed, len(signals))
     table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
-    out = _ensure_out_dir(cfg)
-    path = out / "predictions_wbs.bin"
-    dataio.write_predictions(path, table, "wbs", meta={"iterations": iterations})
-    _refresh_manifest(cfg, out)
-    return path
+    meta = {"iterations": iterations}
+    return lambda out: dataio.write_predictions(out / "predictions_wbs.bin", table, "wbs", meta)
 
 
 def _read_truth_dataset(cfg: ExperimentConfig):
@@ -132,7 +124,7 @@ def _voxel_seeds(seed: int, n_voxels: int) -> list:
     return [int(np.random.SeedSequence([seed, v]).generate_state(1)[0]) for v in range(n_voxels)]
 
 
-def run_train(cfg: ExperimentConfig) -> Path:
+def run_train(cfg: ExperimentConfig):
     signals, truth, scheme = _read_truth_dataset(cfg)
     inputs = mlp.normalize_signals(signals, scheme)
     spec = _build(
@@ -157,15 +149,12 @@ def run_train(cfg: ExperimentConfig) -> Path:
         eval_every=cfg.get("train.eval_every"),
         stop_patience=cfg.get("train.stop_patience"),
     )
-    out = _ensure_out_dir(cfg)
     model, history = mlp.train(inputs, truth, spec, tcfg)
-    path = out / "model.bin"
-    mlp.save_checkpoint(path, model, tcfg, epoch=history.stopped_epoch)
-    _refresh_manifest(cfg, out)
-    return path
+    epoch = history.stopped_epoch
+    return lambda out: mlp.save_checkpoint(out / "model.bin", model, tcfg, epoch=epoch)
 
 
-def run_predict(cfg: ExperimentConfig) -> Path:
+def run_predict(cfg: ExperimentConfig):
     dataset, checkpoint = cfg.get("dataset.path"), cfg.get("predict.model")
     _, signals, _, scheme = dataio.read_dataset(dataset)
     model, _ = mlp.load_checkpoint(checkpoint)
@@ -174,7 +163,6 @@ def run_predict(cfg: ExperimentConfig) -> Path:
             f"{checkpoint}: checkpoint input_dim {model.spec.input_dim} does not match "
             f"the {len(scheme)} measurements of {dataset}"
         )
-    out = _ensure_out_dir(cfg)
     n_samples = cfg.get("predict.samples")
     inputs = mlp.normalize_signals(signals, scheme)
     points, u = model.predict(inputs)
@@ -185,10 +173,10 @@ def run_predict(cfg: ExperimentConfig) -> Path:
         samples = mlp.predict_mc_dropout(model, inputs[voxels], n_samples, seeds=seeds[voxels])
         spread[voxels] = bs.summarize_uncertainty(samples)
     table = np.column_stack([fa, md, v1, spread, u])
-    path = out / "predictions_dl.bin"
-    dataio.write_predictions(path, table, "mc_dropout", meta={"samples": n_samples})
-    _refresh_manifest(cfg, out)
-    return path
+    meta = {"samples": n_samples}
+    return lambda out: dataio.write_predictions(
+        out / "predictions_dl.bin", table, "mc_dropout", meta
+    )
 
 
 def tensor_scalars(elements: np.ndarray):
@@ -291,7 +279,7 @@ def _check_bins(cfg: ExperimentConfig, rows: dict, context: str = "", least: int
         )
 
 
-def run_evaluate(cfg: ExperimentConfig) -> Path:
+def run_evaluate(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
     _, truth, _ = _read_truth_dataset(cfg)
     pred_path = cfg.get("evaluate.predictions")
@@ -323,17 +311,11 @@ def run_evaluate(cfg: ExperimentConfig) -> Path:
         }
     else:
         _check_bins(cfg, {str(pred_path): len(table)})
-        metrics = _metrics_for_table(
-            table, tensor_scalars(truth), bins, grid, caps, uncertainty
-        )
-    out = _ensure_out_dir(cfg)
-    path = out / "metrics.json"
-    dataio.write_metrics_json(path, metrics)
-    _refresh_manifest(cfg, out)
-    return path
+        metrics = _metrics_for_table(table, tensor_scalars(truth), bins, grid, caps, uncertainty)
+    return lambda out: dataio.write_metrics_json(out / "metrics.json", metrics)
 
 
-def run_calibrate(cfg: ExperimentConfig) -> Path:
+def run_calibrate(cfg: ExperimentConfig):
     """Fit isotonic maps on a calibration split; recalibrate the held-out rows.
 
     The split shuffles voxel indices with the config seed and assigns by
@@ -377,29 +359,27 @@ def run_calibrate(cfg: ExperimentConfig) -> Path:
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}
         for p in PARAMETERS
     }
-    out = _ensure_out_dir(cfg)
-    dataio.write_metrics_json(out / "calibration_maps.json", maps_json)
-    path = out / "predictions_recalibrated.bin"
-    dataio.write_predictions(
-        path,
-        recal,
-        header["method"],
-        meta={"recalibrated": True, "holdout": [int(i) for i in holdout]},
-    )
-    _refresh_manifest(cfg, out)
-    return path
+    meta = {"recalibrated": True, "holdout": [int(i) for i in holdout]}
+
+    def write(out):
+        dataio.write_metrics_json(out / "calibration_maps.json", maps_json)
+        dataio.write_predictions(
+            out / "predictions_recalibrated.bin", recal, header["method"], meta
+        )
+
+    return write
 
 
-def run_curves(cfg: ExperimentConfig) -> list:
+def run_curves(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
     _, truth, _ = _read_truth_dataset(cfg)
     _, table = dataio.read_predictions(cfg.get("curves.predictions"))
     _, grid, caps = _metric_params(cfg)
     triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty)
     curves = [cal.picp_mpiw_curve(triples[p], caps[p], grid) for p in PARAMETERS]
-    out = _ensure_out_dir(cfg)
-    paths = [out / f"curves_{p}.csv" for p in PARAMETERS]
-    for path, curve in zip(paths, curves):
-        dataio.write_curve_csv(path, curve)
-    _refresh_manifest(cfg, out)
-    return paths
+
+    def write(out):
+        for p, curve in zip(PARAMETERS, curves):
+            dataio.write_curve_csv(out / f"curves_{p}.csv", curve)
+
+    return write

@@ -42,8 +42,12 @@ class GradientScheme:
             raise ValueError("directions must be an (m, 3) array")
         if self.bvalues.shape != (self.directions.shape[0],):
             raise ValueError("bvalues length must match directions")
+        if not np.all(np.isfinite(self.bvalues)):
+            raise ValueError("bvalues must be finite")
         if np.any(self.bvalues < 0):
             raise ValueError("bvalues must be nonnegative")
+        if not np.all(np.isfinite(self.directions)):
+            raise ValueError("directions must be finite")
         norms = np.linalg.norm(self.directions, axis=1)
         weighted = self.bvalues > 0
         if np.any(np.abs(norms[weighted] - 1.0) > DIRECTION_NORM_TOL):

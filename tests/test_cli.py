@@ -9,7 +9,7 @@ import pytest
 
 from dticalib.cli import main
 from dticalib import bootstrap as bs
-from dticalib import dataio, mlp, pipeline
+from dticalib import dataio, mlp, pipeline, simulation
 from dticalib.simulation import PhantomSpec, make_scheme
 from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars
 from test_simulation import PINNED_DISPATCH, reference_phantom
@@ -74,6 +74,83 @@ class TestExitCodes:
         assert main([command, "--config", cfg]) == 2
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, target, error, kind", [
+        ("train", "train", mlp.DivergenceError("divergence at epoch 1"), "numeric"),
+        ("predict", "predict_mc_dropout", ValueError("dropout samples are not finite"), "data"),
+    ])
+    def test_stage_failing_in_its_work_leaves_no_out_dir(
+        self, tmp_path, capsys, monkeypatch, command, target, error, kind
+    ):
+        body = BASE.format(snr="28") + "dataset.path = run/dataset.bin\npredict.model = m.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        spec = mlp.MlpSpec(input_dim=32, hidden_widths=(4,), uncertainty_widths=(3,))
+        mlp.save_checkpoint(tmp_path / "m.bin", mlp.TwoBranchMlp(spec))
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(mlp, target, fail)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", "run2", "--samples", "4"]) == 2
+        assert capsys.readouterr().err.rstrip() == f"{kind} error: {error}"
+        assert not (tmp_path / "run2").exists()
+
+    @pytest.mark.parametrize("command, module, target", [
+        ("simulate", simulation, "make_phantom"), ("bootstrap", bs, "wild_bootstrap_table"),
+    ])
+    def test_missing_out_dir_is_config_error_before_the_stage_computes(
+        self, tmp_path, capsys, monkeypatch, command, module, target
+    ):
+        body = BASE.format(snr="28").replace("out_dir = run", "dataset.path = data/dataset.bin")
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg, "--out", "data"]) == 0
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("the stage computed")
+
+        monkeypatch.setattr(module, target, fail)
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err.rstrip() == "config error: missing config key: out_dir"
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("scheme.bval", "nan", "bvalues must be finite"),
+        ("scheme.bval", "inf", "bvalues must be finite"),
+        ("scheme.bvec", "nan", "directions must be finite"),
+        ("scheme.bvec", "inf", "directions must be finite"),  # not renormalized: inf / inf warns
+    ])
+    @pytest.mark.parametrize("command", ["fit", "bootstrap"])
+    def test_non_finite_scheme_is_data_error_naming_file(
+        self, tmp_path, capsys, command, name, value, message
+    ):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        assert main(["simulate", "--config", cfg]) == 0
+        bvalues = (tmp_path / "run/scheme.bval").read_text().split()
+        column = next(i for i, b in enumerate(bvalues) if float(b) > 0)
+        path = tmp_path / "run" / name
+        rows = [line.split() for line in path.read_text().splitlines()]
+        rows[0][column] = value
+        path.write_text("".join(" ".join(row) + "\n" for row in rows))
+        before = dir_hashes(tmp_path / "run")
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.rstrip() == f"data error: {path}: {message}"
+        assert dir_hashes(tmp_path / "run") == before
+
+    def test_header_declaring_more_than_the_file_holds_is_data_error(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "evaluate.predictions = f.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "f.bin"
+        path.write_bytes(b'{"kind": "fits", "n_voxels": 1000000000000000, "version": 1}\n'
+                         + np.zeros(16).tobytes())
+        before = dir_hashes(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.rstrip() == f"data error: {path}: truncated block"
+        assert dir_hashes(tmp_path / "run") == before
 
     def test_nan_signal_is_data_error_naming_voxel(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))

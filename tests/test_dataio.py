@@ -52,6 +52,19 @@ class TestBvecBval:
         with pytest.raises(DataFormatError, match="disagree"):
             read_bvec_bval(bvec, bval)
 
+    @pytest.mark.parametrize("bvec_rows, bval_row, name, message", [
+        (["0 1", "0 0", "0 0"], "0 nan", "bval", "bvalues must be finite"),
+        (["0 1", "0 0", "0 0"], "0 -1000", "bval", "bvalues must be nonnegative"),
+        (["0 nan", "0 0", "0 0"], "0 1000", "bvec", "directions must be finite"),
+        (["0 -inf", "0 0", "0 0"], "0 1000", "bvec", "directions must be finite"),
+        (["0 0", "0 0", "0 0"], "0 1000", "bvec", "zero direction with b>0 at column 1"),
+    ])
+    def test_refusal_names_its_file(self, tmp_path, bvec_rows, bval_row, name, message):
+        bvec, bval = self.write_pair(tmp_path, bvec_rows, bval_row)
+        with pytest.raises(DataFormatError) as info:
+            read_bvec_bval(bvec, bval)
+        assert str(info.value) == f"{tmp_path / ('g.' + name)}: {message}"
+
     def test_roundtrip_identical(self, tmp_path):
         scheme = make_scheme(30, bvalue=987.5, n_b0=2)
         write_bvec_bval(tmp_path / "s.bvec", tmp_path / "s.bval", scheme)
@@ -286,6 +299,17 @@ class TestHeaderContract:
         with pytest.raises(DataFormatError, match="spec refused") as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: mlp_checkpoint spec refused: ")
+
+    @pytest.mark.parametrize("size", [10**15, 10**30])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_size_beyond_the_file_is_refused_before_allocating(self, tmp_path, kind, size):
+        # the first field each reader uses is its block size; 10**30 overflows int64
+        write, read, fields = KINDS[kind]
+        path = write(tmp_path)
+        rewrite_header(path, lambda h: h.update({fields[0]: size}))
+        with pytest.raises(DataFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: truncated block"
 
     def test_every_missing_field_is_named(self, tmp_path):
         path = tmp_path / "p.bin"

@@ -8,6 +8,10 @@ import check, because its imports are the public namespace. A public
 module-level function or public method fails when neither the package,
 outside its own body, nor scripts/ references its name, and the README
 never names it; dunders are exempt.
+
+One write policy: in pipeline.py, only the top-level function run calls
+mkdir or write_manifest, so a stage cannot make out_dir or refresh the
+manifest before its work is done.
 """
 
 import ast
@@ -94,6 +98,23 @@ def unreferenced_public_defs(trees: dict, scripts: list, readme: str) -> list:
     return found
 
 
+def writes_outside_run(tree: ast.Module) -> list:
+    """(function, line) of each mkdir or write_manifest call in tree outside
+    the top-level function run; a call at module level reads <module>."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS) and node.name == "run":
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("mkdir", "write_manifest"):
+                found.append((getattr(node, "name", "<module>"), call.lineno))
+    return found
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -146,3 +167,23 @@ def test_scan_finds_an_unused_public_function_and_method():
     script = ast.parse("from m import scripted\nscripted()\n")
     found = unreferenced_public_defs({"m.py": tree}, [script], "call `named()` first")
     assert found == [("m.py", "dead", 1), ("m.py", "Model.get_flat", 12)]
+
+
+def test_only_pipeline_run_makes_out_dir_or_writes_the_manifest():
+    assert writes_outside_run(parse(PACKAGE / "pipeline.py")) == []
+
+
+def test_scan_finds_a_mkdir_or_manifest_outside_run():
+    tree = ast.parse(
+        "def run(cfg, stage):\n"
+        "    cfg.out_dir.mkdir()\n"
+        "    dataio.write_manifest(cfg.out_dir)\n"
+        "def run_fit(cfg):\n"
+        "    def write(out):\n"
+        "        out.mkdir(parents=True)\n"  # a nested writer is still outside run
+        "    return write\n"
+        "def run_curves(cfg):\n"
+        "    write_manifest(cfg.out_dir)\n"
+        "Path('x').mkdir()\n"
+    )
+    assert writes_outside_run(tree) == [("run_fit", 6), ("run_curves", 9), ("<module>", 10)]
