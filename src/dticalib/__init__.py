@@ -8,7 +8,7 @@ against a Monte-Carlo gold standard on synthetic phantoms.
 
 __version__ = "0.1.0"
 
-from .tensor import GradientScheme, design_matrix, fa_md_from_eigenvalues
+from .tensor import GradientScheme, design_matrix, fa_md
 from .fitting import fit_cwlls_batch, log_signal_rows
 from .bootstrap import (
     summarize_uncertainty,
@@ -44,7 +44,7 @@ from .mlp import (
 __all__ = [
     "GradientScheme",
     "design_matrix",
-    "fa_md_from_eigenvalues",
+    "fa_md",
     "fit_cwlls_batch",
     "log_signal_rows",
     "wild_bootstrap",

@@ -3,10 +3,10 @@ orientation statistics shared by every replicate-based method.
 
 Replicates from any source (wild bootstrap, dropout sampling, Monte-Carlo
 noise draws) form g voxels of k replicate tensors each. One reducer,
-``replicate_statistics``, takes their voxel-major eigensystem from whatever
-computed it: population std of FA and MD, and a cone angle taken as the
-95th percentile of angles between each replicate's principal direction and
-the mean dyadic axis. One voxel is the g = 1 case.
+``replicate_statistics``, takes their voxel-major elements and eigenvectors:
+population std of FA and MD, and a cone angle taken as the 95th percentile
+of angles between each replicate's principal direction and the mean dyadic
+axis. One voxel is the g = 1 case.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from .tensor import (
     design_matrix,
     eigh3_batch,
     elements_to_matrices,
-    fa_md_from_eigenvalues,
+    fa_md,
+    tensor_scalars,
 )
 from .fitting import SIGNAL_FLOOR, fit_cwlls_batch, log_signal_rows, weighted_leverage
 from .rng import rng_from_key
@@ -65,13 +66,13 @@ def _cone_angles_95(axes: np.ndarray) -> np.ndarray:
     return np.percentile(np.degrees(np.arccos(cosines)), 95, axis=1, method="linear")
 
 
-def replicate_statistics(evals: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
+def replicate_statistics(elements: np.ndarray, evecs: np.ndarray, k: int) -> np.ndarray:
     """(g, 3) theta95, sigma_fa, sigma_md of g groups of k replicates, from their
-    voxel-major eigensystem: evals (g * k, 3) descending, evecs (g * k, 3, 3) rows.
+    voxel-major (g * k, 6) elements and eigenvector rows (g * k, 3, 3), descending.
     Contiguous principal axes keep each group's result bitwise the same whether it
     is reduced alone or among many."""
     axes = np.ascontiguousarray(evecs[:, 0]).reshape(-1, k, 3)
-    fa, md = fa_md_from_eigenvalues(evals.reshape(-1, k, 3))
+    fa, md = fa_md(elements.reshape(-1, k, 6))
     return np.column_stack([_cone_angles_95(axes), np.std(fa, axis=1), np.std(md, axis=1)])
 
 
@@ -91,8 +92,8 @@ def summarize_uncertainty(elements) -> np.ndarray:
         raise ValueError("non-finite replicate tensors")
     if elements.shape[1] < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
-    eig = eigh3_batch(elements_to_matrices(elements.reshape(-1, 6)))
-    return replicate_statistics(*eig, elements.shape[1])
+    rows = elements.reshape(-1, 6)
+    return replicate_statistics(rows, eigh3_batch(elements_to_matrices(rows))[1], elements.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +105,14 @@ def _wild_base(y: np.ndarray, scheme: GradientScheme):
     """Base constrained WLLS fit of (n, m) log-signal rows y.
 
     Returns (fitted log-signals X beta, residuals scaled by 1/sqrt(1 - h),
-    base eigensystem), where h is the leverage of the weighted design.
+    base tensor elements), where h is the leverage of the weighted design.
     """
-    beta, _, eig = fit_cwlls_batch(y, scheme)
+    beta = fit_cwlls_batch(y, scheme)[0]
     leverage = weighted_leverage(y, scheme)
     if np.any(leverage >= 1.0 - 1e-9):
         raise SaturatedLeverageError("saturated leverage")
     y_hat = np.einsum("kj,mj->km", beta, design_matrix(scheme))
-    return y_hat, (y - y_hat) / np.sqrt(1.0 - leverage), eig
+    return y_hat, (y - y_hat) / np.sqrt(1.0 - leverage), beta[:, :6]
 
 
 def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientScheme):
@@ -120,16 +121,16 @@ def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientSche
     Voxel v draws its Rademacher signs from rng_from_key(seeds[v]). The
     log-signals y* are clamped at ln SIGNAL_FLOOR, as log_signal_rows clamps
     signals. Returns the (len(seeds) * iterations, 6) replicate elements,
-    voxel-major, and their eigensystem.
+    voxel-major, and their eigenvector rows.
     """
     signs = np.concatenate(
         [rng_from_key(s).integers(0, 2, size=(iterations, y_hat.shape[1])) for s in seeds]
     ) * 2 - 1
     y_star = np.repeat(y_hat, iterations, axis=0) + signs * np.repeat(scaled, iterations, axis=0)
-    beta, _, eig = fit_cwlls_batch(np.maximum(y_star, np.log(SIGNAL_FLOOR)), scheme)
+    beta, _, (_, evecs) = fit_cwlls_batch(np.maximum(y_star, np.log(SIGNAL_FLOOR)), scheme)
     if not np.all(np.isfinite(beta)):
         raise ValueError("non-finite replicate tensors")
-    return beta[:, :6], eig
+    return beta[:, :6], evecs
 
 
 def wild_bootstrap(
@@ -156,7 +157,7 @@ def wild_bootstrap_table(
     Voxel v is resampled from rng_from_key(seeds[v]), exactly as
     ``wild_bootstrap(signals[v], scheme, iterations, seeds[v])``. Replicates
     are refitted CHUNK_ROWS rows (whole voxels) at a time, and each
-    replicate's eigensystem is computed once.
+    replicate is decomposed once.
 
     Returns the (n, 9) prediction table: fa, md, v1 (3) of the base CWLLS
     fit, then theta95, sigma_fa, sigma_md, and NaN for aleatoric u.
@@ -167,12 +168,11 @@ def wild_bootstrap_table(
     seeds = [int(s) for s in seeds]
     if len(seeds) != len(y):
         raise ValueError("need one seed per voxel")
-    y_hat, scaled, (evals, evecs) = _wild_base(y, scheme)
+    y_hat, scaled, base = _wild_base(y, scheme)
     table = np.empty((len(y), 9))
-    table[:, 0], table[:, 1] = fa_md_from_eigenvalues(evals)
-    table[:, 2:5] = evecs[:, 0]
+    table[:, 0], table[:, 1], table[:, 2:5] = tensor_scalars(base)
     table[:, 8] = np.nan
     for voxels in voxel_chunks(len(y), iterations):
-        _, eig = _wild_replicates(y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme)
-        table[voxels, 5:8] = replicate_statistics(*eig, iterations)
+        reps = _wild_replicates(y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme)
+        table[voxels, 5:8] = replicate_statistics(*reps, iterations)
     return table

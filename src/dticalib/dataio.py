@@ -224,17 +224,23 @@ def read_dataset(path):
             f"{path}: voxel {voxel}, measurement {m}: signal {float(signals[voxel, m])!r} "
             "must be finite and >= 0"
         )
-    if truth is not None and not np.isfinite(truth).all():
-        voxel, k = np.argwhere(~np.isfinite(truth))[0]
-        raise DataFormatError(
-            f"{path}: voxel {voxel}, tensor element {k}: truth {float(truth[voxel, k])!r} "
-            "must be finite"
-        )
+    if truth is not None:
+        _refuse_non_finite(path, truth, "tensor element", "truth")
     ref = Path(path).parent / header["scheme_ref"]
     scheme = read_bvec_bval(str(ref) + ".bvec", str(ref) + ".bval")
     if scheme.n_measurements != header["m"]:
         raise DataFormatError(f"{path}: scheme length disagrees with header")
     return header, signals, truth, scheme
+
+
+def _refuse_non_finite(path, block, column: str, what: str):
+    """DataFormatError naming path, voxel and column of the first non-finite value."""
+    if not np.isfinite(block).all():
+        voxel, k = np.argwhere(~np.isfinite(block))[0]
+        raise DataFormatError(
+            f"{path}: voxel {voxel}, {column} {k}: {what} {float(block[voxel, k])!r} "
+            "must be finite"
+        )
 
 
 def write_fits(path, params: np.ndarray, estimator: str):
@@ -245,7 +251,10 @@ def write_fits(path, params: np.ndarray, estimator: str):
 
 
 def read_fits(path):
+    """(header, params (n, 7)); params must be finite, and the error names the first
+    bad voxel."""
     header, (params,) = read_header_blocks(path, "fits", lambda h: [(h["n_voxels"], 7)])
+    _refuse_non_finite(path, params, "element", "fit")
     return header, params
 
 

@@ -363,5 +363,10 @@ def load_checkpoint(path) -> tuple[TwoBranchMlp, dict]:
             f"{path}: mlp_checkpoint header n_parameters = {header['n_parameters']}, "
             f"but its spec has {model.flat.size}"
         )
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise dataio.DataFormatError(
+            f"{path}: mlp_checkpoint parameter {bad[0]} = {float(flat[bad[0]])!r} must be finite"
+        )
     model.flat[...] = flat
     return model, header

@@ -8,6 +8,8 @@ calls the stage, and only then makes out_dir, calls the writer and
 refreshes the run manifest. So a refused input, or a stage that fails in
 its work, leaves no out_dir and no output behind. All randomness derives
 from the config seed through keyed streams, so reruns are byte-identical.
+FA, MD and v1 of truth and point estimates come from tensor.tensor_scalars;
+the stages hold no scalar-map arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from . import dataio, mlp, simulation
 from .config import ConfigError, ExperimentConfig
 from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from .rng import rng_from_key
-from .tensor import (
-    GradientScheme,
-    eigh3_batch,
-    elements_to_matrices,
-    fa_md_from_eigenvalues,
-    principal_scalars,
-)
+from .tensor import GradientScheme, tensor_scalars
 
 PARAMETERS = ("fa", "md", "theta")
 
@@ -177,24 +173,6 @@ def run_predict(cfg: ExperimentConfig):
     return lambda out: dataio.write_predictions(
         out / "predictions_dl.bin", table, "mc_dropout", meta
     )
-
-
-def tensor_scalars(elements: np.ndarray):
-    """(fa, md, v1) of (n, 6) tensor rows: (n,), (n,) and principal axes (n, 3).
-
-    Every row comes from the closed form of `principal_scalars`, except the
-    rows it marks loose (lambda1 too near lambda2, isotropic or non-finite):
-    those alone go through eigh3_batch, so they read exactly as an eigensolve
-    gives them. eigh3_batch is called also when no row is loose, so a
-    traced run sees the fallback on every table.
-    """
-    elements = np.asarray(elements, dtype=np.float64)
-    fa, md, v1, loose = principal_scalars(elements)
-    rows = np.flatnonzero(loose)
-    evals, evecs = eigh3_batch(elements_to_matrices(elements[rows]))
-    fa[rows], md[rows] = fa_md_from_eigenvalues(evals)
-    v1[rows] = evecs[:, 0, :]
-    return fa, md, v1
 
 
 def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:

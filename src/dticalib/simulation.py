@@ -16,7 +16,7 @@ import numpy as np
 from .tensor import (
     GradientScheme,
     elements_to_matrices,
-    fa_md_from_eigenvalues,
+    fa_md,
     matrices_to_elements,
     predict_signal_batch,
 )
@@ -124,9 +124,9 @@ def _axisym_eigenvalues(fa_target: float, md: float, prolate: bool) -> np.ndarra
         return np.full(3, md)
 
     def fa_of_ratio(t: float) -> float:
-        # t = minor/major in (0, 1]
-        lam = np.array([1.0, t, t]) if prolate else np.array([1.0, 1.0, t])
-        return float(fa_md_from_eigenvalues(lam)[0])
+        # t = minor/major in (0, 1]: FA of the diagonal tensor of those eigenvalues
+        lam = [1.0, t, t] if prolate else [1.0, 1.0, t]
+        return float(fa_md(np.array(lam + [0.0, 0.0, 0.0]))[0])
 
     # prolate FA -> 1 as t -> 0; oblate tops out at FA(t=0) = 1/sqrt(2)
     if not prolate and fa_target >= fa_of_ratio(1e-12):
@@ -232,9 +232,9 @@ def monte_carlo_oracle(
 
     truth is a (6,) tensor element row, as in Phantom.truth. Realization k is
     voxel k of a fixed-generator phantom of it, noised from the stream keyed
-    (seed, k). All are refitted in one batch, whose eigensystem gives the
-    (3,) row theta95, sigma_fa, sigma_md: the ground truth that bootstrap
-    and dropout uncertainties are judged against.
+    (seed, k). All are refitted in one batch, whose elements and
+    eigenvectors give the (3,) row theta95, sigma_fa, sigma_md: the ground
+    truth that bootstrap and dropout uncertainties are judged against.
     """
     if n_realizations < 100:
         raise ValueError("n_realizations must be >= 100")
@@ -243,8 +243,8 @@ def monte_carlo_oracle(
         orientation="fixed", snr_db=snr_db, seed=seed,
     )
     noisy = make_phantom(realizations).signals
-    beta, _, eig = fit_cwlls_batch(log_signal_rows(noisy, scheme), scheme)
+    beta, _, (_, evecs) = fit_cwlls_batch(log_signal_rows(noisy, scheme), scheme)
     if not np.all(np.isfinite(beta)):
         bad = int(np.where(~np.isfinite(beta).all(axis=1))[0][0])
         raise RuntimeError(f"oracle fit diverged at realization {bad}")
-    return replicate_statistics(*eig, n_realizations)[0]
+    return replicate_statistics(beta[:, :6], evecs, n_realizations)[0]

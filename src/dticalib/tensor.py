@@ -1,10 +1,11 @@
 """Core diffusion tensor math: signal model, 3x3 symmetric eigensolver, scalar maps.
 
-Scalar maps come two ways. `eigh3_batch` decomposes each matrix with LAPACK;
-`principal_scalars` takes FA, MD and the principal axis in closed form
-(Smith's lambda1, v1 from cross products) and marks the rows where that
-closed form is loose, near-degenerate lambda1, isotropic or non-finite, so a
-caller sends only those to `eigh3_batch`.
+`fa_md` is the one FA/MD formula: elementwise, from the six elements, for
+truth, point estimates and replicates alike. Eigensolves give only axes (and
+the eigenvalues fitting's SPD floor clamps). `tensor_scalars` takes the
+principal axis in closed form from `principal_scalars` (Smith's lambda1, v1
+from cross products), and decomposes with `eigh3_batch` only the rows it
+marks loose: near-degenerate lambda1 or isotropic.
 
 Conventions used throughout the package:
 
@@ -118,15 +119,49 @@ def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(evals[:, ::-1]), evecs[:, :, ::-1].swapaxes(1, 2)
 
 
-def principal_scalars(elements: np.ndarray):
-    """Closed-form FA, MD and principal axis of (n, 6) rows, with a loose mask.
+def _fa_md_parts(elements):
+    """fa_md of (..., 6) rows; then the deviatoric D - MD I, elements on the leading
+    axis, at an exact power-of-two scale that puts its largest entry in [0.5, 1)
+    (below, if it is subnormal) so fourth powers stay in range, and the squared
+    norms dev2 of it and norm2 of D at that scale. Non-finite rows run as zeros."""
+    e = np.asarray(elements, dtype=np.float64)
+    if e.shape[-1:] != (6,):
+        raise ValueError("expected (..., 6) input")
+    finite = np.all(np.isfinite(e), axis=-1)
+    cols = np.where(finite, np.ascontiguousarray(np.moveaxis(e, -1, 0)), 0.0)
+    md = (cols[0] + cols[1] + cols[2]) / 3.0
+    cols[:3] -= md
+    exponent = np.frexp(np.max(np.abs(cols), axis=0))[1]
+    scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
+    cols *= scale
+    a, b, c, xy, xz, yz = cols
+    dev2 = a * a + b * b + c * c + 2.0 * (xy * xy + xz * xz + yz * yz)
+    with np.errstate(over="ignore"):  # MD beyond 1e154 x the anisotropy: inf, loose
+        mds = md * scale
+        norm2 = dev2 + 3.0 * (mds * mds)
+    fa = np.sqrt(np.divide(1.5 * dev2, norm2, out=np.zeros_like(dev2), where=norm2 > 0))
+    fa = np.where(finite, np.clip(fa, 0.0, 1.0), np.nan)
+    return fa, np.where(finite, md, np.nan), cols, dev2, norm2
 
-    MD = tr D / 3 and FA = sqrt(3/2) ||D - MD I||_F / ||D||_F (0 for the zero
-    tensor, clipped to [0, 1]). lambda1 of the deviatoric comes from Smith's
-    trigonometric formula (Smith 1961, CACM 4(4):168) and v1 is the largest of
-    the three row cross products of (D - MD I) - lambda1 I, the columns of its
-    adjugate (Kopp 2008, arXiv:physics/0610206). Each row is computed on its
-    own, elementwise, so it does not depend on what else is in the batch.
+
+def fa_md(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FA and MD of (..., 6) tensor rows, the package's one FA/MD formula.
+
+    MD = tr D / 3 and FA = sqrt(3/2) ||D - MD I||_F / ||D||_F (Basser & Pierpaoli
+    1996, J Magn Reson B 111:209), 0 for the zero tensor, clipped to [0, 1], NaN
+    for a non-finite row. Elementwise, so a row does not depend on its batch.
+    """
+    return _fa_md_parts(elements)[:2]
+
+
+def principal_scalars(elements: np.ndarray):
+    """fa_md and the closed-form principal axis of (..., 6) rows, with a loose mask.
+
+    lambda1 of the deviatoric comes from Smith's trigonometric formula
+    (Smith 1961, CACM 4(4):168) and v1 is the largest of the three row cross
+    products of (D - MD I) - lambda1 I, the columns of its adjugate (Kopp
+    2008, arXiv:physics/0610206). Each row is computed on its own,
+    elementwise, so it does not depend on what else is in the batch.
 
     Smith's lambda1 loses accuracy as lambda1 nears lambda2, and v1 with it
     (its error grows as eps / gap^2). A row is loose when that largest squared
@@ -135,32 +170,13 @@ def principal_scalars(elements: np.ndarray):
     the first factor bounds the closed form's error, the second marks rows
     whose anisotropy is too near the rounding of ||D|| for any solver to fix
     an axis. Isotropic and non-finite rows are loose. Loose rows carry no
-    usable v1; callers decompose them with eigh3_batch.
+    usable v1; tensor_scalars decomposes them with eigh3_batch.
 
     Returns:
-        fa (n,), md (n,), v1 (n, 3) unit rows, loose (n,) bool.
+        fa (...), md (...), v1 (..., 3) unit rows, loose (...) bool.
     """
-    e = np.asarray(elements, dtype=np.float64)
-    if e.ndim != 2 or e.shape[1] != 6:
-        raise ValueError("expected (n, 6) input")
-    finite = np.all(np.isfinite(e), axis=1)
-    # contiguous columns; non-finite rows run as the zero tensor
-    cols = np.where(finite, np.ascontiguousarray(e.T), 0.0)
-    md = (cols[0] + cols[1] + cols[2]) / 3.0
-    cols[:3] -= md
-    # an exact power-of-two scale puts the largest deviatoric entry in
-    # [0.5, 1) (below, if it is subnormal), so fourth powers stay in range
-    exponent = np.frexp(np.max(np.abs(cols), axis=0))[1]
-    scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
-    cols *= scale
-    a, b, c, xy, xz, yz = cols
+    fa, md, (a, b, c, xy, xz, yz), dev2, norm2 = _fa_md_parts(elements)
     off2 = xy * xy + xz * xz + yz * yz
-    dev2 = a * a + b * b + c * c + 2.0 * off2
-    with np.errstate(over="ignore"):  # MD beyond 1e154 x the anisotropy: inf, loose
-        mds = md * scale
-        norm2 = dev2 + 3.0 * (mds * mds)
-    fa = np.sqrt(np.divide(1.5 * dev2, norm2, out=np.zeros_like(dev2), where=norm2 > 0))
-
     q = (a + b + c) / 3.0  # the rounding left in the deviatoric's trace
     a0, b0, c0 = a - q, b - q, c - q
     p = np.sqrt((a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * off2) / 6.0)
@@ -184,28 +200,31 @@ def principal_scalars(elements: np.ndarray):
             np.where(pick0, m01, np.where(pick1, m11, m12)),
             np.where(pick0, m02, np.where(pick1, m12, m22)),
         ],
-        axis=1,
+        axis=-1,
     )
-    v1 /= np.sqrt(np.where(best > 0, best, 1.0))[:, None]
+    v1 /= np.sqrt(np.where(best > 0, best, 1.0))[..., None]
+    # a non-finite row runs as the zero tensor, whose best is 0: loose
     sure = (best > CROSS_PRODUCT_TOL * dev2 * dev2) & (
         best > CROSS_PRODUCT_TOL * CROSS_PRODUCT_TOL * dev2 * norm2
     )
-    return np.clip(fa, 0.0, 1.0), md, v1, ~(sure & finite)
+    return fa, md, v1, ~sure
 
 
-def fa_md_from_eigenvalues(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FA and MD from eigenvalue triples (last axis of length 3).
+def tensor_scalars(elements: np.ndarray):
+    """(fa, md, v1) of (n, 6) finite tensor rows: (n,), (n,) and principal axes (n, 3).
 
-    FA of the all-zero tensor is defined as 0; FA is clipped to [0, 1]
-    (unconstrained fits with negative eigenvalues can nominally exceed 1).
+    fa_md gives FA and MD. v1 is principal_scalars' closed form, except on the
+    rows it marks loose, whose axes alone come from eigh3_batch (called also when
+    no row is loose, so a traced run sees the fallback on every table). A
+    non-finite row is refused before any eigensolve.
     """
-    evals = np.asarray(evals, dtype=np.float64)
-    md = evals.mean(axis=-1)
-    dev = evals - md[..., None]
-    denom = np.sum(evals * evals, axis=-1)
-    num = 1.5 * np.sum(dev * dev, axis=-1)
-    fa = np.sqrt(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0))
-    return np.clip(fa, 0.0, 1.0), md
+    elements = np.asarray(elements, dtype=np.float64)
+    bad = np.flatnonzero(~np.all(np.isfinite(elements), axis=-1))
+    if bad.size:
+        raise ValueError(f"non-finite tensor elements in row {bad[0]}")
+    fa, md, v1, loose = principal_scalars(elements)
+    v1[loose] = eigh3_batch(elements_to_matrices(elements[loose]))[1][:, 0]
+    return fa, md, v1
 
 
 def elements_to_matrices(elements: np.ndarray) -> np.ndarray:

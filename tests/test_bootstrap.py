@@ -25,10 +25,10 @@ from dticalib.tensor import (
     GradientScheme,
     eigh3_batch,
     elements_to_matrices,
-    fa_md_from_eigenvalues,
     matrices_to_elements,
     predict_signal_batch,
 )
+from test_tensor import eigenvalue_fa_md
 
 
 def samples_from_axes(axes, scale=1e-3):
@@ -117,7 +117,7 @@ class TestWildBootstrap:
         assert table.shape == (6, 9) and np.all(np.isnan(table[:, 8]))
         for v, seed in enumerate(seeds):
             evals, evecs = fit_cwlls_batch(log_signal_rows(signals[v], scheme), scheme)[2]
-            fa, md = fa_md_from_eigenvalues(evals[0])
+            fa, md = eigenvalue_fa_md(evals[0])
             expected = [fa, md, *summary(wild_bootstrap(signals[v], scheme, 150, seed))]
             got = table[v, [0, 1, 5, 6, 7]]
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
@@ -230,9 +230,7 @@ class TestSummarize:
         scheme = make_scheme(30)
         signals = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4)).signals[0]
         samples = wild_bootstrap(signals, scheme, 1000, seed=2)
-        from dticalib.tensor import fa_md_from_eigenvalues
-
-        fa, md = fa_md_from_eigenvalues(eigh3_batch(elements_to_matrices(samples))[0])
+        fa, md = eigenvalue_fa_md(eigh3_batch(elements_to_matrices(samples))[0])
         _, sigma_fa, sigma_md = summary(samples)
         for values, got in ((fa, sigma_fa), (md, sigma_md)):
             mean, m2 = 0.0, 0.0

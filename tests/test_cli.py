@@ -11,7 +11,7 @@ from dticalib.cli import main
 from dticalib import bootstrap as bs
 from dticalib import dataio, mlp, pipeline, simulation
 from dticalib.simulation import PhantomSpec, make_scheme
-from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars
+from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars, tensor_scalars
 from test_simulation import PINNED_DISPATCH, reference_phantom
 
 
@@ -164,6 +164,38 @@ class TestExitCodes:
             assert main([cmd, "--config", cfg]) == 2
             err = capsys.readouterr().err
             assert "data error" in err and "voxel 7, measurement 5" in err
+
+    def test_nan_fit_is_data_error_naming_voxel_and_element(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "evaluate.predictions = run/fits.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        for cmd in ("simulate", "fit"):
+            assert main([cmd, "--config", cfg]) == 0
+        path = tmp_path / "run/fits.bin"
+        header, params = dataio.read_fits(path)
+        params[4, 2] = np.nan
+        dataio.write_fits(path, params, header["estimator"])
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.rstrip() == (
+            f"data error: {path}: voxel 4, element 2: fit nan must be finite"
+        )
+        assert not (tmp_path / "run/metrics.json").exists()
+
+    def test_nan_checkpoint_parameter_is_data_error_naming_index(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "predict.model = m.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "m.bin"
+        spec = mlp.MlpSpec(input_dim=32, hidden_widths=(4,), uncertainty_widths=(3,))
+        model = mlp.TwoBranchMlp(spec)
+        model.flat[9] = np.nan
+        mlp.save_checkpoint(path, model)
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg, "--samples", "4"]) == 2
+        assert capsys.readouterr().err.rstrip() == (
+            f"data error: {path}: mlp_checkpoint parameter 9 = nan must be finite"
+        )
+        assert not (tmp_path / "run/predictions_dl.bin").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("phantom.generator", "prolat"),
@@ -423,7 +455,7 @@ class TestCalibrateFlow:
         assert main(["simulate", "--config", cfg_path]) == 0
         out = tmp_path / "run"
         _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
-        fa, md, v1 = pipeline.tensor_scalars(truth)
+        fa, md, v1 = tensor_scalars(truth)
         rng = np.random.default_rng(5)
         n = len(truth)
         sig_true = {"fa": rng.uniform(0.01, 0.05, n), "md": rng.uniform(2e-5, 8e-5, n)}
@@ -527,7 +559,7 @@ class TestTruthEigensolves:
         assert main(["simulate", "--config", cfg]) == 0
         out = tmp_path / "run"
         _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
-        fa, md, v1 = pipeline.tensor_scalars(truth)
+        fa, md, v1 = tensor_scalars(truth)
         sigma = np.full(len(truth), 0.02)
         table = np.column_stack(
             [fa + sigma, md, v1, np.full(len(truth), 10.0), sigma, sigma * md, sigma]

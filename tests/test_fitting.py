@@ -23,7 +23,6 @@ from dticalib.tensor import (
     design_matrix,
     eigh3_batch,
     elements_to_matrices,
-    fa_md_from_eigenvalues,
     matrices_to_elements,
     predict_signal_batch,
 )
@@ -35,6 +34,7 @@ from dticalib.simulation import (
     quaternion_rotations,
     rician,
 )
+from test_tensor import eigenvalue_fa_md
 
 # the batch kernels under the names of the estimators they implement
 FITS = {"fit_ols": fit_ols_batch, "fit_wlls": fit_wlls_batch, "fit_cwlls": fit_cwlls_batch}
@@ -316,10 +316,10 @@ class TestWllsBeatsOls:
         errs = {"ols": [], "wlls": []}
         phantom = make_phantom(spec)
         for signals, elements in zip(phantom.signals, phantom.truth):
-            fa_true = fa_md_from_eigenvalues(eigensystem(elements)[0])[0]
+            fa_true = eigenvalue_fa_md(eigensystem(elements)[0])[0]
             for name, fit in (("ols", fit_ols_batch), ("wlls", fit_wlls_batch)):
                 evals = eigensystem(fit_one(fit, signals, scheme)[0][:6])[0]
-                errs[name].append(abs(fa_md_from_eigenvalues(evals)[0] - fa_true))
+                errs[name].append(abs(eigenvalue_fa_md(evals)[0] - fa_true))
         assert np.median(errs["wlls"]) <= np.median(errs["ols"])
 
 
@@ -360,7 +360,7 @@ class TestCwlls:
         n1, n2 = box_muller(rng.random(len(scheme)), rng.random(len(scheme)))
         noisy = rician(noiseless_signals(truth, scheme), 10.0 ** (-15.0 / 20.0), n1, n2)
         evals = eigensystem(fit_one(fit_cwlls_batch, noisy, scheme)[0][:6])[0]
-        assert fa_md_from_eigenvalues(evals)[1] >= EIGENVALUE_FLOOR_REL * EIGENVALUE_FLOOR_MD_MIN
+        assert eigenvalue_fa_md(evals)[1] >= EIGENVALUE_FLOOR_REL * EIGENVALUE_FLOOR_MD_MIN
 
 
 class TestPermutationInvariance:

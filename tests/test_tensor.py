@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dticalib import tensor
 from dticalib.fitting import fit_ols_batch, log_signal_rows
-from dticalib.pipeline import tensor_scalars
 from dticalib.tensor import (
     GradientScheme,
     design_matrix,
     eigh3_batch,
     elements_to_matrices,
-    fa_md_from_eigenvalues,
+    fa_md,
     matrices_to_elements,
     predict_signal_batch,
     principal_scalars,
+    tensor_scalars,
 )
 from dticalib.simulation import _unit_quaternion, make_scheme, quaternion_rotations
 
@@ -27,10 +28,24 @@ def random_rotation(rng):
     return quaternion_rotations(_unit_quaternion(rng)[None])[0]
 
 
+def eigenvalue_fa_md(evals):
+    """Reference FA and MD from eigenvalue triples (last axis of length 3).
+
+    FA of the all-zero tensor is 0; FA is clipped to [0, 1].
+    """
+    evals = np.asarray(evals, dtype=np.float64)
+    md = evals.mean(axis=-1)
+    dev = evals - md[..., None]
+    denom = np.sum(evals * evals, axis=-1)
+    num = 1.5 * np.sum(dev * dev, axis=-1)
+    fa = np.sqrt(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0))
+    return np.clip(fa, 0.0, 1.0), md
+
+
 def scalars(elements):
     """(eigenvalues, eigenvectors, fa, md) of one (6,) element row, as a one-row batch."""
     evals, evecs = eigh3_batch(elements_to_matrices(elements[None]))
-    fa, md = fa_md_from_eigenvalues(evals)
+    fa, md = eigenvalue_fa_md(evals)
     return evals[0], evecs[0], fa[0], md[0]
 
 
@@ -212,16 +227,17 @@ class TestPrincipalScalars:
             warnings.simplefilter("error", RuntimeWarning)
             _, _, _, loose = principal_scalars(elements)
             fa, md, v1 = tensor_scalars(elements)
+            fa_closed, md_closed = fa_md(elements)
         evals, evecs = eigh3_batch(elements_to_matrices(elements))
-        fa_ref, md_ref = fa_md_from_eigenvalues(evals)
+        fa_ref, md_ref = eigenvalue_fa_md(evals)
         sure = ~loose
         size = np.linalg.norm(elements_to_matrices(elements), axis=(1, 2))
+        # every row's FA and MD is fa_md's, loose rows included
+        assert np.array_equal(fa, fa_closed) and np.array_equal(md, md_closed)
         # MD relative to the tensor's size: an OLS fit's MD can sit near 0
-        assert np.all(np.abs(fa - fa_ref)[sure] <= 1e-14)
-        assert np.all(np.abs(md - md_ref)[sure] <= 1e-14 * size[sure])
+        assert np.all(np.abs(fa - fa_ref) <= 1e-14)
+        assert np.all(np.abs(md - md_ref) <= 1e-14 * size)
         assert np.all(angle_deg(v1, evecs[:, 0])[sure] <= 1e-9)
-        assert np.array_equal(fa[loose], fa_ref[loose])
-        assert np.array_equal(md[loose], md_ref[loose])
         assert np.array_equal(v1[loose], evecs[loose, 0])
         for i in range(len(elements)):
             alone = tensor_scalars(elements[i : i + 1])
@@ -260,6 +276,7 @@ class TestPrincipalScalars:
             fa, md, v1, loose = principal_scalars(elements)
         assert loose.tolist() == [True] * 6 + [False] * 2
         assert fa[0] == 0.0 and fa[1] == 0.0
+        assert np.isnan(fa[4:6]).all() and np.isnan(md[4:6]).all()
         assert np.array_equal(np.abs(v1[6]), [1.0, 0.0, 0.0])
         assert fa[6] == pytest.approx(0.7990222037494894, abs=1e-15)
         assert np.allclose(np.abs(v1[7]), [np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-15)
@@ -267,6 +284,46 @@ class TestPrincipalScalars:
     def test_rejects_misshapen_rows(self):
         with pytest.raises(ValueError, match="expected"):
             principal_scalars(np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match="expected"):
+            fa_md(np.zeros((3, 5)))
+
+
+class TestFaMd:
+    def test_non_finite_rows_give_nan(self):
+        elements = np.array(
+            [
+                [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [1e-3, 1e-3, 1e-3, np.inf, 0.0, 0.0],
+                [1.7e-3, 0.3e-3, 0.3e-3, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0, -np.inf],
+            ]
+        )
+        fa, md = fa_md(elements)
+        assert np.isnan(fa[[0, 1, 3]]).all() and np.isnan(md[[0, 1, 3]]).all()
+        assert np.array_equal([fa[2], md[2]], fa_md(elements[2]))
+
+    def test_any_leading_shape(self):
+        rows = np.array([hard_row(kind, 1e-3, -3.0, 7) for kind in ("prolate", "random", "ols")])
+        elements = np.stack([rows, rows[::-1]])
+        fa, md = fa_md(elements)
+        flat_fa, flat_md = fa_md(elements.reshape(-1, 6))
+        assert fa.shape == md.shape == (2, 3)
+        assert np.array_equal(fa.ravel(), flat_fa) and np.array_equal(md.ravel(), flat_md)
+        one_fa, one_md = fa_md(rows[1])
+        assert one_fa.shape == () and one_fa == fa[0, 1] and one_md == md[0, 1]
+
+
+class TestTensorScalars:
+    def test_refuses_non_finite_row_before_any_eigensolve(self, monkeypatch):
+        def refused(mats):
+            raise AssertionError("eigh3_batch reached")
+
+        monkeypatch.setattr(tensor, "eigh3_batch", refused)
+        elements = np.tile([1.7e-3, 0.3e-3, 0.3e-3, 0.0, 0.0, 0.0], (5, 1))
+        elements[3, 4] = np.nan
+        elements[4, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite tensor elements in row 3"):
+            tensor_scalars(elements)
 
 
 class TestDesignMatrix:
@@ -315,5 +372,5 @@ class TestElementLayout:
 
     def test_fa_clipped_to_unit_interval(self):
         # mixed-sign eigenvalues can push the raw formula above 1
-        fa, _ = fa_md_from_eigenvalues(np.array([1.0, 0.0, -1.0]))
+        fa, _ = fa_md(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]))
         assert fa == 1.0
