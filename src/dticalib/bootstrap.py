@@ -19,7 +19,6 @@ from .tensor import (
     eigh3_batch,
     elements_to_matrices,
     fa_md,
-    tensor_scalars,
 )
 from .fitting import SIGNAL_FLOOR, fit_cwlls_batch, log_signal_rows, weighted_leverage
 from .rng import rng_from_key
@@ -104,15 +103,15 @@ def summarize_uncertainty(elements) -> np.ndarray:
 def _wild_base(y: np.ndarray, scheme: GradientScheme):
     """Base constrained WLLS fit of (n, m) log-signal rows y.
 
-    Returns (fitted log-signals X beta, residuals scaled by 1/sqrt(1 - h),
-    base tensor elements), where h is the leverage of the weighted design.
+    Returns (X beta, residuals scaled by 1/sqrt(1 - h), (base tensor elements,
+    their principal axes)), where h is the leverage of the weighted design.
     """
-    beta = fit_cwlls_batch(y, scheme)[0]
+    beta, _, (_, evecs) = fit_cwlls_batch(y, scheme)
     leverage = weighted_leverage(y, scheme)
     if np.any(leverage >= 1.0 - 1e-9):
         raise SaturatedLeverageError("saturated leverage")
     y_hat = np.einsum("kj,mj->km", beta, design_matrix(scheme))
-    return y_hat, (y - y_hat) / np.sqrt(1.0 - leverage), beta[:, :6]
+    return y_hat, (y - y_hat) / np.sqrt(1.0 - leverage), (beta[:, :6], evecs[:, 0])
 
 
 def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientScheme):
@@ -168,9 +167,10 @@ def wild_bootstrap_table(
     seeds = [int(s) for s in seeds]
     if len(seeds) != len(y):
         raise ValueError("need one seed per voxel")
-    y_hat, scaled, base = _wild_base(y, scheme)
+    y_hat, scaled, (base, axes) = _wild_base(y, scheme)
     table = np.empty((len(y), 9))
-    table[:, 0], table[:, 1], table[:, 2:5] = tensor_scalars(base)
+    table[:, 0], table[:, 1] = fa_md(base)
+    table[:, 2:5] = axes
     table[:, 8] = np.nan
     for voxels in voxel_chunks(len(y), iterations):
         reps = _wild_replicates(y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme)

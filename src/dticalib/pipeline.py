@@ -8,8 +8,6 @@ calls the stage, and only then makes out_dir, calls the writer and
 refreshes the run manifest. So a refused input, or a stage that fails in
 its work, leaves no out_dir and no output behind. All randomness derives
 from the config seed through keyed streams, so reruns are byte-identical.
-FA, MD and v1 of truth and point estimates come from tensor.tensor_scalars;
-the stages hold no scalar-map arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from . import dataio, mlp, simulation
 from .config import ConfigError, ExperimentConfig
 from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from .rng import rng_from_key
-from .tensor import GradientScheme, tensor_scalars
+from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, principal_scalars
 
 PARAMETERS = ("fa", "md", "theta")
 
@@ -173,6 +171,22 @@ def run_predict(cfg: ExperimentConfig):
     return lambda out: dataio.write_predictions(
         out / "predictions_dl.bin", table, "mc_dropout", meta
     )
+
+
+def tensor_scalars(elements: np.ndarray):
+    """(fa, md, v1) of (n, 6) tensor rows: (n,), (n,) and principal axes (n, 3).
+
+    FA and MD are tensor.fa_md's. v1 is `principal_scalars`' closed form, but
+    eigh3_batch's on the loose rows (called also with none, so a traced run
+    sees the fallback). fa_md's NaN rows are refused before any eigensolve.
+    """
+    elements = np.asarray(elements, dtype=np.float64)
+    fa, md, v1, loose = principal_scalars(elements)
+    bad = np.flatnonzero(np.isnan(md))
+    if bad.size:
+        raise ValueError(f"tensor row {bad[0]} is non-finite or its trace overflows")
+    v1[loose] = eigh3_batch(elements_to_matrices(elements[loose]))[1][:, 0]
+    return fa, md, v1
 
 
 def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 `fa_md` is the one FA/MD formula: elementwise, from the six elements, for
 truth, point estimates and replicates alike. Eigensolves give only axes (and
-the eigenvalues fitting's SPD floor clamps). `tensor_scalars` takes the
-principal axis in closed form from `principal_scalars` (Smith's lambda1, v1
-from cross products), and decomposes with `eigh3_batch` only the rows it
-marks loose: near-degenerate lambda1 or isotropic.
+the eigenvalues fitting's SPD floor clamps). `principal_scalars` adds the
+principal axis in closed form (Smith's lambda1, v1 from cross products) and
+marks the rows it cannot settle loose: near-degenerate lambda1 or isotropic.
 
 Conventions used throughout the package:
 
@@ -123,13 +122,16 @@ def _fa_md_parts(elements):
     """fa_md of (..., 6) rows; then the deviatoric D - MD I, elements on the leading
     axis, at an exact power-of-two scale that puts its largest entry in [0.5, 1)
     (below, if it is subnormal) so fourth powers stay in range, and the squared
-    norms dev2 of it and norm2 of D at that scale. Non-finite rows run as zeros."""
+    norms dev2 of it and norm2 of D at that scale. A non-finite row, or one whose
+    trace overflows, runs as zeros."""
     e = np.asarray(elements, dtype=np.float64)
     if e.shape[-1:] != (6,):
         raise ValueError("expected (..., 6) input")
-    finite = np.all(np.isfinite(e), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+        trace = e[..., 0] + e[..., 1] + e[..., 2]
+    finite = np.isfinite(trace) & np.all(np.isfinite(e[..., 3:]), axis=-1)
     cols = np.where(finite, np.ascontiguousarray(np.moveaxis(e, -1, 0)), 0.0)
-    md = (cols[0] + cols[1] + cols[2]) / 3.0
+    md = np.where(finite, trace, 0.0) / 3.0
     cols[:3] -= md
     exponent = np.frexp(np.max(np.abs(cols), axis=0))[1]
     scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
@@ -148,8 +150,9 @@ def fa_md(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """FA and MD of (..., 6) tensor rows, the package's one FA/MD formula.
 
     MD = tr D / 3 and FA = sqrt(3/2) ||D - MD I||_F / ||D||_F (Basser & Pierpaoli
-    1996, J Magn Reson B 111:209), 0 for the zero tensor, clipped to [0, 1], NaN
-    for a non-finite row. Elementwise, so a row does not depend on its batch.
+    1996, J Magn Reson B 111:209), 0 for the zero tensor, clipped to [0, 1]. Both
+    are NaN for a row that is non-finite or whose trace overflows. Elementwise,
+    so a row does not depend on its batch.
     """
     return _fa_md_parts(elements)[:2]
 
@@ -169,8 +172,8 @@ def principal_scalars(elements: np.ndarray):
     CROSS_PRODUCT_TOL * ||D - MD I||^2 * max(||D - MD I||^2, CROSS_PRODUCT_TOL * ||D||^2):
     the first factor bounds the closed form's error, the second marks rows
     whose anisotropy is too near the rounding of ||D|| for any solver to fix
-    an axis. Isotropic and non-finite rows are loose. Loose rows carry no
-    usable v1; tensor_scalars decomposes them with eigh3_batch.
+    an axis. Isotropic rows and fa_md's NaN rows are loose. Loose rows carry
+    no usable v1; callers decompose them with eigh3_batch.
 
     Returns:
         fa (...), md (...), v1 (..., 3) unit rows, loose (...) bool.
@@ -203,28 +206,10 @@ def principal_scalars(elements: np.ndarray):
         axis=-1,
     )
     v1 /= np.sqrt(np.where(best > 0, best, 1.0))[..., None]
-    # a non-finite row runs as the zero tensor, whose best is 0: loose
     sure = (best > CROSS_PRODUCT_TOL * dev2 * dev2) & (
         best > CROSS_PRODUCT_TOL * CROSS_PRODUCT_TOL * dev2 * norm2
     )
     return fa, md, v1, ~sure
-
-
-def tensor_scalars(elements: np.ndarray):
-    """(fa, md, v1) of (n, 6) finite tensor rows: (n,), (n,) and principal axes (n, 3).
-
-    fa_md gives FA and MD. v1 is principal_scalars' closed form, except on the
-    rows it marks loose, whose axes alone come from eigh3_batch (called also when
-    no row is loose, so a traced run sees the fallback on every table). A
-    non-finite row is refused before any eigensolve.
-    """
-    elements = np.asarray(elements, dtype=np.float64)
-    bad = np.flatnonzero(~np.all(np.isfinite(elements), axis=-1))
-    if bad.size:
-        raise ValueError(f"non-finite tensor elements in row {bad[0]}")
-    fa, md, v1, loose = principal_scalars(elements)
-    v1[loose] = eigh3_batch(elements_to_matrices(elements[loose]))[1][:, 0]
-    return fa, md, v1
 
 
 def elements_to_matrices(elements: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from dticalib.cli import main
 from dticalib import bootstrap as bs
 from dticalib import dataio, mlp, pipeline, simulation
 from dticalib.simulation import PhantomSpec, make_scheme
-from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars, tensor_scalars
+from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars
 from test_simulation import PINNED_DISPATCH, reference_phantom
 
 
@@ -455,7 +455,7 @@ class TestCalibrateFlow:
         assert main(["simulate", "--config", cfg_path]) == 0
         out = tmp_path / "run"
         _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
-        fa, md, v1 = tensor_scalars(truth)
+        fa, md, v1 = pipeline.tensor_scalars(truth)
         rng = np.random.default_rng(5)
         n = len(truth)
         sig_true = {"fa": rng.uniform(0.01, 0.05, n), "md": rng.uniform(2e-5, 8e-5, n)}
@@ -559,7 +559,7 @@ class TestTruthEigensolves:
         assert main(["simulate", "--config", cfg]) == 0
         out = tmp_path / "run"
         _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
-        fa, md, v1 = tensor_scalars(truth)
+        fa, md, v1 = pipeline.tensor_scalars(truth)
         sigma = np.full(len(truth), 0.02)
         table = np.column_stack(
             [fa + sigma, md, v1, np.full(len(truth), 10.0), sigma, sigma * md, sigma]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dticalib import tensor
+from dticalib import pipeline
 from dticalib.fitting import fit_ols_batch, log_signal_rows
+from dticalib.pipeline import tensor_scalars
 from dticalib.tensor import (
     GradientScheme,
     design_matrix,
@@ -15,7 +16,6 @@ from dticalib.tensor import (
     matrices_to_elements,
     predict_signal_batch,
     principal_scalars,
-    tensor_scalars,
 )
 from dticalib.simulation import _unit_quaternion, make_scheme, quaternion_rotations
 
@@ -302,6 +302,21 @@ class TestFaMd:
         assert np.isnan(fa[[0, 1, 3]]).all() and np.isnan(md[[0, 1, 3]]).all()
         assert np.array_equal([fa[2], md[2]], fa_md(elements[2]))
 
+    def test_overflowing_trace_gives_nan_without_warnings(self):
+        elements = np.array(
+            [
+                [1e308, 1e308, 1e308, 0.0, 0.0, 0.0],
+                [1e308, 1e308, -1e308, 0.0, 0.0, 0.0],  # (1e308 + 1e308) overflows first
+                [1e308, -1e308, 1e308, 0.0, 0.0, 0.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fa, md = fa_md(elements)
+            loose = principal_scalars(elements)[3]
+        assert np.isnan(fa[:2]).all() and np.isnan(md[:2]).all() and loose[:2].all()
+        assert md[2] == 1e308 / 3.0 and fa[2] == 1.0  # in range: not PSD, FA clipped
+
     def test_any_leading_shape(self):
         rows = np.array([hard_row(kind, 1e-3, -3.0, 7) for kind in ("prolate", "random", "ols")])
         elements = np.stack([rows, rows[::-1]])
@@ -318,11 +333,14 @@ class TestTensorScalars:
         def refused(mats):
             raise AssertionError("eigh3_batch reached")
 
-        monkeypatch.setattr(tensor, "eigh3_batch", refused)
+        monkeypatch.setattr(pipeline, "eigh3_batch", refused)
         elements = np.tile([1.7e-3, 0.3e-3, 0.3e-3, 0.0, 0.0, 0.0], (5, 1))
         elements[3, 4] = np.nan
         elements[4, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite tensor elements in row 3"):
+        with pytest.raises(ValueError, match="tensor row 3 is non-finite"):
+            tensor_scalars(elements)
+        elements[1, :3] = 1e308
+        with pytest.raises(ValueError, match="tensor row 1 is non-finite or its trace overflows"):
             tensor_scalars(elements)
 
 
