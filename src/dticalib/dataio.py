@@ -228,7 +228,7 @@ def read_dataset(path):
         _refuse_non_finite(path, truth, "tensor element", "truth")
     ref = Path(path).parent / header["scheme_ref"]
     scheme = read_bvec_bval(str(ref) + ".bvec", str(ref) + ".bval")
-    if scheme.n_measurements != header["m"]:
+    if len(scheme) != header["m"]:
         raise DataFormatError(f"{path}: scheme length disagrees with header")
     return header, signals, truth, scheme
 

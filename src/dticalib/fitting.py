@@ -55,9 +55,9 @@ def log_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim == 1:
         signals = signals[None]
-    if signals.ndim != 2 or signals.shape[1] != scheme.n_measurements:
+    if signals.ndim != 2 or signals.shape[1] != len(scheme):
         raise ValueError("signal count does not match scheme")
-    if scheme.n_measurements < 7:
+    if len(scheme) < 7:
         raise ValueError("need at least 7 measurements for a full fit")
     return np.log(np.maximum(signals, SIGNAL_FLOOR))
 

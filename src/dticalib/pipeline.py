@@ -12,17 +12,23 @@ from the config seed through keyed streams, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import bootstrap as bs
 from . import calibration as cal
 from . import dataio, mlp, simulation
-from .config import ConfigError, ExperimentConfig
+from .config import SCHEMA, ConfigError, ExperimentConfig
 from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from .rng import rng_from_key
 from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, principal_scalars
 
-PARAMETERS = ("fa", "md", "theta")
+# per parameter, the prediction-table column that holds its sigma and the
+# scale from that column to sigma: theta95 / 2 for theta (a 95th percentile
+# of a folded normal sits near 2 sigma)
+SIGMA_COLUMNS = {"fa": (6, 1.0), "md": (7, 1.0), "theta": (5, 0.5)}
+PARAMETERS = tuple(SIGMA_COLUMNS)
 
 
 def run(cfg: ExperimentConfig, stage):
@@ -46,36 +52,31 @@ def load_scheme(cfg: ExperimentConfig) -> GradientScheme:
     return simulation.make_scheme(n_dirs, cfg.get("scheme.bvalue"), cfg.get("scheme.n_b0"))
 
 
-def _build(cfg: ExperimentConfig, section: str, cls, **fields):
-    """cls(**fields), whose ValueError becomes a ConfigError naming the key's line."""
+def _build(cfg: ExperimentConfig, section: str, cls, **fixed):
+    """cls built from config by name: each field of cls that a `section.<field>`
+    key of SCHEMA names takes that key's value, then `fixed` sets the rest.
+
+    Every refusal message starts with the field it refuses, which by this rule
+    is the key's last part, so a ValueError becomes a ConfigError naming the
+    key's line.
+    """
+    keys = {f.name: f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+    fields = {name: cfg.get(key) for name, key in keys.items() if key in SCHEMA}
     try:
-        return cls(**fields)
-    except ValueError as exc:  # each message starts with the field: the key's last part
+        return cls(**{**fields, **fixed})
+    except ValueError as exc:
         key = f"{section}.{exc}".split()[0]
         raise ConfigError(f"{cfg.sources.get(key, 'default')}: {section}.{exc}") from exc
 
 
-def _phantom_spec(cfg: ExperimentConfig, scheme: GradientScheme) -> simulation.PhantomSpec:
-    return _build(
-        cfg,
-        "phantom",
-        simulation.PhantomSpec,
-        n_voxels=cfg.get("phantom.n_voxels", required=True),
-        scheme=scheme,
-        generator=cfg.get("phantom.generator"),
-        fa_target=cfg.get("phantom.fa_target"),
-        md=cfg.get("phantom.md"),
-        eig_range=(cfg.get("phantom.eig_min"), cfg.get("phantom.eig_max")),
-        shift=cfg.get("phantom.shift"),
-        orientation=cfg.get("phantom.orientation"),
-        snr_db=cfg.get("phantom.snr_db"),
-        seed=cfg.seed,
-    )
-
-
 def run_simulate(cfg: ExperimentConfig):
     scheme = load_scheme(cfg)
-    phantom = simulation.make_phantom(_phantom_spec(cfg, scheme))
+    spec = _build(
+        cfg, "phantom", simulation.PhantomSpec, scheme=scheme, seed=cfg.seed,
+        n_voxels=cfg.get("phantom.n_voxels", required=True),
+        eig_range=(cfg.get("phantom.eig_min"), cfg.get("phantom.eig_max")),
+    )
+    phantom = simulation.make_phantom(spec)
 
     def write(out):
         dataio.write_bvec_bval(out / "scheme.bvec", out / "scheme.bval", scheme)
@@ -121,28 +122,8 @@ def _voxel_seeds(seed: int, n_voxels: int) -> list:
 def run_train(cfg: ExperimentConfig):
     signals, truth, scheme = _read_truth_dataset(cfg)
     inputs = mlp.normalize_signals(signals, scheme)
-    spec = _build(
-        cfg,
-        "train",
-        mlp.MlpSpec,
-        input_dim=scheme.n_measurements,
-        hidden_widths=cfg.get("train.hidden_widths"),
-        uncertainty_widths=cfg.get("train.uncertainty_widths"),
-        dropout_rate=cfg.get("train.dropout_rate"),
-    )
-    tcfg = _build(
-        cfg,
-        "train",
-        mlp.TrainConfig,
-        penalty=cfg.get("train.penalty"),
-        learning_rate=cfg.get("train.learning_rate"),
-        batch_size=cfg.get("train.batch_size"),
-        epochs=cfg.get("train.epochs"),
-        seed=cfg.seed,
-        val_fraction=cfg.get("train.val_fraction"),
-        eval_every=cfg.get("train.eval_every"),
-        stop_patience=cfg.get("train.stop_patience"),
-    )
+    spec = _build(cfg, "train", mlp.MlpSpec, input_dim=len(scheme))
+    tcfg = _build(cfg, "train", mlp.TrainConfig, seed=cfg.seed)
     model, history = mlp.train(inputs, truth, spec, tcfg)
     epoch = history.stopped_epoch
     return lambda out: mlp.save_checkpoint(out / "model.bin", model, tcfg, epoch=epoch)
@@ -197,25 +178,20 @@ def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
 def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic"):
     """Per-parameter Triples from a prediction table and the truth's tensor_scalars.
 
-    theta uses the angular error as the deviation and theta95/2 as the
-    sigma proxy (a 95th percentile of a folded normal sits near 2 sigma).
-    With uncertainty="aleatoric", exp(u) replaces the per-parameter sigma.
+    theta uses the angular error as the deviation; each sigma is its
+    SIGMA_COLUMNS column times its scale. With uncertainty="aleatoric",
+    exp(u) replaces the per-parameter sigma.
     """
     fa_true, md_true, v_true = true_scalars
-    theta_err = angular_error_deg(table[:, 2:5], v_true)
+    truth = {"fa": fa_true, "md": md_true, "theta": angular_error_deg(table[:, 2:5], v_true)}
+    estimate = {"fa": table[:, 0], "md": table[:, 1], "theta": np.zeros(len(table))}
     if uncertainty == "aleatoric":
         if np.any(~np.isfinite(table[:, 8])):
             raise ValueError("aleatoric sigma requested but u column is not finite")
-        sig_fa = sig_md = sig_theta = np.exp(table[:, 8])
+        sigma = dict.fromkeys(PARAMETERS, np.exp(table[:, 8]))
     else:
-        sig_fa = table[:, 6]
-        sig_md = table[:, 7]
-        sig_theta = table[:, 5] / 2.0
-    return {
-        "fa": cal.triples_from_arrays(fa_true, table[:, 0], sig_fa),
-        "md": cal.triples_from_arrays(md_true, table[:, 1], sig_md),
-        "theta": cal.triples_from_arrays(theta_err, np.zeros(len(table)), sig_theta),
-    }
+        sigma = {p: table[:, col] * scale for p, (col, scale) in SIGMA_COLUMNS.items()}
+    return {p: cal.triples_from_arrays(truth[p], estimate[p], sigma[p]) for p in PARAMETERS}
 
 
 def _metric_params(cfg: ExperimentConfig):
@@ -343,9 +319,8 @@ def run_calibrate(cfg: ExperimentConfig):
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
 
     recal = table[holdout].copy()
-    recal[:, 6] = cal.recalibrate(maps["fa"], recal[:, 6])
-    recal[:, 7] = cal.recalibrate(maps["md"], recal[:, 7])
-    recal[:, 5] = 2.0 * cal.recalibrate(maps["theta"], recal[:, 5] / 2.0)
+    for p, (col, scale) in SIGMA_COLUMNS.items():
+        recal[:, col] = cal.recalibrate(maps[p], recal[:, col] * scale) / scale
 
     maps_json = {
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}

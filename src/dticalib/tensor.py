@@ -59,10 +59,6 @@ class GradientScheme:
     def __len__(self):
         return len(self.bvalues)
 
-    @property
-    def n_measurements(self) -> int:
-        return len(self.bvalues)
-
 
 def predict_signal_batch(elements: np.ndarray, scheme: GradientScheme) -> np.ndarray:
     """Normalized diffusion signals S/S0 = exp(-b g^T D g), (n, 6) rows -> (n, m).

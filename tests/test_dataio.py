@@ -108,7 +108,7 @@ class TestDatasetFile:
         assert np.array_equal(s, signals)
         assert np.array_equal(t, truth)
         assert header["has_s0"] is False
-        assert scheme.n_measurements == 12
+        assert len(scheme) == 12
 
     def test_truncated_block_rejected(self, tmp_path):
         path, _, _ = self.write_one(tmp_path)

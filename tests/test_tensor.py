@@ -52,7 +52,7 @@ def scalars(elements):
 class TestGradientScheme:
     def test_accepts_unit_directions(self):
         s = GradientScheme([[1, 0, 0], [0, 0, 0]], [1000.0, 0.0])
-        assert s.n_measurements == 2
+        assert len(s) == 2
 
     def test_rejects_non_unit_weighted_direction(self):
         with pytest.raises(ValueError):
