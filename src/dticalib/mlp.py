@@ -28,7 +28,7 @@ import numpy as np
 from . import dataio
 from .fitting import fit_ols_batch, log_signal_rows
 from .tensor import GradientScheme
-from .rng import rng_from_key
+from .rng import MLP_INIT, MLP_TRAIN, rng_from_key, run_stream
 
 U_MIN, U_MAX = -15.0, 15.0  # the loss is unbounded below as residuals -> 0
 
@@ -87,7 +87,7 @@ class TwoBranchMlp:
             for fan_in, fan_out in zip(dims[:-1], dims[1:])
         ]
         self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
-        rng = rng_from_key(seed)
+        rng = run_stream(seed, MLP_INIT)
         weights, biases, offset = [], [], 0
         for fan_in, fan_out in layers:
             w = self.flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
@@ -101,24 +101,15 @@ class TwoBranchMlp:
         self.main_w, self.unc_w = weights[:main], weights[main:]
         self.main_b, self.unc_b = biases[:main], biases[main:]
 
-    def make_dropout_masks(self, rng, batch: int):
-        """Keep masks for the main-branch hidden layers, one per layer."""
-        rate = self.spec.dropout_rate
-        if rate == 0.0:
-            return [np.ones((batch, w)) for w in self.spec.hidden_widths]
-        return [
-            (rng.random((batch, w)) >= rate).astype(np.float64)
-            for w in self.spec.hidden_widths
-        ]
+    def make_sample_masks(self, rng, rows: int):
+        """Keep masks for the main-branch hidden layers, one (rows, width) mask
+        per layer, drawn in one call.
 
-    def make_sample_masks(self, rng, n_samples: int):
-        """Keep masks for n_samples one-row passes, drawn in one call.
-
-        The draw is sample-major, so the masks equal those of n_samples
-        successive make_dropout_masks(rng, 1) calls, bit for bit.
+        The draw is row-major, so row i of each mask equals the masks of the
+        i-th of `rows` successive make_sample_masks(rng, 1) calls, bit for bit.
         """
         widths = self.spec.hidden_widths
-        keep = rng.random((n_samples, sum(widths))) >= self.spec.dropout_rate
+        keep = rng.random((rows, sum(widths))) >= self.spec.dropout_rate
         return np.split(keep.astype(np.float64), np.cumsum(widths)[:-1], axis=1)
 
     def forward(self, x: np.ndarray, masks=None):
@@ -245,7 +236,7 @@ def train(
     """Train on normalized inputs (n, m) and physical-scale targets (n, 6).
 
     Deterministic under cfg.seed: the split, shuffling, and dropout masks
-    all derive from one stream. Validation is evaluated every
+    all derive from run_stream(cfg.seed, MLP_TRAIN). Validation is evaluated every
     cfg.eval_every epochs; a non-improving evaluation halves the learning
     rate, and cfg.stop_patience consecutive ones stop training.
     """
@@ -254,7 +245,7 @@ def train(
     if inputs.shape[0] != targets.shape[0]:
         raise ValueError("inputs and targets disagree on voxel count")
     model = TwoBranchMlp(spec, seed=cfg.seed)
-    rng = rng_from_key(cfg.seed, 1)
+    rng = run_stream(cfg.seed, MLP_TRAIN)
 
     n = inputs.shape[0]
     order = rng.permutation(n)
@@ -280,7 +271,7 @@ def train(
         epoch_losses = []
         for start in range(0, len(x_tr), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            masks = model.make_dropout_masks(rng, len(idx))
+            masks = model.make_sample_masks(rng, len(idx))
             loss, grad = batch_loss_and_grads(
                 model, x_tr[idx], y_tr[idx], cfg.penalty, masks
             )

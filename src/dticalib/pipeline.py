@@ -21,7 +21,7 @@ from . import calibration as cal
 from . import dataio, mlp, simulation
 from .config import SCHEMA, ConfigError, ExperimentConfig
 from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
-from .rng import rng_from_key
+from .rng import CALIBRATE_SPLIT, run_stream
 from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, principal_scalars
 
 # per parameter, the prediction-table column that holds its sigma and the
@@ -286,10 +286,10 @@ def run_evaluate(cfg: ExperimentConfig):
 def run_calibrate(cfg: ExperimentConfig):
     """Fit isotonic maps on a calibration split; recalibrate the held-out rows.
 
-    The split shuffles voxel indices with the config seed and assigns by
-    parity (a stand-in for the held-out-scan split real cohorts would use);
-    a calibrate.split fraction other than 0.5 takes a prefix of the shuffle
-    instead.
+    The split shuffles voxel indices with the config seed's calibrate-split
+    stream and fits on the first round(calibrate.split * n) of them, holding
+    out the rest (a stand-in for the held-out-scan split real cohorts would
+    use).
     """
     if cfg.get("evaluate.uncertainty") == "aleatoric":
         # the maps recalibrate the three per-parameter sigma columns; one
@@ -304,12 +304,9 @@ def run_calibrate(cfg: ExperimentConfig):
 
     n = len(table)
     split = cfg.get("calibrate.split")
-    perm = rng_from_key(cfg.seed, 2).permutation(n)
-    if split == 0.5:
-        cal_idx, holdout = np.sort(perm[0::2]), np.sort(perm[1::2])
-    else:
-        cut = int(round(split * n))
-        cal_idx, holdout = np.sort(perm[:cut]), np.sort(perm[cut:])
+    perm = run_stream(cfg.seed, CALIBRATE_SPLIT).permutation(n)
+    cut = int(round(split * n))
+    cal_idx, holdout = np.sort(perm[:cut]), np.sort(perm[cut:])
     rows = {"calibration split": len(cal_idx), "held-out split": len(holdout)}
     where = cfg.sources.get("calibrate.split", "default")
     # an isotonic map needs at least 2 bins

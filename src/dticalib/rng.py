@@ -2,7 +2,9 @@
 
 Streams are keyed by integer tuples (seed, voxel, replicate, ...) through
 SeedSequence feeding a counter-based Philox generator, so per-voxel work can
-run in any order, or in any batch, without changing a single draw. Gaussian
+run in any order, or in any batch, without changing a single draw. A run's
+other draws (MLP initialisation, training, the calibrate split) come from
+run streams, one per purpose, keyed apart from every such tuple. Gaussian
 noise is produced by an explicit Box-Muller transform on uniform draws; the
 pairing is convenient for magnitude (two-channel) noise models.
 """
@@ -12,9 +14,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def rng_from_key(*key: int) -> np.random.Generator:
-    """Generator for an integer key tuple; same key, same stream, always."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+def rng_from_key(*key: int, spawn_key: tuple = ()) -> np.random.Generator:
+    """Generator for an integer key tuple and a SeedSequence spawn key; same
+    keys, same stream, always."""
+    seq = np.random.SeedSequence(list(key), spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+# run-stream purposes
+MLP_INIT, MLP_TRAIN, CALIBRATE_SPLIT = 0, 1, 2
+
+
+def run_stream(seed: int, purpose: int) -> np.random.Generator:
+    """Generator for one purpose of a run: child `purpose` of the seed's SeedSequence.
+
+    SeedSequence pads a key to 4 words, so rng_from_key(s) draws what
+    rng_from_key(s, 0) draws. A child's entropy is the seed padded to 4 words,
+    then the purpose: 5 words, which no (seed, voxel) key of a seed below
+    2**96 reaches.
+    """
+    return rng_from_key(seed, spawn_key=(purpose,))
 
 
 def box_muller(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from dticalib.mlp import (
     train,
 )
 from dticalib.fitting import fit_ols_batch, log_signal_rows
-from dticalib.rng import rng_from_key
+from dticalib.rng import MLP_INIT, rng_from_key, run_stream
 from dticalib.simulation import PhantomSpec, fibonacci_directions, make_phantom, make_scheme
 from dticalib.tensor import GradientScheme, predict_signal_batch
 
@@ -93,7 +93,7 @@ class TestParameterStore:
     def test_initial_draws_are_per_layer_uniforms(self):
         spec = small_spec(hidden_widths=(32, 16), uncertainty_widths=(8,))
         model = TwoBranchMlp(spec, seed=11)
-        rng = rng_from_key(11)
+        rng = run_stream(11, MLP_INIT)
         expected = []
         for dims in ([spec.input_dim, 32, 16, 6], [spec.input_dim, 8, 1]):
             for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -111,7 +111,7 @@ class TestGradients:
         x = rng.normal(0.5, 0.2, size=(6, spec.input_dim))
         y = rng.normal(0.0, 0.5, size=(6, 6))
         if masks == "dropout":
-            masks = model.make_dropout_masks(np.random.default_rng(3), 6)
+            masks = model.make_sample_masks(np.random.default_rng(3), 6)
         _, grad = batch_loss_and_grads(model, x, y, 1.0, masks)
         worst = 0.0
         for idx in rng.choice(model.flat.size, n_coords, replace=False):
@@ -138,7 +138,7 @@ class TestUncertaintyBranchDeterminism:
         model = TwoBranchMlp(spec, seed=2)
         x = np.random.default_rng(5).normal(0.5, 0.2, size=(4, spec.input_dim))
         u_plain, _ = model.uncertainty(x)
-        masks = model.make_dropout_masks(np.random.default_rng(9), 4)
+        masks = model.make_sample_masks(np.random.default_rng(9), 4)
         model.forward(x, masks=masks)  # a masked pass of the dropout branch
         u_masked, _ = model.uncertainty(x)
         assert np.array_equal(u_plain, u_masked)
@@ -221,7 +221,7 @@ class TestStackKernelMatchesTwoLoopReference:
     @pytest.mark.parametrize("clamped", [False, True])
     def test_loss_and_every_gradient(self, with_masks, clamped):
         model, x, y = self.model_and_batch()
-        masks = model.make_dropout_masks(np.random.default_rng(3), len(x)) if with_masks else None
+        masks = model.make_sample_masks(np.random.default_rng(3), len(x)) if with_masks else None
         if clamped:  # move u_raw so that it leaves the clamp window on some rows only
             u_raw = reference_forward(model, x)[2]["u_raw"]
             model.unc_b[-1][:] += U_MAX - np.median(u_raw)
@@ -336,11 +336,11 @@ class TestTraining:
 
 
 class TestMcDropout:
-    def test_sample_masks_equal_per_sample_draws(self):
+    def test_rows_of_one_call_equal_one_row_calls(self):
         model = TwoBranchMlp(small_spec(hidden_widths=(32, 16, 8), dropout_rate=0.4), seed=3)
         batched_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
         batched = model.make_sample_masks(batched_rng, 25)
-        loop = [model.make_dropout_masks(loop_rng, 1) for _ in range(25)]
+        loop = [model.make_sample_masks(loop_rng, 1) for _ in range(25)]
         for layer, masks in enumerate(batched):
             assert np.array_equal(masks, np.vstack([m[layer] for m in loop]))
         assert batched_rng.random() == loop_rng.random()  # same stream position
@@ -351,7 +351,7 @@ class TestMcDropout:
         samples = predict_mc_dropout(model, x, n_samples=40, seeds=[11])[0]
         rng = rng_from_key(11)
         reference = np.vstack([
-            model.forward(x, model.make_dropout_masks(rng, 1))[0] for _ in range(40)
+            model.forward(x, model.make_sample_masks(rng, 1))[0] for _ in range(40)
         ]) / model.spec.target_scale
         assert np.allclose(samples, reference, rtol=1e-12, atol=0.0)
 
