@@ -236,9 +236,10 @@ def train(
     """Train on normalized inputs (n, m) and physical-scale targets (n, 6).
 
     Deterministic under cfg.seed: the split, shuffling, and dropout masks
-    all derive from run_stream(cfg.seed, MLP_TRAIN). Validation is evaluated every
-    cfg.eval_every epochs; a non-improving evaluation halves the learning
-    rate, and cfg.stop_patience consecutive ones stop training.
+    all derive from run_stream(cfg.seed, MLP_TRAIN). Validation is
+    evaluated every cfg.eval_every epochs; a non-improving evaluation
+    halves the learning rate, and cfg.stop_patience consecutive ones stop
+    training.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(target_elements, dtype=np.float64) * spec.target_scale

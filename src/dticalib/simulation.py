@@ -68,7 +68,7 @@ class PhantomSpec:
         if self.generator == "fixed" and self.elements is None:
             raise ValueError("generator 'fixed' requires elements")
         if not 0.0 <= self.fa_target < 1.0:
-            raise ValueError("fa_target must be in [0, 1)")
+            raise ValueError(f"fa_target must be in [0, 1), not {self.fa_target}")
         if not 0 < self.md < math.inf:
             raise ValueError(f"md must be positive and finite, not {self.md}")
         low, high = self.eig_range

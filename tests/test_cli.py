@@ -10,6 +10,7 @@ import pytest
 from dticalib.cli import main
 from dticalib import bootstrap as bs
 from dticalib import dataio, mlp, pipeline, simulation
+from dticalib.rng import CALIBRATE_SPLIT, run_stream
 from dticalib.simulation import PhantomSpec, make_scheme
 from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars
 from test_simulation import PINNED_DISPATCH, reference_phantom
@@ -208,6 +209,7 @@ class TestExitCodes:
         ("phantom.eig_max", "inf"),
         ("phantom.shift", "-1"),  # two_population truth with negative eigenvalues
         ("phantom.md", "inf"),
+        ("phantom.fa_target", "1.0"),
     ])
     def test_bad_phantom_value_is_config_error(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + f"{key} = {value}\n")
@@ -397,6 +399,8 @@ class TestExitCodes:
         "train.hidden_widths = 0",
         "train.dropout_rate = 1.5",
         "train.penalty = 0",
+        "train.uncertainty_widths = 0",
+        "train.stop_patience = 0",
     ])
     def test_bad_train_value_is_config_error(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + line + "\n")
@@ -495,15 +499,18 @@ class TestCalibrateFlow:
         assert np.array_equal(recal[:, kept], held[:, kept], equal_nan=True)
         assert not np.array_equal(recal[:, sigma_cols], held[:, sigma_cols])
 
-    def test_fractional_split(self, tmp_path):
+    @pytest.mark.parametrize("split, held", [(0.5, 120), (0.3, 168), (0.75, 60)])
+    def test_fractional_split(self, tmp_path, split, held):
+        # every split holds out the tail of one shuffle of the 240 voxels
         cfg_path, out = self.make_miscalibrated_run(tmp_path)
         (tmp_path / "e.cfg").write_text(
-            (tmp_path / "e.cfg").read_text() + "calibrate.split = 0.75\n"
+            (tmp_path / "e.cfg").read_text() + f"calibrate.split = {split}\n"
         )
         assert main(["calibrate", "--config", cfg_path]) == 0
         header, table = dataio.read_predictions(out / "predictions_recalibrated.bin")
-        assert len(table) == 60  # 240 voxels, a quarter held out
-        assert len(header["meta"]["holdout"]) == 60
+        perm = run_stream(11, CALIBRATE_SPLIT).permutation(240)
+        assert len(table) == held
+        assert header["meta"]["holdout"] == sorted(perm[240 - held:])
 
     def test_aleatoric_uncertainty_is_config_error(self, tmp_path, capsys):
         cfg_path, out = self.make_miscalibrated_run(tmp_path)

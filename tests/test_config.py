@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from dticalib import dataio, mlp, pipeline, simulation
 from dticalib.config import SCHEMA, ConfigError, ExperimentConfig, Range, parse_config_text
+from dticalib.simulation import PhantomSpec, make_scheme
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,3 +161,65 @@ def test_readme_config_table_matches_schema():
     table = readme.split(begin, 1)[1].split(end, 1)[0]
     expected = schema_table()
     assert table == expected, f"README config table differs from SCHEMA; expected:\n{expected}"
+
+
+class TestSectionsReachTheirClasses:
+    """Every phantom.* and train.* key reaches the field its stage builds, by name."""
+
+    # a value per key that differs from its default and that the class accepts
+    PHANTOM = {
+        "n_voxels": 9, "generator": "random_spd", "fa_target": 0.5, "md": 1.1e-3,
+        "eig_min": 0.2e-3, "eig_max": 2.5e-3, "shift": 1.5, "orientation": "fixed",
+        "snr_db": 25.0,
+    }
+    TRAIN = {
+        "hidden_widths": (8, 4), "uncertainty_widths": (5,), "dropout_rate": 0.25,
+        "penalty": 0.5, "learning_rate": 2e-3, "batch_size": 16, "epochs": 3,
+        "val_fraction": 0.2, "eval_every": 2, "stop_patience": 4,
+    }
+
+    @staticmethod
+    def config(tmp_path, section: str, values: dict) -> ExperimentConfig:
+        lines = ["out_dir = run", "seed = 5", "scheme.n_directions = 12"]
+        for name, value in values.items():
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+            lines.append(f"{section}.{name} = {text}")
+        path = tmp_path / f"{section}.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        return ExperimentConfig.load(path)
+
+    def test_values_cover_every_key_and_differ_from_defaults(self):
+        keys = {f"phantom.{n}": v for n, v in self.PHANTOM.items()}
+        keys.update({f"train.{n}": v for n, v in self.TRAIN.items()})
+        assert set(keys) == {k for k in SCHEMA if k.startswith(("phantom.", "train."))}
+        assert all(value != SCHEMA[key].default for key, value in keys.items())
+
+    def test_phantom_keys(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(simulation, "make_phantom", specs.append)
+        pipeline.run_simulate(self.config(tmp_path, "phantom", self.PHANTOM))
+        (spec,) = specs
+        got = {name: getattr(spec, name) for name in self.PHANTOM if not name.startswith("eig_")}
+        got["eig_min"], got["eig_max"] = spec.eig_range
+        assert got == self.PHANTOM and spec.seed == 5
+
+    def test_train_keys(self, tmp_path, monkeypatch):
+        made = simulation.make_phantom(PhantomSpec(n_voxels=4, scheme=make_scheme(12), seed=1))
+        (tmp_path / "run").mkdir()
+        dataio.write_bvec_bval(tmp_path / "run/scheme.bvec", tmp_path / "run/scheme.bval",
+                               make_scheme(12))
+        dataio.write_dataset(tmp_path / "run/dataset.bin", made.signals, "scheme", made.truth)
+
+        class Built(Exception):
+            pass
+
+        def train(inputs, targets, spec, cfg):
+            raise Built(spec, cfg)
+
+        monkeypatch.setattr(mlp, "train", train)
+        with pytest.raises(Built) as built:
+            pipeline.run_train(self.config(tmp_path, "train", self.TRAIN))
+        spec, cfg = built.value.args
+        got = {name: getattr(spec if hasattr(spec, name) else cfg, name) for name in self.TRAIN}
+        assert got == self.TRAIN
+        assert spec.input_dim == 14 and cfg.seed == 5
