@@ -33,6 +33,7 @@ def run_stream(seed: int, purpose: int) -> np.random.Generator:
     then the purpose: 5 words, which no (seed, voxel) key of a seed below
     2**96 reaches.
     """
+    # through rng_from_key, so wrappers installed on its bindings see every stream
     return rng_from_key(seed, spawn_key=(purpose,))
 
 
