@@ -64,8 +64,7 @@ def main():
         x_eval, _ = phantom_inputs(eval_spec, scheme)
         mean_u = float(model.predict(x_eval)[1].mean())
 
-        seeds = 3000 + np.arange(args.mc_voxels)
-        samples = predict_mc_dropout(model, x_eval[:args.mc_voxels], args.samples, seeds=seeds)
+        samples = predict_mc_dropout(model, x_eval[:args.mc_voxels], args.samples, seed=3000)
         _, sfa, smd = summarize_uncertainty(samples).T
         rows.append((snr, mean_u, float(np.mean(sfa)), float(np.mean(smd))))
         print(f"SNR {snr:5.1f} dB | mean u {mean_u:+.4f} | "

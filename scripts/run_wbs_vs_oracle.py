@@ -41,9 +41,7 @@ def main():
         )
         phantom = make_phantom(spec)
         # table columns 5, 6, 7: theta95, sigma_fa, sigma_md
-        wbs = wild_bootstrap_table(
-            phantom.signals, scheme, args.iterations, seeds=1000 + np.arange(args.voxels)
-        )[:, 5:8]
+        wbs = wild_bootstrap_table(phantom.signals, scheme, args.iterations, args.seed)[:, 5:8]
         orc = np.array([
             monte_carlo_oracle(t, scheme, snr, n_realizations=args.realizations, seed=2000 + v)
             for v, t in enumerate(phantom.truth)

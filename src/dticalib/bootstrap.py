@@ -21,7 +21,7 @@ from .tensor import (
     fa_md,
 )
 from .fitting import SIGNAL_FLOOR, fit_cwlls_batch, log_signal_rows, weighted_leverage
-from .rng import rng_from_key
+from .rng import WILD_BOOTSTRAP, run_stream
 
 # Replicate rows per grouped call: wild_bootstrap_table refits, and predict
 # runs dropout passes over, CHUNK_ROWS rows (whole voxels, at least one) at a
@@ -114,17 +114,18 @@ def _wild_base(y: np.ndarray, scheme: GradientScheme):
     return y_hat, (y - y_hat) / np.sqrt(1.0 - leverage), (beta[:, :6], evecs[:, 0])
 
 
-def _wild_replicates(y_hat, scaled, seeds, iterations: int, scheme: GradientScheme):
-    """CWLLS refits of `iterations` sign-flipped residual sets per voxel.
+def _wild_replicates(y_hat, scaled, seed, voxels, iterations: int, scheme: GradientScheme):
+    """CWLLS refits of `iterations` sign-flipped residual sets per row.
 
-    Voxel v draws its Rademacher signs from rng_from_key(seeds[v]). The
-    log-signals y* are clamped at ln SIGNAL_FLOOR, as log_signal_rows clamps
-    signals. Returns the (len(seeds) * iterations, 6) replicate elements,
-    voxel-major, and their eigenvector rows.
+    Row i draws its Rademacher signs from run_stream(seed, WILD_BOOTSTRAP,
+    voxels[i]). The log-signals y* are clamped at ln SIGNAL_FLOOR, as
+    log_signal_rows clamps signals. Returns the (rows * iterations, 6)
+    replicate elements, voxel-major, and their eigenvector rows.
     """
-    signs = np.concatenate(
-        [rng_from_key(s).integers(0, 2, size=(iterations, y_hat.shape[1])) for s in seeds]
-    ) * 2 - 1
+    signs = np.concatenate([
+        run_stream(seed, WILD_BOOTSTRAP, v).integers(0, 2, size=(iterations, y_hat.shape[1]))
+        for v in voxels
+    ]) * 2 - 1
     y_star = np.repeat(y_hat, iterations, axis=0) + signs * np.repeat(scaled, iterations, axis=0)
     beta, _, (_, evecs) = fit_cwlls_batch(np.maximum(y_star, np.log(SIGNAL_FLOOR)), scheme)
     if not np.all(np.isfinite(beta)):
@@ -140,23 +141,24 @@ def wild_bootstrap(
     The base fit supplies fitted log-signals, residuals and leverage. Each
     replicate flips residual signs with Rademacher draws and rescales them
     by 1/sqrt(1-h) before refitting, which keeps the resampling valid under
-    heteroscedastic noise. Returns the (iterations, 6) replicate elements.
+    heteroscedastic noise. The signs are voxel 0's of run `seed`. Returns
+    the (iterations, 6) replicate elements.
     """
     if iterations < MIN_REPLICATES:
         raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
     y_hat, scaled, _ = _wild_base(log_signal_rows(signals, scheme), scheme)
-    return _wild_replicates(y_hat, scaled, [seed], iterations, scheme)[0]
+    return _wild_replicates(y_hat, scaled, seed, [0], iterations, scheme)[0]
 
 
 def wild_bootstrap_table(
-    signals, scheme: GradientScheme, iterations: int, seeds
+    signals, scheme: GradientScheme, iterations: int, seed: int, voxels=None
 ) -> np.ndarray:
     """Point estimates and wild-bootstrap uncertainty for (n, m) signals.
 
-    Voxel v is resampled from rng_from_key(seeds[v]), exactly as
-    ``wild_bootstrap(signals[v], scheme, iterations, seeds[v])``. Replicates
-    are refitted CHUNK_ROWS rows (whole voxels) at a time, and each
-    replicate is decomposed once.
+    Row i holds voxel voxels[i] of run `seed` (voxels 0..n-1 by default); a
+    row of voxel 0 is resampled exactly as ``wild_bootstrap(signals[i],
+    scheme, iterations, seed)``. Replicates are refitted CHUNK_ROWS rows
+    (whole voxels) at a time, and each replicate is decomposed once.
 
     Returns the (n, 9) prediction table: fa, md, v1 (3) of the base CWLLS
     fit, then theta95, sigma_fa, sigma_md, and NaN for aleatoric u.
@@ -164,15 +166,13 @@ def wild_bootstrap_table(
     if iterations < MIN_REPLICATES:
         raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
     y = log_signal_rows(signals, scheme)
-    seeds = [int(s) for s in seeds]
-    if len(seeds) != len(y):
-        raise ValueError("need one seed per voxel")
+    voxels = range(len(y)) if voxels is None else voxels
     y_hat, scaled, (base, axes) = _wild_base(y, scheme)
     table = np.empty((len(y), 9))
     table[:, 0], table[:, 1] = fa_md(base)
     table[:, 2:5] = axes
     table[:, 8] = np.nan
-    for voxels in voxel_chunks(len(y), iterations):
-        reps = _wild_replicates(y_hat[voxels], scaled[voxels], seeds[voxels], iterations, scheme)
-        table[voxels, 5:8] = replicate_statistics(*reps, iterations)
+    for rows in voxel_chunks(len(y), iterations):
+        reps = _wild_replicates(y_hat[rows], scaled[rows], seed, voxels[rows], iterations, scheme)
+        table[rows, 5:8] = replicate_statistics(*reps, iterations)
     return table

@@ -73,7 +73,8 @@ def _default(fn, name: str):
 
 SCHEMA = {
     "out_dir": Key("path"),
-    "seed": Key("int", PhantomSpec.seed, Range(0, closed=True)),
+    # SeedSequence splits larger seeds into words: (2**32 + 3, 0) would key as (3, 1)
+    "seed": Key("int", PhantomSpec.seed, Range(0, 2**32, closed=True)),
     "scheme.bvec": Key("path"),
     "scheme.bval": Key("path"),
     # the single-shell design has full rank only with 7+ directions and a b=0 row

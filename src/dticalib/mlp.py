@@ -28,7 +28,7 @@ import numpy as np
 from . import dataio
 from .fitting import fit_ols_batch, log_signal_rows
 from .tensor import GradientScheme
-from .rng import MLP_INIT, MLP_TRAIN, rng_from_key, run_stream
+from .rng import MC_DROPOUT, MLP_INIT, MLP_TRAIN, run_stream
 
 U_MIN, U_MAX = -15.0, 15.0  # the loss is unbounded below as residuals -> 0
 
@@ -308,19 +308,19 @@ def train(
     return model, history
 
 
-def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, seeds):
+def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, seed, voxels=None):
     """Stochastic forward passes with fresh dropout masks, n_samples per row.
 
-    Row v of the (n, m) inputs draws its masks with
-    make_sample_masks(rng_from_key(seeds[v]), n_samples); all rows run as
-    one forward over n_samples copies of each. Returns the (n, n_samples, 6)
+    Row i of the (n, m) inputs holds voxel voxels[i] of run `seed` (voxels
+    0..n-1 by default) and draws its masks with make_sample_masks(
+    run_stream(seed, MC_DROPOUT, voxels[i]), n_samples); all rows run as one
+    forward over n_samples copies of each. Returns the (n, n_samples, 6)
     replicate tensors at physical scale (Gal & Ghahramani 2016, dropout as
     a Bayesian approximation).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if len(seeds) != len(inputs):
-        raise ValueError("need one seed per voxel")
-    draws = (model.make_sample_masks(rng_from_key(int(s)), n_samples) for s in seeds)
+    voxels = range(len(inputs)) if voxels is None else voxels
+    draws = (model.make_sample_masks(run_stream(seed, MC_DROPOUT, v), n_samples) for v in voxels)
     masks = [np.concatenate(layer) for layer in zip(*draws)]  # per-row masks freed here
     pred, _ = model.forward(np.repeat(inputs, n_samples, axis=0), masks)
     return (pred / model.spec.target_scale).reshape(len(inputs), n_samples, 6)

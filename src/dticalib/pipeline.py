@@ -99,8 +99,7 @@ def run_fit(cfg: ExperimentConfig):
 def run_bootstrap(cfg: ExperimentConfig):
     _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     iterations = cfg.get("bootstrap.iterations")
-    seeds = _voxel_seeds(cfg.seed, len(signals))
-    table = bs.wild_bootstrap_table(signals, scheme, iterations, seeds)
+    table = bs.wild_bootstrap_table(signals, scheme, iterations, cfg.seed)
     meta = {"iterations": iterations}
     return lambda out: dataio.write_predictions(out / "predictions_wbs.bin", table, "wbs", meta)
 
@@ -112,11 +111,6 @@ def _read_truth_dataset(cfg: ExperimentConfig):
     if truth is None:
         raise dataio.DataFormatError(f"{path}: dataset holds no ground-truth tensors")
     return signals, truth, scheme
-
-
-def _voxel_seeds(seed: int, n_voxels: int) -> list:
-    # fold each (seed, voxel) into one integer key; the voxel's replicate stream keys off it
-    return [int(np.random.SeedSequence([seed, v]).generate_state(1)[0]) for v in range(n_voxels)]
 
 
 def run_train(cfg: ExperimentConfig):
@@ -142,11 +136,12 @@ def run_predict(cfg: ExperimentConfig):
     inputs = mlp.normalize_signals(signals, scheme)
     points, u = model.predict(inputs)
     fa, md, v1 = tensor_scalars(points)
-    seeds = _voxel_seeds(cfg.seed, len(inputs))
     spread = np.empty((len(inputs), 3))
-    for voxels in bs.voxel_chunks(len(inputs), n_samples):  # whole voxels per forward
-        samples = mlp.predict_mc_dropout(model, inputs[voxels], n_samples, seeds=seeds[voxels])
-        spread[voxels] = bs.summarize_uncertainty(samples)
+    for rows in bs.voxel_chunks(len(inputs), n_samples):  # whole voxels per forward
+        samples = mlp.predict_mc_dropout(
+            model, inputs[rows], n_samples, seed=cfg.seed, voxels=range(len(inputs))[rows]
+        )
+        spread[rows] = bs.summarize_uncertainty(samples)
     table = np.column_stack([fa, md, v1, spread, u])
     meta = {"samples": n_samples}
     return lambda out: dataio.write_predictions(

@@ -277,8 +277,7 @@ def test_criterion_10_noise_trend():
             md=0.9e-3, snr_db=snr, seed=888,
         )
         inputs = normalize_signals(make_phantom(spec).signals, scheme)
-        seeds = 3000 + np.arange(len(inputs))
-        samples = predict_mc_dropout(model, inputs, n_samples=100, seeds=seeds)
+        samples = predict_mc_dropout(model, inputs, n_samples=100, seed=3000)
         return float(np.mean(summarize_uncertainty(samples)[:, 1]))
 
     noisy, quiet = mc_sigma_fa(20.0), mc_sigma_fa(35.0)
@@ -304,8 +303,8 @@ def test_criterion_11_distribution_shift():
     eval_inputs = normalize_signals(make_phantom(eval_spec).signals, scheme)
     in_dist, shifted = eval_inputs[:200], eval_inputs[200:]
 
-    def sigma_md(model, rows, seed0):
-        samples = predict_mc_dropout(model, rows, n_samples=60, seeds=seed0 + np.arange(len(rows)))
+    def sigma_md(model, rows, seed):
+        samples = predict_mc_dropout(model, rows, n_samples=60, seed=seed)
         return summarize_uncertainty(samples)[:, 2]
 
     margins = []

@@ -226,6 +226,7 @@ class TestExitCodes:
         ("phantom.fa_target = abc", "phantom.fa_target", "line 14"),
         ("train.hidden_widths = 64, x", "train.hidden_widths", "line 14"),
         ("seed = -1", "seed", "line 14"),
+        ("seed = 4294967296", "seed", "line 14"),  # 2**32 would key as two words
         ("calibrate.split = 1.5", "calibrate.split", "line 14"),
         ("phantom.generator = oblate\nphantom.fa_target = 0.9", "phantom.fa_target", "line 15"),
         # values the bootstrap, predict and metric stages would reject after writing
@@ -623,9 +624,8 @@ class TestReproducibility:
             assert np.array_equal(dataio.read_predictions(path)[1], default, equal_nan=True)
 
         _, signals, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
-        seeds = np.array(pipeline._voxel_seeds(11, n))
         perm = np.random.default_rng(3).permutation(n)
-        permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, seeds[perm])
+        permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, 11, voxels=perm)
         assert np.array_equal(permuted, default[perm], equal_nan=True)
 
     @pytest.mark.parametrize("snr", ["28", "8"])  # at 8 dB some rows are floored
@@ -775,10 +775,9 @@ class TestDlReproducibility:
         _, signals, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
         model, _ = mlp.load_checkpoint(tmp_path / "run/model.bin")
         inputs = mlp.normalize_signals(signals, scheme)
-        seeds = np.array(pipeline._voxel_seeds(11, self.N))
         perm = np.random.default_rng(3).permutation(self.N)
         permuted = bs.summarize_uncertainty(
-            mlp.predict_mc_dropout(model, inputs[perm], self.SAMPLES, seeds=seeds[perm])
+            mlp.predict_mc_dropout(model, inputs[perm], self.SAMPLES, seed=11, voxels=perm)
         )
         expected = default[perm, 5:8]
         assert np.all(np.abs(permuted - expected) <= 1e-12 * np.abs(expected))

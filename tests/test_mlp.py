@@ -21,7 +21,7 @@ from dticalib.mlp import (
     train,
 )
 from dticalib.fitting import fit_ols_batch, log_signal_rows
-from dticalib.rng import MLP_INIT, rng_from_key, run_stream
+from dticalib.rng import MC_DROPOUT, MLP_INIT, run_stream
 from dticalib.simulation import PhantomSpec, fibonacci_directions, make_phantom, make_scheme
 from dticalib.tensor import GradientScheme, predict_signal_batch
 
@@ -246,11 +246,10 @@ class TestStackKernelMatchesTwoLoopReference:
         points, u_got = model.predict(x)
         assert np.array_equal(points, pred / model.spec.target_scale)
         assert np.array_equal(u_got, u)
-        seeds = [21 + v for v in range(len(x))]
-        draws = [model.make_sample_masks(rng_from_key(s), 12) for s in seeds]
+        draws = [model.make_sample_masks(run_stream(21, MC_DROPOUT, v), 12) for v in range(len(x))]
         masks = [np.concatenate(layer) for layer in zip(*draws)]
         want = reference_forward(model, np.repeat(x, 12, axis=0), masks)[0]
-        got = predict_mc_dropout(model, x, n_samples=12, seeds=seeds)
+        got = predict_mc_dropout(model, x, n_samples=12, seed=21)
         assert np.array_equal(got, (want / model.spec.target_scale).reshape(len(x), 12, 6))
 
 
@@ -348,8 +347,8 @@ class TestMcDropout:
     def test_one_pass_matches_per_sample_passes(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
-        samples = predict_mc_dropout(model, x, n_samples=40, seeds=[11])[0]
-        rng = rng_from_key(11)
+        samples = predict_mc_dropout(model, x, n_samples=40, seed=11)[0]
+        rng = run_stream(11, MC_DROPOUT, 0)
         reference = np.vstack([
             model.forward(x, model.make_sample_masks(rng, 1))[0] for _ in range(40)
         ]) / model.spec.target_scale
@@ -358,19 +357,16 @@ class TestMcDropout:
     def test_grouped_rows_equal_one_row_calls(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
         x = np.random.default_rng(2).normal(0.5, 0.1, (7, len(SCHEME)))
-        seeds = [50 + 3 * v for v in range(7)]
-        grouped = predict_mc_dropout(model, x, n_samples=25, seeds=seeds)
+        grouped = predict_mc_dropout(model, x, n_samples=25, seed=50)
         assert grouped.shape == (7, 25, 6)
         for v in range(7):
-            one = predict_mc_dropout(model, x[v], n_samples=25, seeds=[seeds[v]])[0]
+            one = predict_mc_dropout(model, x[v], n_samples=25, seed=50, voxels=[v])[0]
             assert np.allclose(grouped[v], one, rtol=1e-12, atol=0.0)
-        with pytest.raises(ValueError, match="one seed per voxel"):
-            predict_mc_dropout(model, x, n_samples=25, seeds=seeds[:-1])
 
     def test_zero_rate_gives_identical_samples(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.0), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
-        samples = predict_mc_dropout(model, x, n_samples=20, seeds=[0])
+        samples = predict_mc_dropout(model, x, n_samples=20, seed=0)
         assert samples.shape == (1, 20, 6)
         assert np.all(samples == samples[0, 0])
         assert summarize_uncertainty(samples)[0, 1] < 1e-12  # sigma_fa
@@ -378,10 +374,10 @@ class TestMcDropout:
     def test_same_seed_identical_sample_set(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
         x = np.random.default_rng(1).normal(0.5, 0.1, len(SCHEME))
-        a = predict_mc_dropout(model, x, n_samples=30, seeds=[11])
-        b = predict_mc_dropout(model, x, n_samples=30, seeds=[11])
+        a = predict_mc_dropout(model, x, n_samples=30, seed=11)
+        b = predict_mc_dropout(model, x, n_samples=30, seed=11)
         assert np.array_equal(a, b)
-        c = predict_mc_dropout(model, x, n_samples=30, seeds=[12])
+        c = predict_mc_dropout(model, x, n_samples=30, seed=12)
         assert not np.array_equal(a, c)
 
     def test_spread_grows_with_dropout_rate(self):
@@ -399,7 +395,7 @@ class TestMcDropout:
                 MlpSpec(input_dim=len(SCHEME), dropout_rate=rate, target_scale=4000.0),
                 TrainConfig(epochs=150, seed=4, batch_size=128, eval_every=50),
             )
-            samples = predict_mc_dropout(model, x[:40], n_samples=50, seeds=700 + np.arange(40))
+            samples = predict_mc_dropout(model, x[:40], n_samples=50, seed=700)
             _, fa, md = summarize_uncertainty(samples).T
             med_fa.append(np.median(fa))
             med_md.append(np.median(md))

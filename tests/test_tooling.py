@@ -12,6 +12,9 @@ never names it; dunders are exempt.
 One write policy: in pipeline.py, only the top-level function run calls
 mkdir or write_manifest, so a stage cannot make out_dir or refresh the
 manifest before its work is done.
+
+One keying rule: only rng.py builds a SeedSequence, Generator, Philox or
+default_rng, so every stream is keyed there and nowhere else.
 """
 
 import ast
@@ -98,6 +101,12 @@ def unreferenced_public_defs(trees: dict, scripts: list, readme: str) -> list:
     return found
 
 
+def called_name(call: ast.Call):
+    """The name a call calls: f of f(...) and of obj.f(...); None for any other callee."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def writes_outside_run(tree: ast.Module) -> list:
     """(function, line) of each mkdir or write_manifest call in tree outside
     the top-level function run; a call at module level reads <module>."""
@@ -106,13 +115,18 @@ def writes_outside_run(tree: ast.Module) -> list:
         if isinstance(node, FUNCTIONS) and node.name == "run":
             continue
         for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("mkdir", "write_manifest"):
+            if isinstance(call, ast.Call) and called_name(call) in ("mkdir", "write_manifest"):
                 found.append((getattr(node, "name", "<module>"), call.lineno))
     return found
+
+
+STREAM_BUILDERS = ("SeedSequence", "Generator", "Philox", "default_rng")
+
+
+def stream_builds(tree: ast.Module) -> list:
+    """(name, line) of each call in tree that builds a random stream or its seed."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [(called_name(c), c.lineno) for c in calls if called_name(c) in STREAM_BUILDERS]
 
 
 @pytest.mark.parametrize(
@@ -187,3 +201,21 @@ def test_scan_finds_a_mkdir_or_manifest_outside_run():
         "Path('x').mkdir()\n"
     )
     assert writes_outside_run(tree) == [("run_fit", 6), ("run_curves", 9), ("<module>", 10)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"], ids=lambda p: p.name)
+def test_only_rng_builds_a_stream(path):
+    assert stream_builds(parse(path)) == []
+
+
+def test_scan_finds_a_stream_built_outside_rng():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.random import Philox\n"
+        "def draws(rng: np.random.Generator, seed):\n"  # an annotation builds nothing
+        "    key = np.random.SeedSequence([seed, 1]).generate_state(1)[0]\n"
+        "    return np.random.default_rng(key), Philox(key)\n"
+        "STREAM = np.random.Generator(np.random.PCG64())\n"
+    )
+    found = sorted(stream_builds(tree), key=lambda f: (f[1], f[0]))
+    assert found == [("SeedSequence", 4), ("Philox", 5), ("default_rng", 5), ("Generator", 6)]
