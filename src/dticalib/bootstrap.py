@@ -167,6 +167,8 @@ def wild_bootstrap_table(
         raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
     y = log_signal_rows(signals, scheme)
     voxels = range(len(y)) if voxels is None else voxels
+    if len(voxels) != len(y):
+        raise ValueError(f"voxels holds {len(voxels)} indices for {len(y)} rows")
     y_hat, scaled, (base, axes) = _wild_base(y, scheme)
     table = np.empty((len(y), 9))
     table[:, 0], table[:, 1] = fa_md(base)

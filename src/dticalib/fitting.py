@@ -145,10 +145,12 @@ def _ols_projection(x: np.ndarray) -> np.ndarray:
 
 
 def _wlls_sqrt_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """OLS-predicted signals (k, m) of log-signals y: the square roots of the
-    WLLS weights exp(2 * predicted ln S)."""
+    """OLS-predicted signals (k, m) of log-signals y, each row times the exact power
+    of two that puts its largest in [0.5, 1), so that squares cannot overflow: the
+    square roots of the WLLS weights exp(2 * predicted ln S), to a row factor WLLS ignores."""
     beta0 = np.einsum("jm,km->kj", _ols_projection(x), y)
-    return np.exp(np.einsum("kj,mj->km", beta0, x))
+    sqrt_w = np.exp(np.einsum("kj,mj->km", beta0, x))
+    return np.ldexp(sqrt_w, -np.frexp(sqrt_w.max(axis=1))[1][:, None])
 
 
 def fit_ols_batch(y: np.ndarray, scheme: GradientScheme):
@@ -176,9 +178,9 @@ def floor_eigenvalues_batch(elements: np.ndarray):
     The floor is EIGENVALUE_FLOOR_REL * max(MD, EIGENVALUE_FLOOR_MD_MIN),
     per tensor. Eigenvectors are preserved.
 
-    Returns (projected elements, (eigenvalues, eigenvectors)). The
-    eigensystem is that of the projected elements, bit for bit what
-    eigh3_batch gives for them: floored rows are decomposed again.
+    Returns (projected elements, (eigenvalues, eigenvectors)): the floored
+    eigenvalues with the one decomposition's eigenvectors, so a row floored to
+    isotropy keeps its fit's axes, not the rounding noise of floor * I.
     """
     evals, evecs = eigh3_batch(elements_to_matrices(elements))
     md = evals.mean(axis=1)
@@ -186,13 +188,9 @@ def floor_eigenvalues_batch(elements: np.ndarray):
     flo = np.maximum(evals, floor[:, None])
     changed = np.any(flo != evals, axis=1)
     out = np.array(elements, dtype=np.float64, copy=True)
-    if np.any(changed):
-        mats = np.einsum(
-            "kji,kj,kjl->kil", evecs[changed], flo[changed], evecs[changed]
-        )
-        out[changed] = matrices_to_elements(mats)
-        evals[changed], evecs[changed] = eigh3_batch(elements_to_matrices(out[changed]))
-    return out, (evals, evecs)
+    v = evecs[changed]
+    out[changed] = matrices_to_elements(np.einsum("kji,kj,kjl->kil", v, flo[changed], v))
+    return out, (flo, evecs)
 
 
 def fit_cwlls_batch(y: np.ndarray, scheme: GradientScheme):

@@ -42,6 +42,10 @@ class MlpSpec:
     target_scale: float = 1000.0  # tensor elements are ~1e-3 mm^2/s; train near unit scale
 
     def __post_init__(self):
+        if not self.input_dim >= 1:
+            raise ValueError(f"input_dim must be positive, not {self.input_dim}")
+        if not 0 < self.target_scale < np.inf:  # NaN fails too
+            raise ValueError(f"target_scale must be positive and finite, not {self.target_scale}")
         self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
         self.uncertainty_widths = tuple(int(w) for w in self.uncertainty_widths)
         for name in ("hidden_widths", "uncertainty_widths"):
@@ -320,6 +324,8 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     voxels = range(len(inputs)) if voxels is None else voxels
+    if len(voxels) != len(inputs):
+        raise ValueError(f"voxels holds {len(voxels)} indices for {len(inputs)} rows")
     draws = (model.make_sample_masks(run_stream(seed, MC_DROPOUT, v), n_samples) for v in voxels)
     masks = [np.concatenate(layer) for layer in zip(*draws)]  # per-row masks freed here
     pred, _ = model.forward(np.repeat(inputs, n_samples, axis=0), masks)

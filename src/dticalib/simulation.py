@@ -82,8 +82,9 @@ class PhantomSpec:
             raise ValueError(f"orientation must be fixed or uniform, not {self.orientation!r}")
         if not self.snr_db > -math.inf:  # NaN fails too
             raise ValueError(f"snr_db must be > -inf, not {self.snr_db}")
-        if self.snr_range is not None and len(self.snr_range) != 2:
-            raise ValueError("snr_range must be (low, high)")
+        snr = self.snr_range
+        if snr is not None and not (len(snr) == 2 and -math.inf < snr[0] <= snr[1] < math.inf):
+            raise ValueError(f"snr_range must be finite (low, high), low <= high, not {snr}")
         if self.generator in ("prolate", "oblate"):  # raises if fa_target is out of reach
             self.axisym_eigenvalues = _axisym_eigenvalues(
                 self.fa_target, self.md, self.generator == "prolate"

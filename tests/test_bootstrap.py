@@ -28,6 +28,7 @@ from dticalib.tensor import (
     matrices_to_elements,
     predict_signal_batch,
 )
+from test_fitting import spy_isotropic_floors
 from test_tensor import eigenvalue_fa_md
 
 
@@ -94,6 +95,13 @@ class TestWildBootstrap:
         with pytest.raises(ValueError):
             wild_bootstrap(np.full(len(scheme), 0.5), scheme, 1, seed=0)
 
+    @pytest.mark.parametrize("iterations", [1000, 30])  # a chunk of one voxel, and of all
+    def test_voxels_must_hold_one_index_per_row(self, iterations):
+        scheme = make_scheme(30)
+        rows = make_phantom(PhantomSpec(n_voxels=2, scheme=scheme, snr_db=25.0, seed=3)).signals
+        with pytest.raises(ValueError, match="^voxels holds 3 indices for 2 rows$"):
+            wild_bootstrap_table(rows, scheme, iterations, 1, voxels=[5, 6, 7])
+
     def test_tracks_monte_carlo_oracle(self):
         # prolate FA 0.8, 30 directions, SNR 30 dB: sigma(FA) within 30%
         scheme = make_scheme(30)
@@ -122,6 +130,20 @@ class TestWildBootstrap:
             got = table[v, [0, 1, 5, 6, 7]]
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
             assert abs(np.dot(table[v, 2:5], evecs[0, 0])) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestIsotropicFloors:
+    def test_theta95_survives_a_rounding_level_signal_scale(self, monkeypatch):
+        # at 12 dB, rows 77 and 83 of this prolate FA 0.8 phantom hold replicates
+        # whose every eigenvalue is floored; each keeps its fit's principal axis
+        scheme = make_scheme(30)
+        spec = PhantomSpec(n_voxels=100, scheme=scheme, snr_db=12.0, seed=1)
+        rows = make_phantom(spec).signals[[77, 83]]
+        floors = spy_isotropic_floors(monkeypatch)
+        table = wild_bootstrap_table(rows, scheme, 200, 1, voxels=[77, 83])
+        assert sum(floors) > 0  # fixture sanity
+        scaled = wild_bootstrap_table(rows * (1 + 2.0**-50), scheme, 200, 1, voxels=[77, 83])
+        assert np.all(np.abs(scaled[:, 5] - table[:, 5]) <= 1e-9)
 
 
 class TestMeanDyadic:
@@ -278,8 +300,8 @@ class TestNoiseMonotonicity:
 class TestRotationInvariance:
     # Rotating the scheme moves the rounding of every fit; over 160 draws at
     # 8-40 dB the largest relative change was 6e-14, so 1e-9 leaves a wide margin.
-    # theta95 is left out: replicates floored to an isotropic tensor have an
-    # arbitrary principal axis.
+    # theta95 is left out: a replicate whose two largest eigenvalues nearly tie
+    # has a principal axis that rounding can turn far.
     RTOL = 1e-9
 
     @settings(max_examples=20, deadline=None)

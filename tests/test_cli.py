@@ -166,6 +166,45 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "data error" in err and "voxel 7, measurement 5" in err
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("estimator", ["wlls", "cwlls"])
+    def test_huge_finite_signals_fit_as_the_voxel_unscaled(self, tmp_path, estimator, scale):
+        # the squared WLLS weights of signals past ~1.3e154 overflow unless each
+        # row of weights is rescaled first
+        body = BASE.format(snr="28") + f"fit.estimator = {estimator}\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        for cmd in ("simulate", "fit"):
+            assert main([cmd, "--config", cfg]) == 0
+        fits = dataio.read_fits(tmp_path / "run/fits.bin")[1]
+        path = tmp_path / "run/dataset.bin"
+        header, signals, truth, _ = dataio.read_dataset(path)
+        signals[7] *= scale
+        dataio.write_dataset(path, signals, "scheme", truth_elements=truth, seed=header["seed"])
+        assert main(["fit", "--config", cfg]) == 0
+        scaled = dataio.read_fits(tmp_path / "run/fits.bin")[1]
+        assert np.array_equal(np.delete(scaled, 7, axis=0), np.delete(fits, 7, axis=0))
+        size = np.abs(fits[7, :6]).max()
+        assert np.all(np.abs(scaled[7, :6] - fits[7, :6]) <= 1e-9 * size)
+        assert scaled[7, 6] - fits[7, 6] == pytest.approx(np.log(scale), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_finite_signals_bootstrap_as_the_voxel_unscaled(self, tmp_path, scale):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        for cmd in ("simulate", "bootstrap"):
+            assert main([cmd, "--config", cfg]) == 0
+        table = dataio.read_predictions(tmp_path / "run/predictions_wbs.bin")[1]
+        path = tmp_path / "run/dataset.bin"
+        header, signals, truth, _ = dataio.read_dataset(path)
+        signals[7] *= scale
+        dataio.write_dataset(path, signals, "scheme", truth_elements=truth, seed=header["seed"])
+        assert main(["bootstrap", "--config", cfg]) == 0
+        scaled = dataio.read_predictions(tmp_path / "run/predictions_wbs.bin")[1]
+        others = np.delete(np.arange(len(table)), 7)
+        assert np.array_equal(scaled[others], table[others], equal_nan=True)
+        cols = [0, 1, 5, 6, 7]  # fa, md, theta95, sigma_fa, sigma_md
+        assert np.all(np.abs(scaled[7, cols] - table[7, cols]) <= 1e-9 * np.abs(table[7, cols]))
+        assert abs(np.dot(scaled[7, 2:5], table[7, 2:5])) == pytest.approx(1.0, abs=1e-12)
+
     def test_nan_fit_is_data_error_naming_voxel_and_element(self, tmp_path, capsys):
         body = BASE.format(snr="28") + "evaluate.predictions = run/fits.bin\n"
         cfg = write_cfg(tmp_path / "e.cfg", body)
@@ -349,6 +388,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: mlp_checkpoint spec refused: ")
         assert "bogus" in err
+        assert not (tmp_path / "run/predictions_dl.bin").exists()
+
+    @pytest.mark.parametrize("field, value", [("target_scale", b"0"), ("input_dim", b"0")])
+    def test_checkpoint_spec_with_bad_value_is_data_error_naming_path_and_field(
+        self, tmp_path, capsys, field, value
+    ):
+        body = BASE.format(snr="28") + "predict.model = m.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "m.bin"
+        spec = mlp.MlpSpec(input_dim=32, hidden_widths=(4,), uncertainty_widths=(3,))
+        mlp.save_checkpoint(path, mlp.TwoBranchMlp(spec))
+        head, rest = path.read_bytes().split(b"\n", 1)
+        key = f'"{field}": '.encode()
+        old = key + str(getattr(spec, field)).encode()
+        assert old in head  # fixture sanity
+        path.write_bytes(head.replace(old, key + value) + b"\n" + rest)
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg, "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: mlp_checkpoint spec refused: {field} must ")
         assert not (tmp_path / "run/predictions_dl.bin").exists()
 
     def test_checkpoint_of_another_scheme_is_data_error_naming_both_files(self, tmp_path, capsys):

@@ -62,6 +62,22 @@ def residuals_of(beta, signals, scheme):
     return log_signal_rows(signals, scheme)[0] - design_matrix(scheme) @ beta
 
 
+def spy_isotropic_floors(monkeypatch):
+    """A list that gains, per floor_eigenvalues_batch call, how many of its rows have
+    every eigenvalue at or below their floor: the rows it floors to isotropy."""
+    counts = []
+    floor_eigenvalues = fitting.floor_eigenvalues_batch
+
+    def spy(elements):
+        evals = np.linalg.eigvalsh(elements_to_matrices(elements))
+        floor = EIGENVALUE_FLOOR_REL * np.maximum(evals.mean(axis=1), EIGENVALUE_FLOOR_MD_MIN)
+        counts.append(int(np.sum(evals.max(axis=1) <= floor)))
+        return floor_eigenvalues(elements)
+
+    monkeypatch.setattr(fitting, "floor_eigenvalues_batch", spy)
+    return counts
+
+
 def eigensystem(elements):
     """Eigenvalues (3,) descending and eigenvector rows (3, 3) of one element row."""
     evals, evecs = eigh3_batch(elements_to_matrices(elements[None]))
@@ -352,6 +368,40 @@ class TestCwlls:
         assert np.allclose(c_evals[keep], w_evals[keep], rtol=1e-10)
         for i in np.flatnonzero(keep):
             assert abs(np.dot(c_evecs[i], w_evecs[i])) == pytest.approx(1.0, abs=1e-8)
+
+    def test_isotropic_floor_keeps_its_own_eigenvectors(self):
+        # every eigenvalue negative: the floor makes floor * I, whose own
+        # decomposition would give axes of rounding noise
+        elements = np.array([[-1.0e-3, -2.0e-3, -0.5e-3, 0.2e-3, -0.1e-3, 0.3e-3]])
+        evals, evecs = eigh3_batch(elements_to_matrices(elements))
+        assert evals.max() < 0  # fixture sanity
+        out, (flo, vecs) = fitting.floor_eigenvalues_batch(elements)
+        floor = EIGENVALUE_FLOOR_REL * EIGENVALUE_FLOOR_MD_MIN
+        assert np.all(flo == floor)
+        assert np.array_equal(vecs, evecs)
+        assert np.allclose(out, [[floor, floor, floor, 0, 0, 0]], rtol=0, atol=1e-15 * floor)
+
+    def test_one_eigensolve_per_row(self, monkeypatch):
+        y, scheme = replicate_log_signals("random_spd", 5.0)
+        wlls = fit_wlls_batch(y, scheme)[0]
+        evals = np.linalg.eigvalsh(elements_to_matrices(wlls[:, :6]))
+        floor = EIGENVALUE_FLOOR_REL * np.maximum(evals.mean(axis=1), EIGENVALUE_FLOOR_MD_MIN)
+        floored = evals.min(axis=1) < floor
+        assert 0 < floored.sum() < len(y)  # fixture sanity: both kinds of row
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return eigh3_batch(mats)
+
+        monkeypatch.setattr(fitting, "eigh3_batch", counted)
+        beta, _, (flo, vecs) = fit_cwlls_batch(y, scheme)
+        assert calls == [len(y)]
+        # the eigensystem returned is that of the projected tensors
+        recon = np.einsum("kji,kj,kjl->kil", vecs, flo, vecs)
+        size = np.abs(flo).max(axis=1)[:, None, None]
+        assert np.all(np.abs(recon - elements_to_matrices(beta[:, :6])) <= 1e-14 * size)
+        assert np.array_equal(beta[~floored, :6], wlls[~floored, :6])
 
     def test_isotropic_truth_md_above_floor(self):
         scheme = make_scheme(30)

@@ -290,7 +290,9 @@ class TestTraining:
 
     @pytest.mark.parametrize("field, value", [
         ("hidden_widths", (0,)), ("hidden_widths", (64, -1)), ("uncertainty_widths", (0,)),
-        ("dropout_rate", 1.5), ("dropout_rate", -0.1),
+        ("dropout_rate", 1.5), ("dropout_rate", -0.1), ("input_dim", 0),
+        ("target_scale", 0.0), ("target_scale", -1000.0), ("target_scale", float("nan")),
+        ("target_scale", float("inf")),
     ])
     def test_spec_rejects_bad_value_naming_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
@@ -362,6 +364,12 @@ class TestMcDropout:
         for v in range(7):
             one = predict_mc_dropout(model, x[v], n_samples=25, seed=50, voxels=[v])[0]
             assert np.allclose(grouped[v], one, rtol=1e-12, atol=0.0)
+
+    def test_voxels_must_hold_one_index_per_row(self):
+        model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)
+        x = np.random.default_rng(2).normal(0.5, 0.1, (2, len(SCHEME)))
+        with pytest.raises(ValueError, match="^voxels holds 3 indices for 2 rows$"):
+            predict_mc_dropout(model, x, n_samples=5, seed=1, voxels=[5, 6, 7])
 
     def test_zero_rate_gives_identical_samples(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.0), seed=3)

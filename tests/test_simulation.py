@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
-from dticalib.bootstrap import summarize_uncertainty
+from dticalib import simulation
+from dticalib.bootstrap import replicate_statistics
 from dticalib.fitting import fit_cwlls_batch, log_signal_rows
 from dticalib.rng import box_muller, rng_from_key
 from dticalib.simulation import (
@@ -25,6 +26,7 @@ from dticalib.tensor import (
     matrices_to_elements,
     predict_signal_batch,
 )
+from test_fitting import spy_isotropic_floors
 
 
 def add_rician(signal, snr_db, rng):
@@ -124,6 +126,11 @@ class TestGenerators:
         scheme = make_scheme(10)
         with pytest.raises(ValueError):
             make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, generator="fixed", seed=0))
+
+    @pytest.mark.parametrize("snr_range", [(np.nan, 20.0), (20.0, np.inf), (30.0, 10.0), (20.0,)])
+    def test_bad_snr_range_is_refused_by_name(self, snr_range):
+        with pytest.raises(ValueError, match="^snr_range must be "):
+            PhantomSpec(n_voxels=1, scheme=make_scheme(10), snr_range=snr_range)
 
 
 class TestPhantomDeterminism:
@@ -249,6 +256,21 @@ class TestMonteCarloOracle:
         truth = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, seed=4)).truth[0]
         monte_carlo_oracle(truth, scheme, 12.0, n_realizations=300, seed=7)
         assert sum(rows >= 300 for rows in calls) == 1
+
+    def test_theta95_survives_a_rounding_level_signal_scale(self, monkeypatch):
+        # voxel 77 of a 12 dB prolate FA 0.8 phantom, at 8 dB: some realizations
+        # have every eigenvalue floored, and each keeps its fit's principal axis
+        scheme = make_scheme(30)
+        spec = PhantomSpec(n_voxels=100, scheme=scheme, snr_db=12.0, seed=1)
+        truth = make_phantom(spec).truth[77]
+        floors = spy_isotropic_floors(monkeypatch)
+        theta95 = monte_carlo_oracle(truth, scheme, 8.0, n_realizations=200, seed=1)[0]
+        assert floors[-1] > 0  # fixture sanity
+        monkeypatch.setattr(
+            simulation, "log_signal_rows", lambda s, sch: log_signal_rows(s * (1 + 2.0**-50), sch)
+        )
+        scaled = monte_carlo_oracle(truth, scheme, 8.0, n_realizations=200, seed=1)[0]
+        assert abs(scaled - theta95) <= 1e-9
 
     def test_rejects_tiny_realization_count(self):
         scheme = make_scheme(20)
@@ -376,13 +398,15 @@ class TestPhantomArrays:
 
 
 def reference_oracle(elements, scheme, snr_db, n_realizations, seed):
-    """The oracle one realization at a time: Rician noise per stream, one batch fit."""
+    """The oracle one realization at a time: Rician noise per stream, one batch fit,
+    whose own eigensystem gives the axes (a floored tensor keeps its fit's axes, which
+    a second decomposition of it would turn by rounding)."""
     clean = predict_signal_batch(elements[None], scheme)[0]
     noisy = np.array(
         [add_rician(clean, snr_db, rng_from_key(seed, k)) for k in range(n_realizations)]
     )
-    beta = fit_cwlls_batch(log_signal_rows(noisy, scheme), scheme)[0]
-    return summarize_uncertainty(beta[None, :, :6])[0]
+    beta, _, (_, evecs) = fit_cwlls_batch(log_signal_rows(noisy, scheme), scheme)
+    return replicate_statistics(beta[:, :6], evecs, n_realizations)[0]
 
 
 class TestOracleReference:

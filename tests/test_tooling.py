@@ -15,6 +15,10 @@ manifest before its work is done.
 
 One keying rule: only rng.py builds a SeedSequence, Generator, Philox or
 default_rng, so every stream is keyed there and nowhere else.
+
+One eigensolver: only tensor.py calls or imports numpy's eig, eigh, eigvals or
+eigvalsh, so every eigensystem is computed by eigh3_batch, where the count of
+decompositions per row can be seen.
 """
 
 import ast
@@ -129,6 +133,20 @@ def stream_builds(tree: ast.Module) -> list:
     return [(called_name(c), c.lineno) for c in calls if called_name(c) in STREAM_BUILDERS]
 
 
+EIGENSOLVERS = ("eig", "eigh", "eigvals", "eigvalsh")
+
+
+def eigensolves(tree: ast.Module) -> list:
+    """(name, line) of each call in tree to, or import of, an eigensolver of
+    EIGENSOLVERS, in line order."""
+    found = [(called_name(node), node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and called_name(node) in EIGENSOLVERS]
+    found += [(alias.name, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name in EIGENSOLVERS]
+    return sorted(found, key=lambda f: (f[1], f[0]))
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -219,3 +237,21 @@ def test_scan_finds_a_stream_built_outside_rng():
     )
     found = sorted(stream_builds(tree), key=lambda f: (f[1], f[0]))
     assert found == [("SeedSequence", 4), ("Philox", 5), ("default_rng", 5), ("Generator", 6)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "tensor.py"], ids=lambda p: p.name
+)
+def test_only_tensor_decomposes(path):
+    assert eigensolves(parse(path)) == []
+
+
+def test_scan_finds_an_eigensolve_outside_tensor():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh as ev\n"
+        "def axes(m):\n"
+        "    w, v = np.linalg.eigh(m)\n"
+        "    return eigh3_batch(m), np.linalg.eig(m), ev(m), np.linalg.svd(m)\n"
+    )
+    assert eigensolves(tree) == [("eigvalsh", 2), ("eigh", 4), ("eig", 5)]
