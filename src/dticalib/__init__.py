@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .tensor import GradientScheme, design_matrix, fa_md
 from .fitting import fit_cwlls_batch, log_signal_rows
 from .bootstrap import (
+    replicate_statistics,
     summarize_uncertainty,
     wild_bootstrap,
     wild_bootstrap_table,
@@ -49,6 +50,7 @@ __all__ = [
     "log_signal_rows",
     "wild_bootstrap",
     "wild_bootstrap_table",
+    "replicate_statistics",
     "summarize_uncertainty",
     "Triples",
     "triples_from_arrays",

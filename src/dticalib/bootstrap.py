@@ -135,19 +135,22 @@ def _wild_replicates(y_hat, scaled, seed, voxels, iterations: int, scheme: Gradi
 
 def wild_bootstrap(
     signals, scheme: GradientScheme, iterations: int = 1000, seed: int = 0
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Wild-bootstrap replicates of the constrained WLLS fit of one voxel.
 
     The base fit supplies fitted log-signals, residuals and leverage. Each
     replicate flips residual signs with Rademacher draws and rescales them
     by 1/sqrt(1-h) before refitting, which keeps the resampling valid under
     heteroscedastic noise. The signs are voxel 0's of run `seed`. Returns
-    the (iterations, 6) replicate elements.
+    the (iterations, 6) replicate elements and their fits' own eigenvector
+    rows (iterations, 3, 3), what ``replicate_statistics`` reduces: a
+    replicate floored to isotropy keeps its fit's axes, which its elements
+    alone have lost.
     """
     if iterations < MIN_REPLICATES:
         raise ValueError(f"iterations must be >= {MIN_REPLICATES}")
     y_hat, scaled, _ = _wild_base(log_signal_rows(signals, scheme), scheme)
-    return _wild_replicates(y_hat, scaled, seed, [0], iterations, scheme)[0]
+    return _wild_replicates(y_hat, scaled, seed, [0], iterations, scheme)
 
 
 def wild_bootstrap_table(
@@ -157,8 +160,10 @@ def wild_bootstrap_table(
 
     Row i holds voxel voxels[i] of run `seed` (voxels 0..n-1 by default); a
     row of voxel 0 is resampled exactly as ``wild_bootstrap(signals[i],
-    scheme, iterations, seed)``. Replicates are refitted CHUNK_ROWS rows
-    (whole voxels) at a time, and each replicate is decomposed once.
+    scheme, iterations, seed)``, and its theta95, sigma_fa and sigma_md are
+    ``replicate_statistics`` of those replicates. Replicates are refitted
+    CHUNK_ROWS rows (whole voxels) at a time, and each replicate is
+    decomposed once.
 
     Returns the (n, 9) prediction table: fa, md, v1 (3) of the base CWLLS
     fit, then theta95, sigma_fa, sigma_md, and NaN for aleatoric u.

@@ -7,8 +7,9 @@ which ``log_signal_rows`` makes from signals; no kernel takes a log itself:
                          shared projection R^-1 Q^T of X
 * ``fit_wlls_batch``  -- two-pass: OLS, then a weighted solve with weights
                          exp(2 * predicted ln S), through the normal equations
-                         of the column-equilibrated design (batched QR for
-                         rows whose weighted condition bound is too large)
+                         of the column-equilibrated design (Cholesky; batched
+                         QR for rows whose weighted condition bound is too
+                         large)
 * ``fit_cwlls_batch`` -- WLLS followed by an eigenvalue floor (SPD projection)
 
 Each returns the parameters (k, 7) and the largest condition number of the
@@ -16,11 +17,14 @@ Each returns the parameters (k, 7) and the largest condition number of the
 tensors. ``weighted_leverage`` is the hat-matrix diagonal of the WLLS
 weighted designs, which only the wild bootstrap's base fit reads.
 
-Row-axis products use einsum, elementwise arithmetic and per-matrix batched
-LAPACK (qr, single-rhs solve) only, never BLAS matmul or multi-rhs solves:
-each row's result is then bitwise independent of its batch, so a voxel's
-fit does not depend on which batch it is fitted in (one voxel is a one-row
-batch), which the bootstrap's chunk-size invariance relies on.
+The normal equations are solved by a Cholesky written elementwise on the
+row axis. Per-matrix batched LAPACK (qr, single-rhs solve) runs only on the
+rows past the normal-equations bound and on the rows whose Cholesky pivot
+fails. Row-axis products use einsum and elementwise arithmetic, never BLAS
+matmul or multi-rhs solves: each row's result is then bitwise independent
+of its batch, so a voxel's fit does not depend on which batch it is fitted
+in (one voxel is a one-row batch), which the bootstrap's chunk-size
+invariance relies on.
 """
 
 from __future__ import annotations
@@ -80,19 +84,55 @@ _UPPER = np.triu_indices(7)
 # position among the 28 upper-triangle entries of each (i, j) of a 7x7
 _SYMMETRIC = np.zeros((7, 7), dtype=np.intp)
 _SYMMETRIC[_UPPER] = _SYMMETRIC.T[_UPPER] = np.arange(len(_UPPER[0]))
+_DIAGONAL = np.arange(7)
+
+
+def _normal_equations(xt: np.ndarray, w: np.ndarray, y: np.ndarray):
+    """G = xs^T W xs as (7, 7, k) and xs^T W y as (7, k), row axis last, from the
+    transposed design xt (7, m), the weights w (k, m) and the log-signals y (k, m).
+    G contracts the weights against the 28 products xs_i * xs_j, i <= j."""
+    rhs = np.einsum("jm,km->jk", xt, w * y)
+    return np.einsum("km,pm->pk", w, xt[_UPPER[0]] * xt[_UPPER[1]])[_SYMMETRIC], rhs
 
 
 def _normal_solve_batch(xs: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Weighted least squares through the 7x7 Gram matrices G = xs^T W xs.
 
     xs (m, 7) is the column-equilibrated design, w (k, m) the weights and
-    y (k, m) the log-signals; G contracts the weights against the 28
-    products xs_i * xs_j, i <= j. Returns beta of xs (k, 7).
+    y (k, m) the log-signals. G is solved by Cholesky, elementwise on the row
+    axis: the factor L and the forward and back substitutions are ufunc
+    steps on (k,) rows of its entries. A row whose pivot is not positive and
+    finite, or whose result is not finite, is solved by np.linalg.solve
+    instead. Returns beta of xs (k, 7).
     """
-    outer = xs[:, _UPPER[0]] * xs[:, _UPPER[1]]
-    gram = np.einsum("km,mp->kp", w, outer)[:, _SYMMETRIC]
-    rhs = np.einsum("mj,km->kj", xs, w * y)
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    xt = np.ascontiguousarray(xs.T)
+    low, z = _normal_equations(xt, w, y)  # L in low's lower triangle; z: L^-1 rhs, then beta
+    n = len(z)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # bad pivots: below
+        for j in range(n):
+            col = low[j:, j]
+            for m in range(j):
+                col -= low[j:, m] * low[j, m]
+            col[0] = np.sqrt(col[0])
+            col[1:] /= col[0]
+            z[j] /= col[0]
+            z[j + 1 :] -= col[1:] * z[j]
+        for i in range(n - 1, -1, -1):
+            z[i] /= low[i, i]
+            z[:i] -= low[i, :i] * z[i]
+    roots = low[_DIAGONAL, _DIAGONAL]  # the pivots' square roots
+    loose = ~(np.all((roots > 0) & (roots < np.inf), axis=0) & np.all(np.isfinite(z), axis=0))
+    if np.any(loose):
+        gram, rhs = _normal_equations(xt, w[loose], y[loose])
+        z[:, loose] = np.linalg.solve(gram.transpose(2, 0, 1), rhs.T[..., None])[..., 0].T
+    return z.T
+
+
+def _row_ratio(a: np.ndarray) -> np.ndarray:
+    """max / min of each row of a (k, m), reduced along the contiguous axis of a
+    transposed copy: numpy reduces short rows along axis 1 several times slower."""
+    columns = np.ascontiguousarray(a.T)
+    return columns.max(axis=0) / columns.min(axis=0)
 
 
 def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: np.ndarray):
@@ -111,7 +151,7 @@ def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: n
 
     Returns (beta (k, 7), per-row condition numbers or their bounds (k,)).
     """
-    ratio = sqrt_w.max(axis=1) / sqrt_w.min(axis=1)
+    ratio = _row_ratio(sqrt_w)
     conds = cond_x * ratio
     loose = ~(conds <= CONDITION_LIMIT)
     if np.any(loose):
@@ -122,9 +162,10 @@ def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: n
     xs = x / scale
     normal = np.linalg.cond(xs) * ratio <= NORMAL_EQUATIONS_LIMIT
     beta = np.empty((len(y), x.shape[1]))
+    rows = slice(None) if np.all(normal) else normal  # views when every row is normal
     if np.any(normal):
-        w = sqrt_w[normal] * sqrt_w[normal]
-        beta[normal] = _normal_solve_batch(xs, w, y[normal]) / scale
+        w = sqrt_w[rows] * sqrt_w[rows]
+        beta[rows] = _normal_solve_batch(xs, w, y[rows]) / scale
     if not np.all(normal):
         qr = ~normal
         beta[qr] = _qr_solve_batch(sqrt_w[qr, :, None] * x, sqrt_w[qr] * y[qr])
@@ -149,8 +190,9 @@ def _wlls_sqrt_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     of two that puts its largest in [0.5, 1), so that squares cannot overflow: the
     square roots of the WLLS weights exp(2 * predicted ln S), to a row factor WLLS ignores."""
     beta0 = np.einsum("jm,km->kj", _ols_projection(x), y)
-    sqrt_w = np.exp(np.einsum("kj,mj->km", beta0, x))
-    return np.ldexp(sqrt_w, -np.frexp(sqrt_w.max(axis=1))[1][:, None])
+    sqrt_w = np.exp(np.einsum("kj,jm->km", beta0, np.ascontiguousarray(x.T)))
+    largest = np.ascontiguousarray(sqrt_w.T).max(axis=0)  # faster than along axis 1
+    return np.ldexp(sqrt_w, -np.frexp(largest)[1][:, None])
 
 
 def fit_ols_batch(y: np.ndarray, scheme: GradientScheme):

@@ -2,9 +2,14 @@
 
 `fa_md` is the one FA/MD formula: elementwise, from the six elements, for
 truth, point estimates and replicates alike. Eigensolves give only axes (and
-the eigenvalues fitting's SPD floor clamps). `principal_scalars` adds the
-principal axis in closed form (Smith's lambda1, v1 from cross products) and
-marks the rows it cannot settle loose: near-degenerate lambda1 or isotropic.
+the eigenvalues fitting's SPD floor clamps). `eigh3_batch` solves every row
+in closed form, elementwise on the row axis: Smith's lambda1 and lambda3
+(Smith 1961, CACM 4(4):168), v1 and v3 from the cross products of
+D - lambda I (Kopp 2008, arXiv:physics/0610206), v2 = v3 x v1, and the
+eigenvalues as Rayleigh quotients. Only the rows it cannot settle, which are
+non-finite, zero or isotropic, or have lambda1 or lambda3 near lambda2, go to
+LAPACK. `principal_scalars` runs the same helpers for the principal axis
+alone and marks the rows whose lambda1 it cannot settle loose.
 
 Conventions used throughout the package:
 
@@ -21,8 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 DIRECTION_NORM_TOL = 1e-9
-# principal_scalars: cross-product threshold below which a row is loose
+# eigh3_batch and principal_scalars: cross-product threshold below which an axis
+# is loose
 CROSS_PRODUCT_TOL = 1e-4
+_LOWER = np.array([0, 4, 8, 3, 6, 7])  # the six elements' places in a flattened 3x3
+_THIRDS = np.array([[0.0], [2.0 * np.pi / 3.0]])  # Smith's angles of lambda1, lambda3
+# (i, j, k, l) index columns of _products over the rows (a, b, c, xy, xz, yz):
+# the minors along a symmetric matrix's first row, its adjugate (m00, m11, m22,
+# m01, m02, m12), and over the rows (u, v) of two vectors, u x v
+_FIRST_ROW = np.array([0, 3, 4])
+_FIRST_ROW_MINORS = np.array([[1, 3, 3], [2, 2, 5], [5, 5, 1], [5, 4, 4]])
+_ADJUGATE = np.array([[1, 0, 0, 4, 3, 3], [2, 2, 1, 5, 5, 4],
+                      [5, 4, 3, 3, 1, 0], [5, 4, 3, 2, 4, 5]])
+_ADJUGATE_COLUMNS = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_CROSS = np.array([[1, 2, 0], [5, 3, 4], [2, 0, 1], [4, 5, 3]])
 
 
 @dataclass
@@ -94,10 +111,15 @@ def design_matrix(scheme: GradientScheme) -> np.ndarray:
 
 
 def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a batch of symmetric 3x3 matrices (LAPACK, via numpy).
+    """Eigen-decompose a batch of symmetric 3x3 matrices (lower triangles read).
 
-    Each matrix is decomposed on its own, so a row's result does not depend
-    on what else is in the batch.
+    Every row is solved in closed form: Smith's lambda1 and lambda3 give v1
+    and v3 from the adjugates of (D - lambda I), and v2 = v3 x v1; the
+    eigenvalues are their Rayleigh quotients v^T D v. A row is loose when
+    either axis is (non-finite, zero or isotropic rows, and lambda1 or
+    lambda3 near lambda2); LAPACK (numpy's eigh) decomposes the loose rows.
+    Each row is computed on its own, so its result does not depend on what
+    else is in the batch.
 
     Args:
         mats: (n, 3, 3) symmetric matrices.
@@ -109,37 +131,119 @@ def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(mats, dtype=np.float64)
     if a.ndim != 3 or a.shape[1:] != (3, 3):
         raise ValueError("expected (n, 3, 3) input")
-    evals, evecs = np.linalg.eigh(a)
-    # ascending columns -> descending rows; the eigenvectors stay a view
-    return np.ascontiguousarray(evals[:, ::-1]), evecs[:, :, ::-1].swapaxes(1, 2)
+    e = a.reshape(-1, 9).T[_LOWER]
+    _, cols, scale, dev2, norm2 = _deviatoric(e)
+    q, p2, phi = _smith(cols)
+    axes, sure = _adjugate_axes(cols, q + p2 * np.cos(phi + _THIRDS), dev2, norm2)
+    sure = sure[0] & sure[1]
+    vecs = np.empty((3, 3, len(a)))  # eigenvector, component, row
+    vecs[0], vecs[2] = axes[:, 0], axes[:, 1]
+    vecs[1] = _products(np.concatenate([vecs[2], vecs[0]]), _CROSS)  # v3 x v1
+    # Rayleigh quotients v^T D v on D itself, at the deviatoric's exact scale,
+    # keep a small eigenvalue's relative accuracy, which lambda - MD loses
+    xx, yy, zz, xy, xz, yz = np.where(sure, e, 0.0) * scale
+    x, y, z = vecs[:, 0], vecs[:, 1], vecs[:, 2]
+    vals = xx * x * x + yy * y * y + zz * z * z + 2.0 * (xy * x * y + xz * x * z + yz * y * z)
+    vals /= scale
+    loose = ~sure
+    if loose.any():
+        w, v = np.linalg.eigh(a[loose])
+        vals[:, loose] = w.T[::-1]
+        vecs[:, :, loose] = v.transpose(2, 1, 0)[::-1]
+    # C order: strides that do not depend on n, so neither do later einsum loops
+    return np.ascontiguousarray(vals.T), np.ascontiguousarray(vecs.transpose(2, 0, 1))
 
 
-def _fa_md_parts(elements):
-    """fa_md of (..., 6) rows; then the deviatoric D - MD I, elements on the leading
-    axis, at an exact power-of-two scale that puts its largest entry in [0.5, 1)
-    (below, if it is subnormal) so fourth powers stay in range, and the squared
-    norms dev2 of it and norm2 of D at that scale. A non-finite row, or one whose
-    trace overflows, runs as zeros."""
+def _element_columns(elements):
+    """(6, ...) C-ordered columns of (..., 6) tensor rows: every later step then
+    reads contiguous rows."""
     e = np.asarray(elements, dtype=np.float64)
     if e.shape[-1:] != (6,):
         raise ValueError("expected (..., 6) input")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
-        trace = e[..., 0] + e[..., 1] + e[..., 2]
-    finite = np.isfinite(trace) & np.all(np.isfinite(e[..., 3:]), axis=-1)
-    cols = np.where(finite, np.ascontiguousarray(np.moveaxis(e, -1, 0)), 0.0)
-    md = np.where(finite, trace, 0.0) / 3.0
-    cols[:3] -= md
-    exponent = np.frexp(np.max(np.abs(cols), axis=0))[1]
-    scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
-    cols *= scale
-    a, b, c, xy, xz, yz = cols
-    dev2 = a * a + b * b + c * c + 2.0 * (xy * xy + xz * xz + yz * yz)
-    with np.errstate(over="ignore"):  # MD beyond 1e154 x the anisotropy: inf, loose
+    return np.ascontiguousarray(np.moveaxis(e, -1, 0))
+
+
+def _deviatoric(e):
+    """The deviatoric D - MD I of tensor rows given as (6, ...) columns e, at an
+    exact power-of-two scale that puts its largest entry in [0.5, 1) (below, if
+    it is subnormal) so fourth powers stay in range. Returns md (...), that
+    deviatoric (6, ...), the scale, and the squared norms dev2 of it and norm2
+    of D at that scale. A non-finite row, or one whose trace overflows, runs as
+    zeros with a NaN md."""
+    # inf - inf in the trace; MD beyond 1e154 x the anisotropy overflows norm2: loose
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = e[0] + e[1] + e[2]
+        finite = np.isfinite(trace) & np.logical_and.reduce(np.isfinite(e[3:]))
+        cols = np.where(finite, e, 0.0)
+        md = np.where(finite, trace, 0.0) / 3.0
+        cols[:3] -= md
+        exponent = np.frexp(np.maximum.reduce(np.abs(cols)))[1]
+        scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
+        cols *= scale
+        sq = cols * cols
+        dev2 = sq[0] + sq[1] + sq[2] + 2.0 * (sq[3] + sq[4] + sq[5])
         mds = md * scale
         norm2 = dev2 + 3.0 * (mds * mds)
-    fa = np.sqrt(np.divide(1.5 * dev2, norm2, out=np.zeros_like(dev2), where=norm2 > 0))
-    fa = np.where(finite, np.clip(fa, 0.0, 1.0), np.nan)
-    return fa, np.where(finite, md, np.nan), cols, dev2, norm2
+    return np.where(finite, md, np.nan), cols, scale, dev2, norm2
+
+
+def _fa(md, dev2, norm2):
+    """FA from _deviatoric's parts: NaN where md is."""
+    fa = np.sqrt(np.divide(1.5 * dev2, norm2, out=np.zeros(dev2.shape), where=norm2 > 0))
+    return np.where(np.isnan(md), np.nan, np.minimum(fa, 1.0))
+
+
+def _products(f, pairs):
+    """f[i] * f[j] - f[k] * f[l] for each (i, j, k, l) column of pairs, along f's
+    leading axis: one ufunc call per step, whatever the number of products."""
+    i, j, k, l = pairs
+    return f[i] * f[j] - f[k] * f[l]
+
+
+def _smith(cols):
+    """q, 2p and phi of Smith's eigenvalues q + 2p cos(phi + 2 pi k / 3) of the
+    symmetric rows cols (a, b, c, xy, xz, yz): k = 0 gives lambda1 and k = 1
+    lambda3 (Smith 1961, CACM 4(4):168)."""
+    q = (cols[0] + cols[1] + cols[2]) / 3.0  # the rounding left in the deviatoric's trace
+    f = cols.copy()
+    f[:3] -= q
+    sq = f * f
+    p = np.sqrt((sq[0] + sq[1] + sq[2] + 2.0 * (sq[3] + sq[4] + sq[5])) / 6.0)
+    # det f along its first row: a0 (b0 c0 - yz^2) - xy (xy c0 - yz xz) + xz (xy yz - b0 xz)
+    minors = f[_FIRST_ROW] * _products(f, _FIRST_ROW_MINORS)
+    det = minors[0] - minors[1] + minors[2]
+    half_det = np.divide(det, 2.0 * p * p * p, out=np.zeros(p.shape), where=p > 0)
+    return q, 2.0 * p, np.arccos(np.maximum(np.minimum(half_det, 1.0), -1.0)) / 3.0
+
+
+def _adjugate_axes(cols, lam, dev2, norm2):
+    """Unit axes (3, j, ...) of _deviatoric's cols (6, ...) for their eigenvalues
+    lam (j, ...), and which of them are sure (j, ...).
+
+    The axis is the largest of the three row cross products of M = cols - lam I,
+    the columns of its adjugate (Kopp 2008, arXiv:physics/0610206), the first
+    on a tie. It loses accuracy as lam nears another eigenvalue (its error grows
+    as eps / gap^2), so an axis is sure only when that largest squared cross
+    product exceeds CROSS_PRODUCT_TOL * dev2 * max(dev2, CROSS_PRODUCT_TOL * norm2):
+    the first factor bounds the closed form's error, the second marks rows whose
+    anisotropy is too near the rounding of ||D|| for any solver to fix an axis.
+    Zero rows, and so _deviatoric's non-finite ones, are never sure.
+    """
+    m = np.empty((6,) + lam.shape)
+    m[:3] = cols[:3, None] - lam
+    m[3:] = cols[3:, None]
+    adjugate = _products(m, _ADJUGATE)[_ADJUGATE_COLUMNS]  # (column, component, ...)
+    sq = adjugate * adjugate
+    sq = sq[:, 0] + sq[:, 1] + sq[:, 2]
+    pick0 = (sq[0] >= sq[1]) & (sq[0] >= sq[2])
+    pick1 = ~pick0 & (sq[1] >= sq[2])
+    best = np.where(pick0, sq[0], np.where(pick1, sq[1], sq[2]))
+    axes = np.where(pick0, adjugate[0], np.where(pick1, adjugate[1], adjugate[2]))
+    axes /= np.sqrt(np.where(best > 0, best, 1.0))
+    sure = (best > CROSS_PRODUCT_TOL * dev2 * dev2) & (
+        best > CROSS_PRODUCT_TOL * CROSS_PRODUCT_TOL * dev2 * norm2
+    )
+    return axes, sure
 
 
 def fa_md(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,62 +254,30 @@ def fa_md(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are NaN for a row that is non-finite or whose trace overflows. Elementwise,
     so a row does not depend on its batch.
     """
-    return _fa_md_parts(elements)[:2]
+    md, _, _, dev2, norm2 = _deviatoric(_element_columns(elements))
+    return _fa(md, dev2, norm2), md
 
 
 def principal_scalars(elements: np.ndarray):
     """fa_md and the closed-form principal axis of (..., 6) rows, with a loose mask.
 
-    lambda1 of the deviatoric comes from Smith's trigonometric formula
-    (Smith 1961, CACM 4(4):168) and v1 is the largest of the three row cross
-    products of (D - MD I) - lambda1 I, the columns of its adjugate (Kopp
-    2008, arXiv:physics/0610206). Each row is computed on its own,
-    elementwise, so it does not depend on what else is in the batch.
-
-    Smith's lambda1 loses accuracy as lambda1 nears lambda2, and v1 with it
-    (its error grows as eps / gap^2). A row is loose when that largest squared
-    cross product is at most
-    CROSS_PRODUCT_TOL * ||D - MD I||^2 * max(||D - MD I||^2, CROSS_PRODUCT_TOL * ||D||^2):
-    the first factor bounds the closed form's error, the second marks rows
-    whose anisotropy is too near the rounding of ||D|| for any solver to fix
-    an axis. Isotropic rows and fa_md's NaN rows are loose. Loose rows carry
-    no usable v1; callers decompose them with eigh3_batch.
+    lambda1 of the deviatoric comes from Smith's formula and v1 from the
+    adjugate of (D - MD I) - lambda1 I, bit for bit as eigh3_batch's closed
+    form computes them. A row is loose when that axis is not sure (see
+    _adjugate_axes): isotropic rows, fa_md's NaN rows, and rows whose lambda1
+    nears lambda2. Each row is computed on its own, elementwise, so it does
+    not depend on what else is in the batch. Loose rows carry no usable v1;
+    callers decompose them with eigh3_batch, which finds them loose too and
+    hands them to LAPACK.
 
     Returns:
         fa (...), md (...), v1 (..., 3) unit rows, loose (...) bool.
     """
-    fa, md, (a, b, c, xy, xz, yz), dev2, norm2 = _fa_md_parts(elements)
-    off2 = xy * xy + xz * xz + yz * yz
-    q = (a + b + c) / 3.0  # the rounding left in the deviatoric's trace
-    a0, b0, c0 = a - q, b - q, c - q
-    p = np.sqrt((a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * off2) / 6.0)
-    det = a0 * (b0 * c0 - yz * yz) - xy * (xy * c0 - yz * xz) + xz * (xy * yz - b0 * xz)
-    half_det = np.divide(det, 2.0 * p * p * p, out=np.zeros_like(p), where=p > 0)
-    lam1 = q + 2.0 * p * np.cos(np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0)
-
-    # adjugate of M = dev - lam1 I; its columns are the row cross products of M
-    am, bm, cm = a - lam1, b - lam1, c - lam1
-    m00, m11, m22 = bm * cm - yz * yz, am * cm - xz * xz, am * bm - xy * xy
-    m01, m02, m12 = xz * yz - xy * cm, xy * yz - bm * xz, xy * xz - am * yz
-    sq0 = m00 * m00 + m01 * m01 + m02 * m02
-    sq1 = m01 * m01 + m11 * m11 + m12 * m12
-    sq2 = m02 * m02 + m12 * m12 + m22 * m22
-    pick0 = (sq0 >= sq1) & (sq0 >= sq2)
-    pick1 = ~pick0 & (sq1 >= sq2)
-    best = np.where(pick0, sq0, np.where(pick1, sq1, sq2))
-    v1 = np.stack(
-        [
-            np.where(pick0, m00, np.where(pick1, m01, m02)),
-            np.where(pick0, m01, np.where(pick1, m11, m12)),
-            np.where(pick0, m02, np.where(pick1, m12, m22)),
-        ],
-        axis=-1,
-    )
-    v1 /= np.sqrt(np.where(best > 0, best, 1.0))[..., None]
-    sure = (best > CROSS_PRODUCT_TOL * dev2 * dev2) & (
-        best > CROSS_PRODUCT_TOL * CROSS_PRODUCT_TOL * dev2 * norm2
-    )
-    return fa, md, v1, ~sure
+    md, cols, _, dev2, norm2 = _deviatoric(_element_columns(elements))
+    q, p2, phi = _smith(cols)
+    v1, sure = _adjugate_axes(cols, (q + p2 * np.cos(phi))[None], dev2, norm2)
+    v1 = np.ascontiguousarray(np.moveaxis(v1[:, 0], 0, -1))
+    return _fa(md, dev2, norm2), md, v1, ~sure[0]
 
 
 def elements_to_matrices(elements: np.ndarray) -> np.ndarray:

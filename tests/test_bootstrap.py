@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dticalib.bootstrap import (
     SaturatedLeverageError,
     _mean_dyadic_axes,
+    replicate_statistics,
     summarize_uncertainty,
     wild_bootstrap,
     wild_bootstrap_table,
@@ -46,6 +47,12 @@ def summary(samples):
     return summarize_uncertainty(samples[None])[0]
 
 
+def wbs_summary(signals, scheme, iterations, seed):
+    """(theta95, sigma_fa, sigma_md) of one voxel's wild bootstrap, reduced with its
+    replicates' own eigenvectors: the per-voxel path."""
+    return replicate_statistics(*wild_bootstrap(signals, scheme, iterations, seed), iterations)[0]
+
+
 def mean_dyadic(samples):
     """Mean dyadic axis of one (k, 6) replicate set's principal directions."""
     axes = np.ascontiguousarray(eigh3_batch(elements_to_matrices(samples))[1][:, 0])
@@ -62,10 +69,11 @@ class TestWildBootstrap:
         # machine-precision rather than bitwise
         scheme = make_scheme(30)
         truth = np.array([[1.4e-3, 0.5e-3, 0.5e-3, 0.1e-3, 0, 0]])
-        samples = wild_bootstrap(predict_signal_batch(truth, scheme)[0], scheme, 200, seed=1)
+        signals = predict_signal_batch(truth, scheme)[0]
+        samples = wild_bootstrap(signals, scheme, 200, seed=1)[0]
         spread = samples.max(axis=0) - samples.min(axis=0)
         assert np.max(spread) < 1e-15
-        theta95, sigma_fa, sigma_md = summary(samples)
+        theta95, sigma_fa, sigma_md = wbs_summary(signals, scheme, 200, 1)
         assert sigma_fa < 1e-12
         assert sigma_md < 1e-15
         assert theta95 < 1e-5
@@ -77,9 +85,9 @@ class TestWildBootstrap:
         ).signals[0]
         a = wild_bootstrap(signals, scheme, 100, seed=9)
         b = wild_bootstrap(signals, scheme, 100, seed=9)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = wild_bootstrap(signals, scheme, 100, seed=10)
-        assert not np.array_equal(a, c)
+        assert not np.array_equal(a[0], c[0])
 
     def test_single_b0_scheme_saturates(self):
         # one shell + one b=0 row: that row is an exact interpolation point
@@ -110,26 +118,31 @@ class TestWildBootstrap:
             md=0.9e-3, orientation="uniform", snr_db=30.0, seed=12,
         )
         phantom = make_phantom(spec)
-        wbs = summary(wild_bootstrap(phantom.signals[0], scheme, 1000, seed=5))
+        wbs = wbs_summary(phantom.signals[0], scheme, 1000, 5)
         orc = monte_carlo_oracle(phantom.truth[0], scheme, 30.0, n_realizations=2000, seed=6)
         assert abs(wbs[1] / orc[1] - 1) <= 0.30  # sigma_fa
 
-    def test_table_matches_per_voxel_path(self):
-        # low SNR, so some replicates hit the eigenvalue floor
+    def test_table_matches_per_voxel_path(self, monkeypatch):
+        # low SNR, so some replicates hit the eigenvalue floor; the last row is
+        # voxel 83 of the 12 dB phantom of TestIsotropicFloors, some of whose
+        # replicates are floored to isotropy and keep only their fits' axes
         scheme = make_scheme(30)
         spec = PhantomSpec(n_voxels=6, scheme=scheme, fa_target=0.9, md=0.5e-3,
                            snr_db=12.0, seed=8)
-        signals = make_phantom(spec).signals
+        floored = make_phantom(PhantomSpec(n_voxels=100, scheme=scheme, snr_db=12.0, seed=1))
+        signals = np.concatenate([make_phantom(spec).signals, floored.signals[83:84]])
         # every row keyed as voxel 0, the one voxel wild_bootstrap resamples
-        table = wild_bootstrap_table(signals, scheme, 150, 40, voxels=[0] * len(signals))
-        assert table.shape == (6, 9) and np.all(np.isnan(table[:, 8]))
+        table = wild_bootstrap_table(signals, scheme, 200, 1, voxels=[0] * len(signals))
+        assert table.shape == (7, 9) and np.all(np.isnan(table[:, 8]))
+        floors = spy_isotropic_floors(monkeypatch)
         for v in range(len(signals)):
             evals, evecs = fit_cwlls_batch(log_signal_rows(signals[v], scheme), scheme)[2]
             fa, md = eigenvalue_fa_md(evals[0])
-            expected = [fa, md, *summary(wild_bootstrap(signals[v], scheme, 150, 40))]
+            expected = [fa, md, *wbs_summary(signals[v], scheme, 200, 1)]
             got = table[v, [0, 1, 5, 6, 7]]
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
             assert abs(np.dot(table[v, 2:5], evecs[0, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert floors[-1] > 0  # fixture sanity: the last row's replicate refits
 
 
 class TestIsotropicFloors:
@@ -251,7 +264,7 @@ class TestSummarize:
         # two-pass numpy std against an incremental Welford accumulation
         scheme = make_scheme(30)
         signals = make_phantom(PhantomSpec(n_voxels=1, scheme=scheme, snr_db=28.0, seed=4)).signals[0]
-        samples = wild_bootstrap(signals, scheme, 1000, seed=2)
+        samples = wild_bootstrap(signals, scheme, 1000, seed=2)[0]
         fa, md = eigenvalue_fa_md(eigh3_batch(elements_to_matrices(samples))[0])
         _, sigma_fa, sigma_md = summary(samples)
         for values, got in ((fa, sigma_fa), (md, sigma_md)):
@@ -274,7 +287,7 @@ class TestNoiseMonotonicity:
                 md=0.9e-3, orientation="uniform", snr_db=snr, seed=31,
             )
             vals = [
-                summary(wild_bootstrap(row, scheme, 300, seed=100 + v))[1]
+                wbs_summary(row, scheme, 300, 100 + v)[1]
                 for v, row in enumerate(make_phantom(spec).signals)
             ]
             medians[snr] = np.median(vals)
@@ -290,7 +303,7 @@ class TestNoiseMonotonicity:
                 md=0.9e-3, orientation="uniform", snr_db=25.0, seed=37,
             )
             vals = [
-                summary(wild_bootstrap(row, scheme, 300, seed=500 + v))[0]
+                wbs_summary(row, scheme, 300, 500 + v)[0]
                 for v, row in enumerate(make_phantom(spec).signals)
             ]
             medians[fa] = np.median(vals)

@@ -268,6 +268,52 @@ class TestNormalEquations:
         assert np.all(leverage >= -1e-12) and np.all(leverage <= 1 + 1e-12)
 
 
+def gram_systems(y, scheme):
+    """The WLLS weighted pass's normal equations of (k, m) log-signal rows y, built
+    here: the equilibrated design xs (m, 7), the weights w (k, m), and the Gram
+    matrices (k, 7, 7) and right-hand sides (k, 7)."""
+    x = design_matrix(scheme)
+    xs = x / np.linalg.norm(x, axis=0)
+    sqrt_w = fitting._wlls_sqrt_weights(x, y)
+    w = sqrt_w * sqrt_w
+    return xs, w, np.einsum("mi,km,mj->kij", xs, w, xs), np.einsum("mj,km->kj", xs, w * y)
+
+
+class TestCholeskySolve:
+    def test_matches_lapack_solve(self):
+        y, scheme = replicate_log_signals("prolate", 28.0)
+        xs, w, gram, rhs = gram_systems(y, scheme)
+        beta = fitting._normal_solve_batch(xs, w, y)
+        expected = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        assert np.all(np.abs(beta - expected) <= 1e-10 * np.abs(expected).max(axis=1)[:, None])
+
+    def test_non_positive_pivot_takes_lapack_solve(self, monkeypatch):
+        y, scheme = replicate_log_signals("prolate", 28.0, n_voxels=2, iterations=4)
+        xs, w, _, _ = gram_systems(y, scheme)
+        # a negative weight on the largest xs_m0^2 makes the first pivot negative
+        w[3, np.argmax(xs[:, 0] ** 2)] = -1e3
+        gram = np.einsum("mi,km,mj->kij", xs, w, xs)
+        rhs = np.einsum("mj,km->kj", xs, w * y)
+        assert gram[3, 0, 0] < 0 < gram[np.arange(len(y)) != 3, 0, 0].min()  # fixture sanity
+        solved = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = fitting._normal_solve_batch(xs, w, y)
+        assert solved == [1] and np.all(np.isfinite(beta))
+        expected = solve(gram[3], rhs[3])
+        assert np.all(np.abs(beta[3] - expected) <= 1e-10 * np.abs(expected).max())
+        for row in range(len(y)):
+            alone = fitting._normal_solve_batch(xs, w[row : row + 1], y[row : row + 1])
+            assert np.array_equal(alone[0], beta[row])
+
+
 class TestRowsAloneAsInBatch:
     """Every kernel and the leverage give each row bitwise what it gets alone."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dticalib import pipeline
+from dticalib.bootstrap import wild_bootstrap
 from dticalib.fitting import fit_ols_batch, log_signal_rows
 from dticalib.pipeline import tensor_scalars
 from dticalib.tensor import (
@@ -17,7 +18,15 @@ from dticalib.tensor import (
     predict_signal_batch,
     principal_scalars,
 )
-from dticalib.simulation import _unit_quaternion, make_scheme, quaternion_rotations
+from dticalib.simulation import (
+    PhantomSpec,
+    _unit_quaternion,
+    make_phantom,
+    make_scheme,
+    quaternion_rotations,
+)
+
+LAPACK_EIGH = np.linalg.eigh  # the reference, bound before any test spies on it
 
 
 def diag_tensor(dxx, dyy, dzz):
@@ -40,6 +49,36 @@ def eigenvalue_fa_md(evals):
     num = 1.5 * np.sum(dev * dev, axis=-1)
     fa = np.sqrt(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0))
     return np.clip(fa, 0.0, 1.0), md
+
+
+def lapack_reference(mats):
+    """Eigenvalues (n, 3) descending and eigenvector rows (n, 3, 3) from numpy's eigh."""
+    evals, evecs = LAPACK_EIGH(mats)
+    return evals[:, ::-1], evecs[:, :, ::-1].swapaxes(1, 2)
+
+
+def spy_lapack(monkeypatch):
+    """A list that gains the matrices of each np.linalg.eigh call."""
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return LAPACK_EIGH(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+def lapack_rows(mats):
+    """Which of the (n, 3, 3) mats eigh3_batch hands to LAPACK, each decomposed alone."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = spy_lapack(monkeypatch)
+        loose = []
+        for i in range(len(mats)):
+            before = len(seen)
+            eigh3_batch(mats[i : i + 1])
+            loose.append(len(seen) > before)
+    return np.array(loose)
 
 
 def scalars(elements):
@@ -149,16 +188,21 @@ class TestEig3Sym:
         assert np.allclose(evecs[0] @ evecs[0].T, np.eye(3), atol=1e-12)
 
     def test_rows_independent_of_batch(self):
-        # LAPACK decomposes each matrix on its own: a mixed batch gives
-        # bit-for-bit the row-by-row results
+        # every row is solved alone, in closed form or, if loose, by LAPACK: a
+        # mixed batch gives bit for bit the row-by-row results
         rng = np.random.default_rng(29)
-        mats = rng.normal(size=(12, 3, 3)) * 1e-3
+        mats = rng.normal(size=(16, 3, 3)) * 1e-3
         mats = (mats + mats.transpose(0, 2, 1)) / 2
         mats[3] = np.eye(3) * 2.5
         mats[4] = np.diag([2e-3, 2e-3, 0.5e-3])
         mats[5] = 0.0
         mats[6] = np.diag([1.0, 1.0 + 1e-15, 1.0 - 1e-15])
         mats[7] *= 1e12
+        mats[8] = elements_to_matrices(np.array([1e-11, 1e-11, 1e-11, 1e-27, -2e-27, 3e-27]))
+        mats[9] = np.diag([1.7e-3, 0.3e-3, 0.3e-3])
+        mats[10] *= 1e-300
+        loose = lapack_rows(mats)
+        assert loose[[3, 4, 5, 6, 8, 9]].all() and not loose.all()  # fixture sanity
         evals, evecs = eigh3_batch(mats)
         for i in range(len(mats)):
             e1, v1 = eigh3_batch(mats[i : i + 1])
@@ -216,8 +260,69 @@ HARD_ROWS = st.builds(
 )
 
 
+def wbs_chain_replicates():
+    """(n, 6) replicate tensors of the wild bootstrap of a few wbs_chain voxels:
+    prolate FA 0.8, MD 0.9e-3, 28 dB, 30 directions + 2 b0."""
+    scheme = make_scheme(30)
+    spec = PhantomSpec(n_voxels=4, scheme=scheme, snr_db=28.0, seed=1)
+    return np.concatenate([
+        wild_bootstrap(row, scheme, 500, 1)[0] for row in make_phantom(spec).signals
+    ])
+
+
+class TestEigh3Batch:
+    """The closed form against numpy's eigh, called here."""
+
+    def check_against_lapack(self, mats):
+        loose = lapack_rows(mats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            evals, evecs = eigh3_batch(mats)
+        ref_evals, ref_evecs = lapack_reference(mats)
+        size = np.linalg.norm(mats, axis=(1, 2))[:, None]
+        assert np.all(np.abs(evals - ref_evals) <= 1e-12 * size)
+        assert np.all(np.diff(evals, axis=1) <= 0)
+        assert np.all(angle_deg(evecs[~loose, 0], ref_evecs[~loose, 0]) <= 1e-9)
+        assert np.array_equal(evals[loose], ref_evals[loose])
+        assert np.array_equal(evecs[loose], ref_evecs[loose])
+        gram = np.einsum("nij,nkj->nik", evecs, evecs)
+        assert np.all(np.abs(gram - np.eye(3)) <= 1e-14)
+        recon = np.einsum("nji,nj,njk->nik", evecs, evals, evecs)
+        assert np.all(np.abs(recon - mats) <= 1e-13 * size[:, :, None])
+        return loose
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(HARD_ROWS, min_size=1, max_size=12))
+    def test_hard_rows_match_lapack(self, rows):
+        self.check_against_lapack(elements_to_matrices(np.array(rows)))
+
+    def test_wbs_chain_replicates_match_lapack(self):
+        mats = elements_to_matrices(wbs_chain_replicates())
+        loose = self.check_against_lapack(mats)
+        # prolate: lambda2 near lambda3 sends a few rows to LAPACK, not most
+        assert 0 < loose.sum() < 0.1 * len(mats)
+
+    @pytest.mark.parametrize("kind", ["isotropic", "zero", "floor", "nan", "inf"])
+    def test_rows_it_cannot_settle_reach_lapack(self, kind, monkeypatch):
+        row = {
+            "isotropic": [0.7e-3, 0.7e-3, 0.7e-3, 0.0, 0.0, 0.0],
+            "zero": np.zeros(6),
+            "floor": [1e-11, 1e-11, 1e-11, 1e-27, -2e-27, 3e-27],
+            "nan": [np.nan, 1e-3, 1e-3, 0.0, 0.0, 0.0],
+            "inf": [1e-3, 1e-3, 1e-3, 0.0, np.inf, 0.0],
+        }[kind]
+        sure = [1.7e-3, 0.3e-3, 0.2e-3, 1e-4, 0.0, 0.0]
+        mats = elements_to_matrices(np.array([sure, row, sure]))
+        seen = spy_lapack(monkeypatch)
+        try:
+            eigh3_batch(mats)
+        except np.linalg.LinAlgError:  # LAPACK's own verdict on a non-finite row stands
+            assert kind in ("nan", "inf")
+        assert len(seen) == 1 and np.array_equal(seen[0], mats[1:2], equal_nan=True)
+
+
 class TestPrincipalScalars:
-    """The closed form against eigh3_batch, which decomposes the loose rows."""
+    """The closed form against numpy's eigh, called here."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(HARD_ROWS, min_size=1, max_size=12))
@@ -228,7 +333,7 @@ class TestPrincipalScalars:
             _, _, _, loose = principal_scalars(elements)
             fa, md, v1 = tensor_scalars(elements)
             fa_closed, md_closed = fa_md(elements)
-        evals, evecs = eigh3_batch(elements_to_matrices(elements))
+        evals, evecs = lapack_reference(elements_to_matrices(elements))
         fa_ref, md_ref = eigenvalue_fa_md(evals)
         sure = ~loose
         size = np.linalg.norm(elements_to_matrices(elements), axis=(1, 2))

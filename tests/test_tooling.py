@@ -19,6 +19,12 @@ default_rng, so every stream is keyed there and nowhere else.
 One eigensolver: only tensor.py calls or imports numpy's eig, eigh, eigvals or
 eigvalsh, so every eigensystem is computed by eigh3_batch, where the count of
 decompositions per row can be seen.
+
+One row axis: fitting.py, tensor.py and bootstrap.py use no @, matmul, dot,
+inner or tensordot, and no einsum with an optimize argument. Those may hand a
+batch to BLAS, whose blocking can make one row's result depend on the rows
+around it; the elementwise kernels there give each row bitwise what it gets
+alone, which the chunk-size and voxel-order contract rests on.
 """
 
 import ast
@@ -147,6 +153,26 @@ def eigensolves(tree: ast.Module) -> list:
     return sorted(found, key=lambda f: (f[1], f[0]))
 
 
+ROW_AXIS_MODULES = ("fitting.py", "tensor.py", "bootstrap.py")
+BLAS_PRODUCTS = ("matmul", "dot", "inner", "tensordot")
+
+
+def blas_products(tree: ast.Module) -> list:
+    """(name, line) of each @ or @= in tree, each call of a product of BLAS_PRODUCTS,
+    and each einsum call given optimize (or **kwargs, which may carry it), in line
+    order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(("@", node.lineno))
+        elif isinstance(node, ast.Call):
+            name = called_name(node)
+            optimized = name == "einsum" and any(k.arg in ("optimize", None) for k in node.keywords)
+            if name in BLAS_PRODUCTS or optimized:
+                found.append((name, node.lineno))
+    return sorted(found, key=lambda f: (f[1], f[0]))
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -255,3 +281,34 @@ def test_scan_finds_an_eigensolve_outside_tensor():
         "    return eigh3_batch(m), np.linalg.eig(m), ev(m), np.linalg.svd(m)\n"
     )
     assert eigensolves(tree) == [("eigvalsh", 2), ("eigh", 4), ("eig", 5)]
+
+
+@pytest.mark.parametrize("name", ROW_AXIS_MODULES)
+def test_row_kernels_use_no_blas_product(name):
+    assert blas_products(parse(PACKAGE / name)) == []
+
+
+def test_scan_finds_a_blas_product():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import dot\n"
+        "def fit(x, y, w, opts):\n"
+        "    beta = np.linalg.solve(x.T @ x, x.T.dot(y))\n"
+        "    w @= x\n"
+        "    a = np.einsum('ij,jk->ik', x, y, optimize=True) + np.matmul(x, y)\n"
+        "    b = np.inner(x, y) + np.tensordot(x, y, 1) + dot(x, y)\n"
+        "    return a, b, np.einsum('ij->i', x, **opts), np.einsum('ij,j->i', x, y)\n"
+    )
+    assert blas_products(tree) == [
+        ("@", 4), ("dot", 4), ("@", 5), ("einsum", 6), ("matmul", 6),
+        ("dot", 7), ("inner", 7), ("tensordot", 7), ("einsum", 8),
+    ]
+
+
+def test_scan_finds_a_blas_product_put_into_fitting():
+    source = (PACKAGE / "fitting.py").read_text()
+    contraction = 'np.einsum("jm,km->jk", xt, w * y)'
+    assert source.count(contraction) == 1  # fixture sanity
+    line = source[: source.index(contraction)].count("\n") + 1
+    mutated = ast.parse(source.replace(contraction, "xt @ (w * y).T"))
+    assert blas_products(mutated) == [("@", line)]
