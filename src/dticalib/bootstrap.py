@@ -13,13 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    GradientScheme,
-    design_matrix,
-    eigh3_batch,
-    elements_to_matrices,
-    fa_md,
-)
+from .tensor import GradientScheme, design_matrix, eigh3_batch, fa_md, matrices_to_elements
 from .fitting import SIGNAL_FLOOR, fit_cwlls_batch, log_signal_rows, weighted_leverage
 from .rng import WILD_BOOTSTRAP, run_stream
 
@@ -55,7 +49,7 @@ class SaturatedLeverageError(ValueError):
 def _mean_dyadic_axes(axes: np.ndarray) -> np.ndarray:
     """(g, 3) principal axes of the mean dyads of (g, k, 3) directions."""
     dyads = np.einsum("gki,gkj->gij", axes, axes) / axes.shape[1]
-    return eigh3_batch(dyads)[1][:, 0]
+    return eigh3_batch(matrices_to_elements(dyads))[1][:, 0]
 
 
 def _cone_angles_95(axes: np.ndarray) -> np.ndarray:
@@ -92,7 +86,7 @@ def summarize_uncertainty(elements) -> np.ndarray:
     if elements.shape[1] < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
     rows = elements.reshape(-1, 6)
-    return replicate_statistics(rows, eigh3_batch(elements_to_matrices(rows))[1], elements.shape[1])
+    return replicate_statistics(rows, eigh3_batch(rows)[1], elements.shape[1])
 
 
 # ---------------------------------------------------------------------------

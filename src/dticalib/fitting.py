@@ -31,13 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    GradientScheme,
-    design_matrix,
-    eigh3_batch,
-    elements_to_matrices,
-    matrices_to_elements,
-)
+from .tensor import ELEMENT_COLS, ELEMENT_ROWS, GradientScheme, design_matrix, eigh3_batch
 
 SIGNAL_FLOOR = 1e-8  # clamp before log; Rician magnitudes can be ~0
 CONDITION_LIMIT = 1e12
@@ -55,7 +49,8 @@ class DegenerateSchemeError(ValueError):
 
 def log_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
     """(k, m) ln S rows of float64 signals, clamped at SIGNAL_FLOOR first; one
-    voxel's (m,) vector becomes (1, m)."""
+    voxel's (m,) vector becomes (1, m). A non-finite signal is refused, and the
+    error names its row and measurement; LAPACK would fail on it opaquely."""
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim == 1:
         signals = signals[None]
@@ -63,6 +58,12 @@ def log_signal_rows(signals, scheme: GradientScheme) -> np.ndarray:
         raise ValueError("signal count does not match scheme")
     if len(scheme) < 7:
         raise ValueError("need at least 7 measurements for a full fit")
+    finite = np.isfinite(signals)
+    if not finite.all():
+        row, m = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"row {row}, measurement {m}: signal {float(signals[row, m])!r} must be finite"
+        )
     return np.log(np.maximum(signals, SIGNAL_FLOOR))
 
 
@@ -224,14 +225,16 @@ def floor_eigenvalues_batch(elements: np.ndarray):
     eigenvalues with the one decomposition's eigenvectors, so a row floored to
     isotropy keeps its fit's axes, not the rounding noise of floor * I.
     """
-    evals, evecs = eigh3_batch(elements_to_matrices(elements))
+    evals, evecs = eigh3_batch(elements)
     md = evals.mean(axis=1)
     floor = EIGENVALUE_FLOOR_REL * np.maximum(md, EIGENVALUE_FLOOR_MD_MIN)
     flo = np.maximum(evals, floor[:, None])
     changed = np.any(flo != evals, axis=1)
     out = np.array(elements, dtype=np.float64, copy=True)
     v = evecs[changed]
-    out[changed] = matrices_to_elements(np.einsum("kji,kj,kjl->kil", v, flo[changed], v))
+    out[changed] = np.einsum(
+        "kji,kj,kji->ki", v[..., ELEMENT_ROWS], flo[changed], v[..., ELEMENT_COLS]
+    )
     return out, (flo, evecs)
 
 

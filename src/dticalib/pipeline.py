@@ -22,7 +22,7 @@ from . import dataio, mlp, simulation
 from .config import SCHEMA, ConfigError, ExperimentConfig
 from .fitting import fit_cwlls_batch, fit_ols_batch, fit_wlls_batch, log_signal_rows
 from .rng import CALIBRATE_SPLIT, run_stream
-from .tensor import GradientScheme, eigh3_batch, elements_to_matrices, principal_scalars
+from .tensor import GradientScheme, eigh3_batch, principal_scalars
 
 # per parameter, the prediction-table column that holds its sigma and the
 # scale from that column to sigma: theta95 / 2 for theta (a 95th percentile
@@ -161,7 +161,7 @@ def tensor_scalars(elements: np.ndarray):
     bad = np.flatnonzero(np.isnan(md))
     if bad.size:
         raise ValueError(f"tensor row {bad[0]} is non-finite or its trace overflows")
-    v1[loose] = eigh3_batch(elements_to_matrices(elements[loose]))[1][:, 0]
+    v1[loose] = eigh3_batch(elements[loose])[1][:, 0]
     return fa, md, v1
 
 

@@ -1,15 +1,17 @@
 """Core diffusion tensor math: signal model, 3x3 symmetric eigensolver, scalar maps.
 
-`fa_md` is the one FA/MD formula: elementwise, from the six elements, for
-truth, point estimates and replicates alike. Eigensolves give only axes (and
-the eigenvalues fitting's SPD floor clamps). `eigh3_batch` solves every row
-in closed form, elementwise on the row axis: Smith's lambda1 and lambda3
+Tensors cross every module boundary as (n, 6) element rows. `fa_md` is the
+one FA/MD formula: elementwise, from the six elements, for truth, point
+estimates and replicates alike. Eigensolves give only axes (and the
+eigenvalues fitting's SPD floor clamps). `eigh3_batch` solves such rows in
+closed form, elementwise on the row axis: Smith's lambda1 and lambda3
 (Smith 1961, CACM 4(4):168), v1 and v3 from the cross products of
 D - lambda I (Kopp 2008, arXiv:physics/0610206), v2 = v3 x v1, and the
 eigenvalues as Rayleigh quotients. Only the rows it cannot settle, which are
-non-finite, zero or isotropic, or have lambda1 or lambda3 near lambda2, go to
-LAPACK. `principal_scalars` runs the same helpers for the principal axis
-alone and marks the rows whose lambda1 it cannot settle loose.
+non-finite, zero or isotropic, or have lambda1 or lambda3 near lambda2, are
+built into 3x3 matrices, for LAPACK. `principal_scalars` runs the same
+helpers for the principal axis alone and marks the rows whose lambda1 it
+cannot settle loose.
 
 Conventions used throughout the package:
 
@@ -29,7 +31,9 @@ DIRECTION_NORM_TOL = 1e-9
 # eigh3_batch and principal_scalars: cross-product threshold below which an axis
 # is loose
 CROSS_PRODUCT_TOL = 1e-4
-_LOWER = np.array([0, 4, 8, 3, 6, 7])  # the six elements' places in a flattened 3x3
+# row and column of each of the six elements in a symmetric 3x3 matrix
+ELEMENT_ROWS = np.array([0, 1, 2, 0, 0, 1])
+ELEMENT_COLS = np.array([0, 1, 2, 1, 2, 2])
 _THIRDS = np.array([[0.0], [2.0 * np.pi / 3.0]])  # Smith's angles of lambda1, lambda3
 # (i, j, k, l) index columns of _products over the rows (a, b, c, xy, xz, yz):
 # the minors along a symmetric matrix's first row, its adjugate (m00, m11, m22,
@@ -110,33 +114,33 @@ def design_matrix(scheme: GradientScheme) -> np.ndarray:
     )
 
 
-def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a batch of symmetric 3x3 matrices (lower triangles read).
+def eigh3_batch(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose a batch of symmetric 3x3 tensors given as (n, 6) rows.
 
     Every row is solved in closed form: Smith's lambda1 and lambda3 give v1
     and v3 from the adjugates of (D - lambda I), and v2 = v3 x v1; the
     eigenvalues are their Rayleigh quotients v^T D v. A row is loose when
     either axis is (non-finite, zero or isotropic rows, and lambda1 or
-    lambda3 near lambda2); LAPACK (numpy's eigh) decomposes the loose rows.
-    Each row is computed on its own, so its result does not depend on what
-    else is in the batch.
+    lambda3 near lambda2); LAPACK (numpy's eigh) decomposes the loose rows,
+    the only ones built into 3x3 matrices. Each row is computed on its own,
+    so its result does not depend on what else is in the batch.
 
     Args:
-        mats: (n, 3, 3) symmetric matrices.
+        elements: (n, 6) tensor rows (Dxx, Dyy, Dzz, Dxy, Dxz, Dyz).
 
     Returns:
         eigenvalues (n, 3) sorted descending, eigenvectors (n, 3, 3) with
         rows as eigenvectors (evecs[i, k] pairs with evals[i, k]).
     """
-    a = np.asarray(mats, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1:] != (3, 3):
-        raise ValueError("expected (n, 3, 3) input")
-    e = a.reshape(-1, 9).T[_LOWER]
+    rows = np.asarray(elements, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 6:
+        raise ValueError("expected (n, 6) input")
+    e = _element_columns(rows)
     _, cols, scale, dev2, norm2 = _deviatoric(e)
     q, p2, phi = _smith(cols)
     axes, sure = _adjugate_axes(cols, q + p2 * np.cos(phi + _THIRDS), dev2, norm2)
     sure = sure[0] & sure[1]
-    vecs = np.empty((3, 3, len(a)))  # eigenvector, component, row
+    vecs = np.empty((3, 3, len(rows)))  # eigenvector, component, row
     vecs[0], vecs[2] = axes[:, 0], axes[:, 1]
     vecs[1] = _products(np.concatenate([vecs[2], vecs[0]]), _CROSS)  # v3 x v1
     # Rayleigh quotients v^T D v on D itself, at the deviatoric's exact scale,
@@ -147,7 +151,7 @@ def eigh3_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals /= scale
     loose = ~sure
     if loose.any():
-        w, v = np.linalg.eigh(a[loose])
+        w, v = np.linalg.eigh(elements_to_matrices(rows[loose]))
         vals[:, loose] = w.T[::-1]
         vecs[:, :, loose] = v.transpose(2, 1, 0)[::-1]
     # C order: strides that do not depend on n, so neither do later einsum loops
@@ -295,15 +299,4 @@ def elements_to_matrices(elements: np.ndarray) -> np.ndarray:
 
 def matrices_to_elements(mats: np.ndarray) -> np.ndarray:
     """(n, 3, 3) symmetric matrices -> (n, 6) element rows."""
-    m = np.asarray(mats, dtype=np.float64)
-    return np.stack(
-        [
-            m[..., 0, 0],
-            m[..., 1, 1],
-            m[..., 2, 2],
-            m[..., 0, 1],
-            m[..., 0, 2],
-            m[..., 1, 2],
-        ],
-        axis=-1,
-    )
+    return np.asarray(mats, dtype=np.float64)[..., ELEMENT_ROWS, ELEMENT_COLS]

@@ -45,7 +45,6 @@ from dticalib.simulation import (
 )
 from dticalib.tensor import (
     eigh3_batch,
-    elements_to_matrices,
     matrices_to_elements,
     predict_signal_batch,
 )
@@ -327,7 +326,7 @@ def cone_angle_95(elements):
 
 
 def mean_dyadic(elements):
-    axes = np.ascontiguousarray(eigh3_batch(elements_to_matrices(elements))[1][:, 0])
+    axes = np.ascontiguousarray(eigh3_batch(elements)[1][:, 0])
     return _mean_dyadic_axes(axes[None])[0]
 
 

@@ -12,7 +12,7 @@ from dticalib import bootstrap as bs
 from dticalib import dataio, mlp, pipeline, simulation
 from dticalib.rng import CALIBRATE_SPLIT, run_stream
 from dticalib.simulation import PhantomSpec, make_scheme
-from dticalib.tensor import eigh3_batch, elements_to_matrices, principal_scalars
+from dticalib.tensor import eigh3_batch, principal_scalars
 from test_simulation import PINNED_DISPATCH, reference_phantom
 
 
@@ -633,7 +633,7 @@ class TestTruthEigensolves:
             [fa + sigma, md, v1, np.full(len(truth), 10.0), sigma, sigma * md, sigma]
         )
         dataio.write_predictions(out / "predictions_wbs.bin", table, "wbs")
-        evals = eigh3_batch(elements_to_matrices(truth))[0]
+        evals = eigh3_batch(truth)[0]
         loose = principal_scalars(truth)[3]
         if generator == "prolate":
             assert np.all(evals[:, 0] >= 1.3 * evals[:, 1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dticalib import fitting
-from dticalib.bootstrap import _wild_base
+from dticalib.bootstrap import _wild_base, wild_bootstrap_table
 from dticalib.fitting import (
     DegenerateSchemeError,
     EIGENVALUE_FLOOR_MD_MIN,
@@ -80,7 +80,7 @@ def spy_isotropic_floors(monkeypatch):
 
 def eigensystem(elements):
     """Eigenvalues (3,) descending and eigenvector rows (3, 3) of one element row."""
-    evals, evecs = eigh3_batch(elements_to_matrices(elements[None]))
+    evals, evecs = eigh3_batch(elements[None])
     return evals[0], evecs[0]
 
 
@@ -419,7 +419,7 @@ class TestCwlls:
         # every eigenvalue negative: the floor makes floor * I, whose own
         # decomposition would give axes of rounding noise
         elements = np.array([[-1.0e-3, -2.0e-3, -0.5e-3, 0.2e-3, -0.1e-3, 0.3e-3]])
-        evals, evecs = eigh3_batch(elements_to_matrices(elements))
+        evals, evecs = eigh3_batch(elements)
         assert evals.max() < 0  # fixture sanity
         out, (flo, vecs) = fitting.floor_eigenvalues_batch(elements)
         floor = EIGENVALUE_FLOOR_REL * EIGENVALUE_FLOOR_MD_MIN
@@ -504,6 +504,20 @@ class TestLogSignalRows:
             y = log_signal_rows(signals, scheme)
         assert y[1, 3] == np.log(SIGNAL_FLOOR)
         assert np.all(y[:, [0, 1, 2, 4]] == np.log(0.5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [*FITS, "wild_bootstrap_table"])
+    def test_non_finite_signal_is_refused_by_row_and_measurement(self, name, value):
+        # LAPACK would stop on it with "SVD did not converge", or OLS return NaN
+        scheme = make_scheme(30)
+        signals = make_phantom(PhantomSpec(4, scheme, snr_db=28.0, seed=1)).signals
+        signals[2, 5] = value
+        message = rf"row 2, measurement 5: signal {value!r} must be finite"
+        with pytest.raises(ValueError, match=message):
+            if name in FITS:
+                FITS[name](log_signal_rows(signals, scheme), scheme)
+            else:
+                wild_bootstrap_table(signals, scheme, 50, 1)
 
 
 class TestSignalFloor:

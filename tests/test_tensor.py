@@ -69,21 +69,21 @@ def spy_lapack(monkeypatch):
     return seen
 
 
-def lapack_rows(mats):
-    """Which of the (n, 3, 3) mats eigh3_batch hands to LAPACK, each decomposed alone."""
+def lapack_rows(rows):
+    """Which of the (n, 6) rows eigh3_batch hands to LAPACK, each decomposed alone."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         seen = spy_lapack(monkeypatch)
         loose = []
-        for i in range(len(mats)):
+        for i in range(len(rows)):
             before = len(seen)
-            eigh3_batch(mats[i : i + 1])
+            eigh3_batch(rows[i : i + 1])
             loose.append(len(seen) > before)
     return np.array(loose)
 
 
 def scalars(elements):
     """(eigenvalues, eigenvectors, fa, md) of one (6,) element row, as a one-row batch."""
-    evals, evecs = eigh3_batch(elements_to_matrices(elements[None]))
+    evals, evecs = eigh3_batch(elements[None])
     fa, md = eigenvalue_fa_md(evals)
     return evals[0], evecs[0], fa[0], md[0]
 
@@ -178,12 +178,12 @@ class TestEig3Sym:
         rng = np.random.default_rng(11)
         mats = rng.normal(size=(200, 3, 3))
         mats = (mats + mats.transpose(0, 2, 1)) / 2
-        evals, _ = eigh3_batch(mats)
+        evals, _ = eigh3_batch(matrices_to_elements(mats))
         ref = np.sort(np.linalg.eigvalsh(mats), axis=1)[:, ::-1]
         assert np.allclose(evals, ref, atol=1e-12)
 
     def test_degenerate_eigenvalues(self):
-        evals, evecs = eigh3_batch(np.eye(3)[None] * 2.5)
+        evals, evecs = eigh3_batch(np.array([[2.5, 2.5, 2.5, 0.0, 0.0, 0.0]]))
         assert np.allclose(evals[0], 2.5)
         assert np.allclose(evecs[0] @ evecs[0].T, np.eye(3), atol=1e-12)
 
@@ -201,11 +201,12 @@ class TestEig3Sym:
         mats[8] = elements_to_matrices(np.array([1e-11, 1e-11, 1e-11, 1e-27, -2e-27, 3e-27]))
         mats[9] = np.diag([1.7e-3, 0.3e-3, 0.3e-3])
         mats[10] *= 1e-300
-        loose = lapack_rows(mats)
+        rows = matrices_to_elements(mats)
+        loose = lapack_rows(rows)
         assert loose[[3, 4, 5, 6, 8, 9]].all() and not loose.all()  # fixture sanity
-        evals, evecs = eigh3_batch(mats)
-        for i in range(len(mats)):
-            e1, v1 = eigh3_batch(mats[i : i + 1])
+        evals, evecs = eigh3_batch(rows)
+        for i in range(len(rows)):
+            e1, v1 = eigh3_batch(rows[i : i + 1])
             assert np.array_equal(e1[0], evals[i]) and np.array_equal(v1[0], evecs[i])
         assert np.all(np.diff(evals, axis=1) <= 0)
 
@@ -273,11 +274,12 @@ def wbs_chain_replicates():
 class TestEigh3Batch:
     """The closed form against numpy's eigh, called here."""
 
-    def check_against_lapack(self, mats):
-        loose = lapack_rows(mats)
+    def check_against_lapack(self, rows):
+        loose = lapack_rows(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            evals, evecs = eigh3_batch(mats)
+            evals, evecs = eigh3_batch(rows)
+        mats = elements_to_matrices(rows)
         ref_evals, ref_evecs = lapack_reference(mats)
         size = np.linalg.norm(mats, axis=(1, 2))[:, None]
         assert np.all(np.abs(evals - ref_evals) <= 1e-12 * size)
@@ -294,13 +296,13 @@ class TestEigh3Batch:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(HARD_ROWS, min_size=1, max_size=12))
     def test_hard_rows_match_lapack(self, rows):
-        self.check_against_lapack(elements_to_matrices(np.array(rows)))
+        self.check_against_lapack(np.array(rows))
 
     def test_wbs_chain_replicates_match_lapack(self):
-        mats = elements_to_matrices(wbs_chain_replicates())
-        loose = self.check_against_lapack(mats)
+        rows = wbs_chain_replicates()
+        loose = self.check_against_lapack(rows)
         # prolate: lambda2 near lambda3 sends a few rows to LAPACK, not most
-        assert 0 < loose.sum() < 0.1 * len(mats)
+        assert 0 < loose.sum() < 0.1 * len(rows)
 
     @pytest.mark.parametrize("kind", ["isotropic", "zero", "floor", "nan", "inf"])
     def test_rows_it_cannot_settle_reach_lapack(self, kind, monkeypatch):
@@ -312,13 +314,20 @@ class TestEigh3Batch:
             "inf": [1e-3, 1e-3, 1e-3, 0.0, np.inf, 0.0],
         }[kind]
         sure = [1.7e-3, 0.3e-3, 0.2e-3, 1e-4, 0.0, 0.0]
-        mats = elements_to_matrices(np.array([sure, row, sure]))
+        rows = np.array([sure, row, sure])
         seen = spy_lapack(monkeypatch)
         try:
-            eigh3_batch(mats)
+            eigh3_batch(rows)
         except np.linalg.LinAlgError:  # LAPACK's own verdict on a non-finite row stands
             assert kind in ("nan", "inf")
-        assert len(seen) == 1 and np.array_equal(seen[0], mats[1:2], equal_nan=True)
+        expected = elements_to_matrices(rows[1:2])
+        assert len(seen) == 1 and np.array_equal(seen[0], expected, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (6,), (4, 7), (2, 4, 6), (4, 9)])
+    def test_refuses_anything_but_element_rows(self, shape):
+        # a (n, 3, 3) matrix is refused, not read by one triangle
+        with pytest.raises(ValueError, match=r"\(n, 6\)"):
+            eigh3_batch(np.ones(shape))
 
 
 class TestPrincipalScalars:

@@ -20,6 +20,10 @@ One eigensolver: only tensor.py calls or imports numpy's eig, eigh, eigvals or
 eigvalsh, so every eigensystem is computed by eigh3_batch, where the count of
 decompositions per row can be seen.
 
+One tensor format: only tensor.py (the loose rows it hands LAPACK, the signal
+model) and simulation.py (rotations) call elements_to_matrices, so tensors
+cross every other module boundary as (n, 6) element rows.
+
 One row axis: fitting.py, tensor.py and bootstrap.py use no @, matmul, dot,
 inner or tensordot, and no einsum with an optimize argument. Those may hand a
 batch to BLAS, whose blocking can make one row's result depend on the rows
@@ -153,6 +157,15 @@ def eigensolves(tree: ast.Module) -> list:
     return sorted(found, key=lambda f: (f[1], f[0]))
 
 
+MATRIX_MODULES = ("tensor.py", "simulation.py")
+
+
+def matrix_builds(tree: ast.Module) -> list:
+    """(name, line) of each elements_to_matrices call in tree, in line order."""
+    return sorted((called_name(node), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and called_name(node) == "elements_to_matrices")
+
+
 ROW_AXIS_MODULES = ("fitting.py", "tensor.py", "bootstrap.py")
 BLAS_PRODUCTS = ("matmul", "dot", "inner", "tensordot")
 
@@ -281,6 +294,22 @@ def test_scan_finds_an_eigensolve_outside_tensor():
         "    return eigh3_batch(m), np.linalg.eig(m), ev(m), np.linalg.svd(m)\n"
     )
     assert eigensolves(tree) == [("eigvalsh", 2), ("eigh", 4), ("eig", 5)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in MATRIX_MODULES], ids=lambda p: p.name
+)
+def test_only_tensor_and_simulation_build_matrices(path):
+    assert matrix_builds(parse(path)) == []
+
+
+def test_scan_finds_a_matrix_built_in_fitting():
+    source = (PACKAGE / "fitting.py").read_text()
+    call = "eigh3_batch(elements)"
+    assert source.count(call) == 1  # fixture sanity
+    line = source[: source.index(call)].count("\n") + 1
+    mutated = ast.parse(source.replace(call, "eigh3_batch(elements_to_matrices(elements))"))
+    assert matrix_builds(mutated) == [("elements_to_matrices", line)]
 
 
 @pytest.mark.parametrize("name", ROW_AXIS_MODULES)
