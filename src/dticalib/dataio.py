@@ -205,13 +205,15 @@ def write_dataset(
 def read_dataset(path):
     """Returns (header, signals, truth_elements | None, scheme).
 
-    scheme_ref is resolved relative to the dataset file's directory. Signals
-    must be finite and >= 0 and truth finite; the error names the first bad
-    voxel.
+    scheme_ref is resolved relative to the dataset file's directory. A dataset
+    holds at least one voxel. Signals must be finite and >= 0 and truth
+    finite; the error names the first bad voxel.
     """
 
     def shapes(header):
         n, m = header["n_voxels"], header["m"]
+        if n == 0:  # no stage has a voxel to work on
+            raise DataFormatError(f"{path}: dataset header field n_voxels = 0 must be >= 1")
         return [(n, m), (n, 6)] if header["has_ground_truth"] else [(n, m)]
 
     header, blocks = read_header_blocks(path, "dataset", shapes)

@@ -2,8 +2,9 @@
 input-dependent uncertainty scalar.
 
 The regression branch maps a normalized signal vector to the 6 tensor
-elements and carries dropout on its hidden layers (inverted scaling, so
-masks can stay active at inference for Monte-Carlo sampling). The
+elements and carries inverted dropout on its hidden layers: each mask holds
+0 for a dropped unit and 1 / (1 - rate) for a kept one, so masks can stay
+active at inference for Monte-Carlo sampling. The
 uncertainty branch shares the input but has no dropout, so its output u
 depends on the signal alone and comes from one deterministic pass. One
 ReLU-stack kernel, _stack_forward with _stack_backward, serves both
@@ -106,15 +107,16 @@ class TwoBranchMlp:
         self.main_b, self.unc_b = biases[:main], biases[main:]
 
     def make_sample_masks(self, rng, rows: int):
-        """Keep masks for the main-branch hidden layers, one (rows, width) mask
-        per layer, drawn in one call.
+        """Inverted-dropout masks for the main-branch hidden layers, one
+        (rows, width) mask per layer, drawn in one call: 0 for a dropped unit,
+        1 / (1 - dropout_rate) for a kept one.
 
         The draw is row-major, so row i of each mask equals the masks of the
         i-th of `rows` successive make_sample_masks(rng, 1) calls, bit for bit.
         """
-        widths = self.spec.hidden_widths
-        keep = rng.random((rows, sum(widths))) >= self.spec.dropout_rate
-        return np.split(keep.astype(np.float64), np.cumsum(widths)[:-1], axis=1)
+        widths, rate = self.spec.hidden_widths, self.spec.dropout_rate
+        keep = rng.random((rows, sum(widths))) >= rate
+        return np.split(keep / (1.0 - rate), np.cumsum(widths)[:-1], axis=1)
 
     def forward(self, x: np.ndarray, masks=None):
         """Dropout branch: (pred (B, 6) at internal scale, trace).
@@ -122,7 +124,7 @@ class TwoBranchMlp:
         masks=None runs it deterministically (no dropout).
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return _stack_forward(self.main_w, self.main_b, x, masks, 1.0 - self.spec.dropout_rate)
+        return _stack_forward(self.main_w, self.main_b, x, masks)
 
     def uncertainty(self, x: np.ndarray):
         """Deterministic branch: (u (B,) clamped to [U_MIN, U_MAX], trace)."""
@@ -136,29 +138,29 @@ class TwoBranchMlp:
         return pred / self.spec.target_scale, self.uncertainty(x)[0]
 
 
-def _stack_forward(weights, biases, x, masks=None, keep=1.0):
+def _stack_forward(weights, biases, x, masks=None):
     """ReLU hidden layers, then a linear output layer; returns (out, trace).
 
-    trace lists each layer's input, x first. masks, one keep mask per hidden
-    layer, drop units after the ReLU with inverted scaling 1 / keep.
+    trace lists each layer's input, x first. masks, one make_sample_masks
+    mask per hidden layer, multiply the units after the ReLU.
     """
     trace = [x]
     for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
         h = np.maximum(trace[-1] @ w + b, 0.0)
         if masks is not None:
-            h = h * masks[i] / keep
+            h = h * masks[i]
         trace.append(h)
     return trace[-1] @ weights[-1] + biases[-1], trace
 
 
-def _stack_backward(weights, trace, d_out, masks=None, keep=1.0):
+def _stack_backward(weights, trace, d_out, masks=None):
     """Gradients [W0, b0, ..., Wk, bk] of a _stack_forward pass given dLoss/d(out)."""
     grads = [d_out.sum(axis=0), trace[-1].T @ d_out]  # last layer first, b before W
     d = d_out
     for i in reversed(range(len(weights) - 1)):
         d = d @ weights[i + 1].T
         if masks is not None:
-            d = d * masks[i] / keep
+            d = d * masks[i]
         # the ReLU passes gradient where its output is positive; a dropped
         # unit's gradient is already zero
         d = d * (trace[i + 1] > 0)
@@ -192,16 +194,9 @@ def batch_loss_and_grads(model: TwoBranchMlp, x, targets, penalty: float, masks=
     d_pred = np.sign(diff) * attenuation[:, None] / batch
     d_u = (-resid * attenuation + penalty) / batch
     d_u = d_u * ((u > U_MIN) & (u < U_MAX))  # no gradient where the clamp holds u
-    grads = _stack_backward(model.main_w, trace, d_pred, masks, 1.0 - model.spec.dropout_rate)
+    grads = _stack_backward(model.main_w, trace, d_pred, masks)
     grads += _stack_backward(model.unc_w, u_trace, d_u[:, None])
     return float(np.mean(losses)), np.concatenate([g.ravel() for g in grads])
-
-
-def batch_loss(model: TwoBranchMlp, x, targets, penalty: float, masks=None) -> float:
-    x = np.atleast_2d(x)
-    pred, _ = model.forward(x, masks)
-    u, _ = model.uncertainty(x)
-    return float(np.mean(attenuated_loss(pred, np.atleast_2d(targets), u, penalty)[0]))
 
 
 def normalize_signals(signals, scheme: GradientScheme) -> np.ndarray:
@@ -295,7 +290,7 @@ def train(
 
         last_epoch = epoch == cfg.epochs - 1
         if len(x_val) and ((epoch + 1) % cfg.eval_every == 0 or last_epoch):
-            val = batch_loss(model, x_val, y_val, cfg.penalty)
+            val = batch_loss_and_grads(model, x_val, y_val, cfg.penalty)[0]
             history.val_loss.append((epoch, val))
             if val < best_val - 1e-12:
                 best_val = val

@@ -46,6 +46,9 @@ def load_scheme(cfg: ExperimentConfig) -> GradientScheme:
     bvec, bval = cfg.get("scheme.bvec"), cfg.get("scheme.bval")
     if bvec and bval:
         return dataio.read_bvec_bval(bvec, bval)
+    if bvec or bval:
+        given, missing = ("scheme.bvec", "scheme.bval") if bvec else ("scheme.bval", "scheme.bvec")
+        raise ConfigError(f"{cfg.sources[given]}: {given} is set without {missing}")
     n_dirs = cfg.get("scheme.n_directions")
     if n_dirs is None:
         raise ConfigError("scheme needs bvec/bval paths or n_directions")
@@ -189,6 +192,15 @@ def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic
     return {p: cal.triples_from_arrays(truth[p], estimate[p], sigma[p]) for p in PARAMETERS}
 
 
+def _check_table_rows(cfg: ExperimentConfig, table_path, table, truth):
+    """DataFormatError unless the table holds one row per voxel of dataset.path."""
+    if len(table) != len(truth):
+        raise dataio.DataFormatError(
+            f"{table_path}: the table holds {len(table)} rows, but "
+            f"{cfg.get('dataset.path')} holds {len(truth)} voxels"
+        )
+
+
 def _metric_params(cfg: ExperimentConfig):
     caps = {p: cfg.get(f"metrics.mpiw_cap.{p}") for p in PARAMETERS}
     return cfg.get("metrics.bins"), cfg.get("metrics.grid_size"), caps
@@ -247,6 +259,7 @@ def run_evaluate(cfg: ExperimentConfig):
     _, truth, _ = _read_truth_dataset(cfg)
     pred_path = cfg.get("evaluate.predictions")
     table = _load_table_for_eval(pred_path)
+    _check_table_rows(cfg, pred_path, table, truth)
     bins, grid, caps = _metric_params(cfg)
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
@@ -294,7 +307,9 @@ def run_calibrate(cfg: ExperimentConfig):
             "per-parameter sigma columns, not the aleatoric u column"
         )
     _, truth, _ = _read_truth_dataset(cfg)
-    header, table = dataio.read_predictions(cfg.get("calibrate.predictions"))
+    pred_path = cfg.get("calibrate.predictions")
+    header, table = dataio.read_predictions(pred_path)
+    _check_table_rows(cfg, pred_path, table, truth)
     bins, _, _ = _metric_params(cfg)
 
     n = len(table)
@@ -332,7 +347,9 @@ def run_calibrate(cfg: ExperimentConfig):
 def run_curves(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
     _, truth, _ = _read_truth_dataset(cfg)
-    _, table = dataio.read_predictions(cfg.get("curves.predictions"))
+    pred_path = cfg.get("curves.predictions")
+    _, table = dataio.read_predictions(pred_path)
+    _check_table_rows(cfg, pred_path, table, truth)
     _, grid, caps = _metric_params(cfg)
     triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty)
     curves = [cal.picp_mpiw_curve(triples[p], caps[p], grid) for p in PARAMETERS]

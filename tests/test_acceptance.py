@@ -29,7 +29,6 @@ from dticalib.mlp import (
     MlpSpec,
     TrainConfig,
     TwoBranchMlp,
-    batch_loss,
     batch_loss_and_grads,
     normalize_signals,
     predict_mc_dropout,
@@ -127,9 +126,9 @@ def test_criterion_04_gradient_check():
     for idx in rng.choice(model.flat.size, 20, replace=False):
         p0 = model.flat[idx]
         model.flat[idx] = p0 + h
-        up = batch_loss(model, x, y, 1.0)
+        up = batch_loss_and_grads(model, x, y, 1.0)[0]
         model.flat[idx] = p0 - h
-        down = batch_loss(model, x, y, 1.0)
+        down = batch_loss_and_grads(model, x, y, 1.0)[0]
         model.flat[idx] = p0
         fd = (up - down) / (2 * h)
         worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-12))

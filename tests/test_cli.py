@@ -451,6 +451,52 @@ class TestExitCodes:
         assert err.startswith(f"data error: {path}: dataset holds no ground-truth tensors")
         assert dir_hashes(tmp_path / "run") == before
 
+    @pytest.mark.parametrize("given, missing", [
+        ("scheme.bvec", "scheme.bval"), ("scheme.bval", "scheme.bvec"),
+    ])
+    def test_half_a_scheme_pair_is_config_error(self, tmp_path, capsys, given, missing):
+        # BASE sets scheme.n_directions, which a full pair would override
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28") + f"{given} = nonexistent\n")
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err.rstrip()
+        assert err == f"config error: line 14: {given} is set without {missing}"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "bootstrap", "train"])
+    def test_dataset_of_no_voxels_is_data_error_naming_path(self, tmp_path, capsys, command):
+        body = BASE.format(snr="28") + "dataset.path = data/dataset.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg, "--out", "data"]) == 0
+        path = tmp_path / "data/dataset.bin"
+        dataio.write_dataset(path, np.zeros((0, 32)), "scheme", np.zeros((0, 6)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err == f"data error: {path}: dataset header field n_voxels = 0 must be >= 1"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("n_voxels", [40, 80])
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate", "curves"])
+    def test_table_of_another_dataset_is_data_error_naming_both(
+        self, tmp_path, capsys, command, n_voxels
+    ):
+        body = BASE.format(snr="28").replace("n_voxels = 24", "n_voxels = 60")
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        for cmd in ("simulate", "bootstrap"):
+            assert main([cmd, "--config", cfg, "--iterations", "20"]) == 0
+        other = body.replace("n_voxels = 60", f"n_voxels = {n_voxels}")
+        assert main(["simulate", "--config", write_cfg(tmp_path / "o.cfg", other),
+                     "--out", "other"]) == 0
+        table, dataset = tmp_path / "run/predictions_wbs.bin", tmp_path / "other/dataset.bin"
+        scored = body + f"dataset.path = {dataset}\n{command}.predictions = {table}\n"
+        capsys.readouterr()
+        assert main([command, "--config", write_cfg(tmp_path / "s.cfg", scored),
+                     "--out", "scored"]) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err == (f"data error: {table}: the table holds 60 rows, but {dataset} holds "
+                       f"{n_voxels} voxels")
+        assert not (tmp_path / "scored").exists()
+
     @pytest.mark.parametrize("line", [
         "train.val_fraction = 1.5",  # no training rows
         "train.epochs = 0",

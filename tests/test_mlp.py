@@ -11,7 +11,8 @@ from dticalib.mlp import (
     TwoBranchMlp,
     U_MAX,
     U_MIN,
-    batch_loss,
+    _stack_backward,
+    _stack_forward,
     attenuated_loss,
     batch_loss_and_grads,
     load_checkpoint,
@@ -117,9 +118,9 @@ class TestGradients:
         for idx in rng.choice(model.flat.size, n_coords, replace=False):
             p0 = model.flat[idx]
             model.flat[idx] = p0 + h
-            up = batch_loss(model, x, y, 1.0, masks)
+            up = batch_loss_and_grads(model, x, y, 1.0, masks)[0]
             model.flat[idx] = p0 - h
-            down = batch_loss(model, x, y, 1.0, masks)
+            down = batch_loss_and_grads(model, x, y, 1.0, masks)[0]
             model.flat[idx] = p0
             fd = (up - down) / (2 * h)
             worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-12))
@@ -149,7 +150,6 @@ class TestUncertaintyBranchDeterminism:
 def reference_forward(model, x, masks=None):
     """Both branches written out as two loops: (pred, u, cache)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    keep = 1.0 - model.spec.dropout_rate
     cache = {"main_in": [], "main_z": [], "unc_in": [], "unc_z": [], "masks": masks}
     h = x
     for i in range(len(model.spec.hidden_widths)):
@@ -158,7 +158,7 @@ def reference_forward(model, x, masks=None):
         cache["main_z"].append(z)
         h = np.maximum(z, 0.0)
         if masks is not None:
-            h = h * masks[i] / keep
+            h = h * masks[i]
     cache["main_in"].append(h)
     pred = h @ model.main_w[-1] + model.main_b[-1]
     g = x
@@ -174,7 +174,6 @@ def reference_forward(model, x, masks=None):
 
 def reference_backward(model, cache, d_pred, d_u):
     """Gradients of reference_forward, one loop per branch."""
-    keep = 1.0 - model.spec.dropout_rate
     masks = cache["masks"]
     grads_w, grads_b = [None] * len(model.main_w), [None] * len(model.main_b)
     grads_w[-1] = cache["main_in"][-1].T @ d_pred
@@ -182,7 +181,7 @@ def reference_backward(model, cache, d_pred, d_u):
     dh = d_pred @ model.main_w[-1].T
     for i in reversed(range(len(model.spec.hidden_widths))):
         if masks is not None:
-            dh = dh * masks[i] / keep
+            dh = dh * masks[i]
         dz = dh * (cache["main_z"][i] > 0)
         grads_w[i] = cache["main_in"][i].T @ dz
         grads_b[i] = dz.sum(axis=0)
@@ -208,7 +207,7 @@ class TestStackKernelMatchesTwoLoopReference:
     """The shared layer-stack kernel keeps the two-loop arithmetic bit for bit."""
 
     @staticmethod
-    def model_and_batch(dropout_rate=0.3):  # keep 0.7: 1 / keep rounds
+    def model_and_batch(dropout_rate=0.3):  # 1 / (1 - 0.3) rounds
         spec = small_spec(hidden_widths=(32, 16, 8), uncertainty_widths=(16, 8),
                           dropout_rate=dropout_rate)
         model = TwoBranchMlp(spec, seed=5)
@@ -238,7 +237,6 @@ class TestStackKernelMatchesTwoLoopReference:
         assert [w.shape for w in expected] == [v.shape for v in declared_views(model)]
         assert grad.shape == model.flat.shape
         assert np.array_equal(grad, np.concatenate([w.ravel() for w in expected]))
-        assert batch_loss(model, x, y, penalty, masks) == loss
 
     def test_predict_and_mc_dropout(self):
         model, x, _ = self.model_and_batch()
@@ -251,6 +249,29 @@ class TestStackKernelMatchesTwoLoopReference:
         want = reference_forward(model, np.repeat(x, 12, axis=0), masks)[0]
         got = predict_mc_dropout(model, x, n_samples=12, seed=21)
         assert np.array_equal(got, (want / model.spec.target_scale).reshape(len(x), 12, 6))
+
+    def test_half_rate_masks_equal_keep_masks_over_keep_bitwise(self):
+        # at rate 0.5 the drawn scale 2 is exact, so the kernels' h * mask equals
+        # h * keep / 0.5, with keep the 0/1 mask, in the pass and in its gradients
+        model, x, _ = self.model_and_batch(dropout_rate=0.5)
+        masks = model.make_sample_masks(np.random.default_rng(3), len(x))
+        keep = [(m > 0).astype(np.float64) for m in masks]
+        trace = [x]
+        for w, b, k in zip(model.main_w, model.main_b, keep):
+            trace.append(np.maximum(trace[-1] @ w + b, 0.0) * k / 0.5)
+        out = trace[-1] @ model.main_w[-1] + model.main_b[-1]
+        d_out = d = np.random.default_rng(8).normal(size=out.shape)
+        grads = [d.sum(axis=0), trace[-1].T @ d]
+        for i in reversed(range(len(keep))):
+            d = d @ model.main_w[i + 1].T
+            d = d * keep[i] / 0.5
+            d = d * (trace[i + 1] > 0)
+            grads += [d.sum(axis=0), trace[i].T @ d]
+        got, got_trace = _stack_forward(model.main_w, model.main_b, x, masks)
+        got_grads = _stack_backward(model.main_w, got_trace, d_out, masks)
+        assert got.tobytes() == out.tobytes()
+        assert [t.tobytes() for t in got_trace] == [t.tobytes() for t in trace]
+        assert [g.tobytes() for g in got_grads] == [g.tobytes() for g in grads[::-1]]
 
 
 class TestTraining:
@@ -345,6 +366,15 @@ class TestMcDropout:
         for layer, masks in enumerate(batched):
             assert np.array_equal(masks, np.vstack([m[layer] for m in loop]))
         assert batched_rng.random() == loop_rng.random()  # same stream position
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
+    def test_masks_hold_zero_or_the_inverted_scale(self, rate):
+        model = TwoBranchMlp(small_spec(hidden_widths=(32, 16, 8), dropout_rate=rate), seed=3)
+        masks = model.make_sample_masks(np.random.default_rng(4), 50)
+        assert [m.shape for m in masks] == [(50, 32), (50, 16), (50, 8)]
+        values = np.unique(np.concatenate([m.ravel() for m in masks]))
+        scale = 1.0 / (1.0 - rate)
+        assert values.tolist() == ([scale] if rate == 0 else [0.0, scale])
 
     def test_one_pass_matches_per_sample_passes(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)

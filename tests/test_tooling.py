@@ -24,6 +24,11 @@ One tensor format: only tensor.py (the loose rows it hands LAPACK, the signal
 model) and simulation.py (rotations) call elements_to_matrices, so tensors
 cross every other module boundary as (n, 6) element rows.
 
+One dropout decision: in src/dticalib only MlpSpec.__post_init__ (the check),
+TwoBranchMlp.make_sample_masks (the draw and its inverted scale) and config's
+SCHEMA (the default) read .dropout_rate, so the layer kernels, the loss and
+the sampler take masks and no rate.
+
 One row axis: fitting.py, tensor.py and bootstrap.py use no @, matmul, dot,
 inner or tensordot, and no einsum with an optimize argument. Those may hand a
 batch to BLAS, whose blocking can make one row's result depend on the rows
@@ -164,6 +169,34 @@ def matrix_builds(tree: ast.Module) -> list:
     """(name, line) of each elements_to_matrices call in tree, in line order."""
     return sorted((called_name(node), node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and called_name(node) == "elements_to_matrices")
+
+
+RATE_READERS = [
+    ("mlp.py", "MlpSpec.__post_init__"), ("mlp.py", "TwoBranchMlp.make_sample_masks"),
+    ("config.py", "SCHEMA"),
+]
+
+
+def attribute_reads(tree: ast.Module, attr: str) -> list:
+    """(scope, line) of each read of .attr in tree, in line order. The scope of a
+    read is its method as Class.method, its top-level function, the name a
+    module-level assignment binds, or else <module>."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{d.name}" if isinstance(d, FUNCTIONS) else node.name, d)
+                      for d in node.body]
+        elif isinstance(node, FUNCTIONS):
+            scopes = [(node.name, node)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            scopes = [(getattr(target, "id", "<module>"), node)]
+        else:
+            scopes = [("<module>", node)]
+        found += [(scope, read.lineno) for scope, part in scopes for read in ast.walk(part)
+                  if isinstance(read, ast.Attribute) and read.attr == attr
+                  and isinstance(read.ctx, ast.Load)]
+    return sorted(found, key=lambda f: (f[1], f[0]))
 
 
 ROW_AXIS_MODULES = ("fitting.py", "tensor.py", "bootstrap.py")
@@ -310,6 +343,27 @@ def test_scan_finds_a_matrix_built_in_fitting():
     line = source[: source.index(call)].count("\n") + 1
     mutated = ast.parse(source.replace(call, "eigh3_batch(elements_to_matrices(elements))"))
     assert matrix_builds(mutated) == [("elements_to_matrices", line)]
+
+
+def test_only_the_mask_draw_reads_the_dropout_rate():
+    found = [(p.name, scope, line) for p in MODULES
+             for scope, line in attribute_reads(parse(p), "dropout_rate")]
+    assert [f for f in found if f[:2] not in RATE_READERS] == []
+    assert sorted({f[:2] for f in found}) == sorted(RATE_READERS)  # the scan sees each
+
+
+def test_scan_finds_a_dropout_rate_read_in_forward():
+    source = (PACKAGE / "mlp.py").read_text()
+    call = "_stack_forward(self.main_w, self.main_b, x, masks)"
+    assert source.count(call) == 1  # fixture sanity
+    line = source[: source.index(call)].count("\n") + 1
+    mutated = ast.parse(source.replace(
+        call, "_stack_forward(self.main_w, self.main_b, x, masks, 1.0 - self.spec.dropout_rate)"
+    ))
+    reads = attribute_reads(mutated, "dropout_rate")
+    assert [r for r in reads if ("mlp.py", r[0]) not in RATE_READERS] == [
+        ("TwoBranchMlp.forward", line)
+    ]
 
 
 @pytest.mark.parametrize("name", ROW_AXIS_MODULES)
