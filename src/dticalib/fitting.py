@@ -5,11 +5,11 @@ which ``log_signal_rows`` makes from signals; no kernel takes a log itself:
 
 * ``fit_ols_batch``   -- unweighted solve of y = X beta through one
                          shared projection R^-1 Q^T of X
-* ``fit_wlls_batch``  -- two-pass: OLS, then a weighted solve with weights
-                         exp(2 * predicted ln S), through the normal equations
-                         of the column-equilibrated design (Cholesky; batched
-                         QR for rows whose weighted condition bound is too
-                         large)
+* ``fit_wlls_batch``  -- two-pass: ``fit_ols_batch``, then a weighted solve
+                         with weights exp(2 * predicted ln S), through the
+                         normal equations of the column-equilibrated design
+                         (Cholesky; batched QR for rows whose weighted
+                         condition bound is too large or whose pivot fails)
 * ``fit_cwlls_batch`` -- WLLS followed by an eigenvalue floor (SPD projection)
 
 Each returns the parameters (k, 7) and the largest condition number of the
@@ -18,13 +18,13 @@ tensors. ``weighted_leverage`` is the hat-matrix diagonal of the WLLS
 weighted designs, which only the wild bootstrap's base fit reads.
 
 The normal equations are solved by a Cholesky written elementwise on the
-row axis. Per-matrix batched LAPACK (qr, single-rhs solve) runs only on the
+row axis. Per-matrix batched LAPACK (qr, then a solve of R) runs only on the
 rows past the normal-equations bound and on the rows whose Cholesky pivot
-fails. Row-axis products use einsum and elementwise arithmetic, never BLAS
-matmul or multi-rhs solves: each row's result is then bitwise independent
-of its batch, so a voxel's fit does not depend on which batch it is fitted
-in (one voxel is a one-row batch), which the bootstrap's chunk-size
-invariance relies on.
+fails; no Gram matrix goes to LAPACK. Row-axis products use einsum and
+elementwise arithmetic, never BLAS matmul or multi-rhs solves: each row's
+result is then bitwise independent of its batch, so a voxel's fit does not
+depend on which batch it is fitted in (one voxel is a one-row batch), which
+the bootstrap's chunk-size invariance relies on.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def weighted_leverage(y: np.ndarray, scheme: GradientScheme) -> np.ndarray:
     """Hat-matrix diagonal (k, m) of the WLLS weighted designs sqrt_w X of
     (k, m) log-signal rows: the squared row norms of Q in their thin QR."""
     x = design_matrix(scheme)
-    q = np.linalg.qr(_wlls_sqrt_weights(x, y)[:, :, None] * x)[0]
+    q = np.linalg.qr(_wlls_sqrt_weights(x, fit_ols_batch(y, scheme)[0])[:, :, None] * x)[0]
     return np.einsum("kmj,kmj->km", q, q)
 
 
@@ -88,28 +88,22 @@ _SYMMETRIC[_UPPER] = _SYMMETRIC.T[_UPPER] = np.arange(len(_UPPER[0]))
 _DIAGONAL = np.arange(7)
 
 
-def _normal_equations(xt: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """G = xs^T W xs as (7, 7, k) and xs^T W y as (7, k), row axis last, from the
-    transposed design xt (7, m), the weights w (k, m) and the log-signals y (k, m).
-    G contracts the weights against the 28 products xs_i * xs_j, i <= j."""
-    rhs = np.einsum("jm,km->jk", xt, w * y)
-    return np.einsum("km,pm->pk", w, xt[_UPPER[0]] * xt[_UPPER[1]])[_SYMMETRIC], rhs
-
-
-def _normal_solve_batch(xs: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _normal_solve_batch(xs: np.ndarray, w: np.ndarray, y: np.ndarray):
     """Weighted least squares through the 7x7 Gram matrices G = xs^T W xs.
 
     xs (m, 7) is the column-equilibrated design, w (k, m) the weights and
-    y (k, m) the log-signals. G is solved by Cholesky, elementwise on the row
-    axis: the factor L and the forward and back substitutions are ufunc
-    steps on (k,) rows of its entries. A row whose pivot is not positive and
-    finite, or whose result is not finite, is solved by np.linalg.solve
-    instead. Returns beta of xs (k, 7).
+    y (k, m) the log-signals. G contracts the weights against the 28 products
+    xs_i * xs_j, i <= j, row axis last, and is solved by Cholesky,
+    elementwise on the row axis: the factor L and the forward and back
+    substitutions are ufunc steps on (k,) rows of its entries. Returns
+    (beta of xs (k, 7), failed (k,)): a failed row's pivot is not positive
+    and finite, or its result is not finite, and its beta is meaningless.
     """
     xt = np.ascontiguousarray(xs.T)
-    low, z = _normal_equations(xt, w, y)  # L in low's lower triangle; z: L^-1 rhs, then beta
+    z = np.einsum("jm,km->jk", xt, w * y)  # xs^T W y (7, k), then L^-1 of it, then beta
+    low = np.einsum("km,pm->pk", w, xt[_UPPER[0]] * xt[_UPPER[1]])[_SYMMETRIC]  # G, then L
     n = len(z)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # bad pivots: below
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # bad pivots: flagged
         for j in range(n):
             col = low[j:, j]
             for m in range(j):
@@ -122,11 +116,8 @@ def _normal_solve_batch(xs: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndar
             z[i] /= low[i, i]
             z[:i] -= low[i, :i] * z[i]
     roots = low[_DIAGONAL, _DIAGONAL]  # the pivots' square roots
-    loose = ~(np.all((roots > 0) & (roots < np.inf), axis=0) & np.all(np.isfinite(z), axis=0))
-    if np.any(loose):
-        gram, rhs = _normal_equations(xt, w[loose], y[loose])
-        z[:, loose] = np.linalg.solve(gram.transpose(2, 0, 1), rhs.T[..., None])[..., 0].T
-    return z.T
+    failed = ~(np.all((roots > 0) & (roots < np.inf), axis=0) & np.all(np.isfinite(z), axis=0))
+    return z.T, failed
 
 
 def _row_ratio(a: np.ndarray) -> np.ndarray:
@@ -148,7 +139,8 @@ def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: n
     * solver: unit-norm columns (X_s) take the weighted condition number
       from about 1.3e3 to about 5 on 30 directions at b = 1000, where the
       normal equations are as accurate as QR. A row takes them when
-      cond(X_s) * ratio is within NORMAL_EQUATIONS_LIMIT, and QR otherwise.
+      cond(X_s) * ratio is within NORMAL_EQUATIONS_LIMIT, and QR otherwise,
+      as does a row whose Cholesky fails.
 
     Returns (beta (k, 7), per-row condition numbers or their bounds (k,)).
     """
@@ -163,44 +155,35 @@ def _weighted_solve_batch(x: np.ndarray, cond_x: float, sqrt_w: np.ndarray, y: n
     xs = x / scale
     normal = np.linalg.cond(xs) * ratio <= NORMAL_EQUATIONS_LIMIT
     beta = np.empty((len(y), x.shape[1]))
-    rows = slice(None) if np.all(normal) else normal  # views when every row is normal
+    qr = ~normal
     if np.any(normal):
+        rows = slice(None) if np.all(normal) else normal  # views when every row is normal
         w = sqrt_w[rows] * sqrt_w[rows]
-        beta[rows] = _normal_solve_batch(xs, w, y[rows]) / scale
-    if not np.all(normal):
-        qr = ~normal
+        beta_s, qr[rows] = _normal_solve_batch(xs, w, y[rows])
+        beta[rows] = beta_s / scale
+    if np.any(qr):
         beta[qr] = _qr_solve_batch(sqrt_w[qr, :, None] * x, sqrt_w[qr] * y[qr])
     return beta, conds
 
 
-def _check_condition(design: np.ndarray) -> float:
-    cond = float(np.linalg.cond(design))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateSchemeError("degenerate gradient scheme")
-    return cond
-
-
-def _ols_projection(x: np.ndarray) -> np.ndarray:
-    """Least-squares projection R^-1 Q^T (7, m) of X."""
-    q, r = np.linalg.qr(x)
-    return np.linalg.solve(r, q.T)
-
-
-def _wlls_sqrt_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """OLS-predicted signals (k, m) of log-signals y, each row times the exact power
-    of two that puts its largest in [0.5, 1), so that squares cannot overflow: the
+def _wlls_sqrt_weights(x: np.ndarray, beta0: np.ndarray) -> np.ndarray:
+    """Signals (k, m) predicted by OLS parameters beta0 (k, 7), each row times the exact
+    power of two that puts its largest in [0.5, 1), so that squares cannot overflow: the
     square roots of the WLLS weights exp(2 * predicted ln S), to a row factor WLLS ignores."""
-    beta0 = np.einsum("jm,km->kj", _ols_projection(x), y)
     sqrt_w = np.exp(np.einsum("kj,jm->km", beta0, np.ascontiguousarray(x.T)))
     largest = np.ascontiguousarray(sqrt_w.T).max(axis=0)  # faster than along axis 1
     return np.ldexp(sqrt_w, -np.frexp(largest)[1][:, None])
 
 
 def fit_ols_batch(y: np.ndarray, scheme: GradientScheme):
-    """OLS of (k, m) log-signal rows. Returns (beta (k, 7), cond(X))."""
+    """OLS of (k, m) log-signal rows through the projection R^-1 Q^T (7, m) of X.
+    Returns (beta (k, 7), cond(X))."""
     x = design_matrix(scheme)
-    cond = _check_condition(x)
-    return np.einsum("jm,km->kj", _ols_projection(x), y), cond
+    cond = float(np.linalg.cond(x))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise DegenerateSchemeError("degenerate gradient scheme")
+    q, r = np.linalg.qr(x)
+    return np.einsum("jm,km->kj", np.linalg.solve(r, q.T), y), cond
 
 
 def fit_wlls_batch(y: np.ndarray, scheme: GradientScheme):
@@ -209,9 +192,9 @@ def fit_wlls_batch(y: np.ndarray, scheme: GradientScheme):
     Returns (beta (k, 7), cond): the largest condition number of the
     weighted designs, each row's exact value or its bound.
     """
+    beta0, cond_x = fit_ols_batch(y, scheme)
     x = design_matrix(scheme)
-    cond_x = _check_condition(x)
-    beta, conds = _weighted_solve_batch(x, cond_x, _wlls_sqrt_weights(x, y), y)
+    beta, conds = _weighted_solve_batch(x, cond_x, _wlls_sqrt_weights(x, beta0), y)
     return beta, float(conds.max())
 
 

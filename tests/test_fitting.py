@@ -274,7 +274,7 @@ def gram_systems(y, scheme):
     matrices (k, 7, 7) and right-hand sides (k, 7)."""
     x = design_matrix(scheme)
     xs = x / np.linalg.norm(x, axis=0)
-    sqrt_w = fitting._wlls_sqrt_weights(x, y)
+    sqrt_w = fitting._wlls_sqrt_weights(x, fit_ols_batch(y, scheme)[0])
     w = sqrt_w * sqrt_w
     return xs, w, np.einsum("mi,km,mj->kij", xs, w, xs), np.einsum("mj,km->kj", xs, w * y)
 
@@ -283,7 +283,7 @@ class TestCholeskySolve:
     def test_matches_lapack_solve(self):
         y, scheme = replicate_log_signals("prolate", 28.0)
         xs, w, gram, rhs = gram_systems(y, scheme)
-        beta = fitting._normal_solve_batch(xs, w, y)
+        beta = fitting._normal_solve_batch(xs, w, y)[0]
         expected = np.linalg.solve(gram, rhs[..., None])[..., 0]
         assert np.all(np.abs(beta - expected) <= 1e-10 * np.abs(expected).max(axis=1)[:, None])
 
@@ -293,25 +293,63 @@ class TestCholeskySolve:
         # a negative weight on the largest xs_m0^2 makes the first pivot negative
         w[3, np.argmax(xs[:, 0] ** 2)] = -1e3
         gram = np.einsum("mi,km,mj->kij", xs, w, xs)
-        rhs = np.einsum("mj,km->kj", xs, w * y)
         assert gram[3, 0, 0] < 0 < gram[np.arange(len(y)) != 3, 0, 0].min()  # fixture sanity
-        solved = []
-        solve = np.linalg.solve
+        beta, failed = fitting._normal_solve_batch(xs, w, y)
+        assert np.flatnonzero(failed).tolist() == [3]
+        for row in np.flatnonzero(~failed):
+            alone, alone_failed = fitting._normal_solve_batch(xs, w[row : row + 1], y[row : row + 1])
+            assert np.array_equal(alone[0], beta[row]) and not alone_failed[0]
 
-        def spy(a, b):
-            solved.append(len(a))
-            return solve(a, b)
+        # the weighted solve hands a flagged row, and only it, to the one QR call
+        x = design_matrix(scheme)
+        beta0, cond_x = fit_ols_batch(y, scheme)
+        sqrt_w = fitting._wlls_sqrt_weights(x, beta0)
+        normal_solve, qr_solve = fitting._normal_solve_batch, fitting._qr_solve_batch
+        unflagged = fitting._weighted_solve_batch(x, cond_x, sqrt_w, y)[0]
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        def flag_row_3(xs, w, y):
+            beta, failed = normal_solve(xs, w, y)
+            assert len(y) == len(sqrt_w)  # fixture sanity: every row is normal
+            return beta, failed | (np.arange(len(y)) == 3)
+
+        handed = []
+
+        def spy(design, rhs):
+            handed.append((design, rhs))
+            return qr_solve(design, rhs)
+
+        monkeypatch.setattr(fitting, "_normal_solve_batch", flag_row_3)
+        monkeypatch.setattr(fitting, "_qr_solve_batch", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta = fitting._normal_solve_batch(xs, w, y)
-        assert solved == [1] and np.all(np.isfinite(beta))
-        expected = solve(gram[3], rhs[3])
-        assert np.all(np.abs(beta[3] - expected) <= 1e-10 * np.abs(expected).max())
-        for row in range(len(y)):
-            alone = fitting._normal_solve_batch(xs, w[row : row + 1], y[row : row + 1])
-            assert np.array_equal(alone[0], beta[row])
+            beta = fitting._weighted_solve_batch(x, cond_x, sqrt_w, y)[0]
+        assert len(handed) == 1
+        design, rhs = handed[0]
+        assert np.array_equal(design, sqrt_w[3:4, :, None] * x)
+        assert np.array_equal(rhs, sqrt_w[3:4] * y[3:4])
+        assert np.all(np.isfinite(beta[3]))
+        assert np.array_equal(beta[3], qr_solve(design, rhs)[0])
+        others = np.arange(len(y)) != 3
+        assert np.array_equal(beta[others], unflagged[others])
+
+
+class TestOneOls:
+    @pytest.mark.parametrize(
+        "fit", [fit_wlls_batch, fit_cwlls_batch, weighted_leverage],
+        ids=["fit_wlls", "fit_cwlls", "weighted_leverage"],
+    )
+    def test_weighted_pass_starts_from_one_ols_call(self, fit, monkeypatch):
+        y, scheme = replicate_log_signals("prolate", 28.0, n_voxels=2, iterations=4)
+        calls = []
+        ols = fitting.fit_ols_batch
+
+        def spy(y, scheme):
+            calls.append(len(y))
+            return ols(y, scheme)
+
+        monkeypatch.setattr(fitting, "fit_ols_batch", spy)
+        fit(y, scheme)
+        assert calls == [len(y)]
 
 
 class TestRowsAloneAsInBatch:

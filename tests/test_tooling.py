@@ -29,6 +29,11 @@ TwoBranchMlp.make_sample_masks (the draw and its inverted scale) and config's
 SCHEMA (the default) read .dropout_rate, so the layer kernels, the loss and
 the sampler take masks and no rate.
 
+One fallback solver: in fitting.py only _qr_solve_batch (R of a weighted
+design's QR) and fit_ols_batch (R^-1 Q^T of the design) read np.linalg.solve,
+so a row the Cholesky fails takes the QR path and no Gram matrix goes to
+LAPACK.
+
 One row axis: fitting.py, tensor.py and bootstrap.py use no @, matmul, dot,
 inner or tensordot, and no einsum with an optimize argument. Those may hand a
 batch to BLAS, whose blocking can make one row's result depend on the rows
@@ -199,6 +204,8 @@ def attribute_reads(tree: ast.Module, attr: str) -> list:
     return sorted(found, key=lambda f: (f[1], f[0]))
 
 
+SOLVE_READERS = ["_qr_solve_batch", "fit_ols_batch"]
+
 ROW_AXIS_MODULES = ("fitting.py", "tensor.py", "bootstrap.py")
 BLAS_PRODUCTS = ("matmul", "dot", "inner", "tensordot")
 
@@ -364,6 +371,27 @@ def test_scan_finds_a_dropout_rate_read_in_forward():
     assert [r for r in reads if ("mlp.py", r[0]) not in RATE_READERS] == [
         ("TwoBranchMlp.forward", line)
     ]
+
+
+def test_only_the_qr_paths_solve_in_fitting():
+    found = attribute_reads(parse(PACKAGE / "fitting.py"), "solve")
+    assert [f for f in found if f[0] not in SOLVE_READERS] == []
+    assert sorted({f[0] for f in found}) == sorted(SOLVE_READERS)  # the scan sees each
+
+
+def test_scan_finds_a_gram_solve_put_into_the_cholesky():
+    source = (PACKAGE / "fitting.py").read_text()
+    tail = "    return z.T, failed\n"
+    assert source.count(tail) == 1  # fixture sanity
+    line = source[: source.index(tail)].count("\n") + 3
+    mutated = ast.parse(source.replace(tail, (
+        "    if np.any(failed):\n"
+        "        gram, rhs = _normal_equations(xt, w[failed], y[failed])\n"
+        "        z[:, failed] = np.linalg.solve(gram.transpose(2, 0, 1), rhs.T[..., None])[..., 0].T\n"
+        + tail
+    )))
+    reads = attribute_reads(mutated, "solve")
+    assert [r for r in reads if r[0] not in SOLVE_READERS] == [("_normal_solve_batch", line)]
 
 
 @pytest.mark.parametrize("name", ROW_AXIS_MODULES)
