@@ -24,6 +24,16 @@ DEFAULT_GRID_SIZE = 256
 MPIW_CAPS = {"fa": 0.20, "md": 0.2e-3, "theta": 60.0}
 
 
+class RowError(ValueError):
+    """A row that triples_from_arrays or recalibrate refuses: its index .row in
+    the arrays given, .array the name of the array refused there (truth,
+    estimate or sigma), and .detail what is wrong."""
+
+    def __init__(self, row: int, array: str, detail: str):
+        super().__init__(f"row {row}: {detail}")
+        self.row, self.array, self.detail = row, array, detail
+
+
 @dataclass(frozen=True, eq=False)
 class Triples:
     """Validated (truth, estimate, sigma) columns; build with triples_from_arrays."""
@@ -73,7 +83,9 @@ class IsotonicMap:
 
 def triples_from_arrays(truth, estimate, sigma) -> Triples:
     """The one validating constructor: equal-length 1-D float arrays, all
-    finite, sigma >= 0. A ValueError names the first offending row."""
+    finite, sigma >= 0. A ValueError names the first offending row; for a bad
+    value it is a RowError, whose .array is the first array not finite there,
+    or sigma for a negative sigma."""
     names = ("truth", "estimate", "sigma")
     arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (truth, estimate, sigma)]
     if len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 1:
@@ -84,7 +96,8 @@ def triples_from_arrays(truth, estimate, sigma) -> Triples:
     if not ok.all():
         row = int(np.argmin(ok))
         values = ", ".join(f"{name}={float(a[row])!r}" for name, a in zip(names, arrays))
-        raise ValueError(f"row {row}: need finite values and sigma >= 0, got {values}")
+        array = next((n for n, a in zip(names, arrays) if not np.isfinite(a[row])), "sigma")
+        raise RowError(row, array, f"need finite values and sigma >= 0, got {values}")
     return Triples(truth, estimate, sigma)
 
 
@@ -227,5 +240,12 @@ def fit_isotonic(calibration_triples: Triples, n_bins: int = DEFAULT_BINS) -> Is
 
 
 def recalibrate(mapping: IsotonicMap, sigma: np.ndarray) -> np.ndarray:
-    """Recalibrated sigmas: sqrt(map(sigma^2)), row by row."""
-    return np.sqrt(mapping(np.asarray(sigma, dtype=np.float64) ** 2))
+    """Recalibrated sigmas: sqrt(map(sigma^2)), row by row, of a 1-D sigma. A
+    RowError names the first sigma that is not finite and >= 0; squaring
+    would silently turn a negative one into a valid one."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    # min/max propagate NaN, so two reductions cover every bad value
+    if not (sigma.min(initial=0.0) >= 0 and np.isfinite(sigma.max(initial=0.0))):
+        row = int(np.argmin(np.isfinite(sigma) & (sigma >= 0)))
+        raise RowError(row, "sigma", f"need finite sigma >= 0, got sigma={float(sigma[row])!r}")
+    return np.sqrt(mapping(sigma**2))

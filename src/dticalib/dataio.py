@@ -260,6 +260,11 @@ def read_fits(path):
     return header, params
 
 
+def truth_sha256(truth: np.ndarray) -> str:
+    """sha256 of a dataset's truth block as read: its little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(truth, dtype="<f8")).hexdigest()
+
+
 def write_predictions(path, table: np.ndarray, method: str, meta: dict = None):
     """Per-voxel estimates and uncertainties; columns PREDICTION_COLUMNS."""
     table = np.asarray(table, dtype=np.float64)

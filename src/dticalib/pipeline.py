@@ -29,6 +29,9 @@ from .tensor import GradientScheme, eigh3_batch, principal_scalars
 # of a folded normal sits near 2 sigma)
 SIGMA_COLUMNS = {"fa": (6, 1.0), "md": (7, 1.0), "theta": (5, 0.5)}
 PARAMETERS = tuple(SIGMA_COLUMNS)
+# per parameter, the table columns its deviation from the truth reads (theta's is
+# the angle of the table's v1 to the truth's); read_dataset checks the truth
+DEVIATION_COLUMNS = {"fa": "fa_hat", "md": "md_hat", "theta": "v1x, v1y, v1z"}
 
 
 def run(cfg: ExperimentConfig, stage):
@@ -99,11 +102,16 @@ def run_fit(cfg: ExperimentConfig):
     return lambda out: dataio.write_fits(out / "fits.bin", params, name)
 
 
+def _truth_meta(truth) -> dict:
+    """The prediction-table meta that records the truth a table was computed from."""
+    return {} if truth is None else {"truth_sha256": dataio.truth_sha256(truth)}
+
+
 def run_bootstrap(cfg: ExperimentConfig):
-    _, signals, _, scheme = dataio.read_dataset(cfg.get("dataset.path"))
+    _, signals, truth, scheme = dataio.read_dataset(cfg.get("dataset.path"))
     iterations = cfg.get("bootstrap.iterations")
     table = bs.wild_bootstrap_table(signals, scheme, iterations, cfg.seed)
-    meta = {"iterations": iterations}
+    meta = {"iterations": iterations, **_truth_meta(truth)}
     return lambda out: dataio.write_predictions(out / "predictions_wbs.bin", table, "wbs", meta)
 
 
@@ -128,7 +136,7 @@ def run_train(cfg: ExperimentConfig):
 
 def run_predict(cfg: ExperimentConfig):
     dataset, checkpoint = cfg.get("dataset.path"), cfg.get("predict.model")
-    _, signals, _, scheme = dataio.read_dataset(dataset)
+    _, signals, truth, scheme = dataio.read_dataset(dataset)
     model, _ = mlp.load_checkpoint(checkpoint)
     if model.spec.input_dim != len(scheme):
         raise dataio.DataFormatError(
@@ -146,7 +154,7 @@ def run_predict(cfg: ExperimentConfig):
         )
         spread[rows] = bs.summarize_uncertainty(samples)
     table = np.column_stack([fa, md, v1, spread, u])
-    meta = {"samples": n_samples}
+    meta = {"samples": n_samples, **_truth_meta(truth)}
     return lambda out: dataio.write_predictions(
         out / "predictions_dl.bin", table, "mc_dropout", meta
     )
@@ -173,32 +181,71 @@ def angular_error_deg(v_hat: np.ndarray, v_true: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(cosines))
 
 
-def triples_by_parameter(table: np.ndarray, true_scalars, uncertainty="epistemic"):
+def _row_error(path, rows, row: int, column: str, detail: str):
+    """DataFormatError naming the table path, the column and the row in the file of
+    row `row` of the rows scored: rows holds each one's row in the file, and is
+    None when the rows scored are the file's."""
+    at = row if rows is None else int(rows[row])
+    return dataio.DataFormatError(f"{path}: row {at}, {column}: {detail}")
+
+
+def triples_by_parameter(
+    table: np.ndarray, true_scalars, uncertainty="epistemic", path="table", rows=None
+):
     """Per-parameter Triples from a prediction table and the truth's tensor_scalars.
 
     theta uses the angular error as the deviation; each sigma is its
     SIGMA_COLUMNS column times its scale. With uncertainty="aleatoric",
-    exp(u) replaces the per-parameter sigma.
+    exp(u) replaces the per-parameter sigma. A refused row is a data error
+    naming path, the column and the row in the file (see _row_error).
     """
     fa_true, md_true, v_true = true_scalars
     truth = {"fa": fa_true, "md": md_true, "theta": angular_error_deg(table[:, 2:5], v_true)}
     estimate = {"fa": table[:, 0], "md": table[:, 1], "theta": np.zeros(len(table))}
     if uncertainty == "aleatoric":
-        if np.any(~np.isfinite(table[:, 8])):
-            raise ValueError("aleatoric sigma requested but u column is not finite")
+        bad = np.flatnonzero(~np.isfinite(table[:, 8]))
+        if bad.size:
+            u = float(table[bad[0], 8])
+            raise _row_error(path, rows, bad[0], "aleatoric_u",
+                             f"aleatoric sigma requested, but u = {u!r} is not finite")
         sigma = dict.fromkeys(PARAMETERS, np.exp(table[:, 8]))
+        names = dict.fromkeys(PARAMETERS, "aleatoric_u")
     else:
         sigma = {p: table[:, col] * scale for p, (col, scale) in SIGMA_COLUMNS.items()}
-    return {p: cal.triples_from_arrays(truth[p], estimate[p], sigma[p]) for p in PARAMETERS}
+        names = {p: dataio.PREDICTION_COLUMNS[col] for p, (col, _) in SIGMA_COLUMNS.items()}
+    triples = {}
+    for p in PARAMETERS:
+        try:
+            triples[p] = cal.triples_from_arrays(truth[p], estimate[p], sigma[p])
+        except cal.RowError as exc:
+            column = names[p] if exc.array == "sigma" else DEVIATION_COLUMNS[p]
+            raise _row_error(path, rows, exc.row, column, exc.detail) from None
+    return triples
 
 
-def _check_table_rows(cfg: ExperimentConfig, table_path, table, truth):
-    """DataFormatError unless the table holds one row per voxel of dataset.path."""
+def _check_truth_digest(cfg: ExperimentConfig, table_path, header: dict, truth):
+    """DataFormatError when the table's meta.truth_sha256, if it has one, is not
+    the digest of dataset.path's truth; returns the digest, or None. Only a
+    table with the field hashes the truth."""
+    meta = header.get("meta")
+    recorded = meta.get("truth_sha256") if isinstance(meta, dict) else None
+    if recorded is not None and recorded != (actual := dataio.truth_sha256(truth)):
+        raise dataio.DataFormatError(
+            f"{table_path}: meta.truth_sha256 = {recorded} does not match the truth of "
+            f"{cfg.get('dataset.path')} ({actual})"
+        )
+    return recorded
+
+
+def _check_table(cfg: ExperimentConfig, table_path, header: dict, table, truth):
+    """DataFormatError unless the table holds one row per voxel of dataset.path and
+    passes _check_truth_digest, whose digest it returns."""
     if len(table) != len(truth):
         raise dataio.DataFormatError(
             f"{table_path}: the table holds {len(table)} rows, but "
             f"{cfg.get('dataset.path')} holds {len(truth)} voxels"
         )
+    return _check_truth_digest(cfg, table_path, header, truth)
 
 
 def _metric_params(cfg: ExperimentConfig):
@@ -206,10 +253,11 @@ def _metric_params(cfg: ExperimentConfig):
     return cfg.get("metrics.bins"), cfg.get("metrics.grid_size"), caps
 
 
-def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty):
-    """Metrics of one table against the truth's tensor_scalars for the same rows."""
+def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty, path, rows=None):
+    """Metrics of one table against the truth's tensor_scalars for the same rows;
+    path and rows locate a refused row (see _row_error)."""
     out = {}
-    triples = triples_by_parameter(table, true_scalars, uncertainty)
+    triples = triples_by_parameter(table, true_scalars, uncertainty, path, rows)
     for p in PARAMETERS:
         t = triples[p]
         entry = {
@@ -228,17 +276,17 @@ def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty):
 
 
 def _load_table_for_eval(path):
-    """Predictions table from either a predictions file or a fits file."""
+    """(header, predictions table) from either a predictions file or a fits file;
+    a fits file's header counts as empty."""
     kind = dataio.file_kind(path)
     if kind == "predictions":
-        _, table = dataio.read_predictions(path)
-        return table
+        return dataio.read_predictions(path)
     if kind == "fits":
         _, params = dataio.read_fits(path)
         n = len(params)
         zeros = np.zeros(n)
         fa, md, v1 = tensor_scalars(params[:, :6])
-        return np.column_stack([fa, md, v1, zeros, zeros, zeros, np.full(n, np.nan)])
+        return {}, np.column_stack([fa, md, v1, zeros, zeros, zeros, np.full(n, np.nan)])
     raise dataio.DataFormatError(f"{path}: cannot evaluate file of kind {kind!r}")
 
 
@@ -258,12 +306,13 @@ def run_evaluate(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
     _, truth, _ = _read_truth_dataset(cfg)
     pred_path = cfg.get("evaluate.predictions")
-    table = _load_table_for_eval(pred_path)
-    _check_table_rows(cfg, pred_path, table, truth)
+    header, table = _load_table_for_eval(pred_path)
+    _check_table(cfg, pred_path, header, table, truth)
     bins, grid, caps = _metric_params(cfg)
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
         header, recal_table = dataio.read_predictions(recal_path)
+        _check_truth_digest(cfg, recal_path, header, truth)
         meta = header.get("meta")
         holdout = np.asarray(meta.get("holdout") if isinstance(meta, dict) else None)
         n = len(recal_table)
@@ -279,15 +328,17 @@ def run_evaluate(cfg: ExperimentConfig):
         held_truth = tensor_scalars(truth[holdout])
         metrics = {
             "before": _metrics_for_table(
-                table[holdout], held_truth, bins, grid, caps, uncertainty
+                table[holdout], held_truth, bins, grid, caps, uncertainty, pred_path, holdout
             ),
             "after": _metrics_for_table(
-                recal_table, held_truth, bins, grid, caps, uncertainty
+                recal_table, held_truth, bins, grid, caps, uncertainty, recal_path
             ),
         }
     else:
         _check_bins(cfg, {str(pred_path): len(table)})
-        metrics = _metrics_for_table(table, tensor_scalars(truth), bins, grid, caps, uncertainty)
+        metrics = _metrics_for_table(
+            table, tensor_scalars(truth), bins, grid, caps, uncertainty, pred_path
+        )
     return lambda out: dataio.write_metrics_json(out / "metrics.json", metrics)
 
 
@@ -309,7 +360,7 @@ def run_calibrate(cfg: ExperimentConfig):
     _, truth, _ = _read_truth_dataset(cfg)
     pred_path = cfg.get("calibrate.predictions")
     header, table = dataio.read_predictions(pred_path)
-    _check_table_rows(cfg, pred_path, table, truth)
+    digest = _check_table(cfg, pred_path, header, table, truth)
     bins, _, _ = _metric_params(cfg)
 
     n = len(table)
@@ -322,18 +373,25 @@ def run_calibrate(cfg: ExperimentConfig):
     # an isotonic map needs at least 2 bins
     _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
 
-    triples_cal = triples_by_parameter(table[cal_idx], tensor_scalars(truth[cal_idx]))
+    truth_cal = tensor_scalars(truth[cal_idx])
+    triples_cal = triples_by_parameter(table[cal_idx], truth_cal, path=pred_path, rows=cal_idx)
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
 
     recal = table[holdout].copy()
     for p, (col, scale) in SIGMA_COLUMNS.items():
-        recal[:, col] = cal.recalibrate(maps[p], recal[:, col] * scale) / scale
+        try:
+            recal[:, col] = cal.recalibrate(maps[p], recal[:, col] * scale) / scale
+        except cal.RowError as exc:
+            column = dataio.PREDICTION_COLUMNS[col]
+            raise _row_error(pred_path, holdout, exc.row, column, exc.detail) from None
 
     maps_json = {
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}
         for p in PARAMETERS
     }
     meta = {"recalibrated": True, "holdout": [int(i) for i in holdout]}
+    if digest is not None:
+        meta["truth_sha256"] = digest
 
     def write(out):
         dataio.write_metrics_json(out / "calibration_maps.json", maps_json)
@@ -348,10 +406,10 @@ def run_curves(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
     _, truth, _ = _read_truth_dataset(cfg)
     pred_path = cfg.get("curves.predictions")
-    _, table = dataio.read_predictions(pred_path)
-    _check_table_rows(cfg, pred_path, table, truth)
+    header, table = dataio.read_predictions(pred_path)
+    _check_table(cfg, pred_path, header, table, truth)
     _, grid, caps = _metric_params(cfg)
-    triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty)
+    triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty, pred_path)
     curves = [cal.picp_mpiw_curve(triples[p], caps[p], grid) for p in PARAMETERS]
 
     def write(out):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dticalib.calibration import (
     IsotonicMap,
+    RowError,
     _pava,
     bin_rmv_rmse,
     ence,
@@ -369,6 +370,25 @@ class TestTripleValidation:
             triples_from_arrays(np.zeros(3), [0.0, np.inf, 0.0], [1.0, 1.0, np.nan])
         with pytest.raises(ValueError, match=r"row 0: "):
             triples_from_arrays(np.zeros(2), np.zeros(2), [np.nan, -1.0])
+
+    @pytest.mark.parametrize("truth, estimate, sigma, row, array", [
+        ([0.0, np.nan], [0.0, np.inf], [1.0, -1.0], 1, "truth"),
+        ([0.0, 0.0], [0.0, np.inf], [1.0, np.nan], 1, "estimate"),
+        ([0.0, 0.0], [0.0, 0.0], [1.0, -1.0], 1, "sigma"),
+        ([0.0, 0.0], [0.0, 0.0], [np.inf, 1.0], 0, "sigma"),
+    ])
+    def test_refusal_names_row_and_first_bad_array(self, truth, estimate, sigma, row, array):
+        with pytest.raises(RowError) as refused:
+            triples_from_arrays(truth, estimate, sigma)
+        assert (refused.value.row, refused.value.array) == (row, array)
+        assert str(refused.value) == f"row {row}: {refused.value.detail}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_recalibrate_refuses_a_bad_sigma(self, bad):
+        mapping = IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 4.0]))
+        assert np.array_equal(recalibrate(mapping, [0.5, 1.0]), [1.0, 2.0])
+        with pytest.raises(RowError, match=rf"^row 2: need finite sigma >= 0, got sigma={bad!r}$"):
+            recalibrate(mapping, [0.5, 1.0, bad, -3.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"row 4: not in all of .*estimate \(4,\)"):

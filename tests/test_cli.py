@@ -841,8 +841,10 @@ class TestDlFlow:
         cfg = write_cfg(tmp_path / "e.cfg", body)
         for cmd in ("simulate", "train", "predict", "evaluate"):
             assert main([cmd, "--config", cfg]) == 0
-        _, table = dataio.read_predictions(tmp_path / "run/predictions_dl.bin")
+        header, table = dataio.read_predictions(tmp_path / "run/predictions_dl.bin")
         assert np.all(np.isfinite(table[:, 8]))  # aleatoric u column
+        truth = dataio.read_dataset(tmp_path / "run/dataset.bin")[2]
+        assert header["meta"]["truth_sha256"] == dataio.truth_sha256(truth)
         metrics = json.loads((tmp_path / "run/metrics.json").read_text())
         for p in ("fa", "md", "theta"):
             assert metrics[p]["ence"] is not None
@@ -921,3 +923,157 @@ class TestCurves:
             assert first[0] == 0.0 and first[1] == 0.0
             last = [float(tok) for tok in lines[-1].split(",")]
             assert last[2] == 1.0
+
+
+SIXTY = BASE.format(snr="28").replace("n_voxels = 24", "n_voxels = 60").replace(
+    "metrics.bins = 6", "metrics.bins = 4"
+)
+
+
+def wild_bootstrap_run(tmp_path):
+    """(config path, table path, dataset path) of a 60-voxel prolate bootstrap, seed 11."""
+    cfg = write_cfg(tmp_path / "e.cfg", SIXTY + "dataset.path = run/dataset.bin\n")
+    for cmd in ("simulate", "bootstrap"):
+        assert main([cmd, "--config", cfg, "--iterations", "20"]) == 0
+    return cfg, tmp_path / "run/predictions_wbs.bin", tmp_path / "run/dataset.bin"
+
+
+def score(tmp_path, command, table, dataset, extra=""):
+    """Exit code of one scoring stage of table against dataset, written to scored/."""
+    body = SIXTY + f"dataset.path = {dataset}\n{command}.predictions = {table}\n" + extra
+    return main([command, "--config", write_cfg(tmp_path / "s.cfg", body), "--out", "scored"])
+
+
+class TestScoringErrorsNameTableColumnRow:
+    def splits(self):
+        perm = run_stream(11, CALIBRATE_SPLIT).permutation(60)
+        return np.sort(perm[:30]), np.sort(perm[30:])  # calibration, held-out
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("command, split, detail", [
+        ("calibrate", 0, "need finite values and sigma >= 0, got truth="),
+        ("calibrate", 1, "need finite sigma >= 0, got "),
+        ("evaluate", 1, "need finite values and sigma >= 0, got truth="),
+        ("evaluate-recalibrated", 1, "need finite values and sigma >= 0, got truth="),
+        ("curves", 1, "need finite values and sigma >= 0, got truth="),
+    ], ids=["calibrate-calibration-split", "calibrate-held-out", "evaluate",
+            "evaluate-recalibrated", "curves"])
+    def test_bad_sigma_names_table_column_and_file_row(
+        self, tmp_path, capsys, command, split, detail, value
+    ):
+        _, table, dataset = wild_bootstrap_run(tmp_path)
+        voxel = int(self.splits()[split][3])
+        extra = ""
+        if command == "evaluate-recalibrated":
+            assert score(tmp_path, "calibrate", table, dataset) == 0
+            recal = tmp_path / "recal.bin"
+            shutil.move(tmp_path / "scored/predictions_recalibrated.bin", recal)
+            shutil.rmtree(tmp_path / "scored")
+            extra, command = f"evaluate.recalibrated = {recal}\n", "evaluate"
+        header, rows = dataio.read_predictions(table)
+        rows[voxel, 6] = value
+        dataio.write_predictions(table, rows, header["method"], header["meta"])
+        capsys.readouterr()
+        assert score(tmp_path, command, table, dataset, extra) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err.startswith(f"data error: {table}: row {voxel}, sigma_fa: {detail}")
+        assert err.endswith(f"sigma={value!r}")
+        assert not (tmp_path / "scored").exists()
+
+    def test_bad_recalibrated_row_names_its_row_in_that_file(self, tmp_path, capsys):
+        _, table, dataset = wild_bootstrap_run(tmp_path)
+        assert score(tmp_path, "calibrate", table, dataset) == 0
+        recal = tmp_path / "recal.bin"
+        shutil.move(tmp_path / "scored/predictions_recalibrated.bin", recal)
+        shutil.rmtree(tmp_path / "scored")
+        header, rows = dataio.read_predictions(recal)
+        rows[7, 5] = -2.0  # theta95, scored as sigma -1.0
+        dataio.write_predictions(recal, rows, header["method"], header["meta"])
+        capsys.readouterr()
+        assert score(tmp_path, "evaluate", table, dataset, f"evaluate.recalibrated = {recal}\n") == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err.startswith(f"data error: {recal}: row 7, theta95: need finite values")
+        assert err.endswith("sigma=-1.0")
+        assert not (tmp_path / "scored").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "curves"])
+    def test_aleatoric_u_of_a_wild_bootstrap_table_names_table_column_and_row(
+        self, tmp_path, capsys, command
+    ):
+        _, table, dataset = wild_bootstrap_run(tmp_path)
+        capsys.readouterr()
+        assert score(tmp_path, command, table, dataset, "evaluate.uncertainty = aleatoric\n") == 2
+        assert capsys.readouterr().err.rstrip() == (
+            f"data error: {table}: row 0, aleatoric_u: aleatoric sigma requested, "
+            "but u = nan is not finite"
+        )
+        assert not (tmp_path / "scored").exists()
+
+
+class TestTruthDigest:
+    def other_dataset(self, tmp_path, replace):
+        """dataset.bin of a 60-voxel phantom, SIXTY with each (old, new) of replace."""
+        body = SIXTY
+        for old, new in replace:
+            body = body.replace(old, new)
+        assert main(["simulate", "--config", write_cfg(tmp_path / "o.cfg", body),
+                     "--out", "other"]) == 0
+        return tmp_path / "other/dataset.bin"
+
+    def test_tables_record_the_truth_and_calibrate_carries_it(self, tmp_path):
+        _, table, dataset = wild_bootstrap_run(tmp_path)
+        digest = dataio.truth_sha256(dataio.read_dataset(dataset)[2])
+        assert dataio.read_predictions(table)[0]["meta"]["truth_sha256"] == digest
+        assert score(tmp_path, "calibrate", table, dataset) == 0
+        recal = dataio.read_predictions(tmp_path / "scored/predictions_recalibrated.bin")[0]
+        assert recal["meta"]["truth_sha256"] == digest
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate", "curves"])
+    def test_table_of_another_truth_is_data_error_naming_both(self, tmp_path, capsys, command):
+        _, table, _ = wild_bootstrap_run(tmp_path)
+        other = self.other_dataset(
+            tmp_path, [("generator = prolate", "generator = random_spd"), ("seed = 11", "seed = 7")]
+        )
+        recorded = dataio.read_predictions(table)[0]["meta"]["truth_sha256"]
+        actual = dataio.truth_sha256(dataio.read_dataset(other)[2])
+        capsys.readouterr()
+        assert score(tmp_path, command, table, other) == 2
+        assert capsys.readouterr().err.rstrip() == (
+            f"data error: {table}: meta.truth_sha256 = {recorded} does not match the truth "
+            f"of {other} ({actual})"
+        )
+        assert not (tmp_path / "scored").exists()
+
+        # a table that records no truth is scored as it always was
+        header, rows = dataio.read_predictions(table)
+        del header["meta"]["truth_sha256"]
+        dataio.write_predictions(table, rows, header["method"], header["meta"])
+        assert score(tmp_path, command, table, other) == 0
+
+    def test_recalibrated_table_of_another_truth_is_data_error(self, tmp_path, capsys):
+        _, table, dataset = wild_bootstrap_run(tmp_path)
+        assert score(tmp_path, "calibrate", table, dataset) == 0
+        recal = tmp_path / "recal.bin"
+        shutil.move(tmp_path / "scored/predictions_recalibrated.bin", recal)
+        shutil.rmtree(tmp_path / "scored")
+        header, rows = dataio.read_predictions(table)
+        del header["meta"]["truth_sha256"]
+        dataio.write_predictions(table, rows, header["method"], header["meta"])
+        other = self.other_dataset(tmp_path, [("seed = 11", "seed = 7")])
+        capsys.readouterr()
+        assert score(tmp_path, "evaluate", table, other, f"evaluate.recalibrated = {recal}\n") == 2
+        err = capsys.readouterr().err.rstrip()
+        actual = dataio.truth_sha256(dataio.read_dataset(other)[2])
+        assert err.startswith(f"data error: {recal}: meta.truth_sha256 = ")
+        assert err.endswith(f"does not match the truth of {other} ({actual})")
+        assert not (tmp_path / "scored").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate", "curves"])
+    def test_same_truth_at_another_snr_is_scored(self, tmp_path, command):
+        _, table, dataset = wild_bootstrap_run(tmp_path)
+        other = self.other_dataset(tmp_path, [("snr_db = 28", "snr_db = 15")])
+        _, signals, truth, _ = dataio.read_dataset(dataset)
+        _, other_signals, other_truth, _ = dataio.read_dataset(other)
+        assert np.array_equal(other_truth, truth)  # fixture sanity: the same truth,
+        assert not np.array_equal(other_signals, signals)  # but other signals
+        assert score(tmp_path, command, table, other) == 0
