@@ -189,9 +189,7 @@ def _row_error(path, rows, row: int, column: str, detail: str):
     return dataio.DataFormatError(f"{path}: row {at}, {column}: {detail}")
 
 
-def triples_by_parameter(
-    table: np.ndarray, true_scalars, uncertainty="epistemic", path="table", rows=None
-):
+def triples_by_parameter(table: np.ndarray, true_scalars, path, rows=None, uncertainty="epistemic"):
     """Per-parameter Triples from a prediction table and the truth's tensor_scalars.
 
     theta uses the angular error as the deviation; each sigma is its
@@ -257,7 +255,7 @@ def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty, path,
     """Metrics of one table against the truth's tensor_scalars for the same rows;
     path and rows locate a refused row (see _row_error)."""
     out = {}
-    triples = triples_by_parameter(table, true_scalars, uncertainty, path, rows)
+    triples = triples_by_parameter(table, true_scalars, path, rows, uncertainty)
     for p in PARAMETERS:
         t = triples[p]
         entry = {
@@ -374,7 +372,7 @@ def run_calibrate(cfg: ExperimentConfig):
     _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
 
     truth_cal = tensor_scalars(truth[cal_idx])
-    triples_cal = triples_by_parameter(table[cal_idx], truth_cal, path=pred_path, rows=cal_idx)
+    triples_cal = triples_by_parameter(table[cal_idx], truth_cal, pred_path, cal_idx)
     maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
 
     recal = table[holdout].copy()
@@ -409,7 +407,7 @@ def run_curves(cfg: ExperimentConfig):
     header, table = dataio.read_predictions(pred_path)
     _check_table(cfg, pred_path, header, table, truth)
     _, grid, caps = _metric_params(cfg)
-    triples = triples_by_parameter(table, tensor_scalars(truth), uncertainty, pred_path)
+    triples = triples_by_parameter(table, tensor_scalars(truth), pred_path, uncertainty=uncertainty)
     curves = [cal.picp_mpiw_curve(triples[p], caps[p], grid) for p in PARAMETERS]
 
     def write(out):

@@ -990,7 +990,8 @@ class TestScoringErrorsNameTableColumnRow:
         rows[7, 5] = -2.0  # theta95, scored as sigma -1.0
         dataio.write_predictions(recal, rows, header["method"], header["meta"])
         capsys.readouterr()
-        assert score(tmp_path, "evaluate", table, dataset, f"evaluate.recalibrated = {recal}\n") == 2
+        extra = f"evaluate.recalibrated = {recal}\n"
+        assert score(tmp_path, "evaluate", table, dataset, extra) == 2
         err = capsys.readouterr().err.rstrip()
         assert err.startswith(f"data error: {recal}: row 7, theta95: need finite values")
         assert err.endswith("sigma=-1.0")

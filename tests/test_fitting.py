@@ -297,7 +297,8 @@ class TestCholeskySolve:
         beta, failed = fitting._normal_solve_batch(xs, w, y)
         assert np.flatnonzero(failed).tolist() == [3]
         for row in np.flatnonzero(~failed):
-            alone, alone_failed = fitting._normal_solve_batch(xs, w[row : row + 1], y[row : row + 1])
+            one = slice(row, row + 1)
+            alone, alone_failed = fitting._normal_solve_batch(xs, w[one], y[one])
             assert np.array_equal(alone[0], beta[row]) and not alone_failed[0]
 
         # the weighted solve hands a flagged row, and only it, to the one QR call

@@ -387,7 +387,8 @@ def test_scan_finds_a_gram_solve_put_into_the_cholesky():
     mutated = ast.parse(source.replace(tail, (
         "    if np.any(failed):\n"
         "        gram, rhs = _normal_equations(xt, w[failed], y[failed])\n"
-        "        z[:, failed] = np.linalg.solve(gram.transpose(2, 0, 1), rhs.T[..., None])[..., 0].T\n"
+        "        solved = np.linalg.solve(gram.transpose(2, 0, 1), rhs.T[..., None])\n"
+        "        z[:, failed] = solved[..., 0].T\n"
         + tail
     )))
     reads = attribute_reads(mutated, "solve")
