@@ -20,8 +20,9 @@ from .rng import WILD_BOOTSTRAP, run_stream
 # Replicate rows per grouped call: wild_bootstrap_table refits, and predict
 # runs dropout passes over, CHUNK_ROWS rows (whole voxels, at least one) at a
 # time. Wild-bootstrap tables do not depend on it, because every kernel
-# treats rows independently; dropout forwards use BLAS matmul, whose rows
-# agree across chunk sizes to rounding.
+# treats rows independently. Dropout forwards use BLAS matmul, which on the
+# builds tested gives each row bit for bit what it gives alone; the CLI tests
+# check both tables at one voxel per chunk and at all voxels in one.
 CHUNK_ROWS = 1024
 MIN_REPLICATES = 2  # fewer leave no spread to measure
 

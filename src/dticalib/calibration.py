@@ -101,19 +101,33 @@ def triples_from_arrays(truth, estimate, sigma) -> Triples:
     return Triples(truth, estimate, sigma)
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """argsort(values, kind="stable") of a 1-D float array, bit for bit: ties,
+    0.0 and -0.0 among them, in index order. One fast unstable sort, then its
+    runs of equal values numbered in order and one integer sort of
+    run * n + index; that key stays below n * n < 2**63."""
+    n = len(values)
+    assert n * n < 2**63
+    order = np.argsort(values)
+    ordered = values[order]
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=run[1:])
+    return np.sort(run * n + order) % n
+
+
 def bin_rmv_rmse(triples: Triples, n_bins: int = DEFAULT_BINS) -> BinStats:
     """Equal-population bins ordered by sigma; RMV and RMSE per bin.
 
     Any remainder after integer division is spread one-per-bin over the
-    leading bins.
+    leading bins. Equal sigmas keep their row order, so ties at bin
+    boundaries resolve by original index.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     n = len(triples)
     if n < n_bins:
         raise ValueError("need at least one triple per bin")
-    # stable sort: ties at bin boundaries resolve by original index
-    order = np.argsort(triples.sigma, kind="stable")
+    order = _stable_order(triples.sigma)
     err2 = (triples.truth - triples.estimate)[order] ** 2
     var = triples.sigma[order] ** 2
     base, rem = divmod(n, n_bins)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -45,6 +46,10 @@ PREDICTION_COLUMNS = (
     "sigma_md",
     "aleatoric_u",
 )
+
+
+# a sha256 digest as manifest.json records it
+SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 class DataFormatError(ValueError):
@@ -137,41 +142,53 @@ def file_kind(path):
         return _read_header(f, path).get("kind")
 
 
+def _checked_header(f, path, kind: str, block_shapes_from_header):
+    """(header, block shapes) of the open file f of this kind, left at its first
+    block; each refusal is a DataFormatError naming the path: a bad header, another
+    kind or version, a missing field or one of another type, a negative size, a
+    short block, trailing bytes. Block sizes are checked against the file size, in
+    Python ints, before any block is allocated or read."""
+    header = _read_header(f, path)
+    if header.get("kind") != kind:
+        raise DataFormatError(f"{path}: not a {kind} file (kind {header.get('kind')!r})")
+    fields = {"version": int, **FIELDS[kind]}
+    missing = [field for field in fields if field not in header]
+    if missing:
+        raise DataFormatError(f"{path}: {kind} header lacks {', '.join(missing)}")
+    for field, expected in fields.items():
+        if type(header[field]) is not expected:  # JSON true is a bool, never an int
+            value = header[field]
+            raise DataFormatError(f"{path}: {kind} header field {field} = {value!r} "
+                                  f"is not {expected.__name__}")
+    if header["version"] != VERSIONS[kind]:
+        raise DataFormatError(f"{path}: unsupported {kind} version {header['version']!r}")
+    for field, expected in FIELDS[kind].items():
+        if expected is int and header[field] < 0:
+            raise DataFormatError(f"{path}: {kind} header field {field} = "
+                                  f"{header[field]} must be >= 0")
+    shapes = block_shapes_from_header(header)
+    declared = sum(8 * math.prod(shape) for shape in shapes)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if declared > left:
+        raise DataFormatError(f"{path}: truncated block")
+    if declared < left:
+        raise DataFormatError(f"{path}: trailing bytes beyond declared blocks")
+    return header, shapes
+
+
+def _read_block(f, path, shape) -> np.ndarray:
+    """The next block of the open file f, of this shape."""
+    block = np.empty(shape, dtype="<f8")
+    if f.readinto(block) != block.nbytes:  # the file shrank since fstat
+        raise DataFormatError(f"{path}: truncated block")
+    return block
+
+
 def read_header_blocks(path, kind: str, block_shapes_from_header):
-    """(header, blocks) of a file of this kind; each is a DataFormatError naming the path:
-    a bad header, another kind or version, a missing field or one of another type, a
-    negative size, a short block, trailing bytes. Block sizes are checked against the
-    file size, in Python ints, before any block is allocated or read."""
+    """(header, blocks) of a file of this kind, checked as _checked_header says."""
     with open(path, "rb") as f:
-        header = _read_header(f, path)
-        if header.get("kind") != kind:
-            raise DataFormatError(f"{path}: not a {kind} file (kind {header.get('kind')!r})")
-        fields = {"version": int, **FIELDS[kind]}
-        missing = [field for field in fields if field not in header]
-        if missing:
-            raise DataFormatError(f"{path}: {kind} header lacks {', '.join(missing)}")
-        for field, expected in fields.items():
-            if type(header[field]) is not expected:  # JSON true is a bool, never an int
-                value = header[field]
-                raise DataFormatError(f"{path}: {kind} header field {field} = {value!r} "
-                                      f"is not {expected.__name__}")
-        if header["version"] != VERSIONS[kind]:
-            raise DataFormatError(f"{path}: unsupported {kind} version {header['version']!r}")
-        for field, expected in FIELDS[kind].items():
-            if expected is int and header[field] < 0:
-                raise DataFormatError(f"{path}: {kind} header field {field} = "
-                                      f"{header[field]} must be >= 0")
-        shapes = block_shapes_from_header(header)
-        declared = sum(8 * math.prod(shape) for shape in shapes)
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if declared > left:
-            raise DataFormatError(f"{path}: truncated block")
-        if declared < left:
-            raise DataFormatError(f"{path}: trailing bytes beyond declared blocks")
-        blocks = [np.empty(shape, dtype="<f8") for shape in shapes]
-        for block in blocks:
-            if f.readinto(block) != block.nbytes:  # the file shrank since fstat
-                raise DataFormatError(f"{path}: truncated block")
+        header, shapes = _checked_header(f, path, kind, block_shapes_from_header)
+        blocks = [_read_block(f, path, shape) for shape in shapes]
     return header, blocks
 
 
@@ -202,13 +219,9 @@ def write_dataset(
     write_header_blocks(path, "dataset", header, blocks)
 
 
-def read_dataset(path):
-    """Returns (header, signals, truth_elements | None, scheme).
-
-    scheme_ref is resolved relative to the dataset file's directory. A dataset
-    holds at least one voxel. Signals must be finite and >= 0 and truth
-    finite; the error names the first bad voxel.
-    """
+def _dataset_shapes(path):
+    """The block shapes of a dataset header: signals (n, m), then truth (n, 6)
+    if it has one. A dataset holds at least one voxel."""
 
     def shapes(header):
         n, m = header["n_voxels"], header["m"]
@@ -216,7 +229,27 @@ def read_dataset(path):
             raise DataFormatError(f"{path}: dataset header field n_voxels = 0 must be >= 1")
         return [(n, m), (n, 6)] if header["has_ground_truth"] else [(n, m)]
 
-    header, blocks = read_header_blocks(path, "dataset", shapes)
+    return shapes
+
+
+def _dataset_scheme(path, header) -> GradientScheme:
+    """The scheme of a dataset header, resolved relative to the dataset file's
+    directory; its length must be the header's m."""
+    ref = Path(path).parent / header["scheme_ref"]
+    scheme = read_bvec_bval(str(ref) + ".bvec", str(ref) + ".bval")
+    if len(scheme) != header["m"]:
+        raise DataFormatError(f"{path}: scheme length disagrees with header")
+    return scheme
+
+
+def read_dataset(path):
+    """Returns (header, signals, truth_elements | None, scheme).
+
+    scheme_ref is resolved relative to the dataset file's directory. A dataset
+    holds at least one voxel. Signals must be finite and >= 0 and truth
+    finite; the error names the first bad voxel.
+    """
+    header, blocks = read_header_blocks(path, "dataset", _dataset_shapes(path))
     signals = blocks[0]
     truth = blocks[1] if header["has_ground_truth"] else None
     # min/max propagate NaN, so two reductions cover every bad value
@@ -228,11 +261,21 @@ def read_dataset(path):
         )
     if truth is not None:
         _refuse_non_finite(path, truth, "tensor element", "truth")
-    ref = Path(path).parent / header["scheme_ref"]
-    scheme = read_bvec_bval(str(ref) + ".bvec", str(ref) + ".bval")
-    if len(scheme) != header["m"]:
-        raise DataFormatError(f"{path}: scheme length disagrees with header")
-    return header, signals, truth, scheme
+    return header, signals, truth, _dataset_scheme(path, header)
+
+
+def read_dataset_truth(path):
+    """Returns (header, truth_elements | None, scheme): read_dataset's checks of
+    the header, the sizes, the truth and the scheme, but the signals block is
+    skipped unread, so its values are not checked."""
+    with open(path, "rb") as f:
+        header, shapes = _checked_header(f, path, "dataset", _dataset_shapes(path))
+        truth = None
+        if header["has_ground_truth"]:
+            f.seek(8 * math.prod(shapes[0]), os.SEEK_CUR)
+            truth = _read_block(f, path, shapes[1])
+            _refuse_non_finite(path, truth, "tensor element", "truth")
+    return header, truth, _dataset_scheme(path, header)
 
 
 def _refuse_non_finite(path, block, column: str, what: str):
@@ -311,19 +354,58 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _digests_on_record(path):
+    """({relative path: sha256} of the manifest at path, its stat result), or
+    ({}, None) when it is missing or does not parse."""
+    try:
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            outputs = json.loads(f.read().decode("utf-8"))["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}, None
+    return (outputs, st) if isinstance(outputs, dict) else ({}, None)
+
+
+def _unchanged_since(path, manifest: os.stat_result) -> bool:
+    """Whether the file at path is shown unchanged since that manifest was
+    written: its lstat and stat ctime and mtime all strictly earlier than the
+    manifest's mtime, on the manifest's device. A change in the manifest's own
+    timestamp tick is not shown unchanged."""
+    try:
+        stats = (os.lstat(path), os.stat(path))
+    except OSError:
+        return False
+    written = manifest.st_mtime_ns
+    return all(s.st_dev == manifest.st_dev and s.st_ctime_ns < written
+               and s.st_mtime_ns < written for s in stats)
+
+
 def write_manifest(out_dir: Path, config_text: str, seed: int, outputs):
-    """Manifest for one run: config hash, seed, versions, output hashes."""
+    """Manifest for one run: config hash, seed, versions, output hashes.
+
+    An output keeps the digest that the manifest.json already in out_dir records
+    for it only when _unchanged_since shows it unchanged since that manifest was
+    written; every other output, and every output when there is no such manifest
+    or it does not parse, is hashed.
+    """
     from . import __version__
 
+    path = Path(out_dir) / "manifest.json"
+    recorded, previous = _digests_on_record(path)
+    digests = {}
+    for p in sorted(outputs):
+        name = str(Path(p).relative_to(out_dir))
+        digest = recorded.get(name)
+        if not (isinstance(digest, str) and SHA256_HEX.fullmatch(digest)
+                and _unchanged_since(p, previous)):
+            digest = sha256_file(p)
+        digests[name] = digest
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
         "seed": seed,
         "versions": {"dticalib": __version__, "numpy": np.__version__},
-        "outputs": {
-            str(Path(p).relative_to(out_dir)): sha256_file(p) for p in sorted(outputs)
-        },
+        "outputs": digests,
     }
-    path = Path(out_dir) / "manifest.json"
     with open(path, "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -313,9 +313,11 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
     Row i of the (n, m) inputs holds voxel voxels[i] of run `seed` (voxels
     0..n-1 by default) and draws its masks with make_sample_masks(
     run_stream(seed, MC_DROPOUT, voxels[i]), n_samples); all rows run as one
-    forward over n_samples copies of each. Returns the (n, n_samples, 6)
-    replicate tensors at physical scale (Gal & Ghahramani 2016, dropout as
-    a Bayesian approximation).
+    forward over n_samples copies of each. A row's samples do not depend on
+    the other rows of the call: on the BLAS builds tested they are bit for bit
+    those of the row called alone, as the tests check. Returns the (n,
+    n_samples, 6) replicate tensors at physical scale (Gal & Ghahramani 2016,
+    dropout as a Bayesian approximation).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     voxels = range(len(inputs)) if voxels is None else voxels

@@ -30,7 +30,7 @@ from .tensor import GradientScheme, eigh3_batch, principal_scalars
 SIGMA_COLUMNS = {"fa": (6, 1.0), "md": (7, 1.0), "theta": (5, 0.5)}
 PARAMETERS = tuple(SIGMA_COLUMNS)
 # per parameter, the table columns its deviation from the truth reads (theta's is
-# the angle of the table's v1 to the truth's); read_dataset checks the truth
+# the angle of the table's v1 to the truth's); read_dataset_truth checks the truth
 DEVIATION_COLUMNS = {"fa": "fa_hat", "md": "md_hat", "theta": "v1x, v1y, v1z"}
 
 
@@ -115,17 +115,24 @@ def run_bootstrap(cfg: ExperimentConfig):
     return lambda out: dataio.write_predictions(out / "predictions_wbs.bin", table, "wbs", meta)
 
 
-def _read_truth_dataset(cfg: ExperimentConfig):
-    """(signals, truth, scheme) of dataset.path; a dataset without truth is a data error."""
-    path = cfg.get("dataset.path")
-    _, signals, truth, scheme = dataio.read_dataset(path)
+def _refuse_no_truth(path, truth):
     if truth is None:
         raise dataio.DataFormatError(f"{path}: dataset holds no ground-truth tensors")
-    return signals, truth, scheme
+
+
+def _read_truth_dataset(cfg: ExperimentConfig):
+    """The truth of dataset.path, its signals block unread (the scoring stages use
+    none); a dataset without truth is a data error."""
+    path = cfg.get("dataset.path")
+    _, truth, _ = dataio.read_dataset_truth(path)
+    _refuse_no_truth(path, truth)
+    return truth
 
 
 def run_train(cfg: ExperimentConfig):
-    signals, truth, scheme = _read_truth_dataset(cfg)
+    path = cfg.get("dataset.path")
+    _, signals, truth, scheme = dataio.read_dataset(path)
+    _refuse_no_truth(path, truth)
     inputs = mlp.normalize_signals(signals, scheme)
     spec = _build(cfg, "train", mlp.MlpSpec, input_dim=len(scheme))
     tcfg = _build(cfg, "train", mlp.TrainConfig, seed=cfg.seed)
@@ -221,13 +228,14 @@ def triples_by_parameter(table: np.ndarray, true_scalars, path, rows=None, uncer
     return triples
 
 
-def _check_truth_digest(cfg: ExperimentConfig, table_path, header: dict, truth):
+def _check_truth_digest(cfg: ExperimentConfig, table_path, header: dict, truth, actual=None):
     """DataFormatError when the table's meta.truth_sha256, if it has one, is not
     the digest of dataset.path's truth; returns the digest, or None. Only a
-    table with the field hashes the truth."""
+    table with the field needs the truth's digest: actual, when given (one
+    already checked against this truth), else the truth hashed here."""
     meta = header.get("meta")
     recorded = meta.get("truth_sha256") if isinstance(meta, dict) else None
-    if recorded is not None and recorded != (actual := dataio.truth_sha256(truth)):
+    if recorded is not None and recorded != (actual := actual or dataio.truth_sha256(truth)):
         raise dataio.DataFormatError(
             f"{table_path}: meta.truth_sha256 = {recorded} does not match the truth of "
             f"{cfg.get('dataset.path')} ({actual})"
@@ -302,15 +310,15 @@ def _check_bins(cfg: ExperimentConfig, rows: dict, context: str = "", least: int
 
 def run_evaluate(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
-    _, truth, _ = _read_truth_dataset(cfg)
+    truth = _read_truth_dataset(cfg)
     pred_path = cfg.get("evaluate.predictions")
     header, table = _load_table_for_eval(pred_path)
-    _check_table(cfg, pred_path, header, table, truth)
+    digest = _check_table(cfg, pred_path, header, table, truth)
     bins, grid, caps = _metric_params(cfg)
     recal_path = cfg.get("evaluate.recalibrated")
     if recal_path is not None:
         header, recal_table = dataio.read_predictions(recal_path)
-        _check_truth_digest(cfg, recal_path, header, truth)
+        _check_truth_digest(cfg, recal_path, header, truth, digest)
         meta = header.get("meta")
         holdout = np.asarray(meta.get("holdout") if isinstance(meta, dict) else None)
         n = len(recal_table)
@@ -355,7 +363,7 @@ def run_calibrate(cfg: ExperimentConfig):
             "calibrate needs evaluate.uncertainty = epistemic: it recalibrates the "
             "per-parameter sigma columns, not the aleatoric u column"
         )
-    _, truth, _ = _read_truth_dataset(cfg)
+    truth = _read_truth_dataset(cfg)
     pred_path = cfg.get("calibrate.predictions")
     header, table = dataio.read_predictions(pred_path)
     digest = _check_table(cfg, pred_path, header, table, truth)
@@ -387,7 +395,7 @@ def run_calibrate(cfg: ExperimentConfig):
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}
         for p in PARAMETERS
     }
-    meta = {"recalibrated": True, "holdout": [int(i) for i in holdout]}
+    meta = {"recalibrated": True, "holdout": holdout.tolist()}
     if digest is not None:
         meta["truth_sha256"] = digest
 
@@ -402,7 +410,7 @@ def run_calibrate(cfg: ExperimentConfig):
 
 def run_curves(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
-    _, truth, _ = _read_truth_dataset(cfg)
+    truth = _read_truth_dataset(cfg)
     pred_path = cfg.get("curves.predictions")
     header, table = dataio.read_predictions(pred_path)
     _check_table(cfg, pred_path, header, table, truth)

@@ -31,6 +31,10 @@ DIRECTION_NORM_TOL = 1e-9
 # eigh3_batch and principal_scalars: cross-product threshold below which an axis
 # is loose
 CROSS_PRODUCT_TOL = 1e-4
+# rows per block of principal_scalars, so that its temporaries stay in cache:
+# on 200k rows (x86-64 with AVX-512, one thread) 8192 took 40 ms, 2048 46 ms,
+# 32768 55 ms and one block 85 ms
+SCALAR_BLOCK_ROWS = 8192
 # row and column of each of the six elements in a symmetric 3x3 matrix
 ELEMENT_ROWS = np.array([0, 1, 2, 0, 0, 1])
 ELEMENT_COLS = np.array([0, 1, 2, 1, 2, 2])
@@ -270,18 +274,32 @@ def principal_scalars(elements: np.ndarray):
     form computes them. A row is loose when that axis is not sure (see
     _adjugate_axes): isotropic rows, fa_md's NaN rows, and rows whose lambda1
     nears lambda2. Each row is computed on its own, elementwise, so it does
-    not depend on what else is in the batch. Loose rows carry no usable v1;
-    callers decompose them with eigh3_batch, which finds them loose too and
-    hands them to LAPACK.
+    not depend on what else is in the batch; rows run SCALAR_BLOCK_ROWS at a
+    time. Loose rows carry no usable v1; callers decompose them with
+    eigh3_batch, which finds them loose too and hands them to LAPACK.
 
     Returns:
         fa (...), md (...), v1 (..., 3) unit rows, loose (...) bool.
     """
-    md, cols, _, dev2, norm2 = _deviatoric(_element_columns(elements))
+    e = np.asarray(elements, dtype=np.float64)
+    if e.shape[-1:] != (6,):
+        raise ValueError("expected (..., 6) input")
+    rows = e.reshape(-1, 6)
+    n = len(rows)
+    fa, md, v1, loose = np.empty(n), np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)
+    for start in range(0, n, SCALAR_BLOCK_ROWS):
+        block = slice(start, start + SCALAR_BLOCK_ROWS)
+        fa[block], md[block], v1[block], loose[block] = _principal_block(rows[block])
+    shape = e.shape[:-1]
+    return fa.reshape(shape), md.reshape(shape), v1.reshape(shape + (3,)), loose.reshape(shape)
+
+
+def _principal_block(rows):
+    """principal_scalars of (n, 6) rows, in one pass of each kernel."""
+    md, cols, _, dev2, norm2 = _deviatoric(_element_columns(rows))
     q, p2, phi = _smith(cols)
     v1, sure = _adjugate_axes(cols, (q + p2 * np.cos(phi))[None], dev2, norm2)
-    v1 = np.ascontiguousarray(np.moveaxis(v1[:, 0], 0, -1))
-    return _fa(md, dev2, norm2), md, v1, ~sure[0]
+    return _fa(md, dev2, norm2), md, v1[:, 0].T, ~sure[0]
 
 
 def elements_to_matrices(elements: np.ndarray) -> np.ndarray:

@@ -89,6 +89,24 @@ class TestBinning:
         with pytest.raises(ValueError):
             bin_rmv_rmse(constant_triples(5, 1, 1), 6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bitwise_as_with_a_stable_argsort(self, data):
+        # heavy ties, 0.0 next to -0.0, and row counts off a multiple of the bins:
+        # tied rows must fall into bins in index order, as a stable sort puts them
+        bins = data.draw(st.integers(1, 12))
+        n = bins * data.draw(st.integers(1, 30)) + data.draw(st.integers(0, bins - 1))
+        sigma = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+        err = np.array(data.draw(st.lists(
+            st.floats(-3.0, 3.0, allow_nan=False), min_size=n, max_size=n)))
+        stats = bin_rmv_rmse(triples_from_arrays(err, np.zeros(n), sigma), bins)
+        order = np.argsort(sigma, kind="stable")
+        edges = np.concatenate([[0], np.cumsum(stats.counts)])
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            assert np.array_equal(stats.rmv[j], np.sqrt((sigma[order][lo:hi] ** 2).mean()))
+            assert np.array_equal(stats.rmse[j], np.sqrt((err[order][lo:hi] ** 2).mean()))
+
 
 class TestEnce:
     def test_perfectly_calibrated_is_zero(self):

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +167,22 @@ class TestExitCodes:
             assert main([cmd, "--config", cfg]) == 2
             err = capsys.readouterr().err
             assert "data error" in err and "voxel 7, measurement 5" in err
+
+    def test_scoring_stages_leave_the_signals_unread(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        for cmd in ("simulate", "bootstrap", "curves"):
+            assert main([cmd, "--config", cfg]) == 0
+        curves = (tmp_path / "run/curves_fa.csv").read_bytes()
+        path = tmp_path / "run/dataset.bin"
+        header, signals, truth, _ = dataio.read_dataset(path)
+        signals[7, 5] = np.nan
+        dataio.write_dataset(path, signals, "scheme", truth_elements=truth, seed=header["seed"])
+        for cmd in ("calibrate", "evaluate", "curves"):  # they use no signal
+            assert main([cmd, "--config", cfg]) == 0
+        assert (tmp_path / "run/curves_fa.csv").read_bytes() == curves
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2  # train uses them, and refuses the voxel
+        assert "voxel 7, measurement 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     @pytest.mark.parametrize("estimator", ["wlls", "cwlls"])
@@ -718,21 +736,34 @@ class TestReproducibility:
         assert dir_hashes(tmp_path / "run") == first
 
     def test_chunk_size_and_voxel_order_do_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
-        for cmd in ("simulate", "bootstrap"):
+        # the wild bootstrap and MC dropout, each bit for bit
+        body = BASE.format(snr="28") + (
+            "train.epochs = 3\ntrain.dropout_rate = 0.3\npredict.samples = 30\n"
+        )
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        for cmd in ("simulate", "bootstrap", "train", "predict"):
             assert main([cmd, "--config", cfg]) == 0
-        path = tmp_path / "run/predictions_wbs.bin"
-        default = dataio.read_predictions(path)[1]
-        iterations, n = 120, 24
-        for rows in (1, iterations * n):  # one voxel per chunk, all voxels in one
-            monkeypatch.setattr(bs, "CHUNK_ROWS", rows)
-            assert main(["bootstrap", "--config", cfg]) == 0
-            assert np.array_equal(dataio.read_predictions(path)[1], default, equal_nan=True)
+        iterations, samples, n = 120, 30, 24
+        stages = {"bootstrap": ("predictions_wbs.bin", iterations),
+                  "predict": ("predictions_dl.bin", samples)}
+        defaults = {}
+        for stage, (name, replicates) in stages.items():
+            path = tmp_path / "run" / name
+            defaults[stage] = dataio.read_predictions(path)[1]
+            for rows in (1, replicates * n):  # one voxel per chunk, all voxels in one
+                monkeypatch.setattr(bs, "CHUNK_ROWS", rows)
+                assert main([stage, "--config", cfg]) == 0
+                table = dataio.read_predictions(path)[1]
+                assert np.array_equal(table, defaults[stage], equal_nan=True), (stage, rows)
 
         _, signals, _, scheme = dataio.read_dataset(tmp_path / "run/dataset.bin")
         perm = np.random.default_rng(3).permutation(n)
         permuted = bs.wild_bootstrap_table(signals[perm], scheme, iterations, 11, voxels=perm)
-        assert np.array_equal(permuted, default[perm], equal_nan=True)
+        assert np.array_equal(permuted, defaults["bootstrap"][perm], equal_nan=True)
+        model, _ = mlp.load_checkpoint(tmp_path / "run/model.bin")
+        inputs = mlp.normalize_signals(signals, scheme)[perm]
+        permuted = mlp.predict_mc_dropout(model, inputs, samples, seed=11, voxels=perm)
+        assert np.array_equal(bs.summarize_uncertainty(permuted), defaults["predict"][perm, 5:8])
 
     @pytest.mark.parametrize("snr", ["28", "8"])  # at 8 dB some rows are floored
     @pytest.mark.parametrize("estimator", ["ols", "wlls", "cwlls"])
@@ -785,6 +816,138 @@ class TestReproducibility:
         assert main(["simulate", "--config", cfg, "--seed", "99"]) == 0
         b = dataio.read_dataset(tmp_path / "run/dataset.bin")[1]
         assert not np.array_equal(a, b)
+
+
+class TestManifestCarryOver:
+    """A stage keeps the digest that the manifest.json in out_dir records for a
+    file only when the file is shown unchanged since that manifest was written;
+    every change below must reach the next stage's manifest."""
+
+    def recorded(self, out):
+        return json.loads((out / "manifest.json").read_text())["outputs"]
+
+    def recomputed(self, out):
+        return {name: d for name, d in dir_hashes(out).items() if name != "manifest.json"}
+
+    def simulate_change_fit(self, tmp_path, before, change):
+        """Runs before(out, tmp_path), simulate, change(out, tmp_path), then fit;
+        returns out."""
+        cfg = write_cfg(tmp_path / "e.cfg", BASE.format(snr="28"))
+        out = tmp_path / "run"
+        out.mkdir()
+        before(out, tmp_path)
+        time.sleep(0.05)  # so that what before made predates the manifest on any clock
+        assert main(["simulate", "--config", cfg]) == 0
+        change(out, tmp_path)
+        assert main(["fit", "--config", cfg]) == 0
+        return out
+
+    def test_every_stage_of_a_chain_records_every_file(self, tmp_path):
+        body = BASE.format(snr="28") + (
+            "train.epochs = 3\npredict.samples = 8\n"
+            "evaluate.recalibrated = run/predictions_recalibrated.bin\n"
+        )
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        out = tmp_path / "run"
+        for cmd in ("simulate", "fit", "bootstrap", "train", "predict", "calibrate", "evaluate",
+                    "curves"):
+            assert main([cmd, "--config", cfg]) == 0
+            assert self.recorded(out) == self.recomputed(out), cmd
+
+    @staticmethod
+    def write_extra(out, _):
+        (out / "extra.dat").write_bytes(b"recorded")
+
+    @staticmethod
+    def edit(out, _):
+        (out / "extra.dat").write_bytes(b"edited, and longer")
+
+    @staticmethod
+    def edit_keeping_size_and_mtime(out, _):
+        path = out / "extra.dat"
+        before = os.stat(path)
+        assert before.st_mtime_ns < os.stat(out / "manifest.json").st_mtime_ns  # fixture sanity
+        path.write_bytes(b"RECORDED")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+    @staticmethod
+    def write_extra_and_older(out, tmp_path):
+        (out / "extra.dat").write_bytes(b"recorded")
+        (tmp_path / "older.dat").write_bytes(b"older, moved in")
+
+    @staticmethod
+    def move_older_in(out, tmp_path):
+        os.replace(tmp_path / "older.dat", out / "extra.dat")
+
+    @staticmethod
+    def link_to_a(out, tmp_path):
+        (tmp_path / "a.dat").write_bytes(b"target a")
+        (tmp_path / "b.dat").write_bytes(b"target b")
+        os.symlink(tmp_path / "a.dat", out / "link.dat")
+
+    @staticmethod
+    def repoint_to_b(out, tmp_path):
+        os.remove(out / "link.dat")
+        os.symlink(tmp_path / "b.dat", out / "link.dat")
+
+    @staticmethod
+    def add_new(out, _):
+        (out / "new.dat").write_bytes(b"new")
+
+    @staticmethod
+    def delete_extra(out, _):
+        os.remove(out / "extra.dat")
+
+    @pytest.mark.parametrize("before, change, name", [
+        (write_extra, edit, "extra.dat"),
+        (write_extra, edit_keeping_size_and_mtime, "extra.dat"),
+        (write_extra_and_older, move_older_in, "extra.dat"),
+        (link_to_a, repoint_to_b, "link.dat"),
+        (write_extra, add_new, "new.dat"),
+    ], ids=["edited", "same-size-mtime-restored", "older-file-replaced-in", "symlink-repointed",
+            "new-file"])
+    def test_changed_file_gets_its_new_digest(self, tmp_path, before, change, name):
+        out = self.simulate_change_fit(tmp_path, before, change)
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert self.recorded(out)[name] == digest
+        assert self.recorded(out) == self.recomputed(out)
+
+    def test_deleted_file_is_dropped(self, tmp_path):
+        out = self.simulate_change_fit(tmp_path, self.write_extra, self.delete_extra)
+        assert "extra.dat" not in self.recorded(out)
+        assert self.recorded(out) == self.recomputed(out)
+
+    def hashed_by_fit(self, tmp_path, monkeypatch, change):
+        """The names of the files sha256_file hashes in fit, after change."""
+        hashed = []
+
+        def spy(path):
+            hashed.append(str(Path(path).relative_to(tmp_path / "run")))
+            return original(path)
+
+        def change_then_spy(out, tmp_path):
+            change(out, tmp_path)
+            monkeypatch.setattr(dataio, "sha256_file", spy)
+
+        original = dataio.sha256_file
+        out = self.simulate_change_fit(tmp_path, self.write_extra, change_then_spy)
+        assert self.recorded(out) == self.recomputed(out)
+        return sorted(hashed), sorted(self.recomputed(out))
+
+    def test_unchanged_file_keeps_its_recorded_digest(self, tmp_path, monkeypatch):
+        hashed, listed = self.hashed_by_fit(tmp_path, monkeypatch, lambda out, _: None)
+        assert "extra.dat" in listed and "extra.dat" not in hashed and "fits.bin" in hashed
+
+    @pytest.mark.parametrize("manifest", [None, b"{not json", b"[]", b'{"outputs": []}'],
+                             ids=["missing", "not-json", "not-an-object", "outputs-not-a-map"])
+    def test_missing_or_garbled_manifest_hashes_every_file(self, tmp_path, monkeypatch, manifest):
+        def replace_manifest(out, _):
+            os.remove(out / "manifest.json")
+            if manifest is not None:
+                (out / "manifest.json").write_bytes(manifest)
+
+        hashed, listed = self.hashed_by_fit(tmp_path, monkeypatch, replace_manifest)
+        assert hashed == listed
 
 
 class TestSimulatePinned:
@@ -1009,6 +1172,23 @@ class TestScoringErrorsNameTableColumnRow:
             "but u = nan is not finite"
         )
         assert not (tmp_path / "scored").exists()
+
+
+def test_evaluate_hashes_the_truth_once(tmp_path, monkeypatch):
+    _, table, dataset = wild_bootstrap_run(tmp_path)
+    assert score(tmp_path, "calibrate", table, dataset) == 0
+    recal = tmp_path / "recal.bin"
+    shutil.move(tmp_path / "scored/predictions_recalibrated.bin", recal)
+    hashed = []
+
+    def spy(truth):
+        hashed.append(len(truth))
+        return original(truth)
+
+    original = dataio.truth_sha256
+    monkeypatch.setattr(dataio, "truth_sha256", spy)
+    assert score(tmp_path, "evaluate", table, dataset, f"evaluate.recalibrated = {recal}\n") == 0
+    assert hashed == [60]  # both tables record the digest; one hash checks both
 
 
 class TestTruthDigest:

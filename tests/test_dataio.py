@@ -10,6 +10,7 @@ from dticalib.dataio import (
     PREDICTION_COLUMNS,
     read_bvec_bval,
     read_dataset,
+    read_dataset_truth,
     read_fits,
     read_predictions,
     write_bvec_bval,
@@ -154,6 +155,28 @@ class TestDatasetFile:
         write_fits(path, np.zeros((3, 7)), "cwlls")
         with pytest.raises(DataFormatError, match="not a dataset"):
             read_dataset(path)
+
+    def test_truth_read_skips_the_signals(self, tmp_path):
+        path, signals, truth = self.write_one(tmp_path)
+        signals[3, 4] = np.nan  # checked only where signals are read
+        write_dataset(path, signals, "scheme", truth_elements=truth, seed=3)
+        header, t, scheme = read_dataset_truth(path)
+        assert header["seed"] == 3 and header["n_voxels"] == 5
+        assert np.array_equal(t, truth) and len(scheme) == 12
+        path, _, _ = self.write_one(tmp_path, with_truth=False)
+        assert read_dataset_truth(path)[1] is None
+
+    def test_truth_read_checks_sizes_and_truth(self, tmp_path):
+        path, signals, truth = self.write_one(tmp_path)
+        raw = path.read_bytes()
+        for edited, message in ((raw[:-8], "truncated block"), (raw + b"\x00", "trailing bytes")):
+            path.write_bytes(edited)
+            with pytest.raises(DataFormatError, match=message):
+                read_dataset_truth(path)
+        truth[2, 5] = np.nan
+        write_dataset(path, signals, "scheme", truth_elements=truth)
+        with pytest.raises(DataFormatError, match="voxel 2, tensor element 5"):
+            read_dataset_truth(path)
 
 
 class TestFitsAndPredictions:

@@ -393,7 +393,7 @@ class TestMcDropout:
         assert grouped.shape == (7, 25, 6)
         for v in range(7):
             one = predict_mc_dropout(model, x[v], n_samples=25, seed=50, voxels=[v])[0]
-            assert np.allclose(grouped[v], one, rtol=1e-12, atol=0.0)
+            assert np.array_equal(grouped[v], one)
 
     def test_voxels_must_hold_one_index_per_row(self):
         model = TwoBranchMlp(small_spec(dropout_rate=0.5), seed=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dticalib import pipeline
+from dticalib import pipeline, tensor
 from dticalib.bootstrap import wild_bootstrap
 from dticalib.fitting import fit_ols_batch, log_signal_rows
 from dticalib.pipeline import tensor_scalars
@@ -400,6 +400,45 @@ class TestPrincipalScalars:
             principal_scalars(np.zeros((3, 3, 3)))
         with pytest.raises(ValueError, match="expected"):
             fa_md(np.zeros((3, 5)))
+
+
+def block_edge_rows(n):
+    """(n, 6) rows for principal_scalars' row blocks: every fifth row at 1e-300
+    and every fifth at 1e150 (a scale shared across a block would flush the small
+    ones to zero), the rest at 1e-6..1e2, each seventh isotropic (loose)."""
+    rng = np.random.default_rng(61)
+    quats = rng.normal(size=(n, 4))
+    rots = quaternion_rotations(quats / np.linalg.norm(quats, axis=1, keepdims=True))
+    lams = rng.uniform(0.2, 2.0, (n, 3))
+    lams[::7] = lams[::7, :1]
+    scale = 10.0 ** rng.uniform(-6, 2, n)
+    scale[1::5], scale[3::5] = 1e-300, 1e150
+    mats = rots @ (lams[:, :, None] * scale[:, None, None] * rots.swapaxes(1, 2))
+    return matrices_to_elements(mats)
+
+
+class TestScalarBlocks:
+    """principal_scalars runs tensor.SCALAR_BLOCK_ROWS rows at a time, and a row's
+    scalars must not depend on the block it falls in."""
+
+    @pytest.mark.parametrize("block", [5, tensor.SCALAR_BLOCK_ROWS])
+    def test_rows_equal_rows_alone_around_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(tensor, "SCALAR_BLOCK_ROWS", block)
+        rows = block_edge_rows(2 * block + 1)
+        # each row alone is a call of its own, so at the module's block size the
+        # rows at each block edge and a sample of 200 stand for all
+        edges = {0, block - 2, block - 1, block, block + 1, 2 * block - 1, 2 * block}
+        sample = np.random.default_rng(5).choice(len(rows), min(200, len(rows)), replace=False)
+        checked = sorted(edges | {int(i) for i in sample})
+        alone = {i: tensor_scalars(rows[i : i + 1]) for i in checked}
+        loose = principal_scalars(rows)[3]
+        assert loose.any() and not loose.all()  # fixture sanity: both paths run
+        for n in (block - 1, block, block + 1, 2 * block + 1):
+            fa, md, v1 = tensor_scalars(rows[:n])
+            for i in (i for i in checked if i < n):
+                assert np.array_equal(fa[i], alone[i][0][0]), (n, i)
+                assert np.array_equal(md[i], alone[i][1][0]), (n, i)
+                assert np.array_equal(v1[i], alone[i][2][0]), (n, i)
 
 
 class TestFaMd:

@@ -34,6 +34,14 @@ design's QR) and fit_ols_batch (R^-1 Q^T of the design) read np.linalg.solve,
 so a row the Cholesky fails takes the QR path and no Gram matrix goes to
 LAPACK.
 
+One read for scoring: run_calibrate, run_evaluate and run_curves reach no
+read_dataset call, through any pipeline.py or dataio.py function they call,
+so the scoring stages read a dataset's truth block and skip its signals.
+
+One file hasher: in src/dticalib and scripts/ only write_manifest calls
+sha256_file, so a stage hashes a file only where the manifest decides that
+its recorded digest cannot be kept.
+
 One row axis: fitting.py, tensor.py and bootstrap.py use no @, matmul, dot,
 inner or tensordot, and no einsum with an optimize argument. Those may hand a
 batch to BLAS, whose blocking can make one row's result depend on the rows
@@ -131,17 +139,19 @@ def called_name(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def calls_outside(tree: ast.Module, names, allowed: str) -> list:
+    """(function, line) of each call in tree of one of names outside the
+    top-level function allowed; a call at module level reads <module>."""
+    return [(getattr(node, "name", "<module>"), call.lineno)
+            for node in tree.body if not (isinstance(node, FUNCTIONS) and node.name == allowed)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and called_name(call) in names]
+
+
 def writes_outside_run(tree: ast.Module) -> list:
     """(function, line) of each mkdir or write_manifest call in tree outside
-    the top-level function run; a call at module level reads <module>."""
-    found = []
-    for node in tree.body:
-        if isinstance(node, FUNCTIONS) and node.name == "run":
-            continue
-        for call in ast.walk(node):
-            if isinstance(call, ast.Call) and called_name(call) in ("mkdir", "write_manifest"):
-                found.append((getattr(node, "name", "<module>"), call.lineno))
-    return found
+    the top-level function run."""
+    return calls_outside(tree, ("mkdir", "write_manifest"), "run")
 
 
 STREAM_BUILDERS = ("SeedSequence", "Generator", "Philox", "default_rng")
@@ -224,6 +234,33 @@ def blas_products(tree: ast.Module) -> list:
             if name in BLAS_PRODUCTS or optimized:
                 found.append((name, node.lineno))
     return sorted(found, key=lambda f: (f[1], f[0]))
+
+
+def function_calls(trees) -> dict:
+    """{name: [(called name, line), ...]} of each top-level function of trees,
+    the defs nested in it included."""
+    return {node.name: [(called_name(c), c.lineno) for c in ast.walk(node)
+                        if isinstance(c, ast.Call)]
+            for tree in trees for node in tree.body if isinstance(node, FUNCTIONS)}
+
+
+def reached_calls(calls: dict, start: str, target: str) -> list:
+    """(function, line) of each call of target in start or in a function of
+    calls that start reaches through them, in order."""
+    seen, todo, found = set(), [start], []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in calls:
+            continue
+        seen.add(name)
+        for callee, line in calls[name]:
+            if callee == target:
+                found.append((name, line))
+            todo.append(callee)
+    return sorted(found)
+
+
+SCORING_STAGES = ("run_calibrate", "run_evaluate", "run_curves")
 
 
 @pytest.mark.parametrize(
@@ -424,3 +461,37 @@ def test_scan_finds_a_blas_product_put_into_fitting():
     line = source[: source.index(contraction)].count("\n") + 1
     mutated = ast.parse(source.replace(contraction, "xt @ (w * y).T"))
     assert blas_products(mutated) == [("@", line)]
+
+
+@pytest.mark.parametrize("stage", SCORING_STAGES)
+def test_scoring_stages_do_not_read_signals(stage):
+    calls = function_calls([parse(PACKAGE / "pipeline.py"), parse(PACKAGE / "dataio.py")])
+    assert stage in calls  # fixture sanity
+    assert reached_calls(calls, stage, "read_dataset") == []
+    assert reached_calls(calls, stage, "read_dataset_truth") != []  # the scan sees the read
+
+
+def test_scan_finds_a_signal_read_put_into_the_truth_read():
+    source = (PACKAGE / "pipeline.py").read_text()
+    read = "dataio.read_dataset_truth(path)"
+    assert source.count(read) == 1  # fixture sanity
+    line = source[: source.index(read)].count("\n") + 1
+    mutated = ast.parse(source.replace(read, "dataio.read_dataset(path)[::2]"))
+    calls = function_calls([mutated, parse(PACKAGE / "dataio.py")])
+    for stage in SCORING_STAGES:
+        assert reached_calls(calls, stage, "read_dataset") == [("_read_truth_dataset", line)]
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
+def test_only_write_manifest_hashes_files(path):
+    assert calls_outside(parse(path), ("sha256_file",), "write_manifest") == []
+
+
+def test_scan_finds_a_file_hash_outside_write_manifest():
+    source = (PACKAGE / "dataio.py").read_text()
+    write = '    write_header_blocks(path, "predictions", header, [table])\n'
+    assert source.count(write) == 1  # fixture sanity
+    line = source[: source.index(write)].count("\n") + 2
+    mutated = ast.parse(source.replace(write, write + '    header["sha256"] = sha256_file(path)\n'))
+    found = calls_outside(mutated, ("sha256_file",), "write_manifest")
+    assert found == [("write_predictions", line)]
