@@ -22,6 +22,7 @@ backpropagation. Everything is float64 numpy; no framework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -108,15 +109,27 @@ class TwoBranchMlp:
 
     def make_sample_masks(self, rng, rows: int):
         """Inverted-dropout masks for the main-branch hidden layers, one
-        (rows, width) mask per layer, drawn in one call: 0 for a dropped unit,
+        contiguous (rows, width) mask per layer: 0 for a dropped unit,
         1 / (1 - dropout_rate) for a kept one.
 
-        The draw is row-major, so row i of each mask equals the masks of the
-        i-th of `rows` successive make_sample_masks(rng, 1) calls, bit for bit.
+        rng is a generator, or a sequence of generators that each draw `rows`
+        rows, stacked in order. A row takes whole raw 64-bit words of its
+        generator's bit stream, and each unit reads a field of _field_bits(
+        dropout_rate) bits of them (_keep_decisions), so a unit is kept with
+        probability exactly 1 - dropout_rate. The draw is row-major: row i of
+        each mask equals the masks of the i-th of `rows` successive
+        make_sample_masks(rng, 1) calls, bit for bit. At a rate whose field is
+        64 bits wide, such as 0.1 or 0.3, the masks and the stream position are
+        those of rng.random((rows, units)) >= dropout_rate.
         """
         widths, rate = self.spec.hidden_widths, self.spec.dropout_rate
-        keep = rng.random((rows, sum(widths))) >= rate
-        return np.split(keep / (1.0 - rate), np.cumsum(widths)[:-1], axis=1)
+        units, bits = sum(widths), _field_bits(rate)
+        per_row = -(-units * bits // 64)  # whole words per row
+        streams = [rng] if isinstance(rng, np.random.Generator) else rng
+        words = np.concatenate([s.bit_generator.random_raw(rows * per_row) for s in streams])
+        keep = _keep_decisions(words.reshape(-1, per_row), units, bits, rate)
+        edges = np.cumsum((0, *widths))
+        return [keep[:, a:b] / (1.0 - rate) for a, b in zip(edges[:-1], edges[1:])]
 
     def forward(self, x: np.ndarray, masks=None):
         """Dropout branch: (pred (B, 6) at internal scale, trace).
@@ -138,19 +151,54 @@ class TwoBranchMlp:
         return pred / self.spec.target_scale, self.uncertainty(x)[0]
 
 
+def _field_bits(rate: float) -> int:
+    """Bits of raw stream per keep decision at dropout `rate`: the smallest
+    power of two not below the smallest depth b <= 53 at which rate * 2**b is
+    an integer, or 64 when no such b exists (as for 0.1 and 0.3). 1 at 0.5."""
+    depth = next((b for b in range(54) if (rate * 2.0**b).is_integer()), None)
+    return 64 if depth is None else 1 << max(depth - 1, 0).bit_length()
+
+
+def _keep_decisions(words, units: int, bits: int, rate: float):
+    """(rows, units) bool keep decisions from (rows, n) uint64 raw words.
+
+    Unit j of a row reads field j of `bits` bits, counted from the low end of
+    the row's first word, and is kept when the top min(bits, 53) bits of its
+    field, as an integer, are >= ceil(rate * 2**min(bits, 53)). For 64-bit
+    fields that is random() >= rate, whose draw is (raw >> 11) * 2**-53.
+    """
+    threshold = math.ceil(rate * 2.0 ** min(bits, 53))
+    if bits == 64:
+        return (words >> 11) >= threshold
+    lanes = words.astype("<u8", copy=False).view(f"<u{max(bits, 8) // 8}")
+    if bits == 1:
+        fields = np.unpackbits(lanes, axis=1, bitorder="little")
+    elif bits < 8:
+        shifts = np.arange(0, 8, bits, dtype=np.uint8)
+        fields = ((lanes[..., None] >> shifts) & (2**bits - 1)).reshape(len(words), -1)
+    else:
+        fields = lanes
+    return fields[:, :units] >= threshold
+
+
 def _stack_forward(weights, biases, x, masks=None):
     """ReLU hidden layers, then a linear output layer; returns (out, trace).
 
     trace lists each layer's input, x first. masks, one make_sample_masks
-    mask per hidden layer, multiply the units after the ReLU.
+    mask per hidden layer, multiply the units after the ReLU. Each layer's
+    product is the one buffer its bias, ReLU and mask update in place.
     """
     trace = [x]
     for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-        h = np.maximum(trace[-1] @ w + b, 0.0)
+        h = trace[-1] @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         if masks is not None:
-            h = h * masks[i]
+            h *= masks[i]
         trace.append(h)
-    return trace[-1] @ weights[-1] + biases[-1], trace
+    out = trace[-1] @ weights[-1]
+    out += biases[-1]
+    return out, trace
 
 
 def _stack_backward(weights, trace, d_out, masks=None):
@@ -158,12 +206,12 @@ def _stack_backward(weights, trace, d_out, masks=None):
     grads = [d_out.sum(axis=0), trace[-1].T @ d_out]  # last layer first, b before W
     d = d_out
     for i in reversed(range(len(weights) - 1)):
-        d = d @ weights[i + 1].T
+        d = d @ weights[i + 1].T  # a fresh buffer, so d_out is never written
         if masks is not None:
-            d = d * masks[i]
+            d *= masks[i]
         # the ReLU passes gradient where its output is positive; a dropped
         # unit's gradient is already zero
-        d = d * (trace[i + 1] > 0)
+        d *= trace[i + 1] > 0
         grads += [d.sum(axis=0), trace[i].T @ d]
     return grads[::-1]
 
@@ -258,6 +306,7 @@ def train(
 
     m1 = np.zeros_like(model.flat)
     m2 = np.zeros_like(model.flat)
+    tmp, update = np.empty_like(model.flat), np.empty_like(model.flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     step = 0
@@ -278,13 +327,19 @@ def train(
             if not np.isfinite(loss):
                 raise DivergenceError(f"divergence at epoch {epoch}")
             step += 1
+            # Adam's expressions, each operation in its order, in two buffers
             m1 *= beta1
-            m1 += (1 - beta1) * grad
+            m1 += np.multiply(1 - beta1, grad, out=tmp)
             m2 *= beta2
-            m2 += (1 - beta2) * grad * grad
-            m1_hat = m1 / (1 - beta1**step)
-            m2_hat = m2 / (1 - beta2**step)
-            model.flat -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
+            np.multiply(1 - beta2, grad, out=tmp)
+            tmp *= grad
+            m2 += tmp
+            denom = np.sqrt(np.divide(m2, 1 - beta2**step, out=tmp), out=tmp)
+            denom += eps  # sqrt(m2_hat) + eps
+            np.divide(m1, 1 - beta1**step, out=update)  # m1_hat
+            update *= lr
+            update /= denom  # lr * m1_hat / (sqrt(m2_hat) + eps)
+            model.flat -= update
             epoch_losses.append(loss)
         history.train_loss.append(float(np.mean(epoch_losses)))
 
@@ -311,20 +366,20 @@ def predict_mc_dropout(model: TwoBranchMlp, inputs, n_samples: int = 100, *, see
     """Stochastic forward passes with fresh dropout masks, n_samples per row.
 
     Row i of the (n, m) inputs holds voxel voxels[i] of run `seed` (voxels
-    0..n-1 by default) and draws its masks with make_sample_masks(
-    run_stream(seed, MC_DROPOUT, voxels[i]), n_samples); all rows run as one
-    forward over n_samples copies of each. A row's samples do not depend on
-    the other rows of the call: on the BLAS builds tested they are bit for bit
-    those of the row called alone, as the tests check. Returns the (n,
-    n_samples, 6) replicate tensors at physical scale (Gal & Ghahramani 2016,
-    dropout as a Bayesian approximation).
+    0..n-1 by default), whose masks are make_sample_masks(run_stream(seed,
+    MC_DROPOUT, voxels[i]), n_samples). One make_sample_masks call takes every
+    row's stream, stacks their raw words and turns them into masks at once;
+    all rows then run as one forward over n_samples copies of each. A row's
+    samples do not depend on the other rows of the call: on the BLAS builds
+    tested they are bit for bit those of the row called alone, as the tests
+    check. Returns the (n, n_samples, 6) replicate tensors at physical scale
+    (Gal & Ghahramani 2016, dropout as a Bayesian approximation).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     voxels = range(len(inputs)) if voxels is None else voxels
     if len(voxels) != len(inputs):
         raise ValueError(f"voxels holds {len(voxels)} indices for {len(inputs)} rows")
-    draws = (model.make_sample_masks(run_stream(seed, MC_DROPOUT, v), n_samples) for v in voxels)
-    masks = [np.concatenate(layer) for layer in zip(*draws)]  # per-row masks freed here
+    masks = model.make_sample_masks([run_stream(seed, MC_DROPOUT, v) for v in voxels], n_samples)
     pred, _ = model.forward(np.repeat(inputs, n_samples, axis=0), masks)
     return (pred / model.spec.target_scale).reshape(len(inputs), n_samples, 6)
 

@@ -137,8 +137,12 @@ def run_train(cfg: ExperimentConfig):
     spec = _build(cfg, "train", mlp.MlpSpec, input_dim=len(scheme))
     tcfg = _build(cfg, "train", mlp.TrainConfig, seed=cfg.seed)
     model, history = mlp.train(inputs, truth, spec, tcfg)
-    epoch = history.stopped_epoch
-    return lambda out: mlp.save_checkpoint(out / "model.bin", model, tcfg, epoch=epoch)
+
+    def write(out):
+        mlp.save_checkpoint(out / "model.bin", model, tcfg, epoch=history.stopped_epoch)
+        dataio.write_metrics_json(out / "train_history.json", dataclasses.asdict(history))
+
+    return write
 
 
 def run_predict(cfg: ExperimentConfig):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dticalib.mlp import (
     train,
 )
 from dticalib.fitting import fit_ols_batch, log_signal_rows
-from dticalib.rng import MC_DROPOUT, MLP_INIT, run_stream
+from dticalib.rng import MC_DROPOUT, MLP_INIT, MLP_TRAIN, run_stream
 from dticalib.simulation import PhantomSpec, fibonacci_directions, make_phantom, make_scheme
 from dticalib.tensor import GradientScheme, predict_signal_batch
 
@@ -274,6 +275,107 @@ class TestStackKernelMatchesTwoLoopReference:
         assert [g.tobytes() for g in got_grads] == [g.tobytes() for g in grads[::-1]]
 
 
+def allocating_stack_forward(weights, biases, x, masks=None):
+    """_stack_forward as it was written before its buffers were reused."""
+    trace = [x]
+    for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        h = np.maximum(trace[-1] @ w + b, 0.0)
+        if masks is not None:
+            h = h * masks[i]
+        trace.append(h)
+    return trace[-1] @ weights[-1] + biases[-1], trace
+
+
+def allocating_stack_backward(weights, trace, d_out, masks=None):
+    """_stack_backward as it was written before its buffers were reused."""
+    grads = [d_out.sum(axis=0), trace[-1].T @ d_out]
+    d = d_out
+    for i in reversed(range(len(weights) - 1)):
+        d = d @ weights[i + 1].T
+        if masks is not None:
+            d = d * masks[i]
+        d = d * (trace[i + 1] > 0)
+        grads += [d.sum(axis=0), trace[i].T @ d]
+    return grads[::-1]
+
+
+def allocating_loss_and_grads(model, x, targets, penalty, masks=None):
+    """batch_loss_and_grads on the allocating kernels."""
+    pred, trace = allocating_stack_forward(model.main_w, model.main_b, x, masks)
+    u_raw, u_trace = allocating_stack_forward(model.unc_w, model.unc_b, x)
+    u = np.clip(u_raw[:, 0], U_MIN, U_MAX)
+    losses, diff, resid, attenuation = attenuated_loss(pred, targets, u, penalty)
+    d_pred = np.sign(diff) * attenuation[:, None] / len(x)
+    d_u = (-resid * attenuation + penalty) / len(x)
+    d_u = d_u * ((u > U_MIN) & (u < U_MAX))
+    grads = allocating_stack_backward(model.main_w, trace, d_pred, masks)
+    grads += allocating_stack_backward(model.unc_w, u_trace, d_u[:, None])
+    return float(np.mean(losses)), np.concatenate([g.ravel() for g in grads])
+
+
+def allocating_train(inputs, target_elements, spec, cfg):
+    """train's draws and steps with the allocating kernels and Adam's
+    expressions as written out, for val_fraction 0 (no validation)."""
+    targets = target_elements * spec.target_scale
+    model = TwoBranchMlp(spec, seed=cfg.seed)
+    rng = run_stream(cfg.seed, MLP_TRAIN)
+    order = rng.permutation(len(inputs))  # every row trains
+    x_tr, y_tr = inputs[order], targets[order]
+    m1, m2 = np.zeros_like(model.flat), np.zeros_like(model.flat)
+    beta1, beta2, eps, lr, step = 0.9, 0.999, 1e-8, cfg.learning_rate, 0
+    losses = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(x_tr))
+        for start in range(0, len(x_tr), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            masks = model.make_sample_masks(rng, len(idx))
+            loss, grad = allocating_loss_and_grads(model, x_tr[idx], y_tr[idx], cfg.penalty, masks)
+            step += 1
+            m1 *= beta1
+            m1 += (1 - beta1) * grad
+            m2 *= beta2
+            m2 += (1 - beta2) * grad * grad
+            m1_hat = m1 / (1 - beta1**step)
+            m2_hat = m2 / (1 - beta2**step)
+            model.flat -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
+            losses.append(loss)
+    return model, losses
+
+
+class TestInPlaceKernelsMatchAllocatingReference:
+    """The buffer-reusing kernels and Adam keep every operation and its order."""
+
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_loss_and_gradients_bitwise(self, with_masks):
+        model, x, y = TestStackKernelMatchesTwoLoopReference.model_and_batch(dropout_rate=0.3)
+        masks = model.make_sample_masks(np.random.default_rng(3), len(x)) if with_masks else None
+        loss, grad = batch_loss_and_grads(model, x, y, 1.0, masks)
+        want_loss, want_grad = allocating_loss_and_grads(model, x, y, 1.0, masks)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_kernels_leave_their_inputs_alone(self):
+        model, x, _ = TestStackKernelMatchesTwoLoopReference.model_and_batch(dropout_rate=0.3)
+        masks = model.make_sample_masks(np.random.default_rng(3), len(x))
+        x_before, masks_before = x.copy(), [m.copy() for m in masks]
+        out, trace = _stack_forward(model.main_w, model.main_b, x, masks)
+        d_out = np.random.default_rng(8).normal(size=out.shape)
+        d_before = d_out.copy()
+        _stack_backward(model.main_w, trace, d_out, masks)
+        assert np.array_equal(x, x_before) and np.array_equal(d_out, d_before)
+        assert all(np.array_equal(m, b) for m, b in zip(masks, masks_before))
+
+    def test_training_steps_bitwise(self):
+        phantom = make_phantom(PhantomSpec(n_voxels=100, scheme=SCHEME, snr_db=30.0, seed=8))
+        x, truth = normalize_signals(phantom.signals, SCHEME), phantom.truth
+        spec = small_spec(dropout_rate=0.3)
+        cfg = TrainConfig(epochs=3, seed=5, batch_size=32, val_fraction=0.0)  # 12 Adam steps
+        model, history = train(x, truth, spec, cfg)
+        want, losses = allocating_train(x, truth, spec, cfg)
+        assert model.flat.tobytes() == want.flat.tobytes()
+        assert history.train_loss == [float(np.mean(losses[i : i + 4])) for i in (0, 4, 8)]
+
+
 class TestTraining:
     def test_loss_halves_within_50_epochs(self):
         spec = PhantomSpec(
@@ -355,6 +457,71 @@ class TestTraining:
         _, u_ref = m_ref.predict(x)
         _, u_big = m_big.predict(x)
         assert u_big.mean() < u_ref.mean() - 0.5
+
+
+class TestMaskDraw:
+    """Keep decisions read fields of raw words, as wide as the rate needs."""
+
+    @staticmethod
+    def model(rate, widths=(32, 16, 8)):
+        return TwoBranchMlp(small_spec(hidden_widths=widths, dropout_rate=rate), seed=3)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.4, 0.7])
+    def test_off_grid_rates_keep_the_uniform_draw_masks(self, rate):
+        # these rates need all 53 bits of a double, so a unit reads a whole word
+        model = self.model(rate)
+        drawn, fresh = run_stream(9, MC_DROPOUT, 4), run_stream(9, MC_DROPOUT, 4)
+        masks = model.make_sample_masks(drawn, 300)
+        keep = fresh.random((300, 56)) >= rate
+        expected = np.split(keep / (1 - rate), [32, 48], axis=1)
+        assert [m.tobytes() for m in masks] == [e.tobytes() for e in expected]
+        assert all(m.flags.c_contiguous for m in masks)
+        assert drawn.random() == fresh.random()  # same stream position
+
+    @pytest.mark.parametrize("widths", [(32, 16, 8), (64, 64, 64)])
+    @pytest.mark.parametrize("rate, bits", [(0.5, 1), (0.25, 2), (0.125, 4), (0.75, 2)])
+    def test_a_row_reads_whole_words_of_fields(self, rate, bits, widths):
+        units, rows = sum(widths), 40
+        per_row = math.ceil(units * bits / 64)  # 3 words for 192 units at rate 0.5
+        drawn, fresh = run_stream(9, MC_DROPOUT, 4), run_stream(9, MC_DROPOUT, 4)
+        keep = np.hstack(self.model(rate, widths).make_sample_masks(drawn, rows)) > 0
+        words = fresh.bit_generator.random_raw((rows, per_row))
+        assert drawn.bit_generator.random_raw() == fresh.bit_generator.random_raw()
+        # unit j reads bits j*bits.. of its row's words, the first word's low end first
+        threshold = math.ceil(rate * 2**bits)
+        rows_as_ints = [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in words]
+        expected = [[(v >> (bits * j)) & (2**bits - 1) >= threshold for j in range(units)]
+                    for v in rows_as_ints]
+        assert np.array_equal(keep, expected)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 0.25, 0.3])
+    def test_rows_of_one_call_equal_one_row_calls(self, rate):
+        model = self.model(rate)
+        batched_rng, loop_rng = run_stream(2, MC_DROPOUT, 6), run_stream(2, MC_DROPOUT, 6)
+        batched = model.make_sample_masks(batched_rng, 25)
+        loop = [model.make_sample_masks(loop_rng, 1) for _ in range(25)]
+        for layer, masks in enumerate(batched):
+            assert np.array_equal(masks, np.vstack([m[layer] for m in loop]))
+        assert batched_rng.bit_generator.random_raw() == loop_rng.bit_generator.random_raw()
+
+    def test_a_sequence_of_streams_stacks_their_masks(self):
+        model = self.model(0.5)
+        stacked = model.make_sample_masks([run_stream(1, MC_DROPOUT, v) for v in (4, 0, 7)], 10)
+        alone = [model.make_sample_masks(run_stream(1, MC_DROPOUT, v), 10) for v in (4, 0, 7)]
+        for layer, masks in enumerate(stacked):
+            assert np.array_equal(masks, np.vstack([a[layer] for a in alone]))
+
+    @pytest.mark.parametrize("rate", [0.5, 0.25, 0.125, 0.75, 0.3])
+    def test_units_keep_at_one_minus_rate_and_independently(self, rate):
+        rows, keep_p = 20_000, 1.0 - rate
+        masks = self.model(rate, widths=(64, 40)).make_sample_masks(run_stream(4, MC_DROPOUT), rows)
+        keep = np.hstack(masks) > 0  # 104 units: fields cross word and layer bounds
+        freq = keep.mean(axis=0)
+        assert np.all(np.abs(freq - keep_p) < 5 * np.sqrt(keep_p * (1 - keep_p) / rows))
+        centred = keep - freq
+        spread = np.sqrt(freq * (1 - freq))
+        corr = (centred[:, :-1] * centred[:, 1:]).mean(axis=0) / (spread[:-1] * spread[1:])
+        assert np.all(np.abs(corr) < 5 / np.sqrt(rows))  # adjacent units
 
 
 class TestMcDropout:

@@ -29,6 +29,12 @@ TwoBranchMlp.make_sample_masks (the draw and its inverted scale) and config's
 SCHEMA (the default) read .dropout_rate, so the layer kernels, the loss and
 the sampler take masks and no rate.
 
+One set of draws in the model: in mlp.py a generator or bit generator is
+drawn from only in TwoBranchMlp.__init__ (the initial weights),
+TwoBranchMlp.make_sample_masks (the dropout masks) and train (the split and
+the shuffles), so MC-dropout prediction draws its masks only through
+make_sample_masks.
+
 One fallback solver: in fitting.py only _qr_solve_batch (R of a weighted
 design's QR) and fit_ols_batch (R^-1 Q^T of the design) read np.linalg.solve,
 so a row the Cholesky fails takes the QR path and no Gram matrix goes to
@@ -54,6 +60,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,25 +199,49 @@ RATE_READERS = [
 ]
 
 
-def attribute_reads(tree: ast.Module, attr: str) -> list:
-    """(scope, line) of each read of .attr in tree, in line order. The scope of a
-    read is its method as Class.method, its top-level function, the name a
-    module-level assignment binds, or else <module>."""
+def scoped_statements(tree: ast.Module) -> list:
+    """(scope, node) of each top-level statement of tree, a class's split into
+    its members. The scope is Class.method for a method, the function for a
+    top-level function, the name a module-level assignment binds, or else
+    <module>."""
     found = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            scopes = [(f"{node.name}.{d.name}" if isinstance(d, FUNCTIONS) else node.name, d)
+            found += [(f"{node.name}.{d.name}" if isinstance(d, FUNCTIONS) else node.name, d)
                       for d in node.body]
         elif isinstance(node, FUNCTIONS):
-            scopes = [(node.name, node)]
+            found.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-            scopes = [(getattr(target, "id", "<module>"), node)]
+            found.append((getattr(target, "id", "<module>"), node))
         else:
-            scopes = [("<module>", node)]
-        found += [(scope, read.lineno) for scope, part in scopes for read in ast.walk(part)
-                  if isinstance(read, ast.Attribute) and read.attr == attr
-                  and isinstance(read.ctx, ast.Load)]
+            found.append(("<module>", node))
+    return found
+
+
+def attribute_reads(tree: ast.Module, attr: str) -> list:
+    """(scope, line) of each read of .attr in tree, in line order, scoped as
+    scoped_statements scopes them."""
+    found = [(scope, read.lineno) for scope, part in scoped_statements(tree)
+             for read in ast.walk(part)
+             if isinstance(read, ast.Attribute) and read.attr == attr
+             and isinstance(read.ctx, ast.Load)]
+    return sorted(found, key=lambda f: (f[1], f[0]))
+
+
+# every public method of a Generator, and the raw words of its bit generator
+GENERATOR_DRAWS = {n for n in dir(np.random.Generator)
+                   if not n.startswith("_") and n != "bit_generator"} | {"random_raw"}
+DRAW_SCOPES = ["TwoBranchMlp.__init__", "TwoBranchMlp.make_sample_masks", "train"]
+
+
+def generator_draws(tree: ast.Module) -> list:
+    """(scope, line) of each method call x.f(...) in tree with f in
+    GENERATOR_DRAWS, in line order, scoped as scoped_statements scopes them."""
+    found = [(scope, call.lineno) for scope, part in scoped_statements(tree)
+             for call in ast.walk(part)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+             and call.func.attr in GENERATOR_DRAWS]
     return sorted(found, key=lambda f: (f[1], f[0]))
 
 
@@ -408,6 +439,22 @@ def test_scan_finds_a_dropout_rate_read_in_forward():
     assert [r for r in reads if ("mlp.py", r[0]) not in RATE_READERS] == [
         ("TwoBranchMlp.forward", line)
     ]
+
+
+def test_only_init_the_mask_draw_and_train_draw_in_mlp():
+    found = generator_draws(parse(PACKAGE / "mlp.py"))
+    assert [f for f in found if f[0] not in DRAW_SCOPES] == []
+    assert sorted({f[0] for f in found}) == sorted(DRAW_SCOPES)  # the scan sees each
+
+
+def test_scan_finds_a_draw_put_into_predict_mc_dropout():
+    source = (PACKAGE / "mlp.py").read_text()
+    masks = "    masks = model.make_sample_masks([run_stream("
+    assert source.count(masks) == 1  # fixture sanity
+    line = source[: source.index(masks)].count("\n") + 1
+    words = "    words = run_stream(seed, MC_DROPOUT, voxels[0]).bit_generator.random_raw(3)"
+    found = generator_draws(ast.parse(source.replace(masks, words + "\n" + masks)))
+    assert [f for f in found if f[0] not in DRAW_SCOPES] == [("predict_mc_dropout", line)]
 
 
 def test_only_the_qr_paths_solve_in_fitting():
