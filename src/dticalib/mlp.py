@@ -107,27 +107,35 @@ class TwoBranchMlp:
         self.main_w, self.unc_w = weights[:main], weights[main:]
         self.main_b, self.unc_b = biases[:main], biases[main:]
 
-    def make_sample_masks(self, rng, rows: int):
+    def make_sample_masks(self, streams, rows: int):
         """Inverted-dropout masks for the main-branch hidden layers, one
         contiguous (rows, width) mask per layer: 0 for a dropped unit,
         1 / (1 - dropout_rate) for a kept one.
 
-        rng is a generator, or a sequence of generators that each draw `rows`
-        rows, stacked in order. A row takes whole raw 64-bit words of its
-        generator's bit stream, and each unit reads a field of _field_bits(
-        dropout_rate) bits of them (_keep_decisions), so a unit is kept with
-        probability exactly 1 - dropout_rate. The draw is row-major: row i of
-        each mask equals the masks of the i-th of `rows` successive
-        make_sample_masks(rng, 1) calls, bit for bit. At a rate whose field is
-        64 bits wide, such as 0.1 or 0.3, the masks and the stream position are
-        those of rng.random((rows, units)) >= dropout_rate.
+        streams is a sequence of generators that each draw `rows` rows,
+        stacked in order. A row takes whole raw 64-bit words of its
+        generator's bit stream. At rate 0 or 0.5 a keep decision is one bit:
+        unit j reads bit j of the row's words, counted from the low end of the
+        first, and is kept when that bit is >= 2 * rate, so 192 units take 3
+        words. At any other rate a unit reads one word and is kept when
+        (raw >> 11) >= ceil(rate * 2**53), which is random() >= rate, as
+        random() draws (raw >> 11) * 2**-53: the masks and the stream position
+        are those of rng.random((rows, units)) >= dropout_rate. Either way a
+        unit is kept with probability exactly 1 - dropout_rate. The draw is
+        row-major: row i of each mask equals the masks of the i-th of `rows`
+        successive make_sample_masks([rng], 1) calls, bit for bit.
         """
         widths, rate = self.spec.hidden_widths, self.spec.dropout_rate
-        units, bits = sum(widths), _field_bits(rate)
-        per_row = -(-units * bits // 64)  # whole words per row
-        streams = [rng] if isinstance(rng, np.random.Generator) else rng
+        units, one_bit = sum(widths), (2 * rate).is_integer()
+        per_row = -(-units // 64) if one_bit else units  # whole words per row
         words = np.concatenate([s.bit_generator.random_raw(rows * per_row) for s in streams])
-        keep = _keep_decisions(words.reshape(-1, per_row), units, bits, rate)
+        words = words.reshape(-1, per_row)
+        if one_bit:
+            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                                 bitorder="little")
+            keep = bits[:, :units] >= math.ceil(2 * rate)
+        else:
+            keep = (words >> 11) >= math.ceil(rate * 2.0**53)
         edges = np.cumsum((0, *widths))
         return [keep[:, a:b] / (1.0 - rate) for a, b in zip(edges[:-1], edges[1:])]
 
@@ -149,36 +157,6 @@ class TwoBranchMlp:
         """Deterministic pass of both branches: (pred_elements at physical scale, u)."""
         pred, _ = self.forward(x)
         return pred / self.spec.target_scale, self.uncertainty(x)[0]
-
-
-def _field_bits(rate: float) -> int:
-    """Bits of raw stream per keep decision at dropout `rate`: the smallest
-    power of two not below the smallest depth b <= 53 at which rate * 2**b is
-    an integer, or 64 when no such b exists (as for 0.1 and 0.3). 1 at 0.5."""
-    depth = next((b for b in range(54) if (rate * 2.0**b).is_integer()), None)
-    return 64 if depth is None else 1 << max(depth - 1, 0).bit_length()
-
-
-def _keep_decisions(words, units: int, bits: int, rate: float):
-    """(rows, units) bool keep decisions from (rows, n) uint64 raw words.
-
-    Unit j of a row reads field j of `bits` bits, counted from the low end of
-    the row's first word, and is kept when the top min(bits, 53) bits of its
-    field, as an integer, are >= ceil(rate * 2**min(bits, 53)). For 64-bit
-    fields that is random() >= rate, whose draw is (raw >> 11) * 2**-53.
-    """
-    threshold = math.ceil(rate * 2.0 ** min(bits, 53))
-    if bits == 64:
-        return (words >> 11) >= threshold
-    lanes = words.astype("<u8", copy=False).view(f"<u{max(bits, 8) // 8}")
-    if bits == 1:
-        fields = np.unpackbits(lanes, axis=1, bitorder="little")
-    elif bits < 8:
-        shifts = np.arange(0, 8, bits, dtype=np.uint8)
-        fields = ((lanes[..., None] >> shifts) & (2**bits - 1)).reshape(len(words), -1)
-    else:
-        fields = lanes
-    return fields[:, :units] >= threshold
 
 
 def _stack_forward(weights, biases, x, masks=None):
@@ -320,7 +298,7 @@ def train(
         epoch_losses = []
         for start in range(0, len(x_tr), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            masks = model.make_sample_masks(rng, len(idx))
+            masks = model.make_sample_masks([rng], len(idx))
             loss, grad = batch_loss_and_grads(
                 model, x_tr[idx], y_tr[idx], cfg.penalty, masks
             )

@@ -1015,29 +1015,25 @@ class TestDlFlow:
 
 
 class TestDlReproducibility:
-    # rate 0.5 draws 1-bit keep fields; TestReproducibility checks the 64-bit
-    # fields of rate 0.3 through the same chunk sizes and voxel order
-    BODY = BASE.format(snr="28") + "train.epochs = 3\ntrain.dropout_rate = 0.5\npredict.samples = 30\n"
+    BODY = BASE.format(snr="28") + "train.epochs = 3\ntrain.dropout_rate = 0.3\npredict.samples = 30\n"
+    HALF = BODY.replace("dropout_rate = 0.3", "dropout_rate = 0.5")  # one bit per keep decision
     N, SAMPLES = 24, 30
 
-    def train_and_predict(self, tmp_path):
-        cfg = write_cfg(tmp_path / "e.cfg", self.BODY)
+    def train_and_predict(self, tmp_path, body=BODY):
+        cfg = write_cfg(tmp_path / "e.cfg", body)
         for cmd in ("simulate", "train", "predict"):
             assert main([cmd, "--config", cfg]) == 0
         return cfg
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        self.train_and_predict(tmp_path)
+    def check_rerun(self, tmp_path, body):
+        self.train_and_predict(tmp_path, body)
         first = dir_hashes(tmp_path / "run")
         shutil.rmtree(tmp_path / "run")
-        self.train_and_predict(tmp_path)
+        self.train_and_predict(tmp_path, body)
         assert dir_hashes(tmp_path / "run") == first
 
-    def test_chunk_size_and_voxel_order_change_results_only_by_rounding(
-        self, tmp_path, monkeypatch
-    ):
-        # the name is kept from a looser contract: results do not change at all
-        cfg = self.train_and_predict(tmp_path)
+    def check_chunk_size_and_voxel_order(self, tmp_path, monkeypatch, body):
+        cfg = self.train_and_predict(tmp_path, body)
         path = tmp_path / "run/predictions_dl.bin"
         default = dataio.read_predictions(path)[1]
         for rows in (1, self.SAMPLES * self.N):  # one voxel per chunk, all voxels in one
@@ -1053,6 +1049,22 @@ class TestDlReproducibility:
             mlp.predict_mc_dropout(model, inputs[perm], self.SAMPLES, seed=11, voxels=perm)
         )
         assert np.array_equal(permuted, default[perm, 5:8])
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        self.check_rerun(tmp_path, self.BODY)
+
+    def test_rerun_at_half_rate_is_byte_identical(self, tmp_path):
+        self.check_rerun(tmp_path, self.HALF)
+
+    def test_chunk_size_and_voxel_order_change_results_only_by_rounding(
+        self, tmp_path, monkeypatch
+    ):
+        self.check_chunk_size_and_voxel_order(tmp_path, monkeypatch, self.BODY)
+
+    def test_chunk_size_and_voxel_order_at_half_rate_do_not_change_results(
+        self, tmp_path, monkeypatch
+    ):
+        self.check_chunk_size_and_voxel_order(tmp_path, monkeypatch, self.HALF)
 
     def test_train_history_records_the_run_and_reruns_to_the_same_bytes(self, tmp_path):
         # an evaluation every epoch at a rate high enough that validation stalls

@@ -113,7 +113,7 @@ class TestGradients:
         x = rng.normal(0.5, 0.2, size=(6, spec.input_dim))
         y = rng.normal(0.0, 0.5, size=(6, 6))
         if masks == "dropout":
-            masks = model.make_sample_masks(np.random.default_rng(3), 6)
+            masks = model.make_sample_masks([np.random.default_rng(3)], 6)
         _, grad = batch_loss_and_grads(model, x, y, 1.0, masks)
         worst = 0.0
         for idx in rng.choice(model.flat.size, n_coords, replace=False):
@@ -140,7 +140,7 @@ class TestUncertaintyBranchDeterminism:
         model = TwoBranchMlp(spec, seed=2)
         x = np.random.default_rng(5).normal(0.5, 0.2, size=(4, spec.input_dim))
         u_plain, _ = model.uncertainty(x)
-        masks = model.make_sample_masks(np.random.default_rng(9), 4)
+        masks = model.make_sample_masks([np.random.default_rng(9)], 4)
         model.forward(x, masks=masks)  # a masked pass of the dropout branch
         u_masked, _ = model.uncertainty(x)
         assert np.array_equal(u_plain, u_masked)
@@ -221,7 +221,7 @@ class TestStackKernelMatchesTwoLoopReference:
     @pytest.mark.parametrize("clamped", [False, True])
     def test_loss_and_every_gradient(self, with_masks, clamped):
         model, x, y = self.model_and_batch()
-        masks = model.make_sample_masks(np.random.default_rng(3), len(x)) if with_masks else None
+        masks = model.make_sample_masks([np.random.default_rng(3)], len(x)) if with_masks else None
         if clamped:  # move u_raw so that it leaves the clamp window on some rows only
             u_raw = reference_forward(model, x)[2]["u_raw"]
             model.unc_b[-1][:] += U_MAX - np.median(u_raw)
@@ -245,7 +245,8 @@ class TestStackKernelMatchesTwoLoopReference:
         points, u_got = model.predict(x)
         assert np.array_equal(points, pred / model.spec.target_scale)
         assert np.array_equal(u_got, u)
-        draws = [model.make_sample_masks(run_stream(21, MC_DROPOUT, v), 12) for v in range(len(x))]
+        draws = [model.make_sample_masks([run_stream(21, MC_DROPOUT, v)], 12)
+                 for v in range(len(x))]
         masks = [np.concatenate(layer) for layer in zip(*draws)]
         want = reference_forward(model, np.repeat(x, 12, axis=0), masks)[0]
         got = predict_mc_dropout(model, x, n_samples=12, seed=21)
@@ -255,7 +256,7 @@ class TestStackKernelMatchesTwoLoopReference:
         # at rate 0.5 the drawn scale 2 is exact, so the kernels' h * mask equals
         # h * keep / 0.5, with keep the 0/1 mask, in the pass and in its gradients
         model, x, _ = self.model_and_batch(dropout_rate=0.5)
-        masks = model.make_sample_masks(np.random.default_rng(3), len(x))
+        masks = model.make_sample_masks([np.random.default_rng(3)], len(x))
         keep = [(m > 0).astype(np.float64) for m in masks]
         trace = [x]
         for w, b, k in zip(model.main_w, model.main_b, keep):
@@ -328,7 +329,7 @@ def allocating_train(inputs, target_elements, spec, cfg):
         perm = rng.permutation(len(x_tr))
         for start in range(0, len(x_tr), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            masks = model.make_sample_masks(rng, len(idx))
+            masks = model.make_sample_masks([rng], len(idx))
             loss, grad = allocating_loss_and_grads(model, x_tr[idx], y_tr[idx], cfg.penalty, masks)
             step += 1
             m1 *= beta1
@@ -348,7 +349,7 @@ class TestInPlaceKernelsMatchAllocatingReference:
     @pytest.mark.parametrize("with_masks", [False, True])
     def test_loss_and_gradients_bitwise(self, with_masks):
         model, x, y = TestStackKernelMatchesTwoLoopReference.model_and_batch(dropout_rate=0.3)
-        masks = model.make_sample_masks(np.random.default_rng(3), len(x)) if with_masks else None
+        masks = model.make_sample_masks([np.random.default_rng(3)], len(x)) if with_masks else None
         loss, grad = batch_loss_and_grads(model, x, y, 1.0, masks)
         want_loss, want_grad = allocating_loss_and_grads(model, x, y, 1.0, masks)
         assert loss == want_loss
@@ -356,7 +357,7 @@ class TestInPlaceKernelsMatchAllocatingReference:
 
     def test_kernels_leave_their_inputs_alone(self):
         model, x, _ = TestStackKernelMatchesTwoLoopReference.model_and_batch(dropout_rate=0.3)
-        masks = model.make_sample_masks(np.random.default_rng(3), len(x))
+        masks = model.make_sample_masks([np.random.default_rng(3)], len(x))
         x_before, masks_before = x.copy(), [m.copy() for m in masks]
         out, trace = _stack_forward(model.main_w, model.main_b, x, masks)
         d_out = np.random.default_rng(8).normal(size=out.shape)
@@ -459,47 +460,66 @@ class TestTraining:
         assert u_big.mean() < u_ref.mean() - 0.5
 
 
+class FixedWords:
+    """A stream whose raw draw is the given words, as many as asked for."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words = self, np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words
+
+
 class TestMaskDraw:
-    """Keep decisions read fields of raw words, as wide as the rate needs."""
+    """Keep decisions read one bit at rates 0 and 0.5, one raw word otherwise."""
 
     @staticmethod
     def model(rate, widths=(32, 16, 8)):
         return TwoBranchMlp(small_spec(hidden_widths=widths, dropout_rate=rate), seed=3)
 
-    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.4, 0.7])
-    def test_off_grid_rates_keep_the_uniform_draw_masks(self, rate):
-        # these rates need all 53 bits of a double, so a unit reads a whole word
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.4, 0.7, 0.25, 0.125, 0.75])
+    def test_other_rates_keep_the_uniform_draw_masks(self, rate):
         model = self.model(rate)
         drawn, fresh = run_stream(9, MC_DROPOUT, 4), run_stream(9, MC_DROPOUT, 4)
-        masks = model.make_sample_masks(drawn, 300)
+        masks = model.make_sample_masks([drawn], 300)
         keep = fresh.random((300, 56)) >= rate
         expected = np.split(keep / (1 - rate), [32, 48], axis=1)
         assert [m.tobytes() for m in masks] == [e.tobytes() for e in expected]
         assert all(m.flags.c_contiguous for m in masks)
         assert drawn.random() == fresh.random()  # same stream position
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.4, 0.7])
+    def test_words_next_to_the_threshold_decide_as_random_does(self, rate):
+        # random() is (raw >> 11) * 2**-53; try the 8 values of those top 53
+        # bits around rate * 2**53, once with the low 11 bits clear, once set
+        top = [math.ceil(rate * 2**53) + k for k in range(-4, 4)]
+        expected = [t * 2.0**-53 >= rate for t in top]
+        for low in (0, 2**11 - 1):
+            words = FixedWords([t << 11 | low for t in top])
+            keep = self.model(rate, widths=(8,)).make_sample_masks([words], 1)[0][0] > 0
+            assert keep.tolist() == expected
+
     @pytest.mark.parametrize("widths", [(32, 16, 8), (64, 64, 64)])
-    @pytest.mark.parametrize("rate, bits", [(0.5, 1), (0.25, 2), (0.125, 4), (0.75, 2)])
-    def test_a_row_reads_whole_words_of_fields(self, rate, bits, widths):
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_a_row_reads_whole_words_of_bits(self, rate, widths):
         units, rows = sum(widths), 40
-        per_row = math.ceil(units * bits / 64)  # 3 words for 192 units at rate 0.5
+        per_row = math.ceil(units / 64)  # 3 words for 192 units
         drawn, fresh = run_stream(9, MC_DROPOUT, 4), run_stream(9, MC_DROPOUT, 4)
-        keep = np.hstack(self.model(rate, widths).make_sample_masks(drawn, rows)) > 0
+        keep = np.hstack(self.model(rate, widths).make_sample_masks([drawn], rows)) > 0
         words = fresh.bit_generator.random_raw((rows, per_row))
         assert drawn.bit_generator.random_raw() == fresh.bit_generator.random_raw()
-        # unit j reads bits j*bits.. of its row's words, the first word's low end first
-        threshold = math.ceil(rate * 2**bits)
+        # unit j reads bit j of its row's words, the first word's low end first
         rows_as_ints = [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in words]
-        expected = [[(v >> (bits * j)) & (2**bits - 1) >= threshold for j in range(units)]
-                    for v in rows_as_ints]
+        expected = [[(v >> j) & 1 >= 2 * rate for j in range(units)] for v in rows_as_ints]
         assert np.array_equal(keep, expected)
 
     @pytest.mark.parametrize("rate", [0.0, 0.5, 0.25, 0.3])
     def test_rows_of_one_call_equal_one_row_calls(self, rate):
         model = self.model(rate)
         batched_rng, loop_rng = run_stream(2, MC_DROPOUT, 6), run_stream(2, MC_DROPOUT, 6)
-        batched = model.make_sample_masks(batched_rng, 25)
-        loop = [model.make_sample_masks(loop_rng, 1) for _ in range(25)]
+        batched = model.make_sample_masks([batched_rng], 25)
+        loop = [model.make_sample_masks([loop_rng], 1) for _ in range(25)]
         for layer, masks in enumerate(batched):
             assert np.array_equal(masks, np.vstack([m[layer] for m in loop]))
         assert batched_rng.bit_generator.random_raw() == loop_rng.bit_generator.random_raw()
@@ -507,15 +527,16 @@ class TestMaskDraw:
     def test_a_sequence_of_streams_stacks_their_masks(self):
         model = self.model(0.5)
         stacked = model.make_sample_masks([run_stream(1, MC_DROPOUT, v) for v in (4, 0, 7)], 10)
-        alone = [model.make_sample_masks(run_stream(1, MC_DROPOUT, v), 10) for v in (4, 0, 7)]
+        alone = [model.make_sample_masks([run_stream(1, MC_DROPOUT, v)], 10) for v in (4, 0, 7)]
         for layer, masks in enumerate(stacked):
             assert np.array_equal(masks, np.vstack([a[layer] for a in alone]))
 
     @pytest.mark.parametrize("rate", [0.5, 0.25, 0.125, 0.75, 0.3])
     def test_units_keep_at_one_minus_rate_and_independently(self, rate):
         rows, keep_p = 20_000, 1.0 - rate
-        masks = self.model(rate, widths=(64, 40)).make_sample_masks(run_stream(4, MC_DROPOUT), rows)
-        keep = np.hstack(masks) > 0  # 104 units: fields cross word and layer bounds
+        model = self.model(rate, widths=(64, 40))
+        masks = model.make_sample_masks([run_stream(4, MC_DROPOUT)], rows)
+        keep = np.hstack(masks) > 0  # 104 units: at 0.5 a row reads part of its second word
         freq = keep.mean(axis=0)
         assert np.all(np.abs(freq - keep_p) < 5 * np.sqrt(keep_p * (1 - keep_p) / rows))
         centred = keep - freq
@@ -528,8 +549,8 @@ class TestMcDropout:
     def test_rows_of_one_call_equal_one_row_calls(self):
         model = TwoBranchMlp(small_spec(hidden_widths=(32, 16, 8), dropout_rate=0.4), seed=3)
         batched_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
-        batched = model.make_sample_masks(batched_rng, 25)
-        loop = [model.make_sample_masks(loop_rng, 1) for _ in range(25)]
+        batched = model.make_sample_masks([batched_rng], 25)
+        loop = [model.make_sample_masks([loop_rng], 1) for _ in range(25)]
         for layer, masks in enumerate(batched):
             assert np.array_equal(masks, np.vstack([m[layer] for m in loop]))
         assert batched_rng.random() == loop_rng.random()  # same stream position
@@ -537,7 +558,7 @@ class TestMcDropout:
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
     def test_masks_hold_zero_or_the_inverted_scale(self, rate):
         model = TwoBranchMlp(small_spec(hidden_widths=(32, 16, 8), dropout_rate=rate), seed=3)
-        masks = model.make_sample_masks(np.random.default_rng(4), 50)
+        masks = model.make_sample_masks([np.random.default_rng(4)], 50)
         assert [m.shape for m in masks] == [(50, 32), (50, 16), (50, 8)]
         values = np.unique(np.concatenate([m.ravel() for m in masks]))
         scale = 1.0 / (1.0 - rate)
@@ -549,7 +570,7 @@ class TestMcDropout:
         samples = predict_mc_dropout(model, x, n_samples=40, seed=11)[0]
         rng = run_stream(11, MC_DROPOUT, 0)
         reference = np.vstack([
-            model.forward(x, model.make_sample_masks(rng, 1))[0] for _ in range(40)
+            model.forward(x, model.make_sample_masks([rng], 1))[0] for _ in range(40)
         ]) / model.spec.target_scale
         assert np.allclose(samples, reference, rtol=1e-12, atol=0.0)
 
