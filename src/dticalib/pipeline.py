@@ -200,22 +200,36 @@ def _row_error(path, rows, row: int, column: str, detail: str):
     return dataio.DataFormatError(f"{path}: row {at}, {column}: {detail}")
 
 
-def triples_by_parameter(table: np.ndarray, true_scalars, path, rows=None, uncertainty="epistemic"):
-    """Per-parameter Triples from a prediction table and the truth's tensor_scalars.
+@dataclasses.dataclass(frozen=True)
+class _Scored:
+    """A table as a scoring stage scores it: the rows of table that rows lists
+    (all when None; see _row_error), the truth's tensor_scalars of those rows,
+    and the table's checked meta.truth_sha256 (or None)."""
+    path: object
+    header: dict
+    table: np.ndarray
+    rows: np.ndarray | None
+    truth: tuple
+    digest: str | None
+
+
+def triples_by_parameter(view: _Scored, uncertainty="epistemic"):
+    """Per-parameter Triples of the rows a scored view scores, against its truth.
 
     theta uses the angular error as the deviation; each sigma is its
     SIGMA_COLUMNS column times its scale. With uncertainty="aleatoric",
     exp(u) replaces the per-parameter sigma. A refused row is a data error
-    naming path, the column and the row in the file (see _row_error).
+    naming the view's path, the column and the row in the file (see _row_error).
     """
-    fa_true, md_true, v_true = true_scalars
+    table = view.table if view.rows is None else view.table[view.rows]
+    fa_true, md_true, v_true = view.truth
     truth = {"fa": fa_true, "md": md_true, "theta": angular_error_deg(table[:, 2:5], v_true)}
     estimate = {"fa": table[:, 0], "md": table[:, 1], "theta": np.zeros(len(table))}
     if uncertainty == "aleatoric":
         bad = np.flatnonzero(~np.isfinite(table[:, 8]))
         if bad.size:
             u = float(table[bad[0], 8])
-            raise _row_error(path, rows, bad[0], "aleatoric_u",
+            raise _row_error(view.path, view.rows, bad[0], "aleatoric_u",
                              f"aleatoric sigma requested, but u = {u!r} is not finite")
         sigma = dict.fromkeys(PARAMETERS, np.exp(table[:, 8]))
         names = dict.fromkeys(PARAMETERS, "aleatoric_u")
@@ -228,7 +242,7 @@ def triples_by_parameter(table: np.ndarray, true_scalars, path, rows=None, uncer
             triples[p] = cal.triples_from_arrays(truth[p], estimate[p], sigma[p])
         except cal.RowError as exc:
             column = names[p] if exc.array == "sigma" else DEVIATION_COLUMNS[p]
-            raise _row_error(path, rows, exc.row, column, exc.detail) from None
+            raise _row_error(view.path, view.rows, exc.row, column, exc.detail) from None
     return triples
 
 
@@ -247,37 +261,58 @@ def _check_truth_digest(cfg: ExperimentConfig, table_path, header: dict, truth, 
     return recorded
 
 
-def _check_table(cfg: ExperimentConfig, table_path, header: dict, table, truth):
-    """DataFormatError unless the table holds one row per voxel of dataset.path and
-    passes _check_truth_digest, whose digest it returns."""
+def _load_scored(cfg: ExperimentConfig, key: str, rows=None, read=None, recalibrated=None):
+    """[_Scored] of the table at config key `key`, checked in order: dataset.path
+    holds truth; the table (read by read, else dataio.read_predictions) holds one
+    row per voxel; its meta.truth_sha256 is the truth's. The rows scored are
+    rows(row count), or all when rows is None. With recalibrated, a recalibrated
+    file's path, they are the distinct rows of the table its meta.holdout lists,
+    one per row of that file, whose meta.truth_sha256 is then checked; a second
+    view scores that file against the same truth scalars, decomposed once."""
+    truth = _read_truth_dataset(cfg)
+    path = cfg.get(key)
+    header, table = read(path) if read else dataio.read_predictions(path)
     if len(table) != len(truth):
         raise dataio.DataFormatError(
-            f"{table_path}: the table holds {len(table)} rows, but "
+            f"{path}: the table holds {len(table)} rows, but "
             f"{cfg.get('dataset.path')} holds {len(truth)} voxels"
         )
-    return _check_truth_digest(cfg, table_path, header, truth)
+    digest = _check_truth_digest(cfg, path, header, truth)
+    scored = rows(len(table)) if rows else None
+    if recalibrated is not None:
+        recal_header, recal = dataio.read_predictions(recalibrated)
+        meta = recal_header.get("meta")
+        scored = np.asarray(meta.get("holdout") if isinstance(meta, dict) else None)
+        n = len(recal)
+        if scored.shape != (n,) or n and not (
+            scored.dtype.kind == "i" and 0 <= scored.min() and scored.max() < len(table)
+            and np.count_nonzero(np.bincount(scored)) == n
+        ):
+            raise dataio.DataFormatError(
+                f"{recalibrated}: meta.holdout must hold one row index of {path} "
+                f"(below {len(table)}) per recalibrated row, {n} in all, none repeated"
+            )
+        recal_digest = _check_truth_digest(cfg, recalibrated, recal_header, truth, digest)
+    scalars = tensor_scalars(truth if scored is None else truth[scored])
+    views = [_Scored(path, header, table, scored, scalars, digest)]
+    if recalibrated is not None:
+        views.append(_Scored(recalibrated, recal_header, recal, None, scalars, recal_digest))
+    return views
 
 
-def _metric_params(cfg: ExperimentConfig):
-    caps = {p: cfg.get(f"metrics.mpiw_cap.{p}") for p in PARAMETERS}
-    return cfg.get("metrics.bins"), cfg.get("metrics.grid_size"), caps
-
-
-def _metrics_for_table(table, true_scalars, bins, grid, caps, uncertainty, path, rows=None):
-    """Metrics of one table against the truth's tensor_scalars for the same rows;
-    path and rows locate a refused row (see _row_error)."""
+def _metrics(cfg: ExperimentConfig, view: _Scored, uncertainty):
+    """Metrics of the rows a scored view scores (see triples_by_parameter)."""
+    bins, grid = cfg.get("metrics.bins"), cfg.get("metrics.grid_size")
     out = {}
-    triples = triples_by_parameter(table, true_scalars, path, rows, uncertainty)
-    for p in PARAMETERS:
-        t = triples[p]
+    for p, t in triples_by_parameter(view, uncertainty).items():
         entry = {
-            "n": int(len(table)),
+            "n": len(t.truth),
             "bins": bins,
             "median_abs_error": float(np.median(np.abs(t.truth - t.estimate))),
         }
         if np.all(t.sigma > 0):
             entry["ence"] = cal.ence(cal.bin_rmv_rmse(t, bins))
-            entry["aucc"] = cal.picp_mpiw_curve(t, caps[p], grid).aucc
+            entry["aucc"] = cal.picp_mpiw_curve(t, cfg.get(f"metrics.mpiw_cap.{p}"), grid).aucc
         else:
             entry["ence"] = None
             entry["aucc"] = None
@@ -314,41 +349,12 @@ def _check_bins(cfg: ExperimentConfig, rows: dict, context: str = "", least: int
 
 def run_evaluate(cfg: ExperimentConfig):
     uncertainty = cfg.get("evaluate.uncertainty")
-    truth = _read_truth_dataset(cfg)
-    pred_path = cfg.get("evaluate.predictions")
-    header, table = _load_table_for_eval(pred_path)
-    digest = _check_table(cfg, pred_path, header, table, truth)
-    bins, grid, caps = _metric_params(cfg)
-    recal_path = cfg.get("evaluate.recalibrated")
-    if recal_path is not None:
-        header, recal_table = dataio.read_predictions(recal_path)
-        _check_truth_digest(cfg, recal_path, header, truth, digest)
-        meta = header.get("meta")
-        holdout = np.asarray(meta.get("holdout") if isinstance(meta, dict) else None)
-        n = len(recal_table)
-        if holdout.shape != (n,) or n and not (
-            holdout.dtype.kind == "i" and 0 <= holdout.min() and holdout.max() < len(table)
-        ):
-            raise dataio.DataFormatError(
-                f"{recal_path}: meta.holdout must hold one row index of {pred_path} "
-                f"(below {len(table)}) per recalibrated row, {n} in all"
-            )
-        rows = {f"held-out rows of {pred_path}": len(holdout), str(recal_path): len(recal_table)}
-        _check_bins(cfg, rows)
-        held_truth = tensor_scalars(truth[holdout])
-        metrics = {
-            "before": _metrics_for_table(
-                table[holdout], held_truth, bins, grid, caps, uncertainty, pred_path, holdout
-            ),
-            "after": _metrics_for_table(
-                recal_table, held_truth, bins, grid, caps, uncertainty, recal_path
-            ),
-        }
-    else:
-        _check_bins(cfg, {str(pred_path): len(table)})
-        metrics = _metrics_for_table(
-            table, tensor_scalars(truth), bins, grid, caps, uncertainty, pred_path
-        )
+    views = _load_scored(cfg, "evaluate.predictions", read=_load_table_for_eval,
+                         recalibrated=cfg.get("evaluate.recalibrated"))
+    names = [str(v.path) if v.rows is None else f"held-out rows of {v.path}" for v in views]
+    _check_bins(cfg, {name: len(v.truth[0]) for name, v in zip(names, views)})
+    scores = [_metrics(cfg, v, uncertainty) for v in views]
+    metrics = scores[0] if len(scores) == 1 else dict(zip(("before", "after"), scores))
     return lambda out: dataio.write_metrics_json(out / "metrics.json", metrics)
 
 
@@ -367,60 +373,53 @@ def run_calibrate(cfg: ExperimentConfig):
             "calibrate needs evaluate.uncertainty = epistemic: it recalibrates the "
             "per-parameter sigma columns, not the aleatoric u column"
         )
-    truth = _read_truth_dataset(cfg)
-    pred_path = cfg.get("calibrate.predictions")
-    header, table = dataio.read_predictions(pred_path)
-    digest = _check_table(cfg, pred_path, header, table, truth)
-    bins, _, _ = _metric_params(cfg)
-
-    n = len(table)
     split = cfg.get("calibrate.split")
-    perm = run_stream(cfg.seed, CALIBRATE_SPLIT).permutation(n)
-    cut = int(round(split * n))
-    cal_idx, holdout = np.sort(perm[:cut]), np.sort(perm[cut:])
-    rows = {"calibration split": len(cal_idx), "held-out split": len(holdout)}
-    where = cfg.sources.get("calibrate.split", "default")
-    # an isotonic map needs at least 2 bins
-    _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
 
-    truth_cal = tensor_scalars(truth[cal_idx])
-    triples_cal = triples_by_parameter(table[cal_idx], truth_cal, pred_path, cal_idx)
-    maps = {p: cal.fit_isotonic(triples_cal[p], bins) for p in PARAMETERS}
+    def calibration_split(n):
+        perm = run_stream(cfg.seed, CALIBRATE_SPLIT).permutation(n)
+        cal_idx = np.sort(perm[: int(round(split * n))])
+        rows = {"calibration split": len(cal_idx), "held-out split": n - len(cal_idx)}
+        where = cfg.sources.get("calibrate.split", "default")
+        # an isotonic map needs at least 2 bins
+        _check_bins(cfg, rows, f" of {n} rows split by calibrate.split = {split} ({where})", 2)
+        return cal_idx
 
-    recal = table[holdout].copy()
+    (view,) = _load_scored(cfg, "calibrate.predictions", rows=calibration_split)
+    holdout = np.delete(np.arange(len(view.table)), view.rows)
+    triples_cal = triples_by_parameter(view)
+    maps = {p: cal.fit_isotonic(triples_cal[p], cfg.get("metrics.bins")) for p in PARAMETERS}
+
+    recal = view.table[holdout]
     for p, (col, scale) in SIGMA_COLUMNS.items():
         try:
             recal[:, col] = cal.recalibrate(maps[p], recal[:, col] * scale) / scale
         except cal.RowError as exc:
             column = dataio.PREDICTION_COLUMNS[col]
-            raise _row_error(pred_path, holdout, exc.row, column, exc.detail) from None
+            raise _row_error(view.path, holdout, exc.row, column, exc.detail) from None
 
     maps_json = {
         p: {"breakpoints": maps[p].breakpoints.tolist(), "values": maps[p].values.tolist()}
         for p in PARAMETERS
     }
     meta = {"recalibrated": True, "holdout": holdout.tolist()}
-    if digest is not None:
-        meta["truth_sha256"] = digest
+    if view.digest is not None:
+        meta["truth_sha256"] = view.digest
 
     def write(out):
         dataio.write_metrics_json(out / "calibration_maps.json", maps_json)
         dataio.write_predictions(
-            out / "predictions_recalibrated.bin", recal, header["method"], meta
+            out / "predictions_recalibrated.bin", recal, view.header["method"], meta
         )
 
     return write
 
 
 def run_curves(cfg: ExperimentConfig):
-    uncertainty = cfg.get("evaluate.uncertainty")
-    truth = _read_truth_dataset(cfg)
-    pred_path = cfg.get("curves.predictions")
-    header, table = dataio.read_predictions(pred_path)
-    _check_table(cfg, pred_path, header, table, truth)
-    _, grid, caps = _metric_params(cfg)
-    triples = triples_by_parameter(table, tensor_scalars(truth), pred_path, uncertainty=uncertainty)
-    curves = [cal.picp_mpiw_curve(triples[p], caps[p], grid) for p in PARAMETERS]
+    (view,) = _load_scored(cfg, "curves.predictions")
+    triples = triples_by_parameter(view, cfg.get("evaluate.uncertainty"))
+    grid = cfg.get("metrics.grid_size")
+    curves = [cal.picp_mpiw_curve(triples[p], cfg.get(f"metrics.mpiw_cap.{p}"), grid)
+              for p in PARAMETERS]
 
     def write(out):
         for p, curve in zip(PARAMETERS, curves):

@@ -654,7 +654,8 @@ class TestCalibrateFlow:
         lambda h: h["meta"]["holdout"].pop(),  # one index short of the table
         lambda h: h["meta"]["holdout"].__setitem__(0, 240),  # past the predictions table
         lambda h: h["meta"]["holdout"].__setitem__(0, -1),
-    ], ids=["no-meta", "no-holdout", "short", "past-end", "negative"])
+        lambda h: h["meta"]["holdout"].__setitem__(1, h["meta"]["holdout"][0]),  # a repeat
+    ], ids=["no-meta", "no-holdout", "short", "past-end", "negative", "repeated"])
     def test_bad_holdout_is_data_error_naming_path(self, tmp_path, capsys, edit):
         cfg_path, out = self.make_miscalibrated_run(tmp_path)
         assert main(["calibrate", "--config", cfg_path]) == 0
@@ -687,7 +688,8 @@ class TestTruthEigensolves:
     @pytest.mark.parametrize("generator", ["prolate", "random_spd"])
     def test_only_loose_rows_reach_eigh(self, tmp_path, monkeypatch, generator):
         body = BASE.format(snr="inf").replace("n_voxels = 24", "n_voxels = 600")
-        cfg = write_cfg(tmp_path / "e.cfg", body.replace("= prolate", f"= {generator}"))
+        body = body.replace("= prolate", f"= {generator}")
+        cfg = write_cfg(tmp_path / "e.cfg", body)
         assert main(["simulate", "--config", cfg]) == 0
         out = tmp_path / "run"
         _, _, truth, _ = dataio.read_dataset(out / "dataset.bin")
@@ -715,13 +717,16 @@ class TestTruthEigensolves:
                 monkeypatch.setattr(module, "eigh3_batch", counted)
         for command in ("calibrate", "evaluate", "curves"):
             assert main([command, "--config", cfg]) == 0
+        # before and after share one decomposition of the held-out truth
+        recalibrated = body + "evaluate.recalibrated = run/predictions_recalibrated.bin\n"
+        assert main(["evaluate", "--config", write_cfg(tmp_path / "r.cfg", recalibrated)]) == 0
         header, _ = dataio.read_predictions(out / "predictions_recalibrated.bin")
-        calibration_split = np.ones(len(truth), bool)
-        calibration_split[header["meta"]["holdout"]] = False
-        expected = [loose[calibration_split].sum(), loose.sum(), loose.sum()]
+        holdout = np.zeros(len(truth), bool)
+        holdout[header["meta"]["holdout"]] = True
+        expected = [loose[~holdout].sum(), loose.sum(), loose.sum(), loose[holdout].sum()]
         assert rows == expected
         if generator == "prolate":
-            assert rows == [0, 0, 0]
+            assert rows == [0, 0, 0, 0]
 
 
 class TestReproducibility:
@@ -1032,8 +1037,17 @@ class TestDlReproducibility:
         self.train_and_predict(tmp_path, body)
         assert dir_hashes(tmp_path / "run") == first
 
-    def check_chunk_size_and_voxel_order(self, tmp_path, monkeypatch, body):
-        cfg = self.train_and_predict(tmp_path, body)
+    def test_rerun_is_byte_identical(self, tmp_path):
+        self.check_rerun(tmp_path, self.BODY)
+
+    def test_rerun_at_half_rate_is_byte_identical(self, tmp_path):
+        self.check_rerun(tmp_path, self.HALF)
+
+    def test_chunk_size_and_voxel_order_at_half_rate_do_not_change_results(
+        self, tmp_path, monkeypatch
+    ):
+        # the rate-0.3 case is TestReproducibility's
+        cfg = self.train_and_predict(tmp_path, self.HALF)
         path = tmp_path / "run/predictions_dl.bin"
         default = dataio.read_predictions(path)[1]
         for rows in (1, self.SAMPLES * self.N):  # one voxel per chunk, all voxels in one
@@ -1049,22 +1063,6 @@ class TestDlReproducibility:
             mlp.predict_mc_dropout(model, inputs[perm], self.SAMPLES, seed=11, voxels=perm)
         )
         assert np.array_equal(permuted, default[perm, 5:8])
-
-    def test_rerun_is_byte_identical(self, tmp_path):
-        self.check_rerun(tmp_path, self.BODY)
-
-    def test_rerun_at_half_rate_is_byte_identical(self, tmp_path):
-        self.check_rerun(tmp_path, self.HALF)
-
-    def test_chunk_size_and_voxel_order_change_results_only_by_rounding(
-        self, tmp_path, monkeypatch
-    ):
-        self.check_chunk_size_and_voxel_order(tmp_path, monkeypatch, self.BODY)
-
-    def test_chunk_size_and_voxel_order_at_half_rate_do_not_change_results(
-        self, tmp_path, monkeypatch
-    ):
-        self.check_chunk_size_and_voxel_order(tmp_path, monkeypatch, self.HALF)
 
     def test_train_history_records_the_run_and_reruns_to_the_same_bytes(self, tmp_path):
         # an evaluation every epoch at a rate high enough that validation stalls

@@ -44,6 +44,11 @@ One read for scoring: run_calibrate, run_evaluate and run_curves reach no
 read_dataset call, through any pipeline.py or dataio.py function they call,
 so the scoring stages read a dataset's truth block and skip its signals.
 
+One loader for scoring: in pipeline.py only _load_scored (and
+_load_table_for_eval, which evaluate gives it as its reader) calls
+read_predictions or _check_truth_digest, so every table a scoring stage
+scores is read and checked in one place, in one order.
+
 One file hasher: in src/dticalib and scripts/ only write_manifest calls
 sha256_file, so a stage hashes a file only where the manifest decides that
 its recorded digest cannot be kept.
@@ -146,11 +151,11 @@ def called_name(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
-def calls_outside(tree: ast.Module, names, allowed: str) -> list:
+def calls_outside(tree: ast.Module, names, *allowed: str) -> list:
     """(function, line) of each call in tree of one of names outside the
-    top-level function allowed; a call at module level reads <module>."""
+    top-level functions allowed; a call at module level reads <module>."""
     return [(getattr(node, "name", "<module>"), call.lineno)
-            for node in tree.body if not (isinstance(node, FUNCTIONS) and node.name == allowed)
+            for node in tree.body if not (isinstance(node, FUNCTIONS) and node.name in allowed)
             for call in ast.walk(node)
             if isinstance(call, ast.Call) and called_name(call) in names]
 
@@ -292,6 +297,8 @@ def reached_calls(calls: dict, start: str, target: str) -> list:
 
 
 SCORING_STAGES = ("run_calibrate", "run_evaluate", "run_curves")
+SCORED_LOADERS = ("_load_scored", "_load_table_for_eval")
+SCORED_READS = ("read_predictions", "_check_truth_digest")
 
 
 @pytest.mark.parametrize(
@@ -542,3 +549,20 @@ def test_scan_finds_a_file_hash_outside_write_manifest():
     mutated = ast.parse(source.replace(write, write + '    header["sha256"] = sha256_file(path)\n'))
     found = calls_outside(mutated, ("sha256_file",), "write_manifest")
     assert found == [("write_predictions", line)]
+
+
+def test_only_the_loader_reads_and_checks_a_scored_table():
+    tree = parse(PACKAGE / "pipeline.py")
+    assert calls_outside(tree, SCORED_READS, *SCORED_LOADERS) == []
+    found = {function for function, _ in calls_outside(tree, SCORED_READS)}
+    assert sorted(found) == sorted(SCORED_LOADERS)  # the scan sees each
+
+
+def test_scan_finds_a_table_read_put_into_run_curves():
+    source = (PACKAGE / "pipeline.py").read_text()
+    load = '    (view,) = _load_scored(cfg, "curves.predictions")\n'
+    assert source.count(load) == 1  # fixture sanity
+    line = source[: source.index(load)].count("\n") + 2
+    read = '    header, table = dataio.read_predictions(cfg.get("curves.predictions"))\n'
+    mutated = ast.parse(source.replace(load, load + read))
+    assert calls_outside(mutated, SCORED_READS, *SCORED_LOADERS) == [("run_curves", line)]
