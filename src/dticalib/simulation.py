@@ -8,7 +8,7 @@ the per-channel Gaussian noise level is sigma_n = 10**(-snr_db / 20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .tensor import (
     GradientScheme,
     elements_to_matrices,
-    fa_md,
     matrices_to_elements,
     predict_signal_batch,
 )
@@ -33,8 +32,9 @@ class PhantomSpec:
 
     generator:
         fixed          -- every voxel carries `elements` verbatim
-        prolate        -- eigenvalues (a, b, b) solved for fa_target and md
-        oblate         -- eigenvalues (a, a, b) solved for fa_target and md
+        prolate        -- eigenvalues (a, b, b), a >= b, of fa_target and md,
+                          in closed form (see _axisym_eigenvalues)
+        oblate         -- eigenvalues (a, a, b), a >= b, likewise
         random_spd     -- eigenvalues uniform in eig_range
         two_population -- random_spd voxels; the second half has eigenvalues
                           scaled by `shift` (distribution-shift surrogate)
@@ -55,10 +55,6 @@ class PhantomSpec:
     snr_db: float = 30.0
     snr_range: Optional[tuple] = None  # per-voxel uniform SNR draw, overrides snr_db
     seed: int = 0
-    # (3,) eigenvalues solved once for prolate/oblate, by __post_init__
-    axisym_eigenvalues: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.n_voxels < 1:
@@ -86,9 +82,7 @@ class PhantomSpec:
         if snr is not None and not (len(snr) == 2 and -math.inf < snr[0] <= snr[1] < math.inf):
             raise ValueError(f"snr_range must be finite (low, high), low <= high, not {snr}")
         if self.generator in ("prolate", "oblate"):  # raises if fa_target is out of reach
-            self.axisym_eigenvalues = _axisym_eigenvalues(
-                self.fa_target, self.md, self.generator == "prolate"
-            )
+            _axisym_eigenvalues(self.fa_target, self.md, self.generator == "prolate")
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -115,33 +109,16 @@ def make_scheme(n_directions: int, bvalue: float = 1000.0, n_b0: int = 2) -> Gra
 
 
 def _axisym_eigenvalues(fa_target: float, md: float, prolate: bool) -> np.ndarray:
-    """Solve the one-parameter axisymmetric family for an FA target by bisection.
+    """The axisymmetric eigenvalues of an FA target and MD, in closed form.
 
-    Prolate: (a, b, b) with a >= b; oblate: (a, a, b) with a >= b. Both
-    families sweep FA monotonically in the eigenvalue ratio, so bisection
-    on the ratio pins fa_target; scaling then matches md exactly.
+    Prolate: (md + 2d, md - d, md - d); oblate: (md + d, md + d, md - 2d).
+    Either way sum (lambda - md)^2 = 6 d^2 and sum lambda^2 = 3 md^2 + 6 d^2,
+    so FA (Basser & Pierpaoli 1996) inverts to d = fa md / sqrt(3 - 2 fa^2).
     """
-    if fa_target == 0.0:
-        return np.full(3, md)
-
-    def fa_of_ratio(t: float) -> float:
-        # t = minor/major in (0, 1]: FA of the diagonal tensor of those eigenvalues
-        lam = [1.0, t, t] if prolate else [1.0, 1.0, t]
-        return float(fa_md(np.array(lam + [0.0, 0.0, 0.0]))[0])
-
-    # prolate FA -> 1 as t -> 0; oblate tops out at FA(t=0) = 1/sqrt(2)
-    if not prolate and fa_target >= fa_of_ratio(1e-12):
+    if not prolate and fa_target >= math.sqrt(0.5):  # oblate FA tops out at 1/sqrt(2)
         raise ValueError(f"fa_target {fa_target} not reachable by an oblate tensor")
-    lo, hi = 1e-12, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fa_of_ratio(mid) > fa_target:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    lam = np.array([1.0, t, t]) if prolate else np.array([1.0, 1.0, t])
-    lam *= md / lam.mean()
+    d = fa_target * md / math.sqrt(3.0 - 2.0 * fa_target * fa_target)
+    lam = np.array([md + 2 * d, md - d, md - d] if prolate else [md + d, md + d, md - 2 * d])
     if np.any(lam <= 0):
         raise ValueError(f"fa_target {fa_target} with md {md} needs a non-positive eigenvalue")
     return lam
@@ -205,7 +182,7 @@ def make_phantom(spec: PhantomSpec) -> Phantom:
 
     shifted = (np.arange(n) >= n // 2) & (spec.generator == "two_population")
     if spec.generator in ("prolate", "oblate"):
-        eigenvalues[:] = spec.axisym_eigenvalues
+        eigenvalues[:] = _axisym_eigenvalues(spec.fa_target, spec.md, spec.generator == "prolate")
     elif random_eigenvalues:
         scale = np.where(shifted, spec.shift, 1.0)
         eigenvalues = np.sort(eigenvalues, axis=1)[:, ::-1] * scale[:, None]

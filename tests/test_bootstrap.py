@@ -30,7 +30,7 @@ from dticalib.tensor import (
     predict_signal_batch,
 )
 from test_fitting import spy_isotropic_floors
-from test_tensor import eigenvalue_fa_md
+from test_tensor import SCALED_HARD_ROWS, eigenvalue_fa_md
 
 
 def samples_from_axes(axes, scale=1e-3):
@@ -95,13 +95,17 @@ class TestWildBootstrap:
         signals = make_phantom(
             PhantomSpec(n_voxels=1, scheme=scheme, snr_db=25.0, seed=3)
         ).signals[0]
-        with pytest.raises(SaturatedLeverageError, match="saturated leverage"):
+        with pytest.raises(SaturatedLeverageError) as info:
             wild_bootstrap(signals, scheme, 50, seed=0)
+        where, leverage = str(info.value).split(": saturated leverage ")
+        assert where == "row 0, measurement 0" and float(leverage) >= 1.0 - 1e-9
 
     def test_iterations_validated(self):
         scheme = make_scheme(30)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^iterations must be >= 2$"):
             wild_bootstrap(np.full(len(scheme), 0.5), scheme, 1, seed=0)
+        with pytest.raises(ValueError, match="^iterations must be >= 2$"):
+            wild_bootstrap_table(np.full((2, len(scheme)), 0.5), scheme, 1, seed=0)
 
     @pytest.mark.parametrize("iterations", [1000, 30])  # a chunk of one voxel, and of all
     def test_voxels_must_hold_one_index_per_row(self, iterations):
@@ -175,6 +179,21 @@ class TestRowsAloneAsInBatch:
         for row, v in zip(batch, voxels):
             alone = wild_bootstrap_table(signals[[v]], scheme, 200, 1, voxels=[v])[0]
             assert np.array_equal(alone, row, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_replicate_statistics_of_hard_rows(self, k, data):
+        groups = data.draw(st.lists(st.lists(SCALED_HARD_ROWS, min_size=k, max_size=k),
+                                    min_size=2, max_size=6))
+        elements = np.array(groups).reshape(-1, 6)
+        evecs = eigh3_batch(elements)[1]
+        order = np.array(data.draw(st.permutations(range(len(groups)))))
+        rows = (order[:, None] * k + np.arange(k)).ravel()
+        table = replicate_statistics(elements[rows], evecs[rows], k)
+        for i, g in enumerate(order):
+            group = slice(g * k, (g + 1) * k)
+            alone = replicate_statistics(elements[group], evecs[group], k)[0]
+            assert np.array_equal(alone, table[i])
 
     def test_summarize_uncertainty(self):
         rng = np.random.default_rng(9)

@@ -200,6 +200,14 @@ class TestPicpMpiwCurve:
         with pytest.raises(ValueError, match="degenerate uncertainties"):
             picp_mpiw_curve(constant_triples(5, sigma=0.0, error=0.1), 1.0)
 
+    @pytest.mark.parametrize("cap, grid, message", [
+        (0.0, 16, "mpiw_cap must be positive"), (-1.0, 16, "mpiw_cap must be positive"),
+        (1.0, 1, "grid_size must be >= 2"),
+    ])
+    def test_bad_cap_or_grid_rejected(self, cap, grid, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            picp_mpiw_curve(constant_triples(5, sigma=0.1, error=0.1), cap, grid)
+
     def test_matches_broadcast_definition_exactly(self):
         rng = np.random.default_rng(17)
         n, grid, cap = 3000, 256, 2.0

@@ -366,6 +366,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {tmp_path / 'foreign.bin'}: ")
 
+    def test_table_of_another_kind_is_data_error_naming_kind(self, tmp_path, capsys):
+        body = BASE.format(snr="28") + "evaluate.predictions = run/dataset.bin\n"
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        before = dir_hashes(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 2
+        path = tmp_path / "run/dataset.bin"
+        assert capsys.readouterr().err.rstrip() == (
+            f"data error: {path}: cannot evaluate file of kind 'dataset'"
+        )
+        assert dir_hashes(tmp_path / "run") == before
+
     def test_header_lacking_fields_is_data_error_naming_path_and_field(self, tmp_path, capsys):
         body = BASE.format(snr="28") + "evaluate.predictions = p.bin\n"
         cfg = write_cfg(tmp_path / "e.cfg", body)
@@ -478,6 +491,14 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err.rstrip()
         assert err == f"config error: line 14: {given} is set without {missing}"
+        assert not (tmp_path / "run").exists()
+
+    def test_no_scheme_is_config_error(self, tmp_path, capsys):
+        body = BASE.format(snr="28").replace("scheme.n_directions = 30\n", "")
+        cfg = write_cfg(tmp_path / "e.cfg", body)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err.rstrip()
+        assert err == "config error: scheme needs bvec/bval paths or n_directions"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["fit", "bootstrap", "train"])
@@ -958,10 +979,10 @@ class TestManifestCarryOver:
 class TestSimulatePinned:
     # sha256 of dataset.bin as the per-voxel phantom wrote it (numpy 2.4, x86-64)
     PINNED = {
-        ("prolate", "uniform"): "104f565156f000ef7483d3ab51c3c4331b9e99e091b5960f7a6ced417ae5e113",
-        ("prolate", "fixed"): "db3bf38672eded1b3af51ac3c3ead3d3352355b92dcbc3c6c15656129770dbd2",
-        ("oblate", "uniform"): "a862ff1710def9190ba067f542a225c8a34493c1197e6562a6669a6ba25926a0",
-        ("oblate", "fixed"): "0a1fcf172d824f5c51823f6eb604429e3461a36ebcc1f994f2f5080a92fdfaf0",
+        ("prolate", "uniform"): "b2a4b4284355528b5788ca6dc1d9f51fc4373ba80aab39be81881ccd69629b14",
+        ("prolate", "fixed"): "86f51d0b7c9f15df847536ac50af319a6150188581e488da886188d40d0a65ec",
+        ("oblate", "uniform"): "8521757b7844efe425fff447a5ca0e3f44c50fdd278c2305a55439b0a7bdcafb",
+        ("oblate", "fixed"): "adff1d4fdcf28bf50dc9ed31b3c21a26fc623edf73f06863c6cc0ee5ee288201",
         ("random_spd", "uniform"): "acc414d97a812d13d2a6863645adf707e8dcd4fc9727d089705518250999da3f",
         ("random_spd", "fixed"): "8d806dbe6a171e3c83be7f78c4fa7d1375dbe756ed8cd697b4150043b13ac5b1",
         ("two_population", "uniform"): "47193dbc862aa76de34d2e9491074863fa2d21be6e2984c69deb31d01675d739",

@@ -37,9 +37,14 @@ class TestParser:
         assert cfg.get("metrics.mpiw_cap.fa") == 0.2
         assert cfg.get("train.hidden_widths") == (64, 64, 32)
 
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ConfigError, match="expected"):
-            parse_config_text("just words\n")
+    @pytest.mark.parametrize("text, message", [
+        ("just words\n", "line 1: expected 'key = value'"),
+        ("seed = 1\n = 3\n", "line 2: empty key"),
+    ])
+    def test_line_without_a_key_rejected(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
 
 
 class TestExperimentConfig:

@@ -59,6 +59,8 @@ class TestBvecBval:
         (["0 nan", "0 0", "0 0"], "0 1000", "bvec", "directions must be finite"),
         (["0 -inf", "0 0", "0 0"], "0 1000", "bvec", "directions must be finite"),
         (["0 0", "0 0", "0 0"], "0 1000", "bvec", "zero direction with b>0 at column 1"),
+        (["0 1", "0 0"], "0 1000", "bvec", "expected 3 row(s), got 2"),
+        (["0 1", "0 0", "0 0"], "0 1000\n0 1000", "bval", "expected 1 row(s), got 2"),
     ])
     def test_refusal_names_its_file(self, tmp_path, bvec_rows, bval_row, name, message):
         bvec, bval = self.write_pair(tmp_path, bvec_rows, bval_row)
@@ -150,6 +152,18 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="voxel 2, tensor element 5"):
             read_dataset(path)
 
+    def test_truth_of_wrong_shape_rejected(self, tmp_path):
+        path, signals, truth = self.write_one(tmp_path)
+        with pytest.raises(DataFormatError, match=r"^truth block must be \(n_voxels, 6\)$"):
+            write_dataset(path, signals, "scheme", truth_elements=truth[:, :3])
+
+    def test_scheme_of_other_length_rejected(self, tmp_path):
+        path, _, _ = self.write_one(tmp_path)
+        write_bvec_bval(tmp_path / "scheme.bvec", tmp_path / "scheme.bval", make_scheme(11))
+        with pytest.raises(DataFormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}: scheme length disagrees with header"
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
         write_fits(path, np.zeros((3, 7)), "cwlls")
@@ -200,6 +214,13 @@ class TestFitsAndPredictions:
     def test_wrong_width_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_predictions(tmp_path / "p.bin", np.zeros((2, 3)), "wbs")
+
+    def test_other_column_set_rejected(self, tmp_path):
+        path = predictions_file(tmp_path)
+        rewrite_header(path, lambda h: h.update(columns=h["columns"][::-1]))
+        with pytest.raises(DataFormatError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: unexpected column set"
 
 
 def rewrite_header(path, edit):

@@ -422,6 +422,11 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"^{field} must"):
             small_spec(**{field: value})
 
+    def test_inputs_and_targets_of_other_voxel_counts_are_an_error(self):
+        x = np.full((3, len(SCHEME)), 0.5)
+        with pytest.raises(ValueError, match="^inputs and targets disagree on voxel count$"):
+            train(x, np.zeros((4, 6)), small_spec(), TrainConfig(epochs=1))
+
     def test_no_training_rows_is_an_error(self):
         # 3 voxels, val_fraction 0.9 rounds to 3 validation rows
         x = np.full((3, len(SCHEME)), 0.5)

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy._core._multiarray_umath import __cpu_features__
 
 from dticalib import simulation
@@ -23,6 +24,7 @@ from dticalib.simulation import (
 from dticalib.tensor import (
     eigh3_batch,
     elements_to_matrices,
+    fa_md,
     matrices_to_elements,
     predict_signal_batch,
 )
@@ -70,34 +72,30 @@ class TestGenerators:
             assert fa == pytest.approx(0.8, abs=1e-6)
             assert md == pytest.approx(0.9e-3, abs=1e-9)
 
-    @pytest.mark.parametrize("generator", ["prolate", "oblate"])
-    def test_axisymmetric_eigenvalues_solved_once_per_spec(self, monkeypatch, generator):
-        from dticalib import simulation
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.floats(1e-5, 1e-2))
+    def test_axisymmetric_eigenvalues_hit_fa_and_md(self, data, md):
+        prolate = data.draw(st.booleans())
+        # oblate: up to 1/sqrt(2) less two ulp; one ulp below, lambda3 can round to 0
+        fa_max = 0.999 if prolate else np.nextafter(np.nextafter(np.sqrt(0.5), 0.0), 0.0)
+        fa_target = data.draw(st.floats(0.0, fa_max))
+        lam = _axisym_eigenvalues(fa_target, md, prolate)
+        assert (lam[1] == lam[2] if prolate else lam[0] == lam[1]) and lam.min() > 0
+        fa, solved_md = fa_md(np.concatenate([lam, np.zeros(3)]))
+        assert abs(fa - fa_target) <= 4.4e-16
+        assert abs(solved_md - md) <= 4 * np.spacing(md)
+        assert np.array_equal(_axisym_eigenvalues(0.0, md, prolate), np.full(3, md))
 
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _axisym_eigenvalues(*args)
-
-        monkeypatch.setattr(simulation, "_axisym_eigenvalues", counted)
-        spec = PhantomSpec(n_voxels=4, scheme=make_scheme(12), generator=generator,
-                           fa_target=0.5, seed=2)
-        make_phantom(spec)
-        make_phantom(spec)
-        assert len(calls) == 1
-
-    def test_oblate_hits_fa_target(self):
-        lam = _axisym_eigenvalues(0.5, 1.1e-3, prolate=False)
-        assert lam[0] == lam[1] > lam[2] > 0
-        fa, md = lapack_fa_md(np.array([lam[0], lam[1], lam[2], 0, 0, 0]))
-        assert fa == pytest.approx(0.5, abs=1e-6)
-        assert md == pytest.approx(1.1e-3, abs=1e-9)
-
-    def test_oblate_cannot_reach_high_fa(self):
+    @pytest.mark.parametrize("fa_target", [np.sqrt(0.5), 0.9, 0.999])
+    def test_oblate_cannot_reach_high_fa(self, fa_target):
         # oblate family tops out at FA = 1/sqrt(2)
-        with pytest.raises(ValueError):
-            _axisym_eigenvalues(0.9, 1e-3, prolate=False)
+        with pytest.raises(ValueError, match=f"fa_target {fa_target} not reachable by an oblate"):
+            _axisym_eigenvalues(fa_target, 1e-3, prolate=False)
+
+    def test_oblate_edge_needing_a_zero_eigenvalue_is_refused(self):
+        fa_target = np.nextafter(np.sqrt(0.5), 0.0)  # lambda3 = md - 2d rounds to <= 0
+        with pytest.raises(ValueError, match="needs a non-positive eigenvalue"):
+            _axisym_eigenvalues(fa_target, 1e-3, prolate=False)
 
     def test_random_spd_respects_range(self):
         scheme = make_scheme(10)
@@ -309,7 +307,8 @@ def reference_phantom(spec):
         if spec.generator == "fixed":
             elements = np.reshape(spec.elements, 6).astype(np.float64)
         elif spec.generator in ("prolate", "oblate"):
-            elements = np.concatenate([spec.axisym_eigenvalues, np.zeros(3)])
+            lam = _axisym_eigenvalues(spec.fa_target, spec.md, spec.generator == "prolate")
+            elements = np.concatenate([lam, np.zeros(3)])
         else:
             lam = np.sort(rng.uniform(*spec.eig_range, size=3))[::-1]
             elements = np.concatenate([lam * (spec.shift if shifted else 1.0), np.zeros(3)])

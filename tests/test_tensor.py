@@ -105,6 +105,16 @@ class TestGradientScheme:
         with pytest.raises(ValueError):
             GradientScheme([[1, 0, 0]], [1000.0, 0.0])
 
+    @pytest.mark.parametrize("directions, bvalues, message", [
+        ([1, 0, 0], [1000.0], "directions must be an (m, 3) array"),
+        ([[1, 0]], [1000.0], "directions must be an (m, 3) array"),
+        ([[0.5, 0, 0]], [0.0], "b=0 directions must be unit or zero vectors"),
+    ])
+    def test_refusal_names_what_is_wrong(self, directions, bvalues, message):
+        with pytest.raises(ValueError) as info:
+            GradientScheme(directions, bvalues)
+        assert str(info.value) == message
+
 
 class TestPredictSignal:
     def test_isotropic_same_for_all_directions(self):
@@ -260,6 +270,11 @@ HARD_ROWS = st.builds(
     st.integers(0, 2**32 - 1),
 )
 
+# HARD_ROWS at their own scale, or moved by an exact power of two to near the
+# subnormals or to where fourth powers overflow: a scale shared across rows
+# would underflow or overflow there
+SCALED_HARD_ROWS = st.builds(np.ldexp, HARD_ROWS, st.sampled_from([0, -990, 500]))
+
 
 def wbs_chain_replicates():
     """(n, 6) replicate tensors of the wild bootstrap of a few wbs_chain voxels:
@@ -297,6 +312,16 @@ class TestEigh3Batch:
     @given(st.lists(HARD_ROWS, min_size=1, max_size=12))
     def test_hard_rows_match_lapack(self, rows):
         self.check_against_lapack(np.array(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SCALED_HARD_ROWS, min_size=2, max_size=12), st.data())
+    def test_each_row_alone_as_in_a_permuted_batch(self, rows, data):
+        rows = np.array(rows)
+        order = data.draw(st.permutations(range(len(rows))))
+        evals, evecs = eigh3_batch(rows[order])
+        for i, row in enumerate(order):
+            alone = eigh3_batch(rows[row : row + 1])
+            assert np.array_equal(alone[0][0], evals[i]) and np.array_equal(alone[1][0], evecs[i])
 
     def test_wbs_chain_replicates_match_lapack(self):
         rows = wbs_chain_replicates()
